@@ -105,7 +105,21 @@ void BM_SparseDistFromWeights(benchmark::State& state) {
         SparseDist::FromWeights(std::span<const Token>(tokens), std::span<const double>(weights)));
   }
 }
-BENCHMARK(BM_SparseDistFromWeights)->Arg(16)->Arg(64);
+BENCHMARK(BM_SparseDistFromWeights)->Arg(16)->Arg(24)->Arg(48)->Arg(64);
+
+// The draft model's per-node mixture: a 24-token target support plus a
+// 24-token noise support, i.e. FromWeights on 48 weights in two sorted runs.
+void BM_Mix(benchmark::State& state) {
+  const Experiment& exp = GetExperiment();
+  const std::vector<Token> ctx = MakeContext(10, 32);
+  const SyntheticLm noise(LmConfig{.seed = DraftConfig{}.noise_seed});
+  const SparseDist target = exp.target().NextDist(7, ctx);
+  const SparseDist noise_dist = noise.NextDist(7, ctx);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Mix(target, noise_dist, DraftConfig{}.fidelity));
+  }
+}
+BENCHMARK(BM_Mix);
 
 // Target-model next-token distribution: FromWeights plus the synthetic
 // LM's stick-breaking walk, all on SmallVector scratch (zero heap

@@ -81,7 +81,9 @@ class SmallVector {
 
   T& operator[](size_t i) { return data()[i]; }
   const T& operator[](size_t i) const { return data()[i]; }
+  const T& front() const { return data()[0]; }
   T& back() { return data()[size_ - 1]; }
+  const T& back() const { return data()[size_ - 1]; }
 
   T* data() { return size_ <= N ? inline_ : spill_.data(); }
   const T* data() const { return size_ <= N ? inline_ : spill_.data(); }

@@ -1,9 +1,13 @@
 #include "src/model/distribution.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
 
-#include "src/common/arena.h"
 #include "src/common/logging.h"
 
 namespace adaserve {
@@ -11,33 +15,72 @@ namespace {
 
 constexpr double kMinMass = 1e-12;
 
-// Inline capacity covering every configured support size (default 24,
-// draft mixes see the union of two supports). Larger supports spill to
-// the heap transparently.
-constexpr size_t kInlineSupport = 64;
+// Hash-index slots that live on the stack: enough for any input of up to
+// 128 weights (a target support plus a draft mixture's union) at the
+// index's load factor of at most 1/2.
+constexpr size_t kInlineSlots = 256;
 
-void SortEntries(std::vector<SparseDist::Entry>& entries) {
-  std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
-    if (a.prob != b.prob) {
-      return a.prob > b.prob;
+// Fibonacci hashing of a token onto a power-of-two table of 2^(64 - shift)
+// slots; negative ids hash like any other bit pattern.
+size_t SlotOf(Token token, int shift) {
+  return static_cast<size_t>(
+      (static_cast<uint64_t>(static_cast<uint32_t>(token)) * 0x9e3779b97f4a7c15ULL) >> shift);
+}
+
+bool Before(const SparseDist::Entry& a, const SparseDist::Entry& b) {
+  if (a.prob != b.prob) {
+    return a.prob > b.prob;
+  }
+  return a.token < b.token;
+}
+
+// Sorts by descending prob, ties by ascending token. Tokens are distinct, so
+// this is a total order and any correct sort yields the same array. Inputs
+// arrive nearly sorted: Zipf rank order with jitter, or a mixture's two
+// sorted runs. A binary insertion sort leaves in-place entries after one
+// comparison and moves each out-of-place one with a single block shift,
+// which beats both std::sort and a linear insertion sort on both shapes.
+void SortEntries(std::span<SparseDist::Entry> entries) {
+  for (size_t i = 1; i < entries.size(); ++i) {
+    const SparseDist::Entry e = entries[i];
+    if (!Before(e, entries[i - 1])) {
+      continue;
     }
-    return a.token < b.token;
-  });
+    const auto it = entries.begin() + static_cast<std::ptrdiff_t>(i);
+    const auto pos = std::upper_bound(entries.begin(), it - 1, e, Before);
+    std::move_backward(pos, it, it + 1);
+    *pos = e;
+  }
 }
 
 }  // namespace
 
 SparseDist SparseDist::FromWeights(std::span<const Token> tokens, std::span<const double> weights) {
   ADASERVE_CHECK(tokens.size() == weights.size()) << "token/weight size mismatch";
-  // Coalesce duplicates by linear probing into the output buffer itself:
-  // supports are tens of tokens, so a scan beats the former std::map (and
-  // its node allocation per entry) by a wide margin. Per-token weight sums
-  // and the total accumulate in input order, exactly as the map-based
-  // version did, so every double — and therefore the final sorted entry
-  // array — is bit-identical to the historical output.
+  // Duplicates are coalesced through an open-addressing index (token ->
+  // 1 + output position, 0 = empty slot) sized to at least twice the
+  // input, so a lookup is one or two probes instead of a scan of the
+  // output. Per-token weight sums and the total accumulate in input order
+  // and entries are appended in first-appearance order, exactly as a
+  // linear-scan coalescing does, so every double -- and therefore the
+  // sorted entry array -- matches it bit for bit (distribution_test keeps
+  // that scan as the reference).
+  const size_t capacity = std::bit_ceil(std::max<size_t>(2 * tokens.size(), 2));
+  const int shift = 64 - std::countr_zero(capacity);
+  // Left uninitialised: only the first `capacity` slots are used, and
+  // exactly those are zeroed below.
+  std::array<uint32_t, kInlineSlots> inline_slots;
+  std::vector<uint32_t> heap_slots;
+  uint32_t* slots = inline_slots.data();
+  if (capacity > kInlineSlots) {
+    heap_slots.resize(capacity);
+    slots = heap_slots.data();
+  } else {
+    std::fill_n(slots, capacity, 0U);
+  }
+
   SparseDist dist;
-  std::vector<Entry>& entries = dist.entries_;
-  entries.reserve(tokens.size());
+  SmallVector<Entry, kInlineSupport>& entries = dist.entries_;
   double total = 0.0;
   for (size_t i = 0; i < tokens.size(); ++i) {
     ADASERVE_CHECK(weights[i] >= 0.0) << "negative weight for token " << tokens[i];
@@ -45,23 +88,22 @@ SparseDist SparseDist::FromWeights(std::span<const Token> tokens, std::span<cons
       continue;
     }
     total += weights[i];
-    bool merged = false;
-    for (Entry& e : entries) {
-      if (e.token == tokens[i]) {
-        e.prob += weights[i];
-        merged = true;
-        break;
-      }
+    size_t slot = SlotOf(tokens[i], shift);
+    while (slots[slot] != 0 && entries[slots[slot] - 1].token != tokens[i]) {
+      slot = (slot + 1) & (capacity - 1);
     }
-    if (!merged) {
+    if (slots[slot] == 0) {
       entries.push_back({tokens[i], weights[i]});
+      slots[slot] = static_cast<uint32_t>(entries.size());
+    } else {
+      entries[slots[slot] - 1].prob += weights[i];
     }
   }
   ADASERVE_CHECK(total > 0.0) << "distribution has no mass";
   for (Entry& e : entries) {
     e.prob /= total;
   }
-  SortEntries(entries);
+  SortEntries({entries.data(), entries.size()});
   return dist;
 }
 
@@ -126,11 +168,15 @@ SparseDist SparseDist::Residual(const SparseDist& q) const {
 
 SparseDist SparseDist::WithTemperature(double t) const {
   ADASERVE_CHECK(t > 0.0) << "temperature must be positive";
+  ADASERVE_CHECK(!entries_.empty()) << "temperature of empty distribution";
+  // Scale by the maximum before exponentiating: at small t every p^(1/t)
+  // underflows to 0, while (p / p_max)^(1/t) keeps the argmax at 1.
+  const double p_max = entries_.front().prob;
   SmallVector<Token, kInlineSupport> tokens;
   SmallVector<double, kInlineSupport> weights;
   for (const Entry& e : entries_) {
     tokens.push_back(e.token);
-    weights.push_back(std::pow(e.prob, 1.0 / t));
+    weights.push_back(std::pow(e.prob / p_max, 1.0 / t));
   }
   return FromWeights({tokens.data(), tokens.size()}, {weights.data(), weights.size()});
 }
@@ -145,8 +191,8 @@ double SparseDist::TotalMass() const {
 
 SparseDist Mix(const SparseDist& a, const SparseDist& b, double weight) {
   ADASERVE_CHECK(weight >= 0.0 && weight <= 1.0) << "mix weight out of range: " << weight;
-  SmallVector<Token, kInlineSupport> tokens;
-  SmallVector<double, kInlineSupport> weights;
+  SmallVector<Token, SparseDist::kInlineSupport> tokens;
+  SmallVector<double, SparseDist::kInlineSupport> weights;
   for (const auto& e : a.entries()) {
     tokens.push_back(e.token);
     weights.push_back(weight * e.prob);

@@ -9,8 +9,8 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
+#include "src/common/arena.h"
 #include "src/common/rng.h"
 #include "src/common/types.h"
 
@@ -38,7 +38,7 @@ class SparseDist {
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
   const Entry& entry(size_t i) const { return entries_[i]; }
-  const std::vector<Entry>& entries() const { return entries_; }
+  std::span<const Entry> entries() const { return {entries_.data(), entries_.size()}; }
 
   // Probability of `token`; 0 if outside the support.
   double ProbOf(Token token) const;
@@ -60,15 +60,22 @@ class SparseDist {
   SparseDist Residual(const SparseDist& q) const;
 
   // Applies temperature t (p_i^(1/t), renormalised). t = 1 is identity;
-  // t -> 0 sharpens toward the argmax. Requires t > 0.
+  // t -> 0 sharpens toward the argmax, reaching a point mass (uniform over
+  // tied maxima) once the other tokens' mass underflows. Requires t > 0 and
+  // a non-empty distribution.
   SparseDist WithTemperature(double t) const;
 
   // Sum of stored probabilities (should be ~1; exposed for tests).
   double TotalMass() const;
 
+  // Inline entry capacity: the union of a 24-token target support and a
+  // 24-token noise support, the draft mixture's shape. Wider distributions
+  // spill to the heap transparently.
+  static constexpr size_t kInlineSupport = 48;
+
  private:
   // Sorted by descending prob, ties by ascending token id.
-  std::vector<Entry> entries_;
+  SmallVector<Entry, kInlineSupport> entries_;
 };
 
 // Mixes two distributions: result = weight * a + (1 - weight) * b over the

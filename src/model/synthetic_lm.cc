@@ -14,6 +14,10 @@ SyntheticLm::SyntheticLm(const LmConfig& config) : config_(config) {
   ADASERVE_CHECK(config_.context_order >= 1) << "context order must be >= 1";
   ADASERVE_CHECK(config_.weight_jitter >= 0.0 && config_.weight_jitter < 1.0)
       << "jitter must be in [0, 1)";
+  zipf_.reserve(static_cast<size_t>(config_.support));
+  for (int i = 0; i < config_.support; ++i) {
+    zipf_.push_back(std::pow(static_cast<double>(i + 1), -config_.zipf_exponent));
+  }
 }
 
 SparseDist SyntheticLm::NextDist(uint64_t stream, std::span<const Token> context) const {
@@ -26,8 +30,8 @@ SparseDist SyntheticLm::NextDist(uint64_t stream, std::span<const Token> context
 
   // Inline scratch: the support is a few dozen tokens, so building the
   // weight list must not hit the heap on this per-token hot path.
-  SmallVector<Token, 64> tokens;
-  SmallVector<double, 64> weights;
+  SmallVector<Token, SparseDist::kInlineSupport> tokens;
+  SmallVector<double, SparseDist::kInlineSupport> weights;
   uint64_t pick_state = h;
   for (int i = 0; i < config_.support; ++i) {
     // Derive the i-th support token and its jitter from the hash stream.
@@ -36,9 +40,8 @@ SparseDist SyntheticLm::NextDist(uint64_t stream, std::span<const Token> context
     const auto token = static_cast<Token>(r1 % static_cast<uint64_t>(config_.vocab_size));
     const double jitter_u = static_cast<double>(r2 >> 11) * 0x1.0p-53;
     const double jitter = 1.0 + config_.weight_jitter * (2.0 * jitter_u - 1.0);
-    const double zipf = std::pow(static_cast<double>(i + 1), -config_.zipf_exponent);
     tokens.push_back(token);
-    weights.push_back(zipf * jitter);
+    weights.push_back(zipf_[static_cast<size_t>(i)] * jitter);
   }
   return SparseDist::FromWeights({tokens.data(), tokens.size()},
                                  {weights.data(), weights.size()});

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "src/model/distribution.h"
 
@@ -46,6 +47,9 @@ class SyntheticLm {
 
  private:
   LmConfig config_;
+  // zipf_[i] = (i + 1)^-zipf_exponent: the un-jittered weight of the
+  // (i+1)-th support slot, computed once per model so NextDist calls no pow.
+  std::vector<double> zipf_;
 };
 
 }  // namespace adaserve

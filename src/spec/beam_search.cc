@@ -1,6 +1,7 @@
 #include "src/spec/beam_search.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -25,16 +26,24 @@ TokenTree BuildCandidateTree(const DraftLm& draft, uint64_t stream,
   TokenTree tree(root_token);
 
   std::vector<NodeId> frontier = {kRootNode};
-  std::vector<Token> context(committed.begin(), committed.end());
+  // One draft-context buffer for the whole tree: the committed tokens, then
+  // each frontier node's speculated path appended in turn and truncated
+  // away after its distribution is drawn.
+  std::vector<Token> context;
+  context.reserve(committed.size() + static_cast<size_t>(config.depth));
+  context.assign(committed.begin(), committed.end());
+  const auto committed_end = static_cast<std::ptrdiff_t>(committed.size());
+  std::vector<Extension> extensions;
   for (int step = 0; step < config.depth; ++step) {
-    std::vector<Extension> extensions;
+    extensions.clear();
     extensions.reserve(frontier.size() * 8);
     for (NodeId node : frontier) {
-      // Draft context = committed tokens + speculated path to this node.
-      const std::vector<Token> path = tree.PathTokens(node);
-      std::vector<Token> ctx = context;
-      ctx.insert(ctx.end(), path.begin(), path.end());
-      const SparseDist dist = draft.NextDist(stream, ctx);
+      for (NodeId cur = node; cur != kRootNode; cur = tree.node(cur).parent) {
+        context.push_back(tree.node(cur).token);
+      }
+      std::reverse(context.begin() + committed_end, context.end());
+      const SparseDist dist = draft.NextDist(stream, context);
+      context.resize(committed.size());
       const double parent_path = tree.node(node).path_prob;
       for (const auto& e : dist.entries()) {
         extensions.push_back({node, e.token, e.prob, parent_path * e.prob});

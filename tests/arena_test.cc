@@ -90,6 +90,18 @@ TEST(SmallVector, CopyAndMoveBothSidesOfTheBoundary) {
   EXPECT_TRUE(big.empty());  // NOLINT(bugprone-use-after-move): spec'd reset.
 }
 
+TEST(SmallVector, ConstAccessAfterSpill) {
+  SmallVector<int, 2> v;
+  for (int i = 0; i < 5; ++i) {
+    v.push_back(i + 10);
+  }
+  const SmallVector<int, 2>& cv = v;
+  EXPECT_EQ(cv.front(), 10);
+  EXPECT_EQ(cv.back(), 14);
+  EXPECT_EQ(cv[2], 12);
+  EXPECT_EQ(cv.end() - cv.begin(), 5);
+}
+
 TEST(VectorPool, AcquireWithoutReleaseAllocatesFresh) {
   VectorPool<int> pool;
   std::vector<int> v = pool.Acquire();

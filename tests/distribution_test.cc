@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <vector>
+
+#include "src/model/synthetic_lm.h"
 
 namespace adaserve {
 namespace {
@@ -125,6 +129,15 @@ TEST(SparseDist, HighTemperatureFlattens) {
   EXPECT_GT(t.ProbOf(2), 0.4);
 }
 
+TEST(SparseDist, TinyTemperatureGivesArgmaxPointMass) {
+  // Every p^(1/t) underflows to 0 here; the max-scaled form keeps the argmax.
+  const SparseDist p = MakeDist({4, 5, 6}, {0.5, 0.3, 0.2});
+  const SparseDist t = p.WithTemperature(0.0005);
+  EXPECT_EQ(t.size(), 1u);
+  EXPECT_EQ(t.ArgMax(), 4);
+  EXPECT_EQ(t.ProbOf(4), 1.0);
+}
+
 TEST(Mix, WeightedAverageOverUnionSupport) {
   const SparseDist a = MakeDist({1, 2}, {0.5, 0.5});
   const SparseDist b = MakeDist({2, 3}, {0.5, 0.5});
@@ -171,6 +184,119 @@ TEST_P(ResidualPropertySweep, ResidualIsNormalisedAndCorrect) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ResidualPropertySweep, ::testing::Range<uint64_t>(0, 10));
+
+// The historical FromWeights, kept as the reference the hash-indexed one
+// must match bit for bit: linear-scan coalescing in input order, then
+// std::sort by (descending prob, ascending token).
+std::vector<SparseDist::Entry> ReferenceFromWeights(const std::vector<Token>& tokens,
+                                                    const std::vector<double>& weights) {
+  std::vector<SparseDist::Entry> entries;
+  double total = 0.0;
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    if (weights[i] <= 0.0) {
+      continue;
+    }
+    total += weights[i];
+    bool merged = false;
+    for (SparseDist::Entry& e : entries) {
+      if (e.token == tokens[i]) {
+        e.prob += weights[i];
+        merged = true;
+        break;
+      }
+    }
+    if (!merged) {
+      entries.push_back({tokens[i], weights[i]});
+    }
+  }
+  for (SparseDist::Entry& e : entries) {
+    e.prob /= total;
+  }
+  std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
+    if (a.prob != b.prob) {
+      return a.prob > b.prob;
+    }
+    return a.token < b.token;
+  });
+  return entries;
+}
+
+void ExpectBitIdentical(const SparseDist& got, const std::vector<SparseDist::Entry>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got.entry(i).token, want[i].token) << "entry " << i;
+    EXPECT_EQ(std::memcmp(&got.entry(i).prob, &want[i].prob, sizeof(double)), 0)
+        << "entry " << i << ": " << got.entry(i).prob << " vs " << want[i].prob;
+  }
+}
+
+// Sizes 1..200 cross the inline entry capacity (48) and the inline hash
+// index (64 inputs). Each size draws tokens from a duplicate-heavy, a wide
+// or a signed range, and weights that include zeros and exact ties.
+class FromWeightsEquivalenceSweep : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(FromWeightsEquivalenceSweep, MatchesScanAndSortReference) {
+  for (size_t n = 1; n <= 200; ++n) {
+    Rng rng(GetParam() * 1000 + n);
+    const uint64_t shape = rng.UniformInt(3);
+    std::vector<Token> tokens;
+    std::vector<double> weights;
+    for (size_t i = 0; i < n; ++i) {
+      Token token = 0;
+      if (shape == 0) {
+        token = static_cast<Token>(rng.UniformInt(n / 4 + 1));
+      } else if (shape == 1) {
+        token = static_cast<Token>(rng.UniformInt(32000));
+      } else {
+        token = static_cast<Token>(rng.UniformInt(101)) - 50;
+      }
+      const double u = rng.Uniform();
+      double w = rng.Uniform();
+      if (u < 0.15) {
+        w = 0.0;
+      } else if (u < 0.5) {
+        w = 0.125 * static_cast<double>(1 + rng.UniformInt(4));
+      }
+      tokens.push_back(token);
+      weights.push_back(w);
+    }
+    weights[rng.UniformInt(n)] = 0.5;  // At least one positive weight.
+    SCOPED_TRACE(testing::Message() << "n=" << n << " shape=" << shape);
+    ExpectBitIdentical(SparseDist::FromWeights(tokens, weights),
+                       ReferenceFromWeights(tokens, weights));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FromWeightsEquivalenceSweep, ::testing::Range<uint64_t>(0, 8));
+
+// Mix of real synthetic-LM outputs: the 24+24-token shape a draft model
+// hands FromWeights on every tree node.
+TEST(FromWeightsEquivalence, MixOfSyntheticLmOutputs) {
+  const SyntheticLm target(LmConfig{});
+  const SyntheticLm noise(LmConfig{.seed = 0x5eedbeef});
+  constexpr double kMixWeights[] = {0.0, 0.3, 0.8, 1.0};
+  Rng rng(11);
+  std::vector<Token> context;
+  for (int i = 0; i < 300; ++i) {
+    context.push_back(static_cast<Token>(rng.UniformInt(32000)));
+    const auto stream = static_cast<uint64_t>(i % 7);
+    const SparseDist a = target.NextDist(stream, context);
+    const SparseDist b = noise.NextDist(stream, context);
+    const double weight = kMixWeights[i % 4];
+    std::vector<Token> tokens;
+    std::vector<double> weights;
+    for (const auto& e : a.entries()) {
+      tokens.push_back(e.token);
+      weights.push_back(weight * e.prob);
+    }
+    for (const auto& e : b.entries()) {
+      tokens.push_back(e.token);
+      weights.push_back((1.0 - weight) * e.prob);
+    }
+    SCOPED_TRACE(testing::Message() << "i=" << i);
+    ExpectBitIdentical(Mix(a, b, weight), ReferenceFromWeights(tokens, weights));
+  }
+}
 
 }  // namespace
 }  // namespace adaserve
