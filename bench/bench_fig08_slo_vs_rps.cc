@@ -14,9 +14,8 @@ void RunModel(const Setup& setup, const std::vector<double>& rps_grid, const Ben
               BenchJson& json, SweepRunner& runner) {
   std::cout << "\n" << setup.label << "\n";
   TablePrinter table({"System", "RPS", "SLO Attainment(%)", "Cat1(%)", "Cat2(%)", "Cat3(%)"});
-  // Lazy trace + per-cell prefetch thread: generation overlaps serving and
-  // the cell never materializes its trace. Metrics match the vector path
-  // byte-for-byte (streaming_equivalence_test).
+  // Lazy trace consumed inline: the cell never materializes its trace.
+  // Metrics match the vector path byte-for-byte (streaming_equivalence_test).
   const std::vector<SweepCellResult> cells = RunSetupStreamSweep(
       runner, setup, MainComparisonSet(), GridFor(args, rps_grid),
       [&args](const Experiment& exp, double rps) {

@@ -136,6 +136,12 @@ int main(int argc, char** argv) {
   table.AddRow({"Throughput (tok/s)", Fmt(result.metrics.ThroughputTps(), 1)});
   table.AddRow({"Mean accepted/verification", Fmt(result.metrics.mean_accepted, 2)});
   table.AddRow({"Makespan (s)", Fmt(result.metrics.makespan, 1)});
+  // Work the tick displaced or refused: an admission controller that
+  // rejects or degrades requests shows up here, not only as lost attainment.
+  table.AddRow({"Evictions", std::to_string(result.metrics.evictions)});
+  table.AddRow({"Pauses", std::to_string(result.metrics.pauses)});
+  table.AddRow({"Rejections", std::to_string(result.metrics.rejections)});
+  table.AddRow({"Degraded", std::to_string(result.metrics.degraded)});
   for (int c = 0; c < kNumCategories; ++c) {
     const CategoryMetrics& m = result.metrics.per_category[static_cast<size_t>(c)];
     table.AddRow({"Cat" + std::to_string(c + 1) + " attainment (%)", FmtPct(m.AttainmentPct())});

@@ -134,10 +134,4 @@ EngineConfig BoundaryTickConfig() {
   return engine;
 }
 
-EngineConfig AsyncTickConfig() {
-  EngineConfig engine;
-  engine.tick = TickPolicy::Async();
-  return engine;
-}
-
 }  // namespace adaserve

@@ -83,14 +83,6 @@ EngineConfig ContinuousTickConfig();
 // Experiment::RunLegacyDrainLoop.
 EngineConfig BoundaryTickConfig();
 
-// Engine config of the async tick pipeline: tick-native continuous
-// batching with the planner stage on (TickPolicy::Async) — mid-tick
-// admission and prefill chunking are precomputed on a planner thread
-// during the decode phase and reconciled at phase-A end. Metrics are
-// byte-identical to ContinuousTickConfig; async_tick_equivalence_test
-// pins it against the golden corpus.
-EngineConfig AsyncTickConfig();
-
 }  // namespace adaserve
 
 #endif  // ADASERVE_SRC_HARNESS_COMPARISONS_H_

@@ -86,7 +86,7 @@ class Experiment {
   // of which convert to WorkloadSource implicitly — and returns metrics +
   // iteration log. The engine behavior (tick protocol included) comes
   // entirely from `engine`; presets live in comparisons.h
-  // (ContinuousTickConfig / BoundaryTickConfig / AsyncTickConfig).
+  // (ContinuousTickConfig / BoundaryTickConfig).
   EngineResult Run(Scheduler& scheduler, WorkloadSource workload, const EngineConfig& engine = {},
                    int verify_budget = 0, int draft_budget = 0) const;
 

@@ -1,6 +1,8 @@
 #include "src/harness/replay.h"
 
 #include <charconv>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -193,7 +195,6 @@ std::string SerializeReplayArtifact(const ReplayArtifact& artifact) {
              : -1)
      << "\n";
   os << "tick.event_driven: " << (e.tick.event_driven ? 1 : 0) << "\n";
-  os << "tick.async_planner: " << (e.tick.async_planner ? 1 : 0) << "\n";
   os << "verify_budget: " << artifact.verify_budget << "\n";
   os << "draft_budget: " << artifact.draft_budget << "\n";
 
@@ -212,7 +213,7 @@ std::string SerializeReplayArtifact(const ReplayArtifact& artifact) {
        << FmtDouble(r.verify_time) << " " << FmtDouble(r.prefill_time) << " " << r.prefill_tokens
        << " " << r.decode_requests << " " << r.verified_tokens << " " << r.committed_tokens << " "
        << r.admitted << " " << r.evicted << " " << r.paused << " " << r.rejected << " "
-       << r.degraded << " " << t.arrivals_pulled << " " << t.plan_hit << "\n";
+       << r.degraded << " " << t.arrivals_pulled << "\n";
   }
 
   // The metrics block is recorded verbatim (line count + raw lines), so
@@ -287,7 +288,6 @@ bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std:
   e.tick.admission_priority =
       priority < 0 ? std::nullopt : std::optional<PriorityPolicy>(static_cast<PriorityPolicy>(priority));
   if (!ReadKeyedBool(in, "tick.event_driven", &e.tick.event_driven, error)) return false;
-  if (!ReadKeyedBool(in, "tick.async_planner", &e.tick.async_planner, error)) return false;
   if (!ReadKeyedInt(in, "verify_budget", &out.verify_budget, error)) return false;
   if (!ReadKeyedInt(in, "draft_budget", &out.draft_budget, error)) return false;
 
@@ -321,6 +321,29 @@ bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std:
       SetError(error, in.line_no, "bad arrival field in '" + line + "'");
       return false;
     }
+    // The engine's own preconditions (dense ids, nondecreasing arrivals)
+    // and the trace CSV's row rules, checked here so a malformed artifact
+    // is a parse error instead of an abort deep inside ReplayRun.
+    std::string bad;
+    if (id != i) {
+      bad = "non-dense id " + f[1] + " (expected " + std::to_string(i) + ")";
+    } else if (category < 0 || category >= kNumCategories) {
+      bad = "bad category " + f[2];
+    } else if (!std::isfinite(a.tpot_slo) || a.tpot_slo <= 0.0) {
+      bad = "bad tpot_slo " + f[3];
+    } else if (!std::isfinite(a.arrival) || a.arrival < 0.0) {
+      bad = "bad arrival time " + f[4];
+    } else if (!out.arrivals.empty() && a.arrival < out.arrivals.back().arrival) {
+      bad = "out-of-order arrival time " + f[4] + " (arrivals must be nondecreasing)";
+    } else if (prompt < 1 || prompt > INT_MAX) {
+      bad = "bad prompt_len " + f[5];
+    } else if (target < 1 || target > INT_MAX) {
+      bad = "bad target_output_len " + f[6];
+    }
+    if (!bad.empty()) {
+      SetError(error, in.line_no, bad);
+      return false;
+    }
     a.id = static_cast<RequestId>(id);
     a.category = static_cast<int>(category);
     a.prompt_len = static_cast<int>(prompt);
@@ -342,7 +365,7 @@ bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std:
       return false;
     }
     const std::vector<std::string> f = SplitFields(line);
-    if (f.size() != 19 || f[0] != "t") {
+    if (f.size() != 18 || f[0] != "t") {
       SetError(error, in.line_no, "bad tick line '" + line + "'");
       return false;
     }
@@ -350,7 +373,7 @@ bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std:
     IterationRecord& r = t.record;
     long prefill_tokens = 0, decode_requests = 0, verified = 0, committed = 0;
     long admitted = 0, evicted = 0, paused = 0, rejected = 0, degraded = 0;
-    long pulled = 0, plan_hit = 0;
+    long pulled = 0;
     if (!ParseLong(f[1], &t.index) || !ParseF64(f[2], &t.start) || !ParseF64(f[3], &r.duration) ||
         !ParseF64(f[4], &r.spec_time) || !ParseF64(f[5], &r.select_time) ||
         !ParseF64(f[6], &r.verify_time) || !ParseF64(f[7], &r.prefill_time) ||
@@ -358,8 +381,7 @@ bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std:
         !ParseLong(f[10], &verified) || !ParseLong(f[11], &committed) ||
         !ParseLong(f[12], &admitted) || !ParseLong(f[13], &evicted) ||
         !ParseLong(f[14], &paused) || !ParseLong(f[15], &rejected) ||
-        !ParseLong(f[16], &degraded) || !ParseLong(f[17], &pulled) ||
-        !ParseLong(f[18], &plan_hit)) {
+        !ParseLong(f[16], &degraded) || !ParseLong(f[17], &pulled)) {
       SetError(error, in.line_no, "bad tick field in '" + line + "'");
       return false;
     }
@@ -373,7 +395,6 @@ bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std:
     r.rejected = static_cast<int>(rejected);
     r.degraded = static_cast<int>(degraded);
     t.arrivals_pulled = static_cast<int>(pulled);
-    t.plan_hit = static_cast<int>(plan_hit);
     out.ticks.push_back(t);
   }
 
@@ -584,7 +605,6 @@ std::optional<ReplayDivergence> DiffTick(const TickTraceEvent& want, const TickT
   if (auto d = check_long("record.rejected", w.rejected, g.rejected)) return d;
   if (auto d = check_long("record.degraded", w.degraded, g.degraded)) return d;
   if (auto d = check_long("arrivals_pulled", want.arrivals_pulled, got.arrivals_pulled)) return d;
-  if (auto d = check_long("plan_hit", want.plan_hit, got.plan_hit)) return d;
   return std::nullopt;
 }
 

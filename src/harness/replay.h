@@ -6,7 +6,7 @@
 // trace_sink: the engine streams every arrival it pulls (the full
 // immutable request, so the workload generator is not needed at replay
 // time) and every progressing tick (the scheduler's IterationRecord plus
-// per-tick arrival pulls and the async planner's verdict). The artifact
+// per-tick arrival pulls). The artifact
 // additionally pins the engine configuration, system, setup id, and the
 // run's canonical GoldenMetricsText fingerprint.
 //
@@ -37,7 +37,8 @@ namespace adaserve {
 
 // Bumped on any artifact field change; parsers reject other versions.
 // v2: tick lines carry the admission-control rejected/degraded counters.
-inline constexpr int kReplaySchemaVersion = 2;
+// v3: drops the async-planner config key and the per-tick planner verdict.
+inline constexpr int kReplaySchemaVersion = 3;
 
 // A recorded run, self-contained up to the setup registry: everything
 // needed to re-execute and everything needed to check the re-execution.
@@ -84,7 +85,11 @@ class RunRecorder final : public TickTraceSink {
 
 std::string SerializeReplayArtifact(const ReplayArtifact& artifact);
 // Strict parse; false + line-numbered *error on malformed or
-// version-mismatched input. Round trip is exact:
+// version-mismatched input. Arrival lines are validated like trace CSV
+// rows (trace_file.h): category in [0, kNumCategories), finite positive
+// tpot_slo, prompt/output lengths in [1, INT_MAX], dense ids in pull
+// order, and finite nonnegative nondecreasing arrival times — so a bad
+// artifact fails here rather than aborting ReplayRun. Round trip is exact:
 // Serialize(Parse(Serialize(a))) == Serialize(a).
 bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std::string* error);
 

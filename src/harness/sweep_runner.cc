@@ -60,20 +60,15 @@ std::vector<SweepCellResult> RunSetupStreamSweep(SweepRunner& runner, const Setu
                                                  const std::vector<SystemKind>& systems,
                                                  const std::vector<double>& xs,
                                                  const SweepStreamFn& make_stream,
-                                                 const EngineConfig& engine,
-                                                 size_t prefetch_depth) {
+                                                 const EngineConfig& engine) {
   ADASERVE_CHECK(make_stream != nullptr) << "RunSetupStreamSweep needs a stream factory";
-  return RunSystemGrid(
-      runner, systems, xs,
-      [&setup, &make_stream, &engine, prefetch_depth](SystemKind system, double x) {
-        const Experiment exp(setup);
-        std::unique_ptr<ArrivalStream> stream = make_stream(exp, x);
-        if (prefetch_depth > 0) {
-          stream = std::make_unique<PrefetchingArrivalStream>(std::move(stream), prefetch_depth);
-        }
-        auto scheduler = MakeScheduler(system);
-        return exp.Run(*scheduler, *stream, engine);
-      });
+  return RunSystemGrid(runner, systems, xs,
+                       [&setup, &make_stream, &engine](SystemKind system, double x) {
+                         const Experiment exp(setup);
+                         const std::unique_ptr<ArrivalStream> stream = make_stream(exp, x);
+                         auto scheduler = MakeScheduler(system);
+                         return exp.Run(*scheduler, *stream, engine);
+                       });
 }
 
 std::vector<SeedShardCell> RunSeedShardedSweep(SweepRunner& runner, const Setup& setup,

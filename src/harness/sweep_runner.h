@@ -20,6 +20,7 @@
 #include <chrono>
 #include <functional>
 #include <future>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -27,7 +28,7 @@
 #include "src/common/thread_pool.h"
 #include "src/harness/comparisons.h"
 #include "src/harness/experiment.h"
-#include "src/workload/prefetch_stream.h"
+#include "src/workload/arrival_stream.h"
 
 namespace adaserve {
 
@@ -134,17 +135,15 @@ using SweepStreamFn =
     std::function<std::unique_ptr<ArrivalStream>(const Experiment& exp, double x)>;
 
 // Stream-based bench cell: RunSetupSweep without the materialized trace.
-// The cell's workload is generated lazily and — when prefetch_depth > 0 —
-// on a per-cell producer thread overlapped with serving
-// (PrefetchingArrivalStream), so generation cost leaves the serving
-// loop's critical path. Metrics are byte-identical to the vector path
-// (streaming_equivalence_test) and independent of prefetch_depth
-// (prefetch_stream_test); depth 0 consumes the stream inline with no
-// producer thread.
-std::vector<SweepCellResult> RunSetupStreamSweep(
-    SweepRunner& runner, const Setup& setup, const std::vector<SystemKind>& systems,
-    const std::vector<double>& xs, const SweepStreamFn& make_stream,
-    const EngineConfig& engine = {}, size_t prefetch_depth = kDefaultPrefetchDepth);
+// The cell's workload is generated lazily and consumed inline by the
+// serving loop on the cell's own thread, so resident memory stays
+// O(active set). Metrics are byte-identical to the vector path
+// (streaming_equivalence_test).
+std::vector<SweepCellResult> RunSetupStreamSweep(SweepRunner& runner, const Setup& setup,
+                                                 const std::vector<SystemKind>& systems,
+                                                 const std::vector<double>& xs,
+                                                 const SweepStreamFn& make_stream,
+                                                 const EngineConfig& engine = {});
 
 // --- per-seed sharding (variance studies) ---
 

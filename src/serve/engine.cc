@@ -1,11 +1,9 @@
 #include "src/serve/engine.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/serve/tick_pipeline.h"
 
 namespace adaserve {
 
@@ -45,12 +43,6 @@ EngineResult Engine::Run(Scheduler& scheduler, WorkloadSource source, int verify
   // default and neutralizes tick-native knobs in boundary mode (the drain
   // loop's byte-identity to the legacy engine depends on it).
   ctx.tick = config_.tick.ResolvedFor(scheduler);
-  // Async pipeline stage: one planner worker per run, engine-owned.
-  std::optional<TickPlanner> planner;
-  if (ctx.tick.async_planner) {
-    planner.emplace();
-    ctx.planner = &*planner;
-  }
 
   // Pull until this many requests sit in the admission queue: admission can
   // consume at most tick.max_active per tick, so holding that many plus
@@ -104,8 +96,6 @@ EngineResult Engine::Run(Scheduler& scheduler, WorkloadSource source, int verify
       now = stream.Peek()->arrival;
       continue;
     }
-    const long hits_before = planner.has_value() ? planner->hits() : 0;
-    const long misses_before = planner.has_value() ? planner->misses() : 0;
     const TickResult tick = scheduler.Tick(now, pool, ctx);
     result.peak_resident_requests = std::max(result.peak_resident_requests, pool.resident_count());
     if (!tick.MadeProgress()) {
@@ -139,13 +129,6 @@ EngineResult Engine::Run(Scheduler& scheduler, WorkloadSource source, int verify
       event.start = now;
       event.record = tick.record;
       event.arrivals_pulled = pulls_since_tick;
-      if (planner.has_value()) {
-        if (planner->hits() != hits_before) {
-          event.plan_hit = 1;
-        } else if (planner->misses() != misses_before) {
-          event.plan_hit = 0;
-        }
-      }
       config_.trace_sink->OnTick(event);
       pulls_since_tick = 0;
     }
@@ -170,11 +153,6 @@ EngineResult Engine::Run(Scheduler& scheduler, WorkloadSource source, int verify
     result.requests.assign(pool.requests().begin(), pool.requests().end());
   }
   result.metrics = acc.Finalize(now);
-  if (planner.has_value()) {
-    result.planned_ticks = planner->planned();
-    result.plan_hits = planner->hits();
-    result.plan_misses = planner->misses();
-  }
   return result;
 }
 

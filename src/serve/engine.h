@@ -8,7 +8,7 @@
 // request finishes. It is the execution-engine half of Fig. 6 with GPU
 // time supplied by the roofline model; all policy lives in the tick.
 //
-// Arrivals are consumed lazily: at most max_active_requests +
+// Arrivals are consumed lazily: at most tick.max_active +
 // arrival_horizon requests are pulled ahead of admission, so a
 // generator-backed stream serves million-request workloads with the
 // resident request count proportional to the active set, not the trace.
@@ -19,7 +19,6 @@
 #ifndef ADASERVE_SRC_SERVE_ENGINE_H_
 #define ADASERVE_SRC_SERVE_ENGINE_H_
 
-#include <optional>
 #include <vector>
 
 #include "src/hw/budget.h"
@@ -33,7 +32,7 @@ namespace adaserve {
 // the scheduler's full IterationRecord (admissions, evictions/pauses,
 // prefill chunk budget actually spent, decode/verify activity), how many
 // arrivals were pulled from the stream for this tick (boundary pull plus
-// mid-tick pulls), and the async planner's verdict.
+// mid-tick pulls).
 struct TickTraceEvent {
   // 0-based index over progressing ticks (non-progress probes and
   // event-driven skips do not consume an index).
@@ -43,9 +42,6 @@ struct TickTraceEvent {
   IterationRecord record;
   // Arrivals pulled from the stream and charged to this tick.
   int arrivals_pulled = 0;
-  // Async planner verdict: 1 = plan hit, 0 = reconciliation miss,
-  // -1 = serial tick (planner off or not consulted).
-  int plan_hit = -1;
 };
 
 // Streaming observer of one engine run. Enabled by EngineConfig::
@@ -85,8 +81,8 @@ struct EngineConfig {
   // to a non-retiring run.
   bool retire_finished = false;
   // The unified tick policy (scheduler.h): every tick-shaped serving knob
-  // — slot cap, continuous vs boundary ticks, prefill burst, eviction
-  // budget, admission priority, event-driven clock, async planner — in
+  // — slot cap (vLLM max_num_seqs), continuous vs boundary ticks, prefill
+  // burst, eviction budget, admission priority, event-driven clock — in
   // one struct. Engine::Run resolves it (TickPolicy::ResolvedFor) and
   // hands it to the scheduler through ServingContext unchanged.
   TickPolicy tick;
@@ -94,65 +90,7 @@ struct EngineConfig {
   // and every progressing tick. Non-owning; must outlive the run. Purely
   // observational — a run with a sink is byte-identical to one without.
   TickTraceSink* trace_sink = nullptr;
-
-  // Convenience alias kept under its historical name (vLLM max_num_seqs).
-  int& max_active_requests = tick.max_active;
-
-  // --- deprecated aliases (one release): the pre-TickPolicy field names.
-  // They alias the tick members exactly, so old code keeps its semantics;
-  // new code (and everything in-tree) must use `tick.*` — builds with
-  // -Werror treat any use as an error. The pragmas keep the shim's own
-  // constructors (which implicitly touch the aliases) warning-clean.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  [[deprecated("use tick.continuous")]] bool& continuous_ticks = tick.continuous;
-  [[deprecated("use tick.prefill_burst")]] int& prefill_burst = tick.prefill_burst;
-  [[deprecated("use tick.max_evictions")]] int& max_evictions_per_tick = tick.max_evictions;
-  [[deprecated("use tick.event_driven")]] bool& event_driven = tick.event_driven;
-  [[deprecated("use tick.admission_priority")]] std::optional<PriorityPolicy>&
-      admission_priority = tick.admission_priority;
-
-  // The aliases are self-references, so copies must rebind them to the
-  // copy's own tick (the default member initializers do) rather than
-  // memberwise-copy the referents.
-  EngineConfig() = default;
-  EngineConfig(const EngineConfig& other)
-      : max_iterations(other.max_iterations),
-        sampling_seed(other.sampling_seed),
-        mode(other.mode),
-        arrival_horizon(other.arrival_horizon),
-        record_iterations(other.record_iterations),
-        retire_finished(other.retire_finished),
-        tick(other.tick),
-        trace_sink(other.trace_sink) {}
-  EngineConfig& operator=(const EngineConfig& other) {
-    max_iterations = other.max_iterations;
-    sampling_seed = other.sampling_seed;
-    mode = other.mode;
-    arrival_horizon = other.arrival_horizon;
-    record_iterations = other.record_iterations;
-    retire_finished = other.retire_finished;
-    tick = other.tick;  // References already bind to this->tick.
-    trace_sink = other.trace_sink;
-    return *this;
-  }
-#pragma GCC diagnostic pop
 };
-
-namespace internal {
-// The deprecation shim is only sound while TickPolicy's defaults equal
-// the documented legacy EngineConfig defaults — a drift would silently
-// change the meaning of old code still using the aliases.
-constexpr bool TickPolicyDefaultsMatchLegacy() {
-  TickPolicy tick;
-  return tick.max_active == 256 && tick.continuous && tick.prefill_burst == kBurst &&
-         tick.max_evictions == 4 && !tick.admission_priority.has_value() && tick.event_driven &&
-         !tick.async_planner;
-}
-}  // namespace internal
-static_assert(internal::TickPolicyDefaultsMatchLegacy(),
-              "TickPolicy defaults drifted from the legacy EngineConfig defaults; "
-              "update the deprecated-alias shim (and its documentation) together");
 
 struct EngineResult {
   Metrics metrics;
@@ -167,12 +105,6 @@ struct EngineResult {
   // Peak number of requests resident in the pool at once — the O(active)
   // memory guarantee for streaming runs.
   size_t peak_resident_requests = 0;
-  // Async tick pipeline effectiveness (tick.async_planner runs only):
-  // ticks planned, and how many reconciled to a hit (plan applied) vs a
-  // miss (serial fallback). Zero when the planner is off.
-  long planned_ticks = 0;
-  long plan_hits = 0;
-  long plan_misses = 0;
 };
 
 class Engine {

@@ -172,14 +172,6 @@ void RequestPool::Pause(RequestId id) {
   queued_.push_front(id);
 }
 
-RequestId RequestPool::TryAdmitId(RequestId id) {
-  auto it = std::find(queued_.begin(), queued_.end(), id);
-  if (it == queued_.end()) {
-    return kInvalidRequestId;
-  }
-  return TryAdmitAt(it);
-}
-
 void RequestPool::AdvancePrefill(RequestId id, int chunk) {
   Request& req = Get(id);
   ADASERVE_CHECK(req.state == RequestState::kPrefilling) << "prefill on non-prefilling " << id;

@@ -33,7 +33,6 @@
 namespace adaserve {
 
 class Scheduler;
-class TickPlanner;
 
 // Default per-request prefill token cap of one tick-native prefill phase
 // (the UMA-Serve kBurst limit): one very long prompt cannot consume an
@@ -92,12 +91,6 @@ struct TickPolicy {
   // advances the clock straight to the next arrival instead of probing
   // every gap. Byte-identical either way; see engine.h.
   bool event_driven = true;
-  // Async tick pipeline: while phase A (decode) occupies the GPU, a
-  // planner thread speculatively ranks this tick's mid-tick admission and
-  // chunks its prefill budget against the phase-A-start pool snapshot; the
-  // tick reconciles at phase-A end and falls back to the serial phases on
-  // any drift, so metrics stay byte-identical to async_planner = false.
-  bool async_planner = false;
 
   // The policy both admission phases actually rank by (kFifo until
   // resolved or explicitly set).
@@ -107,23 +100,18 @@ struct TickPolicy {
 
   // The policy the engine serves: tick-native mode fills an unset
   // admission_priority from the scheduler's default; boundary mode
-  // neutralizes every tick-native knob (FIFO, no eviction, no planner) so
+  // neutralizes every tick-native knob (FIFO, no eviction) so
   // `continuous = false` alone still means "the historical engine".
   TickPolicy ResolvedFor(const Scheduler& scheduler) const;
 
   // Named presets, mirrored by the EngineConfig-level
-  // ContinuousTickConfig()/BoundaryTickConfig()/AsyncTickConfig().
+  // ContinuousTickConfig()/BoundaryTickConfig().
   static TickPolicy Continuous() { return TickPolicy{}; }
   static TickPolicy Boundary() {
     TickPolicy policy;
     policy.continuous = false;
     policy.max_evictions = 0;
     policy.admission_priority = PriorityPolicy::kFifo;
-    return policy;
-  }
-  static TickPolicy Async() {
-    TickPolicy policy;
-    policy.async_planner = true;
     return policy;
   }
 };
@@ -148,9 +136,6 @@ struct ServingContext {
   // when the driver injects arrivals itself; mid-tick admission then only
   // sees what is already queued.
   std::function<int(SimTime)> pull_arrivals;
-  // Async tick pipeline stage (tick_pipeline.h); null runs the serial
-  // phases. Owned by the engine, one per run.
-  TickPlanner* planner = nullptr;
 };
 
 // Where one iteration's time went. Speculation/selection/verification map to
@@ -280,16 +265,8 @@ int TickAdmitPhase(SimTime now, RequestPool& pool, ServingContext& ctx, int* evi
 // tick's prefill phase instead of waiting for the next boundary — the
 // admission latency the drain loop could not avoid; under the SLO-aware
 // policies an urgent arrival additionally jumps every queued non-urgent
-// request. Same (now, pool, ctx) shape as TickAdmitPhase so the planner
-// stage can call either uniformly.
+// request.
 int MidTickAdmitPhase(SimTime now, RequestPool& pool, ServingContext& ctx);
-
-// Token budget of the tick's prefill phase, given what phase A consumed:
-// the leftover verification budget, floored at one prefill burst so
-// queued prompts keep making TTFT progress even when decode consumed the
-// whole budget. Shared by the serial tick and the async planner's budget
-// prediction.
-int PrefillPhaseBudget(const ServingContext& ctx, int decode_requests, int verified_tokens);
 
 // Budgeted prefill phase: one chunked-prefill pass over prefilling
 // requests, FIFO by id, spending at most `budget` prompt tokens with at
@@ -305,7 +282,7 @@ using TickPhaseFn = std::function<IterationRecord(SimTime, RequestPool&, Serving
 // The shared tick-native tick:
 //   boundary admission -> decode phase (every running request advances) ->
 //   mid-tick admission at the decode phase's end time -> burst-capped
-//   prefill phase on the leftover token budget.
+//   prefill phase on the leftover token budget, floored at one burst.
 // The phases' times and token counts merge into one IterationRecord.
 TickResult RunContinuousTick(SimTime now, RequestPool& pool, ServingContext& ctx,
                              const TickPhaseFn& decode_phase);

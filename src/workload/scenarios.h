@@ -4,8 +4,8 @@
 //
 // Four scenarios, each expressed through the existing lazy ArrivalStream
 // machinery (absolute-rate thinned processes + time-varying mixes), so
-// they compose with PrefetchingArrivalStream, the cluster router
-// pre-pass, and the streaming engine unchanged:
+// they compose with the cluster router pre-pass, the stream-fed sweeps,
+// and the streaming engine unchanged:
 //
 //   - Flash crowd: a step overload (magnitude x the base rate) that
 //     switches on and off mid-run, with a recovery-time-to-SLO metric

@@ -1,11 +1,13 @@
 // Record/replay determinism suite: for every MainComparisonSet system the
 // recorded artifact of a run must re-execute byte-identically
-// (GoldenMetricsText) in tick-native mode, under the async tick pipeline,
-// and for every replica of a 2-replica cluster run; artifact
-// serialization round-trips exactly; and an injected single-bit
-// corruption is detected with the correct first-divergent-tick.
+// (GoldenMetricsText) in tick-native mode, on the streaming path, and for
+// every replica of a 2-replica cluster run; artifact serialization
+// round-trips exactly; malformed arrival lines and foreign schema
+// versions are parse errors; and an injected single-bit corruption is
+// detected with the correct first-divergent-tick.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -53,29 +55,6 @@ TEST_P(ReplayDeterminismTest, StreamingRecordReplayByteIdentical) {
   const RecordedRun run =
       RecordGoldenRun(*exp_, kind, {}, GoldenScenario::kFlashCrowd, GoldenMode::kTickNative);
   ASSERT_GT(run.result.metrics.finished, 0);
-  const ReplayOutcome outcome = ReplayRun(run.artifact);
-  ASSERT_TRUE(outcome.ok) << outcome.divergence->Summary();
-  EXPECT_EQ(outcome.metrics_text, run.artifact.metrics_text);
-}
-
-TEST_P(ReplayDeterminismTest, AsyncPipelineRecordReplayByteIdentical) {
-  const SystemKind kind = GetParam();
-  EngineConfig engine = AsyncTickConfig();
-  engine.sampling_seed = GoldenConfig{}.sampling_seed;
-  const RecordedRun run =
-      RecordRun(*exp_, kind, GoldenWorkload(*exp_), engine, "golden", "async");
-  ASSERT_GT(run.result.metrics.finished, 0);
-  // The async planner actually planned (and its verdicts were traced).
-  ASSERT_GT(run.result.planned_ticks, 0);
-  bool traced_verdict = false;
-  for (const TickTraceEvent& tick : run.artifact.ticks) {
-    if (tick.plan_hit >= 0) {
-      traced_verdict = true;
-      break;
-    }
-  }
-  EXPECT_TRUE(traced_verdict);
-
   const ReplayOutcome outcome = ReplayRun(run.artifact);
   ASSERT_TRUE(outcome.ok) << outcome.divergence->Summary();
   EXPECT_EQ(outcome.metrics_text, run.artifact.metrics_text);
@@ -153,6 +132,91 @@ TEST(ReplayArtifactTest, TruncationAndVersionMismatchAreParseErrors) {
   future.replace(0, header.size(), "adaserve_replay_schema: 999");
   EXPECT_FALSE(ParseReplayArtifact(future, &parsed, &error));
   EXPECT_NE(error.find("unsupported replay schema"), std::string::npos) << error;
+
+  // Schema 2 carried the planner fields this binary no longer reads.
+  std::string v2 = text;
+  v2.replace(0, header.size(), "adaserve_replay_schema: 2");
+  EXPECT_FALSE(ParseReplayArtifact(v2, &parsed, &error));
+  EXPECT_NE(error.find("unsupported replay schema 2"), std::string::npos) << error;
+}
+
+// A serialized artifact with one field of one arrival line rewritten.
+struct EditedArtifact {
+  std::string text;
+  // 1-based line number of the edited arrival line.
+  size_t line_no = 0;
+};
+
+// `field` indexes the whitespace-separated tokens of the "a ..." line:
+// 1 id, 2 category, 3 tpot_slo, 4 arrival, 5 prompt_len,
+// 6 target_output_len, 7 stream_seed.
+EditedArtifact WithArrivalField(const std::string& text, size_t arrival, size_t field,
+                                const std::string& value) {
+  EditedArtifact edited;
+  std::stringstream in(text);
+  std::string line;
+  size_t line_no = 0;
+  size_t arrivals_seen = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (line.rfind("a ", 0) == 0 && arrivals_seen++ == arrival) {
+      std::stringstream fields(line);
+      std::vector<std::string> tokens;
+      for (std::string token; fields >> token;) {
+        tokens.push_back(token);
+      }
+      tokens.at(field) = value;
+      line.clear();
+      for (const std::string& token : tokens) {
+        line += (line.empty() ? "" : " ") + token;
+      }
+      edited.line_no = line_no;
+    }
+    edited.text += line + "\n";
+  }
+  return edited;
+}
+
+// Every arrival-line rule rejects at parse time with the offending line
+// number, instead of the artifact aborting inside ReplayRun.
+TEST(ReplayArtifactTest, MalformedArrivalLinesAreParseErrors) {
+  const Experiment exp(GoldenSetup());
+  const RecordedRun run = RecordGoldenRun(exp, SystemKind::kVllm);
+  ASSERT_GE(run.artifact.arrivals.size(), 2u);
+  // The decreasing-time case moves the second arrival to t = 0.
+  ASSERT_GT(run.artifact.arrivals[0].arrival, 0.0);
+  const std::string text = SerializeReplayArtifact(run.artifact);
+
+  struct Case {
+    const char* rule;
+    size_t arrival;
+    size_t field;
+    const char* value;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"category out of range", 0, 2, "9", "bad category 9"},
+      {"negative category", 0, 2, "-1", "bad category -1"},
+      {"zero tpot_slo", 0, 3, "0", "bad tpot_slo"},
+      {"non-finite tpot_slo", 0, 3, "inf", "bad tpot_slo"},
+      {"empty prompt", 0, 5, "0", "bad prompt_len"},
+      {"prompt above INT_MAX", 0, 5, "2147483648", "bad prompt_len"},
+      {"empty output", 0, 6, "0", "bad target_output_len"},
+      {"output above INT_MAX", 0, 6, "2147483648", "bad target_output_len"},
+      {"non-dense id", 1, 1, "5", "non-dense id 5"},
+      {"negative arrival time", 0, 4, "-1", "bad arrival time"},
+      {"decreasing arrival time", 1, 4, "0", "out-of-order arrival time"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.rule);
+    const EditedArtifact edited = WithArrivalField(text, c.arrival, c.field, c.value);
+    ASSERT_GT(edited.line_no, 0u);
+    ReplayArtifact parsed;
+    std::string error;
+    EXPECT_FALSE(ParseReplayArtifact(edited.text, &parsed, &error));
+    EXPECT_EQ(error.rfind("line " + std::to_string(edited.line_no) + ": ", 0), 0u) << error;
+    EXPECT_NE(error.find(c.message), std::string::npos) << error;
+  }
 }
 
 // A single flipped bit in a recorded tick is caught, and the divergence

@@ -1,7 +1,7 @@
 // TraceFileArrivalStream round-trip and error-path suite: CSV -> stream
 // -> drain must reproduce a hand-built request vector exactly; malformed
 // input fails with line-numbered errors; and the stream composes with
-// PrefetchingArrivalStream and the cluster router pre-pass unchanged.
+// the cluster router pre-pass unchanged.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "src/workload/prefetch_stream.h"
 #include "src/workload/trace_file.h"
 #include "tests/test_util.h"
 
@@ -139,35 +138,6 @@ TEST(TraceFileTest, FileRoundTripThroughDisk) {
   ASSERT_NE(stream, nullptr) << error;
   ExpectSameRequests(want, Materialize(*stream));
   std::remove(path.c_str());
-}
-
-// The trace stream honors the full ArrivalStream contract, so wrapping it
-// in the prefetch producer thread must not change the emitted sequence.
-TEST(TraceFileTest, PrefetchedStreamEqualsPlainStream) {
-  const std::vector<CategorySpec> cats = TestCategories();
-  // A bigger trace so the prefetch queue actually cycles.
-  std::vector<Request> want;
-  for (int i = 0; i < 500; ++i) {
-    Request req;
-    req.id = i;
-    req.category = i % kNumCategories;
-    req.tpot_slo = cats[static_cast<size_t>(i % kNumCategories)].tpot_slo;
-    req.arrival = 0.01 * i;
-    req.prompt_len = 16 + (i % 50);
-    req.target_output_len = 2 + (i % 20);
-    req.stream_seed = HashCombine(Mix64(0xadaceedeULL), static_cast<uint64_t>(i));
-    want.push_back(req);
-  }
-  const std::string csv = TraceCsvFromRequests(want);
-
-  std::string error;
-  auto plain = TraceFileArrivalStream::FromString(cats, csv, &error);
-  ASSERT_NE(plain, nullptr) << error;
-  auto inner = TraceFileArrivalStream::FromString(cats, csv, &error);
-  ASSERT_NE(inner, nullptr) << error;
-  PrefetchingArrivalStream prefetched(std::move(inner), /*depth=*/8);
-
-  ExpectSameRequests(Materialize(*plain), Materialize(prefetched));
 }
 
 // The cluster router pre-pass consumes the stream like any generator:
