@@ -4,6 +4,8 @@
 // a fraction of a percent of iteration time (iterations are tens of ms).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "src/adaserve.h"
 
 namespace adaserve {
@@ -63,18 +65,23 @@ void BM_SelectTokens(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectTokens)->Arg(8)->Arg(32)->Arg(64);
 
+// Verifying a beam tree. The builder attaches the target distribution of
+// every node it expanded, so verification builds one only past the last
+// layer; reuse:0 verifies a copy without them, which rebuilds every one.
 void BM_VerifyTree(benchmark::State& state) {
   const Experiment& exp = GetExperiment();
   const std::vector<Token> ctx = MakeContext(3, 32);
-  const TokenTree tree =
-      BuildCandidateTree(exp.draft(), 7, ctx, BeamConfig{.depth = 6, .width = 4});
+  TokenTree tree = BuildCandidateTree(exp.draft(), 7, ctx, BeamConfig{.depth = 6, .width = 4});
+  if (state.range(0) == 0) {
+    tree.ClearTargetDists();
+  }
   Rng rng(5);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         VerifyTree(exp.target(), 7, ctx, tree, {}, DecodeMode::kStochastic, rng));
   }
 }
-BENCHMARK(BM_VerifyTree);
+BENCHMARK(BM_VerifyTree)->ArgName("reuse")->Arg(0)->Arg(1);
 
 void BM_OptimalConstruct(benchmark::State& state) {
   const Experiment& exp = GetExperiment();
@@ -90,14 +97,33 @@ BENCHMARK(BM_OptimalConstruct)->Arg(16)->Arg(64);
 
 // The serving loop's single hottest function (~80% of a sweep's CPU before
 // the duplicate-coalescing rewrite): building a SparseDist from weighted
-// token draws. Exercises the duplicate-heavy shape NextDist produces.
+// token draws. This is the shape SyntheticLm::NextDist produces: n tokens
+// drawn from a 32,000-token vocabulary (duplicates are rare) with jittered
+// Zipf-3 weights, so the input arrives nearly sorted.
 void BM_SparseDistFromWeights(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(6);
   std::vector<Token> tokens;
   std::vector<double> weights;
   for (int i = 0; i < n; ++i) {
-    tokens.push_back(static_cast<Token>(rng.UniformInt(n / 2)));  // ~2x duplicates.
+    tokens.push_back(static_cast<Token>(rng.UniformInt(32000)));
+    weights.push_back(std::pow(i + 1.0, -3.0) * (0.6 + 0.8 * rng.Uniform()));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        SparseDist::FromWeights(std::span<const Token>(tokens), std::span<const double>(weights)));
+  }
+}
+BENCHMARK(BM_SparseDistFromWeights)->Arg(24)->Arg(48);
+
+// Duplicate-heavy, unsorted input (~2x duplicates): the coalescing path.
+void BM_SparseDistFromWeightsDuplicates(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(6);
+  std::vector<Token> tokens;
+  std::vector<double> weights;
+  for (int i = 0; i < n; ++i) {
+    tokens.push_back(static_cast<Token>(rng.UniformInt(n / 2)));
     weights.push_back(rng.Uniform() + 0.01);
   }
   for (auto _ : state) {
@@ -105,25 +131,31 @@ void BM_SparseDistFromWeights(benchmark::State& state) {
         SparseDist::FromWeights(std::span<const Token>(tokens), std::span<const double>(weights)));
   }
 }
-BENCHMARK(BM_SparseDistFromWeights)->Arg(16)->Arg(24)->Arg(48)->Arg(64);
+BENCHMARK(BM_SparseDistFromWeightsDuplicates)->Arg(16)->Arg(24)->Arg(48)->Arg(64);
 
-// The draft model's per-node mixture: a 24-token target support plus a
-// 24-token noise support, i.e. FromWeights on 48 weights in two sorted runs.
+// The draft model's per-node mixture of the Llama setup: its 24-token
+// target support and its draft's noise support (the target config under
+// the noise seed), at the setup's fidelity. Disjoint supports, as in ~98%
+// of real calls, so Mix merges the two sorted runs.
 void BM_Mix(benchmark::State& state) {
   const Experiment& exp = GetExperiment();
+  const DraftConfig& draft = exp.setup().draft_config;
   const std::vector<Token> ctx = MakeContext(10, 32);
-  const SyntheticLm noise(LmConfig{.seed = DraftConfig{}.noise_seed});
+  LmConfig noise_config = exp.target().config();
+  noise_config.seed = draft.noise_seed;
+  noise_config.support = draft.noise_support;
+  const SyntheticLm noise(noise_config);
   const SparseDist target = exp.target().NextDist(7, ctx);
   const SparseDist noise_dist = noise.NextDist(7, ctx);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Mix(target, noise_dist, DraftConfig{}.fidelity));
+    benchmark::DoNotOptimize(Mix(target, noise_dist, draft.fidelity));
   }
 }
 BENCHMARK(BM_Mix);
 
-// Target-model next-token distribution: FromWeights plus the synthetic
-// LM's stick-breaking walk, all on SmallVector scratch (zero heap
-// allocations at steady state).
+// Target-model next-token distribution: hash the context window, draw 24
+// support tokens with jittered Zipf weights from the hash stream, then
+// FromWeights, all on SmallVector scratch (no heap allocation).
 void BM_TargetNextDist(benchmark::State& state) {
   const Experiment& exp = GetExperiment();
   const std::vector<Token> ctx = MakeContext(8, 32);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/logging.h"
+#include "src/spec/beam_search.h"
 #include "src/spec/verifier.h"
 
 namespace adaserve {
@@ -13,15 +14,15 @@ TokenTree BuildStaticTree(const DraftLm& draft, uint64_t stream, std::span<const
   const Token root_token = committed.empty() ? kInvalidToken : committed.back();
   TokenTree tree(root_token);
   std::vector<NodeId> frontier = {kRootNode};
-  const std::vector<Token> base(committed.begin(), committed.end());
+  // One draft-context buffer for the whole tree, as in BuildCandidateTree.
+  std::vector<Token> context;
+  context.reserve(committed.size() + branching.size());
+  context.assign(committed.begin(), committed.end());
   for (int k : branching) {
     ADASERVE_CHECK(k >= 1) << "branching factors must be positive";
     std::vector<NodeId> next;
     for (NodeId node : frontier) {
-      std::vector<Token> ctx = base;
-      const std::vector<Token> path = tree.PathTokens(node);
-      ctx.insert(ctx.end(), path.begin(), path.end());
-      const SparseDist dist = draft.NextDist(stream, ctx);
+      const SparseDist dist = ExpandNode(draft, stream, node, context, tree);
       const int take = std::min<int>(k, static_cast<int>(dist.size()));
       for (int i = 0; i < take; ++i) {
         next.push_back(tree.AddNode(node, dist.entry(i).token, dist.entry(i).prob));

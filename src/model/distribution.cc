@@ -53,6 +53,29 @@ void SortEntries(std::span<SparseDist::Entry> entries) {
   }
 }
 
+// Shared-token filter: one bit per hashed token of `a`. At 1024 bits a
+// 24-token run sets ~2% of them, so nearly every token of `b` is ruled
+// out by one bit test and only the rare hit pays an exact scan of `a`.
+constexpr int kFilterLog2Bits = 10;
+
+bool SharesToken(const SparseDist& a, const SparseDist& b) {
+  constexpr int kShift = 64 - kFilterLog2Bits;
+  std::array<uint64_t, (size_t{1} << kFilterLog2Bits) / 64> filter{};
+  for (const auto& e : a.entries()) {
+    const size_t bit = SlotOf(e.token, kShift);
+    filter[bit / 64] |= uint64_t{1} << (bit % 64);
+  }
+  for (const auto& e : b.entries()) {
+    const size_t bit = SlotOf(e.token, kShift);
+    if ((filter[bit / 64] >> (bit % 64) & 1) != 0 &&
+        std::any_of(a.entries().begin(), a.entries().end(),
+                    [&](const SparseDist::Entry& x) { return x.token == e.token; })) {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 SparseDist SparseDist::FromWeights(std::span<const Token> tokens, std::span<const double> weights) {
@@ -191,17 +214,60 @@ double SparseDist::TotalMass() const {
 
 SparseDist Mix(const SparseDist& a, const SparseDist& b, double weight) {
   ADASERVE_CHECK(weight >= 0.0 && weight <= 1.0) << "mix weight out of range: " << weight;
-  SmallVector<Token, SparseDist::kInlineSupport> tokens;
-  SmallVector<double, SparseDist::kInlineSupport> weights;
-  for (const auto& e : a.entries()) {
-    tokens.push_back(e.token);
-    weights.push_back(weight * e.prob);
+  if (SharesToken(a, b)) {
+    // A shared token must be coalesced, which only FromWeights does.
+    SmallVector<Token, SparseDist::kInlineSupport> tokens;
+    SmallVector<double, SparseDist::kInlineSupport> weights;
+    for (const auto& e : a.entries()) {
+      tokens.push_back(e.token);
+      weights.push_back(weight * e.prob);
+    }
+    for (const auto& e : b.entries()) {
+      tokens.push_back(e.token);
+      weights.push_back((1.0 - weight) * e.prob);
+    }
+    return SparseDist::FromWeights({tokens.data(), tokens.size()},
+                                   {weights.data(), weights.size()});
   }
-  for (const auto& e : b.entries()) {
-    tokens.push_back(e.token);
-    weights.push_back((1.0 - weight) * e.prob);
+  // Disjoint supports: FromWeights would coalesce nothing, so each entry
+  // would be its scaled weight over the total, sorted. Scaling keeps each
+  // run in descending order, so the zero weights FromWeights skips are a
+  // suffix of each run. Accumulate the total in its input order (a, then
+  // b), so every double matches it bit for bit.
+  const double weight_b = 1.0 - weight;
+  double total = 0.0;
+  const auto positive_prefix = [&total](std::span<const SparseDist::Entry> run, double w) {
+    size_t n = 0;
+    for (; n < run.size() && w * run[n].prob > 0.0; ++n) {
+      total += w * run[n].prob;
+    }
+    return run.first(n);
+  };
+  const std::span<const SparseDist::Entry> xs = positive_prefix(a.entries(), weight);
+  const std::span<const SparseDist::Entry> ys = positive_prefix(b.entries(), weight_b);
+  ADASERVE_CHECK(total > 0.0) << "distribution has no mass";
+  // Merge by scaled weight, dividing each entry once. Dividing by the
+  // total is monotone, so the merged probabilities descend too, but
+  // rounding can tie entries whose token order the merge does not know;
+  // the closing insertion pass (one comparison per entry unless a tie is
+  // out of order) settles those.
+  SparseDist dist;
+  SmallVector<SparseDist::Entry, SparseDist::kInlineSupport>& merged = dist.entries_;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < xs.size() && j < ys.size()) {
+    const double x = weight * xs[i].prob;
+    const double y = weight_b * ys[j].prob;
+    if (x >= y) {
+      merged.push_back({xs[i++].token, x / total});
+    } else {
+      merged.push_back({ys[j++].token, y / total});
+    }
   }
-  return SparseDist::FromWeights({tokens.data(), tokens.size()}, {weights.data(), weights.size()});
+  for (; i < xs.size(); ++i) merged.push_back({xs[i].token, weight * xs[i].prob / total});
+  for (; j < ys.size(); ++j) merged.push_back({ys[j].token, weight_b * ys[j].prob / total});
+  SortEntries({merged.data(), merged.size()});
+  return dist;
 }
 
 }  // namespace adaserve

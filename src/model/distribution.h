@@ -74,13 +74,17 @@ class SparseDist {
   static constexpr size_t kInlineSupport = 48;
 
  private:
+  friend SparseDist Mix(const SparseDist& a, const SparseDist& b, double weight);
+
   // Sorted by descending prob, ties by ascending token id.
   SmallVector<Entry, kInlineSupport> entries_;
 };
 
 // Mixes two distributions: result = weight * a + (1 - weight) * b over the
 // union support, renormalised. Used to derive the draft model from the
-// target plus noise.
+// target plus noise. Bit-identical to FromWeights over a's scaled entries
+// followed by b's; when the supports are disjoint it merges the two sorted
+// runs instead of re-sorting them.
 SparseDist Mix(const SparseDist& a, const SparseDist& b, double weight);
 
 }  // namespace adaserve

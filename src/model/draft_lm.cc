@@ -22,7 +22,11 @@ DraftLm::DraftLm(const SyntheticLm* target, const DraftConfig& config)
 }
 
 SparseDist DraftLm::NextDist(uint64_t stream, std::span<const Token> context) const {
-  const SparseDist target_dist = target_->NextDist(stream, context);
+  return NextDistGivenTarget(stream, context, target_->NextDist(stream, context));
+}
+
+SparseDist DraftLm::NextDistGivenTarget(uint64_t stream, std::span<const Token> context,
+                                        const SparseDist& target_dist) const {
   if (config_.fidelity >= 1.0) {
     return target_dist;
   }

@@ -31,10 +31,18 @@ class DraftLm {
   DraftLm(const SyntheticLm* target, const DraftConfig& config);
 
   const DraftConfig& config() const { return config_; }
+  const SyntheticLm& target() const { return *target_; }
 
   // Draft next-token distribution for the same (stream, context) keying as
   // the target model.
   SparseDist NextDist(uint64_t stream, std::span<const Token> context) const;
+
+  // The same distribution, built on `target_dist`, which must be
+  // target().NextDist(stream, context). Callers that also need the target
+  // distribution (the tree builders keep it for verification) build it
+  // once and pass it here.
+  SparseDist NextDistGivenTarget(uint64_t stream, std::span<const Token> context,
+                                 const SparseDist& target_dist) const;
 
  private:
   const SyntheticLm* target_;

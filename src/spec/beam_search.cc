@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -18,32 +19,44 @@ struct Extension {
 
 }  // namespace
 
+SparseDist ExpandNode(const DraftLm& draft, uint64_t stream, NodeId node,
+                      std::vector<Token>& context, TokenTree& tree) {
+  const size_t committed = context.size();
+  for (NodeId cur = node; cur != kRootNode; cur = tree.node(cur).parent) {
+    context.push_back(tree.node(cur).token);
+  }
+  std::reverse(context.begin() + static_cast<std::ptrdiff_t>(committed), context.end());
+  SparseDist target_dist = draft.target().NextDist(stream, context);
+  SparseDist dist = draft.NextDistGivenTarget(stream, context, target_dist);
+  context.resize(committed);
+  tree.AttachTargetDist(node, draft.target(), stream, std::move(target_dist));
+  return dist;
+}
+
 TokenTree BuildCandidateTree(const DraftLm& draft, uint64_t stream,
                              std::span<const Token> committed, const BeamConfig& config) {
   ADASERVE_CHECK(config.depth >= 1) << "beam depth must be >= 1";
   ADASERVE_CHECK(config.width >= 1) << "beam width must be >= 1";
   const Token root_token = committed.empty() ? kInvalidToken : committed.back();
   TokenTree tree(root_token);
+  // Each step keeps at most `width` nodes, and all but the last step's are
+  // expanded (and so carry a target distribution).
+  tree.Reserve(1 + config.depth * config.width, 1 + (config.depth - 1) * config.width);
 
   std::vector<NodeId> frontier = {kRootNode};
-  // One draft-context buffer for the whole tree: the committed tokens, then
-  // each frontier node's speculated path appended in turn and truncated
-  // away after its distribution is drawn.
+  std::vector<NodeId> next_frontier;
+  // One draft-context buffer for the whole tree: the committed tokens, to
+  // which ExpandNode appends each frontier node's path in turn.
   std::vector<Token> context;
   context.reserve(committed.size() + static_cast<size_t>(config.depth));
   context.assign(committed.begin(), committed.end());
-  const auto committed_end = static_cast<std::ptrdiff_t>(committed.size());
+  // Every frontier node contributes its whole draft support.
   std::vector<Extension> extensions;
+  extensions.reserve(static_cast<size_t>(config.width) * SparseDist::kInlineSupport);
   for (int step = 0; step < config.depth; ++step) {
     extensions.clear();
-    extensions.reserve(frontier.size() * 8);
     for (NodeId node : frontier) {
-      for (NodeId cur = node; cur != kRootNode; cur = tree.node(cur).parent) {
-        context.push_back(tree.node(cur).token);
-      }
-      std::reverse(context.begin() + committed_end, context.end());
-      const SparseDist dist = draft.NextDist(stream, context);
-      context.resize(committed.size());
+      const SparseDist dist = ExpandNode(draft, stream, node, context, tree);
       const double parent_path = tree.node(node).path_prob;
       for (const auto& e : dist.entries()) {
         extensions.push_back({node, e.token, e.prob, parent_path * e.prob});
@@ -60,8 +73,7 @@ TokenTree BuildCandidateTree(const DraftLm& draft, uint64_t stream,
                         }
                         return a.token < b.token;
                       });
-    std::vector<NodeId> next_frontier;
-    next_frontier.reserve(keep);
+    next_frontier.clear();
     for (size_t i = 0; i < keep; ++i) {
       const Extension& e = extensions[i];
       next_frontier.push_back(tree.AddNode(e.parent, e.token, e.cond_prob));
@@ -69,7 +81,7 @@ TokenTree BuildCandidateTree(const DraftLm& draft, uint64_t stream,
     if (next_frontier.empty()) {
       break;
     }
-    frontier = std::move(next_frontier);
+    frontier.swap(next_frontier);
   }
   return tree;
 }

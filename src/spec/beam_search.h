@@ -4,11 +4,14 @@
 // the w extensions with the highest approximated path probabilities are kept
 // (Theorem 4.1 guarantees that a depth-D_opt beam of width B covers the
 // optimal tree). The resulting candidate tree has 1 + w*d nodes, depth <= d,
-// and every layer after the root holds exactly w nodes.
+// and every layer after the root holds exactly w nodes. Every node the beam
+// expanded carries the target distribution its draft distribution was
+// built on, for the verifier to reuse.
 #ifndef ADASERVE_SRC_SPEC_BEAM_SEARCH_H_
 #define ADASERVE_SRC_SPEC_BEAM_SEARCH_H_
 
 #include <span>
+#include <vector>
 
 #include "src/model/draft_lm.h"
 #include "src/spec/token_tree.h"
@@ -21,6 +24,14 @@ struct BeamConfig {
   // Beam width w: nodes retained per step.
   int width = 2;
 };
+
+// Expands `node` of a tree built on a committed sequence for `stream`:
+// returns the draft distribution at committed + the node's path, and
+// attaches to the node the target distribution it was built on. `context`
+// must hold exactly the committed sequence, and does again on return. All
+// tree builders expand nodes through this.
+SparseDist ExpandNode(const DraftLm& draft, uint64_t stream, NodeId node,
+                      std::vector<Token>& context, TokenTree& tree);
 
 // Builds the candidate token tree for one request. `committed` is the
 // request's committed token sequence (prompt surrogate + outputs); the tree

@@ -1,6 +1,7 @@
 #include "src/spec/token_tree.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/logging.h"
 
@@ -30,6 +31,11 @@ NodeId TokenTree::AddNode(NodeId parent, Token token, double cond_prob) {
   p.children.push_back(id);
   nodes_.push_back(child);
   return id;
+}
+
+void TokenTree::Reserve(int nodes, int expanded) {
+  nodes_.reserve(static_cast<size_t>(nodes));
+  target_dists_.reserve(static_cast<size_t>(expanded));
 }
 
 int TokenTree::MaxDepth() const {
@@ -93,6 +99,38 @@ bool TokenTree::IsConnectedSelection(const std::vector<char>& selected) const {
     }
   }
   return true;
+}
+
+void TokenTree::AttachTargetDist(NodeId id, const SyntheticLm& model, uint64_t stream,
+                                 SparseDist dist) {
+  ADASERVE_CHECK(id >= 0 && id < size()) << "bad node " << id;
+  if (target_dists_.empty()) {
+    dist_model_ = &model;
+    dist_stream_ = stream;
+  }
+  ADASERVE_CHECK(dist_model_ == &model && dist_stream_ == stream)
+      << "a tree's target distributions must share one model and stream";
+  Node& n = nodes_[static_cast<size_t>(id)];
+  ADASERVE_CHECK(n.target_dist < 0) << "node " << id << " already has a target distribution";
+  n.target_dist = static_cast<int>(target_dists_.size());
+  target_dists_.push_back(std::move(dist));
+}
+
+const SparseDist* TokenTree::TargetDist(NodeId id, const SyntheticLm& model,
+                                        uint64_t stream) const {
+  const int index = nodes_[static_cast<size_t>(id)].target_dist;
+  if (index < 0 || dist_model_ != &model || dist_stream_ != stream) {
+    return nullptr;
+  }
+  return &target_dists_[static_cast<size_t>(index)];
+}
+
+void TokenTree::ClearTargetDists() {
+  for (Node& n : nodes_) {
+    n.target_dist = -1;
+  }
+  target_dists_.clear();
+  dist_model_ = nullptr;
 }
 
 }  // namespace adaserve

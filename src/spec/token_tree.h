@@ -4,16 +4,25 @@
 // node is a speculated token, annotated with the draft model's conditional
 // probability and the resulting approximated path probability
 // f(v) = prod of conditionals along the root->v path (Eq. 7).
+//
+// Expanding a node asks the draft model for its next-token distribution,
+// which mixes in the target model's distribution at the same context. The
+// tree builders attach that target distribution to the node, so the
+// verifier samples from it instead of building it a second time.
 #ifndef ADASERVE_SRC_SPEC_TOKEN_TREE_H_
 #define ADASERVE_SRC_SPEC_TOKEN_TREE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "src/common/arena.h"
 #include "src/common/types.h"
+#include "src/model/distribution.h"
 
 namespace adaserve {
+
+class SyntheticLm;
 
 using NodeId = int;
 inline constexpr NodeId kRootNode = 0;
@@ -29,6 +38,8 @@ class TokenTree {
     // Approximated path probability f(v): product of conditionals. 1.0 for root.
     double path_prob = 1.0;
     int depth = 0;
+    // Index of this node's attached target distribution; -1 if none.
+    int target_dist = -1;
     // Inline up to the typical beam width: building a tree allocates no
     // per-node child lists unless a node fans out unusually wide.
     SmallVector<NodeId, 4> children;
@@ -41,6 +52,10 @@ class TokenTree {
   // Adds a speculated token under `parent`. Requires parent to exist and
   // cond_prob in (0, 1]. Returns the new node's id.
   NodeId AddNode(NodeId parent, Token token, double cond_prob);
+
+  // Reserves room for `nodes` nodes, `expanded` of them with an attached
+  // target distribution.
+  void Reserve(int nodes, int expanded);
 
   int size() const { return static_cast<int>(nodes_.size()); }
   const Node& node(NodeId id) const { return nodes_[static_cast<size_t>(id)]; }
@@ -65,8 +80,25 @@ class TokenTree {
   // connected subtree containing the root.
   bool IsConnectedSelection(const std::vector<char>& selected) const;
 
+  // Attaches `dist` = model.NextDist(stream, committed + PathTokens(id)) to
+  // node `id`, where `committed` is the sequence the tree was built on. A
+  // node takes at most one, and all of a tree's come from one model and
+  // stream.
+  void AttachTargetDist(NodeId id, const SyntheticLm& model, uint64_t stream, SparseDist dist);
+
+  // The distribution attached to `id` if `model` built it for `stream`;
+  // nullptr if none is attached or it came from another model or stream.
+  const SparseDist* TargetDist(NodeId id, const SyntheticLm& model, uint64_t stream) const;
+
+  // Detaches every target distribution.
+  void ClearTargetDists();
+
  private:
   std::vector<Node> nodes_;
+  std::vector<SparseDist> target_dists_;
+  // The model and stream the attached distributions were built with.
+  const SyntheticLm* dist_model_ = nullptr;
+  uint64_t dist_stream_ = 0;
 };
 
 }  // namespace adaserve

@@ -22,11 +22,21 @@ VerifyResult VerifyTree(const SyntheticLm& target, uint64_t stream,
     result.tokens_verified = tree.size() - 1;
   }
 
-  std::vector<Token> context(committed.begin(), committed.end());
+  std::vector<Token> context;
+  SparseDist computed;
   NodeId cur = kRootNode;
   while (true) {
-    const SparseDist dist = target.NextDist(stream, context);
-    const Token drawn = SampleToken(dist, mode, rng);
+    // The builders attached the target distribution of every node they
+    // expanded; only the others (the last layer, hand-built trees) need
+    // it built here, at committed + the accepted path.
+    const SparseDist* dist = tree.TargetDist(cur, target, stream);
+    if (dist == nullptr) {
+      context.assign(committed.begin(), committed.end());
+      context.insert(context.end(), result.accepted.begin(), result.accepted.end());
+      computed = target.NextDist(stream, context);
+      dist = &computed;
+    }
+    const Token drawn = SampleToken(*dist, mode, rng);
     NodeId match = kInvalidNode;
     for (NodeId child : tree.node(cur).children) {
       const bool is_selected = select_all || selected[static_cast<size_t>(child)] != 0;
@@ -40,7 +50,6 @@ VerifyResult VerifyTree(const SyntheticLm& target, uint64_t stream,
       break;
     }
     result.accepted.push_back(drawn);
-    context.push_back(drawn);
     cur = match;
   }
   return result;

@@ -38,7 +38,10 @@ struct VerifyResult {
 
 // Verifies the subtree of `tree` marked by `selected` (indexed by NodeId;
 // the root is implicitly selected; pass an empty vector to select the whole
-// tree). `committed` is the request's committed sequence.
+// tree). `committed` is the request's committed sequence, the one the tree
+// was built on. Nodes carrying a target distribution built by `target` for
+// `stream` (see TokenTree::AttachTargetDist) sample from it; the others
+// call target.NextDist. Either way the draws are the same.
 VerifyResult VerifyTree(const SyntheticLm& target, uint64_t stream,
                         std::span<const Token> committed, const TokenTree& tree,
                         const std::vector<char>& selected, DecodeMode mode, Rng& rng);

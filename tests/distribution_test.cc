@@ -8,6 +8,7 @@
 #include <map>
 #include <vector>
 
+#include "src/harness/experiment.h"
 #include "src/model/synthetic_lm.h"
 
 namespace adaserve {
@@ -269,6 +270,28 @@ TEST_P(FromWeightsEquivalenceSweep, MatchesScanAndSortReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FromWeightsEquivalenceSweep, ::testing::Range<uint64_t>(0, 8));
 
+// Mix as FromWeights over a's scaled entries followed by b's, through the
+// reference algorithm.
+std::vector<SparseDist::Entry> ReferenceMix(const SparseDist& a, const SparseDist& b,
+                                            double weight) {
+  std::vector<Token> tokens;
+  std::vector<double> weights;
+  for (const auto& e : a.entries()) {
+    tokens.push_back(e.token);
+    weights.push_back(weight * e.prob);
+  }
+  for (const auto& e : b.entries()) {
+    tokens.push_back(e.token);
+    weights.push_back((1.0 - weight) * e.prob);
+  }
+  return ReferenceFromWeights(tokens, weights);
+}
+
+bool Disjoint(const SparseDist& a, const SparseDist& b) {
+  return std::none_of(a.entries().begin(), a.entries().end(),
+                      [&](const SparseDist::Entry& e) { return b.ProbOf(e.token) > 0.0; });
+}
+
 // Mix of real synthetic-LM outputs: the 24+24-token shape a draft model
 // hands FromWeights on every tree node.
 TEST(FromWeightsEquivalence, MixOfSyntheticLmOutputs) {
@@ -283,19 +306,86 @@ TEST(FromWeightsEquivalence, MixOfSyntheticLmOutputs) {
     const SparseDist a = target.NextDist(stream, context);
     const SparseDist b = noise.NextDist(stream, context);
     const double weight = kMixWeights[i % 4];
-    std::vector<Token> tokens;
-    std::vector<double> weights;
-    for (const auto& e : a.entries()) {
-      tokens.push_back(e.token);
-      weights.push_back(weight * e.prob);
-    }
-    for (const auto& e : b.entries()) {
-      tokens.push_back(e.token);
-      weights.push_back((1.0 - weight) * e.prob);
-    }
     SCOPED_TRACE(testing::Message() << "i=" << i);
-    ExpectBitIdentical(Mix(a, b, weight), ReferenceFromWeights(tokens, weights));
+    ExpectBitIdentical(Mix(a, b, weight), ReferenceMix(a, b, weight));
   }
+}
+
+// The draft mixtures the serving setups build: each setup's target config
+// and its draft's noise model (the target config under the noise seed), at
+// every fidelity a setup uses plus both extremes. The TP8 and draft-offload
+// Llama setups share Llama's configs and differ only in fidelity (0.93).
+// About 2% of these inputs share a token and take the coalescing path; the
+// rest take the merge.
+TEST(MixEquivalence, SetupDraftMixtures) {
+  constexpr double kFidelities[] = {0.0, 0.82, 0.85, 0.93, 1.0};
+  for (const adaserve::Setup& setup : {LlamaSetup(), QwenSetup()}) {
+    SCOPED_TRACE(setup.label);
+    const SyntheticLm target(setup.lm_config);
+    LmConfig noise_config = setup.lm_config;
+    noise_config.seed = setup.draft_config.noise_seed;
+    noise_config.support = setup.draft_config.noise_support;
+    const SyntheticLm noise(noise_config);
+    Rng rng(setup.lm_config.seed);
+    std::vector<Token> context;
+    int shared = 0;
+    constexpr int kContexts = 2000;
+    for (int i = 0; i < kContexts; ++i) {
+      context.push_back(static_cast<Token>(rng.UniformInt(32000)));
+      const auto stream = static_cast<uint64_t>(i % 13);
+      const SparseDist a = target.NextDist(stream, context);
+      const SparseDist b = noise.NextDist(stream, context);
+      shared += Disjoint(a, b) ? 0 : 1;
+      for (double fidelity : kFidelities) {
+        SCOPED_TRACE(testing::Message() << "i=" << i << " fidelity=" << fidelity);
+        ExpectBitIdentical(Mix(a, b, fidelity), ReferenceMix(a, b, fidelity));
+      }
+    }
+    EXPECT_GT(shared, 0);
+    EXPECT_LT(shared, kContexts / 10);
+  }
+}
+
+TEST(MixEquivalence, SharedTokenIsCoalesced) {
+  const SparseDist a = MakeDist({1, 2, 3}, {0.5, 0.3, 0.2});
+  const SparseDist b = MakeDist({7, 2}, {0.6, 0.4});
+  const SparseDist m = Mix(a, b, 0.7);
+  EXPECT_EQ(m.size(), 4u);
+  ExpectBitIdentical(m, ReferenceMix(a, b, 0.7));
+  // Sharing the last entry of each run, and sharing every token.
+  const SparseDist c = MakeDist({10, 11, 12}, {0.6, 0.3, 0.1});
+  const SparseDist d = MakeDist({20, 12}, {0.9, 0.1});
+  ExpectBitIdentical(Mix(c, d, 0.25), ReferenceMix(c, d, 0.25));
+  ExpectBitIdentical(Mix(c, c, 0.4), ReferenceMix(c, c, 0.4));
+}
+
+TEST(MixEquivalence, TiesAcrossRunsOrderByToken) {
+  // Equal weights on equal probabilities: token 3 of b ties token 9 of a
+  // and must come first.
+  const SparseDist a = MakeDist({9, 5}, {0.75, 0.25});
+  const SparseDist b = MakeDist({3, 1}, {0.75, 0.25});
+  const SparseDist m = Mix(a, b, 0.5);
+  ASSERT_EQ(m.size(), 4u);
+  EXPECT_EQ(m.entry(0).token, 3);
+  EXPECT_EQ(m.entry(1).token, 9);
+  EXPECT_EQ(m.entry(2).token, 1);
+  EXPECT_EQ(m.entry(3).token, 5);
+  ExpectBitIdentical(m, ReferenceMix(a, b, 0.5));
+}
+
+TEST(MixEquivalence, TiesMadeByScalingOrderByToken) {
+  // Distinct in a, but a subnormal weight rounds both to the same double:
+  // token 4 then ranks ahead of token 5.
+  const SparseDist a = MakeDist({5, 4}, {0.5000000001, 0.4999999999});
+  ASSERT_EQ(a.entry(0).token, 5);
+  const SparseDist b = MakeDist({8, 6}, {0.6, 0.4});
+  constexpr double kWeight = 1e-320;
+  ASSERT_EQ(kWeight * a.entry(0).prob, kWeight * a.entry(1).prob);
+  const SparseDist m = Mix(a, b, kWeight);
+  ASSERT_EQ(m.size(), 4u);
+  EXPECT_EQ(m.entry(2).token, 4);
+  EXPECT_EQ(m.entry(3).token, 5);
+  ExpectBitIdentical(m, ReferenceMix(a, b, kWeight));
 }
 
 }  // namespace

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
+#include <utility>
 #include <vector>
 
+#include "src/baselines/static_tree_spec.h"
+#include "src/harness/experiment.h"
 #include "src/model/draft_lm.h"
 #include "src/spec/beam_search.h"
+#include "src/spec/sequence_spec.h"
 
 namespace adaserve {
 namespace {
@@ -182,6 +187,128 @@ TEST_P(FidelityAcceptanceSweep, HigherFidelityAcceptsMore) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FidelityAcceptanceSweep, ::testing::Range<uint64_t>(0, 6));
+
+// --- Reuse of the target distributions the tree builders attach ---
+
+// One tree from each builder, all over the same request.
+std::vector<std::pair<const char*, TokenTree>> BuilderTrees(const DraftLm& draft, uint64_t stream,
+                                                            const std::vector<Token>& ctx) {
+  std::vector<std::pair<const char*, TokenTree>> trees;
+  trees.emplace_back("candidate",
+                     BuildCandidateTree(draft, stream, ctx, BeamConfig{.depth = 4, .width = 3}));
+  trees.emplace_back("chain", BuildChainTree(draft, stream, ctx, 4));
+  trees.emplace_back("static", BuildStaticTree(draft, stream, ctx, {3, 2, 1}));
+  return trees;
+}
+
+TokenTree WithoutTargetDists(const TokenTree& tree) {
+  TokenTree bare = tree;
+  bare.ClearTargetDists();
+  return bare;
+}
+
+// Verifies `tree` and its bare copy from equal Rng states `trials` times
+// and expects equal verdicts every time and equal Rng states at the end.
+void ExpectSameVerdicts(const SyntheticLm& target, uint64_t stream, const std::vector<Token>& ctx,
+                        const TokenTree& tree, DecodeMode mode, int trials) {
+  const TokenTree bare = WithoutTargetDists(tree);
+  // Whole tree, and the top half by path probability.
+  std::vector<char> half(static_cast<size_t>(tree.size()), 0);
+  const std::vector<NodeId> order = tree.NodesByPathProb();
+  for (size_t i = 0; i < order.size() / 2; ++i) {
+    half[static_cast<size_t>(order[i])] = 1;
+  }
+  for (const std::vector<char>& selected : {std::vector<char>{}, half}) {
+    Rng reuse_rng(99);
+    Rng recompute_rng(99);
+    for (int i = 0; i < trials; ++i) {
+      const VerifyResult reused = VerifyTree(target, stream, ctx, tree, selected, mode, reuse_rng);
+      const VerifyResult recomputed =
+          VerifyTree(target, stream, ctx, bare, selected, mode, recompute_rng);
+      ASSERT_EQ(reused.accepted, recomputed.accepted) << "trial " << i;
+      ASSERT_EQ(reused.bonus, recomputed.bonus) << "trial " << i;
+      ASSERT_EQ(reused.tokens_verified, recomputed.tokens_verified) << "trial " << i;
+    }
+    EXPECT_EQ(reuse_rng.NextU64(), recompute_rng.NextU64());
+  }
+}
+
+// The test models, and the Llama setup's (a 24-token Zipf-3 support).
+std::vector<std::pair<SyntheticLm, DraftConfig>> ReuseModels() {
+  const Setup llama = LlamaSetup();
+  return {{SyntheticLm(TestLmConfig()), DraftConfig{.fidelity = 0.9}},
+          {SyntheticLm(llama.lm_config), llama.draft_config}};
+}
+
+TEST(VerifierReuse, AttachedDistributionsAreTheTargets) {
+  for (const auto& [target, draft_config] : ReuseModels()) {
+    const DraftLm draft(&target, draft_config);
+    const std::vector<Token> ctx = {3, 1, 4};
+    for (const auto& [builder, tree] : BuilderTrees(draft, 8, ctx)) {
+      SCOPED_TRACE(builder);
+      for (NodeId id = 0; id < tree.size(); ++id) {
+        const SparseDist* attached = tree.TargetDist(id, target, 8);
+        // Every expanded node carries one; the last layer was never expanded.
+        if (!tree.node(id).children.empty()) {
+          ASSERT_NE(attached, nullptr) << "node " << id;
+        }
+        if (tree.node(id).depth == tree.MaxDepth()) {
+          EXPECT_EQ(attached, nullptr) << "node " << id;
+        }
+        if (attached == nullptr) {
+          continue;
+        }
+        std::vector<Token> context = ctx;
+        for (Token t : tree.PathTokens(id)) {
+          context.push_back(t);
+        }
+        const SparseDist want = target.NextDist(8, context);
+        ASSERT_EQ(attached->size(), want.size()) << "node " << id;
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(attached->entry(i).token, want.entry(i).token);
+          EXPECT_EQ(std::memcmp(&attached->entry(i).prob, &want.entry(i).prob, sizeof(double)), 0);
+        }
+      }
+    }
+  }
+}
+
+class VerifierReuseSweep : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(VerifierReuseSweep, ReuseGivesTheSameVerdictsAndRngState) {
+  for (const auto& [target, draft_config] : ReuseModels()) {
+    const DraftLm draft(&target, draft_config);
+    const std::vector<Token> ctx = {static_cast<Token>(GetParam()), 2, 7};
+    for (const auto& [builder, tree] : BuilderTrees(draft, GetParam(), ctx)) {
+      for (DecodeMode mode : {DecodeMode::kGreedy, DecodeMode::kStochastic}) {
+        SCOPED_TRACE(testing::Message() << builder << " mode=" << static_cast<int>(mode));
+        ExpectSameVerdicts(target, GetParam(), ctx, tree, mode, /*trials=*/200);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, VerifierReuseSweep, ::testing::Range<uint64_t>(0, 4));
+
+TEST(VerifierReuse, OtherModelOrStreamIsRecomputed) {
+  Models m;
+  const SyntheticLm other(TestLmConfig(/*seed=*/22));
+  const std::vector<Token> ctx = {5, 6};
+  for (const auto& [builder, tree] : BuilderTrees(m.draft, 3, ctx)) {
+    SCOPED_TRACE(builder);
+    ASSERT_NE(tree.TargetDist(kRootNode, m.target, 3), nullptr);
+    for (NodeId id = 0; id < tree.size(); ++id) {
+      EXPECT_EQ(tree.TargetDist(id, other, 3), nullptr);
+      EXPECT_EQ(tree.TargetDist(id, m.target, 4), nullptr);
+    }
+    // Verifying against another model (or stream) must draw from that
+    // model, exactly as a tree without attached distributions does.
+    for (DecodeMode mode : {DecodeMode::kGreedy, DecodeMode::kStochastic}) {
+      ExpectSameVerdicts(other, 3, ctx, tree, mode, /*trials=*/200);
+      ExpectSameVerdicts(m.target, 4, ctx, tree, mode, /*trials=*/200);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace adaserve
