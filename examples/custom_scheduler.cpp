@@ -15,16 +15,17 @@ using namespace adaserve;
 
 // Round-robin: each iteration decodes a rotating window of at most
 // `window` running requests — fair, SLO-blind, and batch-capped. A custom
-// scheduler implements the two tick-phase hooks; the base class supplies
+// scheduler only has to implement DecodePhase; the base class supplies
 // the tick protocol (admission, and in tick-native mode the mid-tick
-// admission + burst-capped prefill phases) around them.
+// admission + burst-capped prefill phases) around it, and a
+// prefill-priority DrainStep for boundary mode.
 class RoundRobinScheduler : public Scheduler {
  public:
   explicit RoundRobinScheduler(int window) : window_(window) {}
 
   std::string_view name() const override { return "RoundRobin"; }
 
-  // Optional third hook: the admission-priority default for tick-native
+  // Optional hook: the admission-priority default for tick-native
   // runs. Declaring kSloUrgentFirst makes urgent-category arrivals jump
   // the admission queue (TickPolicy::admission_priority overrides it).
   PriorityPolicy AdmissionPriority() const override {
@@ -32,14 +33,6 @@ class RoundRobinScheduler : public Scheduler {
   }
 
  protected:
-  IterationRecord DrainStep(SimTime now, RequestPool& pool, ServingContext& ctx) override {
-    IterationRecord record;
-    if (RunFullPrefillIteration(now, pool, ctx, /*max_prefill_tokens=*/4096, record)) {
-      return record;
-    }
-    return DecodePhase(now, pool, ctx);
-  }
-
   IterationRecord DecodePhase(SimTime now, RequestPool& pool, ServingContext& ctx) override {
     std::vector<RequestId> running = RunningRequests(pool);
     if (running.empty()) {

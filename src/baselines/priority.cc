@@ -28,14 +28,14 @@ IterationRecord PriorityScheduler::DrainStep(SimTime now, RequestPool& pool,
     // scheduling decision by decoding nothing and prefilling urgent first.
     // Simpler and faithful enough: standard prefill iteration (urgent
     // prompts are short, they complete in one pass).
-    if (RunFullPrefillIteration(now, pool, ctx, config_.max_prefill_tokens, record)) {
+    if (RunFullPrefillIteration(now, pool, ctx, kMaxPrefillTokens, record)) {
       return record;
     }
   }
   if (!urgent.empty()) {
     return RunDecodeIteration(now, pool, ctx, urgent);
   }
-  if (RunFullPrefillIteration(now, pool, ctx, config_.max_prefill_tokens, record)) {
+  if (RunFullPrefillIteration(now, pool, ctx, kMaxPrefillTokens, record)) {
     return record;
   }
   return RunDecodeIteration(now, pool, ctx, running);

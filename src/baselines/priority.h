@@ -15,7 +15,6 @@ namespace adaserve {
 struct PriorityConfig {
   // Category treated as urgent (Cat 1 by default).
   int urgent_category = 0;
-  int max_prefill_tokens = 4096;
 };
 
 class PriorityScheduler : public Scheduler {

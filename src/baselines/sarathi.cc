@@ -1,101 +1,60 @@
 #include "src/baselines/sarathi.h"
 
-#include <algorithm>
-
-#include "src/spec/verifier.h"
+#include "src/common/logging.h"
 
 namespace adaserve {
 
-IterationRecord SarathiScheduler::DecodePhase(SimTime now, RequestPool& pool,
-                                              ServingContext& ctx) {
+SarathiScheduler::SarathiScheduler(const SarathiConfig& config) : config_(config) {
+  ADASERVE_CHECK(config_.chunk_budget >= 1) << "chunk budget must be >= 1";
+}
+
+std::vector<RequestId> SarathiScheduler::DecodeBatch(const RequestPool& pool) const {
   std::vector<RequestId> running = RunningRequests(pool);
   if (static_cast<int>(running.size()) > config_.chunk_budget) {
     running.resize(static_cast<size_t>(config_.chunk_budget));
   }
-  return RunDecodeIteration(now, pool, ctx, running);
+  return running;
+}
+
+IterationRecord SarathiScheduler::DecodePhase(SimTime now, RequestPool& pool,
+                                              ServingContext& ctx) {
+  return RunDecodeIteration(now, pool, ctx, DecodeBatch(pool));
 }
 
 IterationRecord SarathiScheduler::DrainStep(SimTime now, RequestPool& pool, ServingContext& ctx) {
   IterationRecord record;
-  const std::vector<RequestId> running = RunningRequests(pool);
-  const std::vector<RequestId> prefilling = PrefillingRequests(pool);
-
   // Decode tokens first (Sarathi admits decodes before prefill chunks so
-  // ongoing requests never starve).
-  const int decode_tokens =
-      std::min<int>(static_cast<int>(running.size()), config_.chunk_budget);
-  std::vector<RequestId> decode_batch(running.begin(), running.begin() + decode_tokens);
-
-  // Fill the remaining budget with prompt chunks, FIFO.
-  int budget = config_.chunk_budget - decode_tokens;
-  struct Chunk {
-    RequestId id;
-    int tokens;
-  };
-  std::vector<Chunk> chunks;
-  for (RequestId id : prefilling) {
-    if (budget <= 0) {
-      break;
-    }
-    const Request& req = pool.Get(id);
-    const int remaining = req.prompt_len - req.prefill_progress;
-    const int take = std::min(remaining, budget);
-    chunks.push_back({id, take});
-    budget -= take;
-  }
-  // Guarantee progress even if the budget is consumed by decodes alone and
-  // there is nothing to decode (possible only when budget < batch size).
-  if (decode_batch.empty() && chunks.empty() && !prefilling.empty()) {
-    chunks.push_back({prefilling.front(), std::min(config_.chunk_budget,
-                                                   pool.Get(prefilling.front()).prompt_len)});
-  }
-
-  int batch_tokens = decode_tokens;
-  for (const Chunk& c : chunks) {
-    batch_tokens += c.tokens;
-  }
+  // ongoing requests never starve), then fill the remaining budget with
+  // prompt chunks, FIFO.
+  const std::vector<RequestId> decode_batch = DecodeBatch(pool);
+  const int decode_tokens = static_cast<int>(decode_batch.size());
+  const PrefillPlan prefill = PlanPrefillChunks(pool, PrefillingRequests(pool),
+                                                config_.chunk_budget - decode_tokens,
+                                                /*burst=*/0);
+  const int batch_tokens = decode_tokens + prefill.tokens;
   if (batch_tokens == 0) {
     return record;
   }
 
   std::vector<RequestId> all_ids = decode_batch;
-  for (const Chunk& c : chunks) {
+  for (const PrefillChunk& c : prefill.chunks) {
     all_ids.push_back(c.id);
   }
   const long context = pool.SumContextTokens(all_ids);
   const SimTime latency = ctx.target_latency->ForwardLatency(batch_tokens, context,
                                                              /*use_cuda_graph=*/false);
   const SimTime end = now + latency;
-
   for (RequestId id : decode_batch) {
-    Request& req = pool.Get(id);
-    if (req.decode_start_time < 0.0) {
-      req.decode_start_time = now;
-    }
-    const Token token =
-        DecodeOneToken(*ctx.target, req.stream_seed, req.output, ctx.mode, *ctx.rng);
-    pool.CommitToken(id, token, end);
-    ++record.committed_tokens;
+    CommitDecodeToken(now, end, pool, ctx, id, record);
   }
-  for (const Chunk& c : chunks) {
-    pool.AdvancePrefill(c.id, c.tokens);
-    record.prefill_tokens += c.tokens;
-    Request& req = pool.Get(c.id);
-    if (req.PrefillDone()) {
-      const Token first =
-          DecodeOneToken(*ctx.target, req.stream_seed, req.output, ctx.mode, *ctx.rng);
-      pool.CommitToken(c.id, first, end);
-      ++record.committed_tokens;
-    }
-  }
+  ApplyPrefillChunks(pool, ctx, prefill.chunks, end, record);
 
   record.duration = latency;
   // Attribute time proportionally between decode and prefill work.
-  const double prefill_share =
-      batch_tokens == 0 ? 0.0 : static_cast<double>(record.prefill_tokens) / batch_tokens;
+  const double prefill_share = static_cast<double>(record.prefill_tokens) / batch_tokens;
   record.prefill_time = latency * prefill_share;
   record.verify_time = latency - record.prefill_time;
-  record.decode_requests = static_cast<int>(decode_batch.size());
+  record.decode_requests = decode_tokens;
   return record;
 }
 

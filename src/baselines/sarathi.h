@@ -18,7 +18,7 @@ struct SarathiConfig {
 
 class SarathiScheduler : public Scheduler {
  public:
-  explicit SarathiScheduler(const SarathiConfig& config = {}) : config_(config) {}
+  explicit SarathiScheduler(const SarathiConfig& config = {});
 
   std::string_view name() const override { return "Sarathi-Serve"; }
 
@@ -32,6 +32,10 @@ class SarathiScheduler : public Scheduler {
   IterationRecord DecodePhase(SimTime now, RequestPool& pool, ServingContext& ctx) override;
 
  private:
+  // The decode half of an iteration: one token per running request, FIFO,
+  // at most chunk_budget of them.
+  std::vector<RequestId> DecodeBatch(const RequestPool& pool) const;
+
   SarathiConfig config_;
 };
 

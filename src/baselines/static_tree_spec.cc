@@ -4,7 +4,6 @@
 
 #include "src/common/logging.h"
 #include "src/spec/beam_search.h"
-#include "src/spec/verifier.h"
 
 namespace adaserve {
 
@@ -47,15 +46,6 @@ StaticTreeSpecScheduler::StaticTreeSpecScheduler(const StaticTreeConfig& config)
   name_ = "StaticTree(" + shape + ")";
 }
 
-IterationRecord StaticTreeSpecScheduler::DrainStep(SimTime now, RequestPool& pool,
-                                                   ServingContext& ctx) {
-  IterationRecord record;
-  if (RunFullPrefillIteration(now, pool, ctx, config_.max_prefill_tokens, record)) {
-    return record;
-  }
-  return DecodePhase(now, pool, ctx);
-}
-
 IterationRecord StaticTreeSpecScheduler::DecodePhase(SimTime now, RequestPool& pool,
                                                      ServingContext& ctx) {
   IterationRecord record;
@@ -82,29 +72,10 @@ IterationRecord StaticTreeSpecScheduler::DecodePhase(SimTime now, RequestPool& p
   const SimTime end = now + latency;
 
   for (RequestId id : running) {
-    Request& req = pool.Get(id);
-    if (req.decode_start_time < 0.0) {
-      req.decode_start_time = now;
-    }
+    const Request& req = pool.Get(id);
     const TokenTree tree =
         BuildStaticTree(*ctx.draft, req.stream_seed, req.output, config_.branching);
-    const VerifyResult verdict = VerifyTree(*ctx.target, req.stream_seed, req.output, tree,
-                                            /*selected=*/{}, ctx.mode, *ctx.rng);
-    req.verifications += 1;
-    req.accepted_tokens += static_cast<long>(verdict.accepted.size());
-    req.verified_tokens += verdict.tokens_verified;
-    record.verified_tokens += verdict.tokens_verified;
-    for (Token t : verdict.accepted) {
-      if (pool.Get(id).state != RequestState::kRunning) {
-        break;
-      }
-      pool.CommitToken(id, t, end);
-      ++record.committed_tokens;
-    }
-    if (pool.Get(id).state == RequestState::kRunning) {
-      pool.CommitToken(id, verdict.bonus, end);
-      ++record.committed_tokens;
-    }
+    CommitVerifiedTree(now, end, pool, ctx, id, tree, /*selected=*/{}, record);
   }
 
   record.duration = latency;

@@ -20,7 +20,6 @@ struct StaticTreeConfig {
   // Branching factor per level; the tree has branching.size() levels.
   // Default (3, 2, 2, 1): 3 + 6 + 12 + 12 = 33 nodes... kept modest:
   std::vector<int> branching = {3, 2, 1};
-  int max_prefill_tokens = 4096;
 };
 
 // Builds the fixed-topology draft tree for one request: at each level,
@@ -36,7 +35,6 @@ class StaticTreeSpecScheduler : public Scheduler {
   std::string_view name() const override { return name_; }
 
  protected:
-  IterationRecord DrainStep(SimTime now, RequestPool& pool, ServingContext& ctx) override;
   // Tick-native decode phase: the fixed-topology tree speculate-verify pass.
   IterationRecord DecodePhase(SimTime now, RequestPool& pool, ServingContext& ctx) override;
 

@@ -2,22 +2,12 @@
 
 #include "src/common/logging.h"
 #include "src/spec/sequence_spec.h"
-#include "src/spec/verifier.h"
 
 namespace adaserve {
 
 VllmSpecScheduler::VllmSpecScheduler(const VllmSpecConfig& config)
     : config_(config), name_("vLLM-Spec(" + std::to_string(config.spec_len) + ")") {
   ADASERVE_CHECK(config_.spec_len >= 1) << "speculation length must be >= 1";
-}
-
-IterationRecord VllmSpecScheduler::DrainStep(SimTime now, RequestPool& pool,
-                                             ServingContext& ctx) {
-  IterationRecord record;
-  if (RunFullPrefillIteration(now, pool, ctx, config_.max_prefill_tokens, record)) {
-    return record;
-  }
-  return DecodePhase(now, pool, ctx);
 }
 
 IterationRecord VllmSpecScheduler::DecodePhase(SimTime now, RequestPool& pool,
@@ -46,28 +36,9 @@ IterationRecord VllmSpecScheduler::DecodePhase(SimTime now, RequestPool& pool,
   const SimTime end = now + latency;
 
   for (RequestId id : running) {
-    Request& req = pool.Get(id);
-    if (req.decode_start_time < 0.0) {
-      req.decode_start_time = now;
-    }
+    const Request& req = pool.Get(id);
     const TokenTree chain = BuildChainTree(*ctx.draft, req.stream_seed, req.output, k);
-    const VerifyResult verdict = VerifyTree(*ctx.target, req.stream_seed, req.output, chain,
-                                            /*selected=*/{}, ctx.mode, *ctx.rng);
-    req.verifications += 1;
-    req.accepted_tokens += static_cast<long>(verdict.accepted.size());
-    req.verified_tokens += verdict.tokens_verified;
-    record.verified_tokens += verdict.tokens_verified;
-    for (Token t : verdict.accepted) {
-      if (pool.Get(id).state != RequestState::kRunning) {
-        break;  // Finished mid-path; drop surplus speculated tokens.
-      }
-      pool.CommitToken(id, t, end);
-      ++record.committed_tokens;
-    }
-    if (pool.Get(id).state == RequestState::kRunning) {
-      pool.CommitToken(id, verdict.bonus, end);
-      ++record.committed_tokens;
-    }
+    CommitVerifiedTree(now, end, pool, ctx, id, chain, /*selected=*/{}, record);
   }
 
   record.duration = latency;

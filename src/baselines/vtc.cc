@@ -4,14 +4,6 @@
 
 namespace adaserve {
 
-IterationRecord VtcScheduler::DrainStep(SimTime now, RequestPool& pool, ServingContext& ctx) {
-  IterationRecord record;
-  if (RunFullPrefillIteration(now, pool, ctx, config_.max_prefill_tokens, record)) {
-    return record;
-  }
-  return DecodePhase(now, pool, ctx);
-}
-
 IterationRecord VtcScheduler::DecodePhase(SimTime now, RequestPool& pool, ServingContext& ctx) {
   IterationRecord record;
   std::vector<RequestId> running = RunningRequests(pool);

@@ -20,7 +20,6 @@ struct VtcConfig {
   int max_batch = 16;
   // Per-category service weights (tokens are charged as tokens / weight).
   std::array<double, kNumCategories> weights = {1.0, 1.0, 1.0};
-  int max_prefill_tokens = 4096;
 };
 
 class VtcScheduler : public Scheduler {
@@ -34,7 +33,6 @@ class VtcScheduler : public Scheduler {
   PriorityPolicy AdmissionPriority() const override { return PriorityPolicy::kFifo; }
 
  protected:
-  IterationRecord DrainStep(SimTime now, RequestPool& pool, ServingContext& ctx) override;
   // Tick-native decode phase: the counter-ordered fair decode batch.
   IterationRecord DecodePhase(SimTime now, RequestPool& pool, ServingContext& ctx) override;
 

@@ -2,78 +2,19 @@
 
 #include <algorithm>
 
-#include "src/common/logging.h"
 #include "src/core/slo_accounting.h"
-#include "src/spec/verifier.h"
 
 namespace adaserve {
-namespace {
-
-struct PrefillChunk {
-  RequestId id;
-  int tokens;
-};
-
-// Plans prefill chunks FIFO within `budget` tokens.
-std::vector<PrefillChunk> PlanPrefillChunks(const RequestPool& pool,
-                                            const std::vector<RequestId>& prefilling, int budget) {
-  std::vector<PrefillChunk> chunks;
-  for (RequestId id : prefilling) {
-    if (budget <= 0) {
-      break;
-    }
-    const Request& req = pool.Get(id);
-    const int remaining = req.prompt_len - req.prefill_progress;
-    const int take = std::min(remaining, budget);
-    if (take > 0) {
-      chunks.push_back({id, take});
-      budget -= take;
-    }
-  }
-  return chunks;
-}
-
-void ApplyPrefillChunks(RequestPool& pool, ServingContext& ctx,
-                        const std::vector<PrefillChunk>& chunks, SimTime end,
-                        IterationRecord& record) {
-  for (const PrefillChunk& c : chunks) {
-    pool.AdvancePrefill(c.id, c.tokens);
-    record.prefill_tokens += c.tokens;
-    Request& req = pool.Get(c.id);
-    if (req.PrefillDone()) {
-      const Token first =
-          DecodeOneToken(*ctx.target, req.stream_seed, req.output, ctx.mode, *ctx.rng);
-      pool.CommitToken(c.id, first, end);
-      ++record.committed_tokens;
-    }
-  }
-}
-
-}  // namespace
 
 IterationRecord AdaServeScheduler::PrefillOnlyStep(SimTime now, RequestPool& pool,
                                                    ServingContext& ctx) {
-  IterationRecord record;
-  const std::vector<RequestId> prefilling = PrefillingRequests(pool);
-  ADASERVE_CHECK(!prefilling.empty()) << "prefill-only step without prefill work";
-  // Dedicated prefill pass: drain a backlog_factor-sized slice of the
-  // prompt backlog in one compute-bound forward pass.
+  // Dedicated prefill pass: drain a dedicated_prefill_factor x B slice of
+  // the prompt backlog in one compute-bound forward pass. Boundary mode
+  // admits FIFO, so the pass takes prompts in admission order.
   const int budget =
       std::max(static_cast<int>(ctx.verify_budget * config_.dedicated_prefill_factor), 1);
-  const std::vector<PrefillChunk> chunks = PlanPrefillChunks(pool, prefilling, budget);
-  int batch_tokens = 0;
-  std::vector<RequestId> ids;
-  for (const PrefillChunk& c : chunks) {
-    batch_tokens += c.tokens;
-    ids.push_back(c.id);
-  }
-  const SimTime latency = ctx.target_latency->PrefillLatency(batch_tokens,
-                                                             pool.SumContextTokens(ids));
-  const SimTime end = now + latency;
-  ApplyPrefillChunks(pool, ctx, chunks, end, record);
-  record.duration = latency;
-  record.prefill_time = latency;
-  last_duration_ = latency;
+  const IterationRecord record = RunBudgetedPrefillPhase(now, pool, ctx, budget, /*burst=*/0);
+  last_duration_ = record.duration;
   return record;
 }
 
@@ -169,21 +110,18 @@ IterationRecord AdaServeScheduler::SpecIteration(SimTime now, RequestPool& pool,
   TokenSelector selector(sel_requests, config_.selection);
   budget -= selector.SloPhase(budget);
   const int prefill_budget = prefill_cap + static_cast<int>(budget * config_.prefill_share);
-  const std::vector<PrefillChunk> chunks = PlanPrefillChunks(pool, prefilling, prefill_budget);
-  int chunk_tokens = 0;
-  for (const PrefillChunk& c : chunks) {
-    chunk_tokens += c.tokens;
-  }
-  budget = budget_total - selector.result().total_taken - chunk_tokens;
+  const PrefillPlan prefill =
+      PlanPrefillChunks(pool, prefilling, prefill_budget, /*burst=*/0);
+  budget = budget_total - selector.result().total_taken - prefill.tokens;
   selector.ThroughputPhase(budget);
   const SelectionResult& sel = selector.result();
   const SimTime select_time =
       config_.select_cost_base + config_.select_cost_per_token * candidate_tokens;
 
   // --- Step 4: verification (one batched target pass) ---
-  const int verify_tokens = n + sel.total_taken + chunk_tokens;
+  const int verify_tokens = n + sel.total_taken + prefill.tokens;
   std::vector<RequestId> all_ids = running;
-  for (const PrefillChunk& c : chunks) {
+  for (const PrefillChunk& c : prefill.chunks) {
     all_ids.push_back(c.id);
   }
   const SimTime verify_time = ctx.target_latency->ForwardLatency(
@@ -194,30 +132,9 @@ IterationRecord AdaServeScheduler::SpecIteration(SimTime now, RequestPool& pool,
 
   // Commit: verify each draft tree, commit accepted + bonus tokens.
   for (size_t i = 0; i < running.size(); ++i) {
-    const RequestId id = running[i];
-    Request& req = pool.Get(id);
-    if (req.decode_start_time < 0.0) {
-      req.decode_start_time = now;
-    }
-    const VerifyResult verdict = VerifyTree(*ctx.target, req.stream_seed, req.output,
-                                            candidates[i], sel.selected[i], ctx.mode, *ctx.rng);
-    req.verifications += 1;
-    req.accepted_tokens += static_cast<long>(verdict.accepted.size());
-    req.verified_tokens += verdict.tokens_verified;
-    record.verified_tokens += verdict.tokens_verified;
-    for (Token t : verdict.accepted) {
-      if (pool.Get(id).state != RequestState::kRunning) {
-        break;  // Reached target length mid-path.
-      }
-      pool.CommitToken(id, t, end);
-      ++record.committed_tokens;
-    }
-    if (pool.Get(id).state == RequestState::kRunning) {
-      pool.CommitToken(id, verdict.bonus, end);
-      ++record.committed_tokens;
-    }
+    CommitVerifiedTree(now, end, pool, ctx, running[i], candidates[i], sel.selected[i], record);
   }
-  ApplyPrefillChunks(pool, ctx, chunks, end, record);
+  ApplyPrefillChunks(pool, ctx, prefill.chunks, end, record);
 
   record.duration = latency;
   record.spec_time = spec_time;

@@ -124,13 +124,11 @@ std::vector<ComparisonPoint> RunComparison(const Experiment& exp,
   return points;
 }
 
-EngineConfig ContinuousTickConfig() {
-  return EngineConfig{};  // Tick-native is the default mode.
-}
-
 EngineConfig BoundaryTickConfig() {
   EngineConfig engine;
-  engine.tick = TickPolicy::Boundary();
+  engine.tick.continuous = false;
+  engine.tick.max_evictions = 0;
+  engine.tick.admission_priority = PriorityPolicy::kFifo;
   return engine;
 }
 

@@ -69,13 +69,6 @@ std::vector<ComparisonPoint> RunComparison(const Experiment& exp,
                                            const StreamFactory& make_stream,
                                            const EngineConfig& engine = {}, int threads = 1);
 
-// Engine config of the tick-native continuous-batching mode: mid-tick
-// admission, kBurst prefill cap, bounded evict-for-admission, and the
-// scheduler's own admission-priority default. Since tick-native became
-// the serving default this is simply EngineConfig{}; it is kept as a
-// named constructor for call sites that want the mode to be explicit.
-EngineConfig ContinuousTickConfig();
-
 // Engine config of the legacy drain-style boundary mode: admission only
 // at tick boundaries, FIFO, no eviction — byte-identical to the
 // historical engine loop and the legacy golden corpus (tests/golden/

@@ -85,8 +85,8 @@ class Experiment {
   // or a live ArrivalStream (single-pass; build a fresh one per run), both
   // of which convert to WorkloadSource implicitly — and returns metrics +
   // iteration log. The engine behavior (tick protocol included) comes
-  // entirely from `engine`; presets live in comparisons.h
-  // (ContinuousTickConfig / BoundaryTickConfig).
+  // entirely from `engine`: EngineConfig{} is the tick-native default,
+  // and BoundaryTickConfig (comparisons.h) the legacy boundary mode.
   EngineResult Run(Scheduler& scheduler, WorkloadSource workload, const EngineConfig& engine = {},
                    int verify_budget = 0, int draft_budget = 0) const;
 

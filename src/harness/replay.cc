@@ -194,7 +194,6 @@ std::string SerializeReplayArtifact(const ReplayArtifact& artifact) {
              ? static_cast<int>(*e.tick.admission_priority)
              : -1)
      << "\n";
-  os << "tick.event_driven: " << (e.tick.event_driven ? 1 : 0) << "\n";
   os << "verify_budget: " << artifact.verify_budget << "\n";
   os << "draft_budget: " << artifact.draft_budget << "\n";
 
@@ -287,7 +286,6 @@ bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std:
   }
   e.tick.admission_priority =
       priority < 0 ? std::nullopt : std::optional<PriorityPolicy>(static_cast<PriorityPolicy>(priority));
-  if (!ReadKeyedBool(in, "tick.event_driven", &e.tick.event_driven, error)) return false;
   if (!ReadKeyedInt(in, "verify_budget", &out.verify_budget, error)) return false;
   if (!ReadKeyedInt(in, "draft_budget", &out.draft_budget, error)) return false;
 

@@ -87,7 +87,7 @@ EngineResult Engine::Run(Scheduler& scheduler, WorkloadSource source, int verify
   while (!stream.Exhausted() || pool.HasWork()) {
     ADASERVE_CHECK(++iterations <= config_.max_iterations) << "iteration budget exhausted";
     pull_arrivals(now);
-    if (ctx.tick.event_driven && !pool.HasWork()) {
+    if (!pool.HasWork()) {
       // Next-event skip: with nothing queued and nothing active a tick
       // cannot change state, so the earliest event is the next arrival —
       // jump the clock there in one step. The loop condition plus the

@@ -82,9 +82,9 @@ struct EngineConfig {
   bool retire_finished = false;
   // The unified tick policy (scheduler.h): every tick-shaped serving knob
   // — slot cap (vLLM max_num_seqs), continuous vs boundary ticks, prefill
-  // burst, eviction budget, admission priority, event-driven clock — in
-  // one struct. Engine::Run resolves it (TickPolicy::ResolvedFor) and
-  // hands it to the scheduler through ServingContext unchanged.
+  // burst, eviction budget, admission priority — in one struct.
+  // Engine::Run resolves it (TickPolicy::ResolvedFor) and hands it to the
+  // scheduler through ServingContext unchanged.
   TickPolicy tick;
   // Optional run observer (record/replay): receives every pulled arrival
   // and every progressing tick. Non-owning; must outlive the run. Purely

@@ -57,7 +57,8 @@ bool RunFullPrefillIteration(SimTime now, RequestPool& pool, ServingContext& ctx
   }
   // Batch whole prompts FIFO until the token cap; always take at least one
   // prompt so oversized prompts still make progress.
-  std::vector<RequestId> batch;
+  std::vector<PrefillChunk> batch;
+  std::vector<RequestId> ids;
   int batch_tokens = 0;
   for (RequestId id : prefilling) {
     const Request& req = pool.Get(id);
@@ -65,24 +66,15 @@ bool RunFullPrefillIteration(SimTime now, RequestPool& pool, ServingContext& ctx
     if (!batch.empty() && batch_tokens + remaining > max_prefill_tokens) {
       break;
     }
-    batch.push_back(id);
+    batch.push_back({id, remaining});
+    ids.push_back(id);
     batch_tokens += remaining;
   }
-  const long context = pool.SumContextTokens(batch);
-  const SimTime latency = ctx.target_latency->PrefillLatency(batch_tokens, context);
-  const SimTime end = now + latency;
-  for (RequestId id : batch) {
-    Request& req = pool.Get(id);
-    pool.AdvancePrefill(id, req.prompt_len - req.prefill_progress);
-    // Prefill's last forward pass produces the first output token.
-    const Token first =
-        DecodeOneToken(*ctx.target, req.stream_seed, req.output, ctx.mode, *ctx.rng);
-    pool.CommitToken(id, first, end);
-  }
+  const SimTime latency =
+      ctx.target_latency->PrefillLatency(batch_tokens, pool.SumContextTokens(ids));
+  ApplyPrefillChunks(pool, ctx, batch, now + latency, record);
   record.duration = latency;
   record.prefill_time = latency;
-  record.prefill_tokens = batch_tokens;
-  record.committed_tokens = static_cast<int>(batch.size());
   return true;
 }
 
@@ -98,20 +90,85 @@ IterationRecord RunDecodeIteration(SimTime now, RequestPool& pool, ServingContex
                                          /*use_cuda_graph=*/true);
   const SimTime end = now + latency;
   for (RequestId id : ids) {
-    Request& req = pool.Get(id);
-    ADASERVE_CHECK(req.state == RequestState::kRunning) << "decode on non-running " << id;
-    if (req.decode_start_time < 0.0) {
-      req.decode_start_time = now;
-    }
-    const Token token =
-        DecodeOneToken(*ctx.target, req.stream_seed, req.output, ctx.mode, *ctx.rng);
-    pool.CommitToken(id, token, end);
+    CommitDecodeToken(now, end, pool, ctx, id, record);
   }
   record.duration = latency;
   record.verify_time = latency;
   record.decode_requests = static_cast<int>(ids.size());
-  record.committed_tokens = static_cast<int>(ids.size());
   return record;
+}
+
+PrefillPlan PlanPrefillChunks(const RequestPool& pool, const std::vector<RequestId>& ids,
+                              int budget, int burst) {
+  const int per_request_cap = burst > 0 ? burst : std::numeric_limits<int>::max();
+  PrefillPlan plan;
+  for (RequestId id : ids) {
+    if (plan.tokens >= budget) {
+      break;
+    }
+    const Request& req = pool.Get(id);
+    const int remaining = req.prompt_len - req.prefill_progress;
+    const int take = std::min({remaining, per_request_cap, budget - plan.tokens});
+    if (take > 0) {
+      plan.chunks.push_back({id, take});
+      plan.tokens += take;
+    }
+  }
+  return plan;
+}
+
+void ApplyPrefillChunks(RequestPool& pool, ServingContext& ctx,
+                        const std::vector<PrefillChunk>& chunks, SimTime end,
+                        IterationRecord& record) {
+  for (const PrefillChunk& c : chunks) {
+    pool.AdvancePrefill(c.id, c.tokens);
+    record.prefill_tokens += c.tokens;
+    Request& req = pool.Get(c.id);
+    if (req.PrefillDone()) {
+      const Token first =
+          DecodeOneToken(*ctx.target, req.stream_seed, req.output, ctx.mode, *ctx.rng);
+      pool.CommitToken(c.id, first, end);
+      ++record.committed_tokens;
+    }
+  }
+}
+
+void CommitDecodeToken(SimTime now, SimTime end, RequestPool& pool, ServingContext& ctx,
+                       RequestId id, IterationRecord& record) {
+  Request& req = pool.Get(id);
+  ADASERVE_CHECK(req.state == RequestState::kRunning) << "decode on non-running " << id;
+  if (req.decode_start_time < 0.0) {
+    req.decode_start_time = now;
+  }
+  const Token token = DecodeOneToken(*ctx.target, req.stream_seed, req.output, ctx.mode, *ctx.rng);
+  pool.CommitToken(id, token, end);
+  ++record.committed_tokens;
+}
+
+void CommitVerifiedTree(SimTime now, SimTime end, RequestPool& pool, ServingContext& ctx,
+                        RequestId id, const TokenTree& tree, const std::vector<char>& selected,
+                        IterationRecord& record) {
+  Request& req = pool.Get(id);
+  if (req.decode_start_time < 0.0) {
+    req.decode_start_time = now;
+  }
+  const VerifyResult verdict =
+      VerifyTree(*ctx.target, req.stream_seed, req.output, tree, selected, ctx.mode, *ctx.rng);
+  req.verifications += 1;
+  req.accepted_tokens += static_cast<long>(verdict.accepted.size());
+  req.verified_tokens += verdict.tokens_verified;
+  record.verified_tokens += verdict.tokens_verified;
+  for (Token t : verdict.accepted) {
+    if (pool.Get(id).state != RequestState::kRunning) {
+      return;  // Reached target length mid-path; surplus tokens are dropped.
+    }
+    pool.CommitToken(id, t, end);
+    ++record.committed_tokens;
+  }
+  if (pool.Get(id).state == RequestState::kRunning) {
+    pool.CommitToken(id, verdict.bonus, end);
+    ++record.committed_tokens;
+  }
 }
 
 SimTime NextTokenDeadline(const Request& req) {
@@ -232,13 +289,7 @@ int MidTickAdmitPhase(SimTime now, RequestPool& pool, ServingContext& ctx) {
 IterationRecord RunBudgetedPrefillPhase(SimTime now, RequestPool& pool, ServingContext& ctx,
                                         int budget, int burst) {
   IterationRecord record;
-  if (budget <= 0) {
-    return record;
-  }
   std::vector<RequestId> prefilling = PrefillingRequests(pool);
-  if (prefilling.empty()) {
-    return record;
-  }
   if (ctx.tick.priority() == PriorityPolicy::kEdf) {
     // EDF spends its prefill budget tightest-deadline-first instead of in
     // admission order; ids break deadline ties (ids are arrival order).
@@ -248,44 +299,18 @@ IterationRecord RunBudgetedPrefillPhase(SimTime now, RequestPool& pool, ServingC
       return da != db ? da < db : a < b;
     });
   }
-  const int per_request_cap = burst > 0 ? burst : std::numeric_limits<int>::max();
-  struct Chunk {
-    RequestId id;
-    int tokens;
-  };
-  std::vector<Chunk> chunks;
-  std::vector<RequestId> ids;
-  int batch_tokens = 0;
-  for (RequestId id : prefilling) {
-    if (batch_tokens >= budget) {
-      break;
-    }
-    const Request& req = pool.Get(id);
-    const int remaining = req.prompt_len - req.prefill_progress;
-    const int take = std::min({remaining, per_request_cap, budget - batch_tokens});
-    if (take > 0) {
-      chunks.push_back({id, take});
-      ids.push_back(id);
-      batch_tokens += take;
-    }
-  }
-  if (chunks.empty()) {
+  const PrefillPlan plan = PlanPrefillChunks(pool, prefilling, budget, burst);
+  if (plan.chunks.empty()) {
     return record;
   }
-  const SimTime latency =
-      ctx.target_latency->PrefillLatency(batch_tokens, pool.SumContextTokens(ids));
-  const SimTime end = now + latency;
-  for (const Chunk& c : chunks) {
-    pool.AdvancePrefill(c.id, c.tokens);
-    record.prefill_tokens += c.tokens;
-    Request& req = pool.Get(c.id);
-    if (req.PrefillDone()) {
-      const Token first =
-          DecodeOneToken(*ctx.target, req.stream_seed, req.output, ctx.mode, *ctx.rng);
-      pool.CommitToken(c.id, first, end);
-      ++record.committed_tokens;
-    }
+  std::vector<RequestId> ids;
+  ids.reserve(plan.chunks.size());
+  for (const PrefillChunk& c : plan.chunks) {
+    ids.push_back(c.id);
   }
+  const SimTime latency =
+      ctx.target_latency->PrefillLatency(plan.tokens, pool.SumContextTokens(ids));
+  ApplyPrefillChunks(pool, ctx, plan.chunks, now + latency, record);
   record.duration = latency;
   record.prefill_time = latency;
   return record;
@@ -325,6 +350,14 @@ TickResult RunContinuousTick(SimTime now, RequestPool& pool, ServingContext& ctx
   rec.prefill_tokens += prefill.prefill_tokens;
   rec.committed_tokens += prefill.committed_tokens;
   return tick;
+}
+
+IterationRecord Scheduler::DrainStep(SimTime now, RequestPool& pool, ServingContext& ctx) {
+  IterationRecord record;
+  if (RunFullPrefillIteration(now, pool, ctx, kMaxPrefillTokens, record)) {
+    return record;
+  }
+  return DecodePhase(now, pool, ctx);
 }
 
 TickResult Scheduler::Tick(SimTime now, RequestPool& pool, ServingContext& ctx) {

@@ -9,13 +9,15 @@
 // only at drain boundaries; the engine (engine.h) stays policy-free and
 // only feeds arrivals and advances the clock.
 //
-// Schedulers implement two phase hooks rather than a monolithic step:
-//   - DrainStep:   the legacy drain-style iteration (boundary mode). The
-//                  default-config engine runs exactly this after boundary
-//                  admission, byte-identical to the historical loop.
+// Schedulers implement phase hooks rather than a monolithic step:
 //   - DecodePhase: phase A of a tick-native tick — advance running
 //                  requests only; the shared tick machinery then handles
 //                  mid-tick admission and budgeted prefill (phase B/C).
+//                  The one hook every scheduler must implement.
+//   - DrainStep:   the drain-style iteration of boundary mode, run after
+//                  boundary admission, byte-identical to the historical
+//                  loop. Defaults to vLLM's prefill-priority step; only
+//                  schedulers that shape the whole batch override it.
 #ifndef ADASERVE_SRC_SERVE_SCHEDULER_H_
 #define ADASERVE_SRC_SERVE_SCHEDULER_H_
 
@@ -29,6 +31,7 @@
 #include "src/model/sampler.h"
 #include "src/model/synthetic_lm.h"
 #include "src/serve/request_pool.h"
+#include "src/spec/token_tree.h"
 
 namespace adaserve {
 
@@ -39,6 +42,10 @@ class Scheduler;
 // entire prefill pass, so TTFT of the prompts queued behind it stays
 // bounded by ~budget/kBurst peers per tick.
 inline constexpr int kBurst = 512;
+
+// Token cap of one whole-prompt prefill iteration of the default
+// prefill-priority DrainStep (vLLM's max_num_batched_tokens).
+inline constexpr int kMaxPrefillTokens = 4096;
 
 // Admission-ordering policy of the tick's admission phases (boundary and
 // mid-tick). kFifo admits in arrival order — the historical behavior and
@@ -87,10 +94,6 @@ struct TickPolicy {
   // AdmissionPriority() default (ResolvedFor fills it in); boundary mode
   // always resolves to kFifo (drain-loop byte-identity).
   std::optional<PriorityPolicy> admission_priority;
-  // Next-event scheduling: when the pool is provably inert, the engine
-  // advances the clock straight to the next arrival instead of probing
-  // every gap. Byte-identical either way; see engine.h.
-  bool event_driven = true;
 
   // The policy both admission phases actually rank by (kFifo until
   // resolved or explicitly set).
@@ -103,17 +106,6 @@ struct TickPolicy {
   // neutralizes every tick-native knob (FIFO, no eviction) so
   // `continuous = false` alone still means "the historical engine".
   TickPolicy ResolvedFor(const Scheduler& scheduler) const;
-
-  // Named presets, mirrored by the EngineConfig-level
-  // ContinuousTickConfig()/BoundaryTickConfig().
-  static TickPolicy Continuous() { return TickPolicy{}; }
-  static TickPolicy Boundary() {
-    TickPolicy policy;
-    policy.continuous = false;
-    policy.max_evictions = 0;
-    policy.admission_priority = PriorityPolicy::kFifo;
-    return policy;
-  }
 };
 
 // Shared services handed to schedulers each tick. Non-owning.
@@ -194,7 +186,10 @@ class Scheduler {
  protected:
   // Drain-style iteration (admit/prefill/decode in one scheduler-owned
   // pass). Assumes admission already ran and the pool has active work.
-  virtual IterationRecord DrainStep(SimTime now, RequestPool& pool, ServingContext& ctx) = 0;
+  // Default: vLLM's prefill-priority step — a RunFullPrefillIteration of
+  // at most kMaxPrefillTokens if any request still needs prefill, else
+  // DecodePhase.
+  virtual IterationRecord DrainStep(SimTime now, RequestPool& pool, ServingContext& ctx);
 
   // Phase A of a tick-native tick: advance running requests only (decode /
   // speculate-verify); prefill and admission belong to the shared phases.
@@ -223,6 +218,46 @@ bool RunFullPrefillIteration(SimTime now, RequestPool& pool, ServingContext& ctx
 // kRunning): each request commits exactly one target-sampled token.
 IterationRecord RunDecodeIteration(SimTime now, RequestPool& pool, ServingContext& ctx,
                                    const std::vector<RequestId>& ids);
+
+// One prompt chunk of a prefill pass.
+struct PrefillChunk {
+  RequestId id;
+  int tokens;
+};
+
+// The chunks of one prefill pass and their total token count.
+struct PrefillPlan {
+  std::vector<PrefillChunk> chunks;
+  int tokens = 0;
+};
+
+// Plans prefill chunks over the prefilling requests `ids`, in the given
+// order, spending at most `budget` tokens with at most `burst` per request
+// (<= 0 means uncapped). Empty when there is no budget.
+PrefillPlan PlanPrefillChunks(const RequestPool& pool, const std::vector<RequestId>& ids,
+                              int budget, int burst);
+
+// Advances each chunk's prefill in order; a prompt that completes commits
+// its first output token (prefill's last forward pass produces it) at
+// `end`. Adds the chunk tokens and committed tokens to `record`.
+void ApplyPrefillChunks(RequestPool& pool, ServingContext& ctx,
+                        const std::vector<PrefillChunk>& chunks, SimTime end,
+                        IterationRecord& record);
+
+// Commits one target-sampled token for running request `id` at `end`,
+// stamping its decode start at `now` on its first decode.
+void CommitDecodeToken(SimTime now, SimTime end, RequestPool& pool, ServingContext& ctx,
+                       RequestId id, IterationRecord& record);
+
+// Speculative-decoding commit of running request `id`: stamps its decode
+// start at `now` on its first decode, verifies the `selected` nodes of
+// `tree` (empty = the whole tree) against the target, updates the
+// request's verification counters and record.verified_tokens, then
+// commits the accepted path at `end` — stopping once the request
+// finishes — plus the bonus token if it is still running.
+void CommitVerifiedTree(SimTime now, SimTime end, RequestPool& pool, ServingContext& ctx,
+                        RequestId id, const TokenTree& tree, const std::vector<char>& selected,
+                        IterationRecord& record);
 
 // Ids of active requests in kRunning state.
 std::vector<RequestId> RunningRequests(const RequestPool& pool);

@@ -4,7 +4,6 @@
 
 #include <type_traits>
 
-#include "src/harness/golden.h"
 #include "tests/test_util.h"
 
 namespace adaserve {
@@ -190,7 +189,7 @@ TEST_F(EngineTest, MetricsBreakdownMatchesIterationLog) {
 TEST_F(EngineTest, ContinuousTicksDrainEverythingAndCountAdmissions) {
   VllmScheduler scheduler;
   const std::vector<Request> workload = SmallMixedWorkload(exp_);
-  const EngineResult result = exp_.Run(scheduler, workload, ContinuousTickConfig());
+  const EngineResult result = exp_.Run(scheduler, workload, EngineConfig{});
   EXPECT_EQ(result.metrics.finished, static_cast<int>(workload.size()));
   EXPECT_EQ(result.metrics.admissions,
             static_cast<long>(workload.size()) + result.metrics.evictions);
@@ -203,8 +202,8 @@ TEST_F(EngineTest, ContinuousTicksAreDeterministic) {
   const std::vector<Request> workload = SmallMixedWorkload(exp_);
   AdaServeScheduler s1;
   AdaServeScheduler s2;
-  const EngineResult a = exp_.Run(s1, workload, ContinuousTickConfig());
-  const EngineResult b = exp_.Run(s2, workload, ContinuousTickConfig());
+  const EngineResult a = exp_.Run(s1, workload, EngineConfig{});
+  const EngineResult b = exp_.Run(s2, workload, EngineConfig{});
   EXPECT_EQ(a.end_time, b.end_time);
   EXPECT_EQ(a.total_iterations, b.total_iterations);
   EXPECT_EQ(a.metrics.GoodputTps(), b.metrics.GoodputTps());
@@ -224,8 +223,7 @@ TEST_F(EngineTest, ContinuousTicksAdmitLateArrivalsSoonerThanBoundaryTicks) {
   VllmScheduler boundary_scheduler;
   const EngineResult boundary = exp_.Run(boundary_scheduler, workload, BoundaryTickConfig());
   VllmScheduler continuous_scheduler;
-  const EngineResult continuous =
-      exp_.Run(continuous_scheduler, workload, ContinuousTickConfig());
+  const EngineResult continuous = exp_.Run(continuous_scheduler, workload, EngineConfig{});
 
   ASSERT_EQ(boundary.metrics.finished, 2);
   ASSERT_EQ(continuous.metrics.finished, 2);
@@ -238,7 +236,7 @@ TEST_F(EngineTest, ContinuousTicksAdmitLateArrivalsSoonerThanBoundaryTicks) {
 TEST_F(EngineTest, ContinuousStreamingRunRetiresAndMatchesVectorPath) {
   // The tick-native mode composes with the lazy streaming path: stream-fed
   // and vector-fed runs of the same trace stay bit-identical.
-  EngineConfig engine = ContinuousTickConfig();
+  EngineConfig engine;
   engine.retire_finished = true;
   engine.record_iterations = false;
   VllmSpecScheduler s1(VllmSpecConfig{.spec_len = 4});
@@ -246,35 +244,11 @@ TEST_F(EngineTest, ContinuousStreamingRunRetiresAndMatchesVectorPath) {
   const EngineResult streamed = exp_.Run(s1, *stream, engine);
 
   VllmSpecScheduler s2(VllmSpecConfig{.spec_len = 4});
-  const EngineResult vector_fed =
-      exp_.Run(s2, SmallMixedWorkload(exp_), ContinuousTickConfig());
+  const EngineResult vector_fed = exp_.Run(s2, SmallMixedWorkload(exp_), EngineConfig{});
   EXPECT_EQ(streamed.metrics.finished, vector_fed.metrics.finished);
   EXPECT_EQ(streamed.metrics.GoodputTps(), vector_fed.metrics.GoodputTps());
   EXPECT_EQ(streamed.end_time, vector_fed.end_time);
   EXPECT_TRUE(streamed.requests.empty());
-}
-
-TEST_F(EngineTest, NextEventSkipMatchesPerTickLoopByteForByte) {
-  // Sparse arrivals (one request every ~2.5 s) maximize idle gaps, the
-  // next-event skip's whole domain. Everything observable must match the
-  // probe-every-gap loop exactly, including the iteration count: an idle
-  // gap costs one loop iteration either way.
-  const std::vector<Request> workload = UniformWorkload(exp_, 12, 1, 30.0);
-  EngineConfig per_tick;
-  per_tick.tick.event_driven = false;
-  const EngineConfig event_driven;  // Default: event_driven = true.
-
-  AdaServeScheduler s1;
-  AdaServeScheduler s2;
-  const EngineResult a = exp_.Run(s1, workload, per_tick);
-  const EngineResult b = exp_.Run(s2, workload, event_driven);
-
-  EXPECT_EQ(GoldenMetricsText(SystemKind::kAdaServe, a.metrics),
-            GoldenMetricsText(SystemKind::kAdaServe, b.metrics));
-  EXPECT_EQ(a.end_time, b.end_time);
-  EXPECT_EQ(a.total_iterations, b.total_iterations);
-  EXPECT_EQ(a.peak_resident_requests, b.peak_resident_requests);
-  EXPECT_EQ(a.iterations.size(), b.iterations.size());
 }
 
 TEST_F(EngineTest, SkipTargetArrivalIsServedImmediately) {

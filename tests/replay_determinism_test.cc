@@ -133,11 +133,16 @@ TEST(ReplayArtifactTest, TruncationAndVersionMismatchAreParseErrors) {
   EXPECT_FALSE(ParseReplayArtifact(future, &parsed, &error));
   EXPECT_NE(error.find("unsupported replay schema"), std::string::npos) << error;
 
-  // Schema 2 carried the planner fields this binary no longer reads.
-  std::string v2 = text;
-  v2.replace(0, header.size(), "adaserve_replay_schema: 2");
-  EXPECT_FALSE(ParseReplayArtifact(v2, &parsed, &error));
-  EXPECT_NE(error.find("unsupported replay schema 2"), std::string::npos) << error;
+  // Schema 2 carried the planner fields and schema 3 the tick.event_driven
+  // key, neither of which this binary reads.
+  for (const char* old_schema : {"2", "3"}) {
+    std::string old_text = text;
+    old_text.replace(0, header.size(), std::string("adaserve_replay_schema: ") + old_schema);
+    EXPECT_FALSE(ParseReplayArtifact(old_text, &parsed, &error));
+    EXPECT_NE(error.find(std::string("unsupported replay schema ") + old_schema),
+              std::string::npos)
+        << error;
+  }
 }
 
 // A serialized artifact with one field of one arrival line rewritten.

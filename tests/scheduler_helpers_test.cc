@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/spec/verifier.h"
 #include "tests/test_util.h"
 
 namespace adaserve {
@@ -120,6 +121,42 @@ TEST_F(SchedulerHelpersTest, DecodeLatencyGrowsWithBatch) {
   const IterationRecord small = RunDecodeIteration(0.0, pool_, ctx_, two);
   const IterationRecord big = RunDecodeIteration(1.0, pool_, ctx_, all);
   EXPECT_GT(big.duration, small.duration);
+}
+
+TEST_F(SchedulerHelpersTest, VerifiedTreeCommitStopsAtOutputLength) {
+  // A request two tokens short of its output length verifies a depth-4
+  // chain that greedy decoding accepts in full: exactly two path tokens
+  // commit, the request finishes, and no bonus token follows.
+  AddAndAdmit(1, /*prompt_len=*/64, /*output_len=*/4);
+  pool_.AdvancePrefill(0, 64);
+  pool_.CommitToken(0, 1, 0.0);
+  pool_.CommitToken(0, 2, 0.0);
+  ctx_.mode = DecodeMode::kGreedy;
+  // The chain the target itself decodes greedily after the committed prefix.
+  std::vector<Token> greedy = pool_.Get(0).output;
+  TokenTree chain(greedy.back());
+  NodeId node = kRootNode;
+  Rng chain_rng(1);
+  for (int depth = 0; depth < 4; ++depth) {
+    const Token t = DecodeOneToken(exp_.target(), pool_.Get(0).stream_seed, greedy,
+                                   DecodeMode::kGreedy, chain_rng);
+    node = chain.AddNode(node, t, /*cond_prob=*/1.0);
+    greedy.push_back(t);
+  }
+
+  IterationRecord record;
+  CommitVerifiedTree(/*now=*/0.5, /*end=*/0.75, pool_, ctx_, 0, chain, /*selected=*/{}, record);
+  const Request& req = pool_.Get(0);
+  EXPECT_EQ(req.state, RequestState::kFinished);
+  EXPECT_EQ(req.output, (std::vector<Token>{1, 2, greedy[2], greedy[3]}));
+  EXPECT_EQ(req.token_times.back(), 0.75);
+  EXPECT_EQ(req.decode_start_time, 0.5);
+  // The verdict accepted all four chain tokens; only two were needed.
+  EXPECT_EQ(req.verifications, 1);
+  EXPECT_EQ(req.accepted_tokens, 4);
+  EXPECT_EQ(req.verified_tokens, 4);
+  EXPECT_EQ(record.verified_tokens, 4);
+  EXPECT_EQ(record.committed_tokens, 2);
 }
 
 // --- tick-phase building blocks ---

@@ -63,7 +63,7 @@ TEST_P(TickEquivalence, ContinuousModeServesEverything) {
 
   // The default config IS the tick-native mode: continuous ticks with a
   // bounded evict-for-admission budget (literals, so a silent default
-  // regression cannot hide behind ContinuousTickConfig ≡ EngineConfig{}).
+  // regression cannot hide).
   const EngineConfig defaults;
   EXPECT_TRUE(defaults.tick.continuous);
   EXPECT_EQ(defaults.tick.max_evictions, 4);
