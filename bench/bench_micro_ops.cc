@@ -45,6 +45,21 @@ void BM_BuildCandidateTree(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildCandidateTree)->Arg(2)->Arg(4)->Arg(8);
 
+// Expanding one tree node: its target distribution (attached to the node)
+// plus the draft head a builder reads. head:1 is the chain's argmax,
+// head:5 a width-4 beam step's cut, head:all the whole mixture.
+void BM_ExpandNode(benchmark::State& state, size_t head) {
+  const Experiment& exp = GetExperiment();
+  std::vector<Token> ctx = MakeContext(11, 32);
+  for (auto _ : state) {
+    TokenTree tree(ctx.back());
+    benchmark::DoNotOptimize(ExpandNode(exp.draft(), 7, kRootNode, head, ctx, tree));
+  }
+}
+BENCHMARK_CAPTURE(BM_ExpandNode, head:1, size_t{1});
+BENCHMARK_CAPTURE(BM_ExpandNode, head:5, size_t{5});
+BENCHMARK_CAPTURE(BM_ExpandNode, head:all, kWholeDist);
+
 void BM_SelectTokens(benchmark::State& state) {
   const Experiment& exp = GetExperiment();
   const int batch = static_cast<int>(state.range(0));

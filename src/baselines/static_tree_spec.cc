@@ -1,7 +1,5 @@
 #include "src/baselines/static_tree_spec.h"
 
-#include <algorithm>
-
 #include "src/common/logging.h"
 #include "src/spec/beam_search.h"
 
@@ -21,10 +19,9 @@ TokenTree BuildStaticTree(const DraftLm& draft, uint64_t stream, std::span<const
     ADASERVE_CHECK(k >= 1) << "branching factors must be positive";
     std::vector<NodeId> next;
     for (NodeId node : frontier) {
-      const SparseDist dist = ExpandNode(draft, stream, node, context, tree);
-      const int take = std::min<int>(k, static_cast<int>(dist.size()));
-      for (int i = 0; i < take; ++i) {
-        next.push_back(tree.AddNode(node, dist.entry(i).token, dist.entry(i).prob));
+      const DistHead head = ExpandNode(draft, stream, node, static_cast<size_t>(k), context, tree);
+      for (const auto& e : head) {
+        next.push_back(tree.AddNode(node, e.token, e.prob));
       }
     }
     frontier = std::move(next);

@@ -30,7 +30,7 @@ namespace adaserve {
 // contents to a heap vector whose capacity is retained across clear().
 // Iterators/pointers are invalidated by push_back, exactly like
 // std::vector. Deliberately minimal: the hot paths need append, indexed
-// read, and span-style access, nothing else.
+// read, span-style access and cutting to a prefix, nothing else.
 template <typename T, size_t N>
 class SmallVector {
   static_assert(std::is_trivially_copyable_v<T>,
@@ -92,6 +92,21 @@ class SmallVector {
   T* end() { return data() + size_; }
   const T* begin() const { return data(); }
   const T* end() const { return data() + size_; }
+
+  // Keeps the first `n` elements; a no-op unless n < size(). A cut back
+  // inside the inline capacity moves the kept prefix inline again.
+  void truncate(size_t n) {
+    if (n >= size_) {
+      return;
+    }
+    if (size_ > N && n <= N) {
+      std::copy(spill_.begin(), spill_.begin() + static_cast<std::ptrdiff_t>(n), inline_);
+      spill_.clear();
+    } else if (size_ > N) {
+      spill_.resize(n);
+    }
+    size_ = n;
+  }
 
   // Drops the elements; spill capacity (if any) is kept for reuse.
   void clear() {

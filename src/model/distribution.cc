@@ -204,6 +204,14 @@ SparseDist SparseDist::WithTemperature(double t) const {
   return FromWeights({tokens.data(), tokens.size()}, {weights.data(), weights.size()});
 }
 
+DistHead SparseDist::Head(size_t n) const {
+  DistHead head;
+  for (const Entry& e : entries().first(std::min(n, size()))) {
+    head.push_back(e);
+  }
+  return head;
+}
+
 double SparseDist::TotalMass() const {
   double total = 0.0;
   for (const Entry& e : entries_) {
@@ -212,7 +220,13 @@ double SparseDist::TotalMass() const {
   return total;
 }
 
-SparseDist Mix(const SparseDist& a, const SparseDist& b, double weight) {
+namespace {
+
+// Appends the first `n` entries of Mix(a, b, weight) to the empty `out`;
+// all of them for n = kWholeDist. The one merge loop behind Mix and
+// MixHead.
+template <typename Entries>
+void MixInto(const SparseDist& a, const SparseDist& b, double weight, size_t n, Entries& out) {
   ADASERVE_CHECK(weight >= 0.0 && weight <= 1.0) << "mix weight out of range: " << weight;
   if (SharesToken(a, b)) {
     // A shared token must be coalesced, which only FromWeights does.
@@ -226,22 +240,27 @@ SparseDist Mix(const SparseDist& a, const SparseDist& b, double weight) {
       tokens.push_back(e.token);
       weights.push_back((1.0 - weight) * e.prob);
     }
-    return SparseDist::FromWeights({tokens.data(), tokens.size()},
-                                   {weights.data(), weights.size()});
+    const SparseDist mixed = SparseDist::FromWeights({tokens.data(), tokens.size()},
+                                                     {weights.data(), weights.size()});
+    for (const auto& e : mixed.entries().first(std::min(n, mixed.size()))) {
+      out.push_back(e);
+    }
+    return;
   }
   // Disjoint supports: FromWeights would coalesce nothing, so each entry
   // would be its scaled weight over the total, sorted. Scaling keeps each
   // run in descending order, so the zero weights FromWeights skips are a
-  // suffix of each run. Accumulate the total in its input order (a, then
-  // b), so every double matches it bit for bit.
+  // suffix of each run. Accumulate the total over both runs whatever the
+  // head length, in its input order (a, then b), so every double matches
+  // it bit for bit.
   const double weight_b = 1.0 - weight;
   double total = 0.0;
   const auto positive_prefix = [&total](std::span<const SparseDist::Entry> run, double w) {
-    size_t n = 0;
-    for (; n < run.size() && w * run[n].prob > 0.0; ++n) {
-      total += w * run[n].prob;
+    size_t k = 0;
+    for (; k < run.size() && w * run[k].prob > 0.0; ++k) {
+      total += w * run[k].prob;
     }
-    return run.first(n);
+    return run.first(k);
   };
   const std::span<const SparseDist::Entry> xs = positive_prefix(a.entries(), weight);
   const std::span<const SparseDist::Entry> ys = positive_prefix(b.entries(), weight_b);
@@ -250,24 +269,45 @@ SparseDist Mix(const SparseDist& a, const SparseDist& b, double weight) {
   // total is monotone, so the merged probabilities descend too, but
   // rounding can tie entries whose token order the merge does not know;
   // the closing insertion pass (one comparison per entry unless a tie is
-  // out of order) settles those.
-  SparseDist dist;
-  SmallVector<SparseDist::Entry, SparseDist::kInlineSupport>& merged = dist.entries_;
+  // out of order) settles those. Sorting only reorders such a tie group,
+  // so once `n` entries are out, the first entry with a strictly lower
+  // probability and everything after it lie past the head: the merge
+  // stops there, keeping the whole tie group the cut falls in.
   size_t i = 0;
   size_t j = 0;
-  while (i < xs.size() && j < ys.size()) {
-    const double x = weight * xs[i].prob;
-    const double y = weight_b * ys[j].prob;
-    if (x >= y) {
-      merged.push_back({xs[i++].token, x / total});
+  while (i < xs.size() || j < ys.size()) {
+    const bool from_a =
+        j == ys.size() || (i < xs.size() && weight * xs[i].prob >= weight_b * ys[j].prob);
+    const SparseDist::Entry e = from_a
+                                    ? SparseDist::Entry{xs[i].token, weight * xs[i].prob / total}
+                                    : SparseDist::Entry{ys[j].token, weight_b * ys[j].prob / total};
+    if (from_a) {
+      ++i;
     } else {
-      merged.push_back({ys[j++].token, y / total});
+      ++j;
     }
+    if (out.size() >= n && e.prob < out.back().prob) {
+      break;
+    }
+    out.push_back(e);
   }
-  for (; i < xs.size(); ++i) merged.push_back({xs[i].token, weight * xs[i].prob / total});
-  for (; j < ys.size(); ++j) merged.push_back({ys[j].token, weight_b * ys[j].prob / total});
-  SortEntries({merged.data(), merged.size()});
+  SortEntries({out.data(), out.size()});
+  out.truncate(n);
+}
+
+}  // namespace
+
+SparseDist Mix(const SparseDist& a, const SparseDist& b, double weight) {
+  SparseDist dist;
+  MixInto(a, b, weight, kWholeDist, dist.entries_);
   return dist;
+}
+
+DistHead MixHead(const SparseDist& a, const SparseDist& b, double weight, size_t n) {
+  ADASERVE_CHECK(n >= 1) << "a head needs at least one entry";
+  DistHead head;
+  MixInto(a, b, weight, n, head);
+  return head;
 }
 
 }  // namespace adaserve

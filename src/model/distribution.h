@@ -8,6 +8,7 @@
 #define ADASERVE_SRC_MODEL_DISTRIBUTION_H_
 
 #include <cstddef>
+#include <limits>
 #include <span>
 
 #include "src/common/arena.h"
@@ -68,6 +69,9 @@ class SparseDist {
   // Sum of stored probabilities (should be ~1; exposed for tests).
   double TotalMass() const;
 
+  // The first `n` entries (all of them for n >= size()); see DistHead.
+  SmallVector<Entry, 8> Head(size_t n) const;
+
   // Inline entry capacity: the union of a 24-token target support and a
   // 24-token noise support, the draft mixture's shape. Wider distributions
   // spill to the heap transparently.
@@ -80,12 +84,26 @@ class SparseDist {
   SmallVector<Entry, kInlineSupport> entries_;
 };
 
+// The first entries of a distribution in its sorted order: all a tree
+// builder reads of a draft distribution. Not a distribution itself, as its
+// probabilities do not sum to 1. Inline up to the widest head a builder
+// asks for (a beam width of 4 plus one).
+using DistHead = SmallVector<SparseDist::Entry, 8>;
+
+// Head length that asks for every entry.
+inline constexpr size_t kWholeDist = std::numeric_limits<size_t>::max();
+
 // Mixes two distributions: result = weight * a + (1 - weight) * b over the
 // union support, renormalised. Used to derive the draft model from the
 // target plus noise. Bit-identical to FromWeights over a's scaled entries
 // followed by b's; when the supports are disjoint it merges the two sorted
 // runs instead of re-sorting them.
 SparseDist Mix(const SparseDist& a, const SparseDist& b, double weight);
+
+// The first `n` entries of Mix(a, b, weight), bit for bit; n >= 1. On
+// disjoint supports the merge stops dividing and sorting entries once the
+// head is complete.
+DistHead MixHead(const SparseDist& a, const SparseDist& b, double weight, size_t n);
 
 }  // namespace adaserve
 

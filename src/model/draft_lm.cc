@@ -22,16 +22,19 @@ DraftLm::DraftLm(const SyntheticLm* target, const DraftConfig& config)
 }
 
 SparseDist DraftLm::NextDist(uint64_t stream, std::span<const Token> context) const {
-  return NextDistGivenTarget(stream, context, target_->NextDist(stream, context));
-}
-
-SparseDist DraftLm::NextDistGivenTarget(uint64_t stream, std::span<const Token> context,
-                                        const SparseDist& target_dist) const {
+  SparseDist target_dist = target_->NextDist(stream, context);
   if (config_.fidelity >= 1.0) {
     return target_dist;
   }
-  const SparseDist noise_dist = noise_.NextDist(stream, context);
-  return Mix(target_dist, noise_dist, config_.fidelity);
+  return Mix(target_dist, noise_.NextDist(stream, context), config_.fidelity);
+}
+
+DistHead DraftLm::NextHead(uint64_t stream, std::span<const Token> context,
+                           const SparseDist& target_dist, size_t n) const {
+  if (config_.fidelity >= 1.0) {
+    return target_dist.Head(n);
+  }
+  return MixHead(target_dist, noise_.NextDist(stream, context), config_.fidelity, n);
 }
 
 }  // namespace adaserve

@@ -9,6 +9,7 @@
 #ifndef ADASERVE_SRC_MODEL_DRAFT_LM_H_
 #define ADASERVE_SRC_MODEL_DRAFT_LM_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -34,15 +35,19 @@ class DraftLm {
   const SyntheticLm& target() const { return *target_; }
 
   // Draft next-token distribution for the same (stream, context) keying as
-  // the target model.
+  // the target model. The whole mixture, for callers that read all of it
+  // or time building it: tests, bench_micro_ops and slobench. The tree
+  // builders read only a head, through NextHead.
   SparseDist NextDist(uint64_t stream, std::span<const Token> context) const;
 
-  // The same distribution, built on `target_dist`, which must be
-  // target().NextDist(stream, context). Callers that also need the target
-  // distribution (the tree builders keep it for verification) build it
-  // once and pass it here.
-  SparseDist NextDistGivenTarget(uint64_t stream, std::span<const Token> context,
-                                 const SparseDist& target_dist) const;
+  // The first `n` entries of NextDist(stream, context), bit for bit, built
+  // on `target_dist`, which must be target().NextDist(stream, context). The
+  // tree builders build the target distribution once (they keep it for
+  // verification), pass it here, and ask only for as many draft entries as
+  // they can keep: the chain's argmax, a static level's top k, a beam
+  // step's top w plus one.
+  DistHead NextHead(uint64_t stream, std::span<const Token> context,
+                    const SparseDist& target_dist, size_t n) const;
 
  private:
   const SyntheticLm* target_;

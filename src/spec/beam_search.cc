@@ -19,18 +19,33 @@ struct Extension {
 
 }  // namespace
 
-SparseDist ExpandNode(const DraftLm& draft, uint64_t stream, NodeId node,
-                      std::vector<Token>& context, TokenTree& tree) {
+DistHead ExpandNode(const DraftLm& draft, uint64_t stream, NodeId node, size_t n,
+                    std::vector<Token>& context, TokenTree& tree) {
   const size_t committed = context.size();
   for (NodeId cur = node; cur != kRootNode; cur = tree.node(cur).parent) {
     context.push_back(tree.node(cur).token);
   }
   std::reverse(context.begin() + static_cast<std::ptrdiff_t>(committed), context.end());
-  SparseDist target_dist = draft.target().NextDist(stream, context);
-  SparseDist dist = draft.NextDistGivenTarget(stream, context, target_dist);
+  const SparseDist* target_dist = tree.TargetDist(node, draft.target(), stream);
+  if (target_dist == nullptr) {
+    tree.AttachTargetDist(node, draft.target(), stream, draft.target().NextDist(stream, context));
+    target_dist = tree.TargetDist(node, draft.target(), stream);
+  }
+  DistHead head = draft.NextHead(stream, context, *target_dist, n);
   context.resize(committed);
-  tree.AttachTargetDist(node, draft.target(), stream, std::move(target_dist));
-  return dist;
+  return head;
+}
+
+size_t ExtensionCut(std::span<const SparseDist::Entry> head, double parent_path, size_t width) {
+  if (head.size() <= width) {
+    return head.size();
+  }
+  const double last_kept = parent_path * head[width - 1].prob;
+  size_t cut = width;
+  while (cut < head.size() && parent_path * head[cut].prob == last_kept) {
+    ++cut;
+  }
+  return cut;
 }
 
 TokenTree BuildCandidateTree(const DraftLm& draft, uint64_t stream,
@@ -43,6 +58,7 @@ TokenTree BuildCandidateTree(const DraftLm& draft, uint64_t stream,
   // expanded (and so carry a target distribution).
   tree.Reserve(1 + config.depth * config.width, 1 + (config.depth - 1) * config.width);
 
+  const auto width = static_cast<size_t>(config.width);
   std::vector<NodeId> frontier = {kRootNode};
   std::vector<NodeId> next_frontier;
   // One draft-context buffer for the whole tree: the committed tokens, to
@@ -50,19 +66,26 @@ TokenTree BuildCandidateTree(const DraftLm& draft, uint64_t stream,
   std::vector<Token> context;
   context.reserve(committed.size() + static_cast<size_t>(config.depth));
   context.assign(committed.begin(), committed.end());
-  // Every frontier node contributes its whole draft support.
+  // Every frontier node contributes its top `width` draft entries, more
+  // only on a tie at the cut.
   std::vector<Extension> extensions;
-  extensions.reserve(static_cast<size_t>(config.width) * SparseDist::kInlineSupport);
+  extensions.reserve(width * width);
   for (int step = 0; step < config.depth; ++step) {
     extensions.clear();
     for (NodeId node : frontier) {
-      const SparseDist dist = ExpandNode(draft, stream, node, context, tree);
       const double parent_path = tree.node(node).path_prob;
-      for (const auto& e : dist.entries()) {
+      DistHead head = ExpandNode(draft, stream, node, width + 1, context, tree);
+      size_t cut = ExtensionCut(head, parent_path, width);
+      if (cut > width) {
+        // The tie may run past the head: read the whole distribution.
+        head = ExpandNode(draft, stream, node, kWholeDist, context, tree);
+        cut = ExtensionCut(head, parent_path, width);
+      }
+      for (const auto& e : std::span(head.data(), cut)) {
         extensions.push_back({node, e.token, e.prob, parent_path * e.prob});
       }
     }
-    const size_t keep = std::min<size_t>(static_cast<size_t>(config.width), extensions.size());
+    const size_t keep = std::min(width, extensions.size());
     std::partial_sort(extensions.begin(), extensions.begin() + static_cast<long>(keep),
                       extensions.end(), [](const Extension& a, const Extension& b) {
                         if (a.path_prob != b.path_prob) {

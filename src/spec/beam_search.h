@@ -7,9 +7,16 @@
 // and every layer after the root holds exactly w nodes. Every node the beam
 // expanded carries the target distribution its draft distribution was
 // built on, for the verifier to reuse.
+//
+// A step keeps at most w children of any one node, so it reads only the
+// head of each frontier node's draft distribution: its top w + 1 entries,
+// the last one showing whether the cut falls inside a path-probability tie.
+// The tree is the one that extending every draft entry would build.
 #ifndef ADASERVE_SRC_SPEC_BEAM_SEARCH_H_
 #define ADASERVE_SRC_SPEC_BEAM_SEARCH_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -26,12 +33,21 @@ struct BeamConfig {
 };
 
 // Expands `node` of a tree built on a committed sequence for `stream`:
-// returns the draft distribution at committed + the node's path, and
-// attaches to the node the target distribution it was built on. `context`
-// must hold exactly the committed sequence, and does again on return. All
-// tree builders expand nodes through this.
-SparseDist ExpandNode(const DraftLm& draft, uint64_t stream, NodeId node,
-                      std::vector<Token>& context, TokenTree& tree);
+// returns the first `n` entries (kWholeDist: all) of the draft
+// distribution at committed + the node's path, and attaches to the node
+// the target distribution it was built on. Expanding a node again reuses
+// the attached distribution. `context` must hold exactly the committed
+// sequence, and does again on return. All tree builders expand nodes
+// through this.
+DistHead ExpandNode(const DraftLm& draft, uint64_t stream, NodeId node, size_t n,
+                    std::vector<Token>& context, TokenTree& tree);
+
+// How many leading entries of `head`, a node's draft head, a beam step of
+// `width` must extend when the node's path probability is `parent_path`:
+// the first `width`, plus every later entry whose path product ties the
+// width-th's. The step ranks tied products by token, so such an entry can
+// outrank an earlier one. A result above `width` may need a longer head.
+size_t ExtensionCut(std::span<const SparseDist::Entry> head, double parent_path, size_t width);
 
 // Builds the candidate token tree for one request. `committed` is the
 // request's committed token sequence (prompt surrogate + outputs); the tree

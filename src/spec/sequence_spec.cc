@@ -18,9 +18,8 @@ TokenTree BuildChainTree(const DraftLm& draft, uint64_t stream, std::span<const 
   context.assign(committed.begin(), committed.end());
   NodeId cur = kRootNode;
   for (int i = 0; i < k; ++i) {
-    const SparseDist dist = ExpandNode(draft, stream, cur, context, tree);
-    const SparseDist::Entry& top = dist.entry(0);  // The argmax.
-    cur = tree.AddNode(cur, top.token, top.prob);
+    const DistHead head = ExpandNode(draft, stream, cur, /*n=*/1, context, tree);
+    cur = tree.AddNode(cur, head[0].token, head[0].prob);  // The argmax.
   }
   return tree;
 }

@@ -5,9 +5,10 @@
 // probability and the resulting approximated path probability
 // f(v) = prod of conditionals along the root->v path (Eq. 7).
 //
-// Expanding a node asks the draft model for its next-token distribution,
-// which mixes in the target model's distribution at the same context. The
-// tree builders attach that target distribution to the node, so the
+// Expanding a node asks the draft model for the head of its next-token
+// distribution: only the top entries the builder can keep as children,
+// mixed from the target model's distribution at the same context. That
+// target distribution is built whole and attached to the node, so the
 // verifier samples from it instead of building it a second time.
 #ifndef ADASERVE_SRC_SPEC_TOKEN_TREE_H_
 #define ADASERVE_SRC_SPEC_TOKEN_TREE_H_

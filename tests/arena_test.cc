@@ -55,6 +55,29 @@ TEST(SmallVector, ClearResetsAndIsReusableAcrossSpill) {
   EXPECT_EQ(v[0], 7);
 }
 
+TEST(SmallVector, TruncateKeepsPrefixOnBothSidesOfTheBoundary) {
+  SmallVector<int, 4> v;
+  for (int i = 0; i < 10; ++i) {
+    v.push_back(i);
+  }
+  v.truncate(12);  // Longer than the vector: nothing changes.
+  EXPECT_EQ(v.size(), 10u);
+  v.truncate(6);  // Still spilled.
+  ASSERT_EQ(v.size(), 6u);
+  EXPECT_EQ(v[5], 5);
+  v.truncate(3);  // Back inside the inline capacity.
+  ASSERT_EQ(v.size(), 3u);
+  EXPECT_EQ(v[0], 0);
+  EXPECT_EQ(v[2], 2);
+  for (int i = 3; i < 8; ++i) {  // Spills again from the kept prefix.
+    v.push_back(i);
+  }
+  ASSERT_EQ(v.size(), 8u);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(v[static_cast<size_t>(i)], i);
+  }
+}
+
 TEST(SmallVector, IterationMatchesIndexing) {
   SmallVector<int, 4> v;
   for (int i = 0; i < 9; ++i) {

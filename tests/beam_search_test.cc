@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
+#include <memory>
+#include <span>
 #include <vector>
 
+#include "src/harness/experiment.h"
 #include "src/spec/sequence_spec.h"
+#include "tests/test_util.h"
 
 namespace adaserve {
 namespace {
@@ -173,6 +179,205 @@ TEST_P(BeamNestingSweep, NarrowBeamNodesAppearInWiderBeam) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Contexts, BeamNestingSweep, ::testing::Range(0, 8));
+
+// The reference beam: every frontier node extends its whole draft
+// distribution (and carries its target distribution), and each step keeps
+// the top `width` under the builder's order. BuildCandidateTree, which
+// reads only draft heads, must build the same tree.
+TokenTree ReferenceBuildCandidateTree(const DraftLm& draft, uint64_t stream,
+                                      std::span<const Token> committed,
+                                      const BeamConfig& config) {
+  struct Extension {
+    NodeId parent;
+    Token token;
+    double cond_prob;
+    double path_prob;
+  };
+  TokenTree tree(committed.empty() ? kInvalidToken : committed.back());
+  std::vector<NodeId> frontier = {kRootNode};
+  for (int step = 0; step < config.depth && !frontier.empty(); ++step) {
+    std::vector<Extension> extensions;
+    for (NodeId node : frontier) {
+      std::vector<Token> context(committed.begin(), committed.end());
+      const std::vector<Token> path = tree.PathTokens(node);
+      context.insert(context.end(), path.begin(), path.end());
+      tree.AttachTargetDist(node, draft.target(), stream,
+                            draft.target().NextDist(stream, context));
+      const SparseDist dist = draft.NextDist(stream, context);
+      for (const auto& e : dist.entries()) {
+        extensions.push_back({node, e.token, e.prob, tree.node(node).path_prob * e.prob});
+      }
+    }
+    std::sort(extensions.begin(), extensions.end(), [](const Extension& a, const Extension& b) {
+      if (a.path_prob != b.path_prob) {
+        return a.path_prob > b.path_prob;
+      }
+      if (a.parent != b.parent) {
+        return a.parent < b.parent;
+      }
+      return a.token < b.token;
+    });
+    extensions.resize(std::min(extensions.size(), static_cast<size_t>(config.width)));
+    frontier.clear();
+    for (const Extension& e : extensions) {
+      frontier.push_back(tree.AddNode(e.parent, e.token, e.cond_prob));
+    }
+  }
+  return tree;
+}
+
+// Each setup's draft, plus its target under a fully uninformed and a
+// perfectly distilled draft (the pure-noise and pure-target heads).
+class BuilderEquivalence : public ::testing::TestWithParam<bool> {
+ protected:
+  BuilderEquivalence() : exp_(GetParam() ? LlamaSetup() : QwenSetup()) {
+    for (double fidelity : {exp_.setup().draft_config.fidelity, 0.0, 1.0}) {
+      DraftConfig config = exp_.setup().draft_config;
+      config.fidelity = fidelity;
+      drafts_.push_back(std::make_unique<DraftLm>(&exp_.target(), config));
+    }
+  }
+
+  // A committed sequence per stream, of varying length.
+  static std::vector<Token> Committed(uint64_t stream) {
+    Rng rng(stream);
+    std::vector<Token> committed(1 + stream % 7);
+    for (Token& t : committed) {
+      t = static_cast<Token>(rng.UniformInt(32000));
+    }
+    return committed;
+  }
+
+  Experiment exp_;
+  std::vector<std::unique_ptr<DraftLm>> drafts_;
+};
+
+TEST_P(BuilderEquivalence, CandidateTreeMatchesWholeDistributionBeam) {
+  for (const auto& draft : drafts_) {
+    for (uint64_t stream = 0; stream < 12; ++stream) {
+      const std::vector<Token> committed = Committed(stream);
+      for (int width = 1; width <= 4; ++width) {
+        for (int depth = 1; depth <= 8; ++depth) {
+          SCOPED_TRACE(testing::Message() << "fidelity=" << draft->config().fidelity
+                                          << " stream=" << stream << " w=" << width
+                                          << " d=" << depth);
+          const BeamConfig beam{.depth = depth, .width = width};
+          ExpectSameTree(BuildCandidateTree(*draft, stream, committed, beam),
+                         ReferenceBuildCandidateTree(*draft, stream, committed, beam),
+                         exp_.target(), stream);
+        }
+      }
+    }
+  }
+}
+
+TEST_P(BuilderEquivalence, ChainTreeMatchesWholeDistributionChain) {
+  for (const auto& draft : drafts_) {
+    for (uint64_t stream = 0; stream < 12; ++stream) {
+      const std::vector<Token> committed = Committed(stream);
+      SCOPED_TRACE(testing::Message() << "fidelity=" << draft->config().fidelity
+                                      << " stream=" << stream);
+      // The reference chain: the argmax of each whole draft distribution.
+      TokenTree want(committed.back());
+      std::vector<Token> context(committed);
+      for (NodeId cur = kRootNode; cur < 6;) {
+        want.AttachTargetDist(cur, exp_.target(), stream, exp_.target().NextDist(stream, context));
+        const SparseDist::Entry top = draft->NextDist(stream, context).entry(0);
+        cur = want.AddNode(cur, top.token, top.prob);
+        context.push_back(top.token);
+      }
+      ExpectSameTree(BuildChainTree(*draft, stream, committed, 6), want, exp_.target(), stream);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Setups, BuilderEquivalence, ::testing::Bool(),
+                         [](const auto& info) { return info.param ? "Llama" : "Qwen"; });
+
+// A near-uniform model: every support weight is 1 within an ulp or two, so
+// a node's draft probabilities are equal or adjacent doubles, and their
+// products with a 1/5-ish path probability often round to one double. The
+// whole-distribution beam then keeps entries past their node's top w
+// (the test counts them), and ties at the cut run past the top w + 1.
+TEST(BeamTies, PathProductTiesAtTheCutMatchWholeDistributionBeam) {
+  const SyntheticLm target(LmConfig{.vocab_size = 500,
+                                    .context_order = 2,
+                                    .support = 5,
+                                    .zipf_exponent = 0.0,
+                                    .weight_jitter = 3e-16,
+                                    .seed = 5});
+  const DraftLm draft(&target, DraftConfig{.fidelity = 1.0});
+  int past_top_w = 0;
+  for (uint64_t stream = 0; stream < 16; ++stream) {
+    const std::vector<Token> committed = {static_cast<Token>(stream), 3};
+    for (int width = 1; width <= 4; ++width) {
+      SCOPED_TRACE(testing::Message() << "stream=" << stream << " w=" << width);
+      const BeamConfig beam{.depth = 4, .width = width};
+      const TokenTree want = ReferenceBuildCandidateTree(draft, stream, committed, beam);
+      ExpectSameTree(BuildCandidateTree(draft, stream, committed, beam), want, target, stream);
+      for (NodeId id = 1; id < want.size(); ++id) {
+        std::vector<Token> context(committed);
+        const std::vector<Token> path = want.PathTokens(want.node(id).parent);
+        context.insert(context.end(), path.begin(), path.end());
+        const SparseDist dist = draft.NextDist(stream, context);
+        size_t rank = 0;
+        while (dist.entry(rank).token != want.node(id).token) {
+          ++rank;
+        }
+        past_top_w += rank >= static_cast<size_t>(width) ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(past_top_w, 0);
+}
+
+// Two adjacent doubles whose products with `parent_path` round to one
+// double: a tie the beam's order breaks by token.
+TEST(ExtensionCut, PathProductTieAtTheCutExtendsIt) {
+  constexpr double kParentPath = 0.75;
+  double lo = 0.4;
+  double hi = std::nextafter(lo, 1.0);
+  while (kParentPath * hi != kParentPath * lo) {
+    lo = hi;
+    hi = std::nextafter(lo, 1.0);
+  }
+  // The draft head ranks token 9 (higher prob) ahead of token 3, but their
+  // path products tie, so the step ranks token 3 first: a width-1 step
+  // must see both.
+  const std::vector<SparseDist::Entry> head = {{9, hi}, {3, lo}, {4, 0.1}};
+  EXPECT_EQ(ExtensionCut(head, kParentPath, 1), 2u);
+  EXPECT_EQ(ExtensionCut(head, kParentPath, 2), 2u);
+  EXPECT_EQ(ExtensionCut(head, kParentPath, 3), 3u);
+  EXPECT_EQ(ExtensionCut(head, kParentPath, 5), 3u);
+  // At path probability 1 the products are the probabilities: no tie.
+  EXPECT_EQ(ExtensionCut(head, 1.0, 1), 1u);
+}
+
+// Expanding a node twice reuses its attached target distribution, and
+// each head is the prefix of the draft's whole distribution.
+TEST(ExpandNode, ReexpansionReusesTargetDistribution) {
+  Models m;
+  const std::vector<Token> committed = {4, 9};
+  std::vector<Token> context(committed);
+  TokenTree tree(committed.back());
+  const SparseDist whole = m.draft.NextDist(3, committed);
+  const DistHead two = ExpandNode(m.draft, 3, kRootNode, 2, context, tree);
+  const DistHead all = ExpandNode(m.draft, 3, kRootNode, kWholeDist, context, tree);
+  EXPECT_EQ(context, committed);
+  ASSERT_EQ(two.size(), 2u);
+  ASSERT_EQ(all.size(), whole.size());
+  for (size_t i = 0; i < whole.size(); ++i) {
+    EXPECT_EQ(all[i].token, whole.entry(i).token);
+    EXPECT_TRUE(SameBits(all[i].prob, whole.entry(i).prob));
+    if (i < two.size()) {
+      EXPECT_EQ(two[i].token, whole.entry(i).token);
+      EXPECT_TRUE(SameBits(two[i].prob, whole.entry(i).prob));
+    }
+  }
+  const SparseDist* attached = tree.TargetDist(kRootNode, m.target, 3);
+  ASSERT_NE(attached, nullptr);
+  EXPECT_EQ(attached->size(), m.target.NextDist(3, committed).size());
+}
 
 }  // namespace
 }  // namespace adaserve

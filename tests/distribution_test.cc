@@ -388,5 +388,89 @@ TEST(MixEquivalence, TiesMadeByScalingOrderByToken) {
   ExpectBitIdentical(m, ReferenceMix(a, b, kWeight));
 }
 
+// Every head of Mix(a, b, weight), one entry up to past the whole support,
+// is the full mixture's prefix bit for bit.
+void ExpectHeadsArePrefixes(const SparseDist& a, const SparseDist& b, double weight) {
+  const SparseDist full = Mix(a, b, weight);
+  for (size_t n = 1; n <= full.size() + 1; ++n) {
+    const DistHead head = MixHead(a, b, weight, n);
+    ASSERT_EQ(head.size(), std::min(n, full.size())) << "n=" << n;
+    for (size_t i = 0; i < head.size(); ++i) {
+      EXPECT_EQ(head[i].token, full.entry(i).token) << "n=" << n << " entry " << i;
+      EXPECT_EQ(std::memcmp(&head[i].prob, &full.entry(i).prob, sizeof(double)), 0)
+          << "n=" << n << " entry " << i << ": " << head[i].prob << " vs " << full.entry(i).prob;
+    }
+  }
+  EXPECT_EQ(MixHead(a, b, weight, kWholeDist).size(), full.size());
+}
+
+// The setup mixtures of MixEquivalence.SetupDraftMixtures, every head
+// length.
+TEST(MixHeadEquivalence, SetupDraftMixtures) {
+  constexpr double kFidelities[] = {0.0, 0.82, 0.85, 0.93, 1.0};
+  for (const adaserve::Setup& setup : {LlamaSetup(), QwenSetup()}) {
+    SCOPED_TRACE(setup.label);
+    const SyntheticLm target(setup.lm_config);
+    LmConfig noise_config = setup.lm_config;
+    noise_config.seed = setup.draft_config.noise_seed;
+    noise_config.support = setup.draft_config.noise_support;
+    const SyntheticLm noise(noise_config);
+    Rng rng(setup.lm_config.seed);
+    std::vector<Token> context;
+    int shared = 0;
+    constexpr int kContexts = 1000;
+    for (int i = 0; i < kContexts; ++i) {
+      context.push_back(static_cast<Token>(rng.UniformInt(32000)));
+      const auto stream = static_cast<uint64_t>(i % 13);
+      const SparseDist a = target.NextDist(stream, context);
+      const SparseDist b = noise.NextDist(stream, context);
+      shared += Disjoint(a, b) ? 0 : 1;
+      for (double fidelity : kFidelities) {
+        SCOPED_TRACE(testing::Message() << "i=" << i << " fidelity=" << fidelity);
+        ExpectHeadsArePrefixes(a, b, fidelity);
+      }
+    }
+    EXPECT_GT(shared, 0);
+  }
+}
+
+TEST(MixHeadEquivalence, SharedTokenFallback) {
+  const SparseDist a = MakeDist({1, 2, 3}, {0.5, 0.3, 0.2});
+  const SparseDist b = MakeDist({7, 2}, {0.6, 0.4});
+  ExpectHeadsArePrefixes(a, b, 0.7);
+  const SparseDist c = MakeDist({10, 11, 12}, {0.6, 0.3, 0.1});
+  const SparseDist d = MakeDist({20, 12}, {0.9, 0.1});
+  ExpectHeadsArePrefixes(c, d, 0.25);
+  ExpectHeadsArePrefixes(c, c, 0.4);
+}
+
+TEST(MixHeadEquivalence, TiesMadeByScalingAtTheCut) {
+  // A subnormal weight rounds a's three entries (two of them tied) to one
+  // double, which ranks after both of b's. The merge emits them in a's order (7
+  // first), the sorted mixture in token order (3, 5, 7): a head cut inside
+  // that group must take the group's smallest tokens, not the first
+  // merged.
+  const SparseDist a = MakeDist({7, 5, 3}, {0.3334, 0.3333, 0.3333});
+  ASSERT_EQ(a.entry(0).token, 7);
+  const SparseDist b = MakeDist({8, 6}, {0.6, 0.4});
+  constexpr double kWeight = 1e-320;
+  ASSERT_EQ(kWeight * a.entry(0).prob, kWeight * a.entry(2).prob);
+  const DistHead head = MixHead(a, b, kWeight, 3);
+  ASSERT_EQ(head.size(), 3u);
+  EXPECT_EQ(head[2].token, 3);
+  EXPECT_EQ(MixHead(a, b, kWeight, 4)[3].token, 5);
+  ExpectHeadsArePrefixes(a, b, kWeight);
+}
+
+TEST(SparseDist, HeadIsPrefix) {
+  const SparseDist d = MakeDist({5, 6, 7}, {0.1, 0.7, 0.2});
+  const DistHead head = d.Head(2);
+  ASSERT_EQ(head.size(), 2u);
+  EXPECT_EQ(head[0].token, 6);
+  EXPECT_EQ(head[1].token, 7);
+  EXPECT_EQ(head[1].prob, d.entry(1).prob);
+  EXPECT_EQ(d.Head(kWholeDist).size(), 3u);
+}
+
 }  // namespace
 }  // namespace adaserve

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "tests/test_util.h"
 
 namespace adaserve {
@@ -71,6 +75,52 @@ TEST_F(StaticTreeTest, WiderTreeAcceptsMoreThanChainOfSameDepth) {
   const EngineResult w = exp_.Run(wide, workload);
   const EngineResult c = exp_.Run(chain, workload);
   EXPECT_GE(w.metrics.mean_accepted + 1e-9, c.metrics.mean_accepted);
+}
+
+// The reference static tree: every frontier node takes the top k of its
+// whole draft distribution. BuildStaticTree, which reads only draft heads,
+// must build the same tree.
+TokenTree ReferenceBuildStaticTree(const DraftLm& draft, uint64_t stream,
+                                   const std::vector<Token>& committed,
+                                   const std::vector<int>& branching) {
+  TokenTree tree(committed.back());
+  std::vector<NodeId> frontier = {kRootNode};
+  for (int k : branching) {
+    std::vector<NodeId> next;
+    for (NodeId node : frontier) {
+      std::vector<Token> context(committed);
+      const std::vector<Token> path = tree.PathTokens(node);
+      context.insert(context.end(), path.begin(), path.end());
+      tree.AttachTargetDist(node, draft.target(), stream,
+                            draft.target().NextDist(stream, context));
+      const SparseDist dist = draft.NextDist(stream, context);
+      for (size_t i = 0; i < std::min(static_cast<size_t>(k), dist.size()); ++i) {
+        next.push_back(tree.AddNode(node, dist.entry(i).token, dist.entry(i).prob));
+      }
+    }
+    frontier = std::move(next);
+  }
+  return tree;
+}
+
+TEST(StaticTreeEquivalence, MatchesWholeDistributionTree) {
+  // Shapes include a level wider than the inline head and one wider than
+  // the draft mixture's whole support.
+  const std::vector<std::vector<int>> shapes = {{3, 2, 1}, {1, 1, 1, 1}, {4, 2}, {2, 2, 2}, {9},
+                                                {60, 1}};
+  for (const adaserve::Setup& setup : {LlamaSetup(), QwenSetup()}) {
+    const Experiment exp(setup);
+    for (uint64_t stream = 0; stream < 8; ++stream) {
+      const std::vector<Token> committed = {static_cast<Token>(100 + stream), 7};
+      for (const std::vector<int>& shape : shapes) {
+        SCOPED_TRACE(testing::Message() << setup.label << " stream=" << stream
+                                        << " levels=" << shape.size() << " k0=" << shape[0]);
+        ExpectSameTree(BuildStaticTree(exp.draft(), stream, committed, shape),
+                       ReferenceBuildStaticTree(exp.draft(), stream, committed, shape),
+                       exp.target(), stream);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 #ifndef ADASERVE_TESTS_TEST_UTIL_H_
 #define ADASERVE_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "src/adaserve.h"
@@ -40,6 +44,34 @@ inline std::vector<Request> UniformWorkload(const Experiment& exp, int n, int ca
 inline std::vector<Request> SmallMixedWorkload(const Experiment& exp, double duration = 8.0,
                                                double rps = 3.0) {
   return exp.RealTraceWorkload(duration, rps, WorkloadConfig{.mix = {0.4, 0.3, 0.3}});
+}
+
+// True if the two doubles have the same bit pattern.
+inline bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+// Node for node: token, parent, both probabilities bit for bit, and the
+// target distribution `target` built for `stream` attached to each node.
+inline void ExpectSameTree(const TokenTree& got, const TokenTree& want, const SyntheticLm& target,
+                           uint64_t stream) {
+  ASSERT_EQ(got.size(), want.size());
+  for (NodeId id = 0; id < want.size(); ++id) {
+    SCOPED_TRACE(testing::Message() << "node " << id);
+    EXPECT_EQ(got.node(id).token, want.node(id).token);
+    EXPECT_EQ(got.node(id).parent, want.node(id).parent);
+    EXPECT_TRUE(SameBits(got.node(id).cond_prob, want.node(id).cond_prob));
+    EXPECT_TRUE(SameBits(got.node(id).path_prob, want.node(id).path_prob));
+    const SparseDist* got_dist = got.TargetDist(id, target, stream);
+    const SparseDist* want_dist = want.TargetDist(id, target, stream);
+    ASSERT_EQ(got_dist == nullptr, want_dist == nullptr);
+    if (want_dist == nullptr) {
+      continue;
+    }
+    ASSERT_EQ(got_dist->size(), want_dist->size());
+    for (size_t i = 0; i < want_dist->size(); ++i) {
+      EXPECT_EQ(got_dist->entry(i).token, want_dist->entry(i).token);
+      EXPECT_TRUE(SameBits(got_dist->entry(i).prob, want_dist->entry(i).prob));
+    }
+  }
 }
 
 }  // namespace adaserve
