@@ -35,15 +35,27 @@ void BM_DraftNextDist(benchmark::State& state) {
 }
 BENCHMARK(BM_DraftNextDist);
 
+// Building a width-4 candidate tree. reuse:1 rebuilds into one tree and
+// scratch kept across iterations, as the schedulers do; reuse:0 builds a
+// fresh tree every time.
 void BM_BuildCandidateTree(benchmark::State& state) {
   const Experiment& exp = GetExperiment();
   const std::vector<Token> ctx = MakeContext(2, 32);
   const BeamConfig beam{.depth = static_cast<int>(state.range(0)), .width = 4};
+  const bool reuse = state.range(1) != 0;
+  BuildScratch scratch;
+  TokenTree tree(kInvalidToken);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(BuildCandidateTree(exp.draft(), 7, ctx, beam));
+    if (reuse) {
+      BuildCandidateTree(exp.draft(), 7, ctx, beam, scratch, tree);
+      benchmark::DoNotOptimize(&tree);
+      benchmark::ClobberMemory();
+    } else {
+      benchmark::DoNotOptimize(BuildCandidateTree(exp.draft(), 7, ctx, beam));
+    }
   }
 }
-BENCHMARK(BM_BuildCandidateTree)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_BuildCandidateTree)->ArgNames({"depth", "reuse"})->ArgsProduct({{2, 4, 8}, {0, 1}});
 
 // Expanding one tree node: its target distribution (attached to the node)
 // plus the draft head a builder reads. head:1 is the chain's argmax,
@@ -74,11 +86,23 @@ void BM_SelectTokens(benchmark::State& state) {
   for (int i = 0; i < batch; ++i) {
     reqs[static_cast<size_t>(i)] = {.tree = &trees[static_cast<size_t>(i)], .a_cap = 2.0};
   }
+  // reuse:1 resets one selector kept across iterations, as AdaServe does;
+  // reuse:0 selects with a fresh one every time.
+  const bool reuse = state.range(1) != 0;
+  TokenSelector selector;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SelectTokens(reqs, /*budget=*/128));
+    if (reuse) {
+      selector.Reset(reqs);
+      const int used = selector.SloPhase(/*budget=*/128);
+      selector.ThroughputPhase(128 - used);
+      benchmark::DoNotOptimize(&selector.result());
+      benchmark::ClobberMemory();
+    } else {
+      benchmark::DoNotOptimize(SelectTokens(reqs, /*budget=*/128));
+    }
   }
 }
-BENCHMARK(BM_SelectTokens)->Arg(8)->Arg(32)->Arg(64);
+BENCHMARK(BM_SelectTokens)->ArgNames({"batch", "reuse"})->ArgsProduct({{8, 32, 64}, {0, 1}});
 
 // Verifying a beam tree. The builder attaches the target distribution of
 // every node it expanded, so verification builds one only past the last

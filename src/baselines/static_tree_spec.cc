@@ -5,27 +5,34 @@
 
 namespace adaserve {
 
-TokenTree BuildStaticTree(const DraftLm& draft, uint64_t stream, std::span<const Token> committed,
-                          const std::vector<int>& branching) {
+void BuildStaticTree(const DraftLm& draft, uint64_t stream, std::span<const Token> committed,
+                     const std::vector<int>& branching, BuildScratch& scratch, TokenTree& tree) {
   ADASERVE_CHECK(!branching.empty()) << "static tree needs at least one level";
-  const Token root_token = committed.empty() ? kInvalidToken : committed.back();
-  TokenTree tree(root_token);
-  std::vector<NodeId> frontier = {kRootNode};
+  tree.Reset(committed.empty() ? kInvalidToken : committed.back());
+  std::vector<NodeId>& frontier = scratch.frontier;
+  std::vector<NodeId>& next = scratch.next_frontier;
+  frontier.assign(1, kRootNode);
   // One draft-context buffer for the whole tree, as in BuildCandidateTree.
-  std::vector<Token> context;
-  context.reserve(committed.size() + branching.size());
+  std::vector<Token>& context = scratch.context;
   context.assign(committed.begin(), committed.end());
   for (int k : branching) {
     ADASERVE_CHECK(k >= 1) << "branching factors must be positive";
-    std::vector<NodeId> next;
+    next.clear();
     for (NodeId node : frontier) {
       const DistHead head = ExpandNode(draft, stream, node, static_cast<size_t>(k), context, tree);
       for (const auto& e : head) {
         next.push_back(tree.AddNode(node, e.token, e.prob));
       }
     }
-    frontier = std::move(next);
+    frontier.swap(next);
   }
+}
+
+TokenTree BuildStaticTree(const DraftLm& draft, uint64_t stream, std::span<const Token> committed,
+                          const std::vector<int>& branching) {
+  BuildScratch scratch;
+  TokenTree tree(kInvalidToken);
+  BuildStaticTree(draft, stream, committed, branching, scratch, tree);
   return tree;
 }
 
@@ -70,9 +77,8 @@ IterationRecord StaticTreeSpecScheduler::DecodePhase(SimTime now, RequestPool& p
 
   for (RequestId id : running) {
     const Request& req = pool.Get(id);
-    const TokenTree tree =
-        BuildStaticTree(*ctx.draft, req.stream_seed, req.output, config_.branching);
-    CommitVerifiedTree(now, end, pool, ctx, id, tree, /*selected=*/{}, record);
+    BuildStaticTree(*ctx.draft, req.stream_seed, req.output, config_.branching, scratch_, tree_);
+    CommitVerifiedTree(now, end, pool, ctx, id, tree_, /*selected=*/{}, record);
   }
 
   record.duration = latency;

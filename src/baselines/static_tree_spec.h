@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/serve/scheduler.h"
+#include "src/spec/beam_search.h"
 #include "src/spec/token_tree.h"
 
 namespace adaserve {
@@ -22,9 +23,11 @@ struct StaticTreeConfig {
   std::vector<int> branching = {3, 2, 1};
 };
 
-// Builds the fixed-topology draft tree for one request: at each level,
-// every frontier node expands its top-k draft children, k given by the
-// level's branching factor.
+// Rebuilds `tree` as the fixed-topology draft tree for one request: at each
+// level, every frontier node expands its top-k draft children, k given by
+// the level's branching factor.
+void BuildStaticTree(const DraftLm& draft, uint64_t stream, std::span<const Token> committed,
+                     const std::vector<int>& branching, BuildScratch& scratch, TokenTree& tree);
 TokenTree BuildStaticTree(const DraftLm& draft, uint64_t stream, std::span<const Token> committed,
                           const std::vector<int>& branching);
 
@@ -42,6 +45,9 @@ class StaticTreeSpecScheduler : public Scheduler {
   StaticTreeConfig config_;
   std::string name_;
   int tokens_per_tree_;
+  // Every request's tree is built in turn into this storage.
+  BuildScratch scratch_;
+  TokenTree tree_{kInvalidToken};
 };
 
 }  // namespace adaserve

@@ -37,8 +37,8 @@ IterationRecord VllmSpecScheduler::DecodePhase(SimTime now, RequestPool& pool,
 
   for (RequestId id : running) {
     const Request& req = pool.Get(id);
-    const TokenTree chain = BuildChainTree(*ctx.draft, req.stream_seed, req.output, k);
-    CommitVerifiedTree(now, end, pool, ctx, id, chain, /*selected=*/{}, record);
+    BuildChainTree(*ctx.draft, req.stream_seed, req.output, k, scratch_, chain_);
+    CommitVerifiedTree(now, end, pool, ctx, id, chain_, /*selected=*/{}, record);
   }
 
   record.duration = latency;

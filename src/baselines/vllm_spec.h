@@ -10,6 +10,8 @@
 #include <string>
 
 #include "src/serve/scheduler.h"
+#include "src/spec/beam_search.h"
+#include "src/spec/token_tree.h"
 
 namespace adaserve {
 
@@ -34,6 +36,9 @@ class VllmSpecScheduler : public Scheduler {
  private:
   VllmSpecConfig config_;
   std::string name_;
+  // Every request's chain is built in turn into this storage.
+  BuildScratch scratch_;
+  TokenTree chain_{kInvalidToken};
 };
 
 }  // namespace adaserve

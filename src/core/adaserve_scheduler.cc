@@ -70,13 +70,14 @@ IterationRecord AdaServeScheduler::SpecIteration(SimTime now, RequestPool& pool,
                                                    draft_context + n * step,
                                                    /*use_cuda_graph=*/true);
   }
-  std::vector<TokenTree> candidates;
-  candidates.reserve(running.size());
+  while (candidates_.size() < running.size()) {
+    candidates_.emplace_back(kInvalidToken);
+  }
   long candidate_tokens = 0;
-  for (RequestId id : running) {
-    const Request& req = pool.Get(id);
-    candidates.push_back(BuildCandidateTree(*ctx.draft, req.stream_seed, req.output, beam));
-    candidate_tokens += candidates.back().size() - 1;
+  for (size_t i = 0; i < running.size(); ++i) {
+    const Request& req = pool.Get(running[i]);
+    BuildCandidateTree(*ctx.draft, req.stream_seed, req.output, beam, scratch_, candidates_[i]);
+    candidate_tokens += candidates_[i].size() - 1;
   }
 
   // --- Step 2: selection ---
@@ -84,12 +85,12 @@ IterationRecord AdaServeScheduler::SpecIteration(SimTime now, RequestPool& pool,
   // start: twice the verifier's memory-bound floor).
   const SimTime t_spec_estimate =
       last_duration_ > 0.0 ? last_duration_ : 2.0 * ctx.target_latency->WeightLoadTime();
-  std::vector<SelectionRequest> sel_requests(running.size());
+  sel_requests_.resize(running.size());
   for (size_t i = 0; i < running.size(); ++i) {
     const Request& req = pool.Get(running[i]);
     const double a = MinAcceptedForSlo(req, now, t_spec_estimate);
-    sel_requests[i].tree = &candidates[i];
-    sel_requests[i].a_cap = config_.slo_phase_enabled ? CapRequirement(a, beam.depth) : 0.0;
+    sel_requests_[i].tree = &candidates_[i];
+    sel_requests_[i].a_cap = config_.slo_phase_enabled ? CapRequirement(a, beam.depth) : 0.0;
   }
   // Budget: B counts every verified token, roots included (Algorithm 2
   // decrements B once per root at initialisation).
@@ -107,14 +108,14 @@ IterationRecord AdaServeScheduler::SpecIteration(SimTime now, RequestPool& pool,
       {static_cast<long>(ctx.verify_budget * config_.prefill_reserve), prefill_remaining,
        static_cast<long>(budget_total)}));
   int budget = budget_total - prefill_cap;
-  TokenSelector selector(sel_requests, config_.selection);
-  budget -= selector.SloPhase(budget);
+  selector_.Reset(sel_requests_);
+  budget -= selector_.SloPhase(budget);
   const int prefill_budget = prefill_cap + static_cast<int>(budget * config_.prefill_share);
   const PrefillPlan prefill =
       PlanPrefillChunks(pool, prefilling, prefill_budget, /*burst=*/0);
-  budget = budget_total - selector.result().total_taken - prefill.tokens;
-  selector.ThroughputPhase(budget);
-  const SelectionResult& sel = selector.result();
+  budget = budget_total - selector_.result().total_taken - prefill.tokens;
+  selector_.ThroughputPhase(budget);
+  const SelectionResult& sel = selector_.result();
   const SimTime select_time =
       config_.select_cost_base + config_.select_cost_per_token * candidate_tokens;
 
@@ -132,7 +133,7 @@ IterationRecord AdaServeScheduler::SpecIteration(SimTime now, RequestPool& pool,
 
   // Commit: verify each draft tree, commit accepted + bonus tokens.
   for (size_t i = 0; i < running.size(); ++i) {
-    CommitVerifiedTree(now, end, pool, ctx, running[i], candidates[i], sel.selected[i], record);
+    CommitVerifiedTree(now, end, pool, ctx, running[i], candidates_[i], sel.selected[i], record);
   }
   ApplyPrefillChunks(pool, ctx, prefill.chunks, end, record);
 

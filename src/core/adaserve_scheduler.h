@@ -13,10 +13,13 @@
 #ifndef ADASERVE_SRC_CORE_ADASERVE_SCHEDULER_H_
 #define ADASERVE_SRC_CORE_ADASERVE_SCHEDULER_H_
 
+#include <vector>
+
 #include "src/core/adaptive.h"
 #include "src/core/selection.h"
 #include "src/serve/scheduler.h"
 #include "src/spec/beam_search.h"
+#include "src/spec/token_tree.h"
 
 namespace adaserve {
 
@@ -49,7 +52,8 @@ struct AdaServeConfig {
 
 class AdaServeScheduler : public Scheduler {
  public:
-  explicit AdaServeScheduler(const AdaServeConfig& config = {}) : config_(config) {}
+  explicit AdaServeScheduler(const AdaServeConfig& config = {})
+      : config_(config), selector_(config.selection) {}
 
   std::string_view name() const override { return "AdaServe"; }
 
@@ -80,6 +84,13 @@ class AdaServeScheduler : public Scheduler {
   // Previous iteration duration, used as the t_spec estimate in A(r).
   SimTime last_duration_ = -1.0;
   BeamConfig last_beam_;
+  // Speculation storage kept across iterations so building and selecting
+  // stop allocating: candidate tree i belongs to the iteration's i-th
+  // running request (trees past the batch keep their capacity).
+  std::vector<TokenTree> candidates_;
+  BuildScratch scratch_;
+  std::vector<SelectionRequest> sel_requests_;
+  TokenSelector selector_;
 };
 
 }  // namespace adaserve

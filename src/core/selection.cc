@@ -2,26 +2,49 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "src/common/logging.h"
 
 namespace adaserve {
 
+TokenSelector::TokenSelector(const SelectionConfig& config) : config_(config) {
+  ADASERVE_CHECK(config_.n_max >= 0) << "negative n_max";
+}
+
 TokenSelector::TokenSelector(std::span<const SelectionRequest> requests,
                              const SelectionConfig& config)
-    : requests_(requests.begin(), requests.end()), config_(config) {
-  ADASERVE_CHECK(config_.n_max >= 0) << "negative n_max";
+    : TokenSelector(config) {
+  Reset(requests);
+}
+
+void TokenSelector::Reset(std::span<const SelectionRequest> requests) {
+  requests_.assign(requests.begin(), requests.end());
   const size_t n = requests_.size();
-  cursors_.resize(n);
-  result_.selected.resize(n);
+  if (cursors_.size() < n) {
+    cursors_.resize(n);
+  }
+  std::vector<std::vector<char>>& masks = result_.selected;
+  while (masks.size() > n) {
+    spare_masks_.push_back(std::move(masks.back()));
+    masks.pop_back();
+  }
+  while (masks.size() < n && !spare_masks_.empty()) {
+    masks.push_back(std::move(spare_masks_.back()));
+    spare_masks_.pop_back();
+  }
+  masks.resize(n);
   result_.expected.assign(n, 1.0);
   result_.taken.assign(n, 0);
+  result_.total_taken = 0;
+  result_.all_slo_met = true;
   for (size_t i = 0; i < n; ++i) {
     const TokenTree* tree = requests_[i].tree;
     ADASERVE_CHECK(tree != nullptr) << "null candidate tree";
-    cursors_[i].order = tree->NodesByPathProb();
-    result_.selected[i].assign(static_cast<size_t>(tree->size()), 0);
-    result_.selected[i][kRootNode] = 1;
+    tree->NodesByPathProb(cursors_[i].order);
+    cursors_[i].next = 0;
+    masks[i].assign(static_cast<size_t>(tree->size()), 0);
+    masks[i][kRootNode] = 1;
   }
 }
 
@@ -48,14 +71,18 @@ bool TokenSelector::TakeNext(size_t req_idx) {
 
 int TokenSelector::SloPhase(int budget) {
   // Requests in descending A_cap order: slower requests (larger unmet
-  // requirement) get budget first when it is scarce (§4.3 Step 2).
-  std::vector<size_t> order(requests_.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [this](size_t a, size_t b) {
-    return requests_[a].a_cap > requests_[b].a_cap;
+  // requirement) get budget first when it is scarce (§4.3 Step 2). Ties
+  // keep batch order; the indices are distinct, so that order is total.
+  slo_order_.resize(requests_.size());
+  std::iota(slo_order_.begin(), slo_order_.end(), 0);
+  std::sort(slo_order_.begin(), slo_order_.end(), [this](size_t a, size_t b) {
+    if (requests_[a].a_cap != requests_[b].a_cap) {
+      return requests_[a].a_cap > requests_[b].a_cap;
+    }
+    return a < b;
   });
   int used = 0;
-  for (size_t idx : order) {
+  for (size_t idx : slo_order_) {
     while (result_.expected[idx] < requests_[idx].a_cap &&
            result_.taken[idx] < config_.n_max && used < budget) {
       if (!TakeNext(idx)) {

@@ -11,6 +11,10 @@
 //     highest-path-probability candidates across all requests.
 // Because candidates are consumed in per-tree descending-path-probability
 // order, every selection is a connected subtree (Appendix B).
+//
+// A TokenSelector kept across iterations and Reset for each batch reuses
+// its cursors, orders and masks: after the largest batch and trees it has
+// seen, selecting allocates nothing.
 #ifndef ADASERVE_SRC_CORE_SELECTION_H_
 #define ADASERVE_SRC_CORE_SELECTION_H_
 
@@ -50,7 +54,14 @@ struct SelectionResult {
 // consumers (AdaServe interleaves chunked prefill between them).
 class TokenSelector {
  public:
+  // A selector over no requests; Reset starts a selection.
+  explicit TokenSelector(const SelectionConfig& config = {});
   TokenSelector(std::span<const SelectionRequest> requests, const SelectionConfig& config);
+
+  // Starts a selection over `requests`, exactly as a fresh selector would,
+  // refilling the storage of earlier selections in place. The trees must
+  // outlive the selection.
+  void Reset(std::span<const SelectionRequest> requests);
 
   // Runs the SLO-customized phase with a budget of `budget` speculated
   // tokens; returns the number consumed.
@@ -73,8 +84,14 @@ class TokenSelector {
 
   std::vector<SelectionRequest> requests_;
   SelectionConfig config_;
+  // At least one cursor per request; those past the batch keep their
+  // storage for a larger one.
   std::vector<Cursor> cursors_;
   SelectionResult result_;
+  // Masks of earlier, larger batches, kept for their capacity.
+  std::vector<std::vector<char>> spare_masks_;
+  // SloPhase's request order.
+  std::vector<size_t> slo_order_;
 };
 
 // Convenience wrapper: both phases back to back over one budget.

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -36,44 +37,80 @@ bool Before(const SparseDist::Entry& a, const SparseDist::Entry& b) {
 
 // Sorts by descending prob, ties by ascending token. Tokens are distinct, so
 // this is a total order and any correct sort yields the same array. Inputs
-// arrive nearly sorted: Zipf rank order with jitter, or a mixture's two
-// sorted runs. A binary insertion sort leaves in-place entries after one
-// comparison and moves each out-of-place one with a single block shift,
-// which beats both std::sort and a linear insertion sort on both shapes.
+// arrive nearly sorted: Zipf rank order with jitter, or a merge out of
+// order only inside probability ties. A plain insertion sort leaves
+// in-place entries after one comparison and moves the few out-of-place
+// ones a short way.
 void SortEntries(std::span<SparseDist::Entry> entries) {
   for (size_t i = 1; i < entries.size(); ++i) {
     const SparseDist::Entry e = entries[i];
-    if (!Before(e, entries[i - 1])) {
-      continue;
+    size_t j = i;
+    for (; j > 0 && Before(e, entries[j - 1]); --j) {
+      entries[j] = entries[j - 1];
     }
-    const auto it = entries.begin() + static_cast<std::ptrdiff_t>(i);
-    const auto pos = std::upper_bound(entries.begin(), it - 1, e, Before);
-    std::move_backward(pos, it, it + 1);
-    *pos = e;
+    entries[j] = e;
   }
 }
 
-// Shared-token filter: one bit per hashed token of `a`. At 1024 bits a
-// 24-token run sets ~2% of them, so nearly every token of `b` is ruled
-// out by one bit test and only the rare hit pays an exact scan of `a`.
-constexpr int kFilterLog2Bits = 10;
+// Four tokens as one GCC/Clang vector: on x86-64 a lane-wise == or |= is
+// one SSE2 instruction.
+using TokenLanes = Token __attribute__((vector_size(4 * sizeof(Token))));
 
-bool SharesToken(const SparseDist& a, const SparseDist& b) {
-  constexpr int kShift = 64 - kFilterLog2Bits;
-  std::array<uint64_t, (size_t{1} << kFilterLog2Bits) / 64> filter{};
-  for (const auto& e : a.entries()) {
-    const size_t bit = SlotOf(e.token, kShift);
-    filter[bit / 64] |= uint64_t{1} << (bit % 64);
+// The tokens of entries i..i+3 of `entries` (the last one repeated past
+// the end). A whole group loads each 16-byte entry and shuffles the
+// tokens together instead of inserting them one by one.
+TokenLanes TokensAt(std::span<const SparseDist::Entry> entries, size_t i) {
+  static_assert(sizeof(SparseDist::Entry) == sizeof(TokenLanes) &&
+                offsetof(SparseDist::Entry, token) == 0);
+  if (i + 4 <= entries.size()) {
+    TokenLanes e0;
+    TokenLanes e1;
+    TokenLanes e2;
+    TokenLanes e3;
+    std::memcpy(&e0, &entries[i], sizeof(TokenLanes));
+    std::memcpy(&e1, &entries[i + 1], sizeof(TokenLanes));
+    std::memcpy(&e2, &entries[i + 2], sizeof(TokenLanes));
+    std::memcpy(&e3, &entries[i + 3], sizeof(TokenLanes));
+    const TokenLanes lo = __builtin_shufflevector(e0, e1, 0, 4, 0, 4);
+    const TokenLanes hi = __builtin_shufflevector(e2, e3, 0, 4, 0, 4);
+    return __builtin_shufflevector(lo, hi, 0, 1, 4, 5);
   }
-  for (const auto& e : b.entries()) {
-    const size_t bit = SlotOf(e.token, kShift);
-    if ((filter[bit / 64] >> (bit % 64) & 1) != 0 &&
-        std::any_of(a.entries().begin(), a.entries().end(),
-                    [&](const SparseDist::Entry& x) { return x.token == e.token; })) {
-      return true;
+  TokenLanes lanes;
+  for (size_t k = 0; k < 4; ++k) {
+    lanes[k] = entries[std::min(i + k, entries.size() - 1)].token;
+  }
+  return lanes;
+}
+
+// True if some token of `b` is also a token of `a`. Exact and branch-free:
+// every group of four `b` tokens is compared with every group of four `a`
+// tokens under all four rotations, which covers all sixteen pairs.
+bool SharesToken(const SparseDist& a, const SparseDist& b) {
+  if (a.empty()) {
+    return false;
+  }
+  SmallVector<TokenLanes, (SparseDist::kInlineSupport + 3) / 4> groups;
+  for (size_t i = 0; i < a.size(); i += 4) {
+    groups.push_back(TokensAt(a.entries(), i));
+  }
+  TokenLanes hits0 = {};
+  TokenLanes hits1 = {};
+  TokenLanes hits2 = {};
+  TokenLanes hits3 = {};
+  for (size_t j = 0; j < b.size(); j += 4) {
+    const TokenLanes b0 = TokensAt(b.entries(), j);
+    const TokenLanes b1 = __builtin_shufflevector(b0, b0, 1, 2, 3, 0);
+    const TokenLanes b2 = __builtin_shufflevector(b0, b0, 2, 3, 0, 1);
+    const TokenLanes b3 = __builtin_shufflevector(b0, b0, 3, 0, 1, 2);
+    for (const TokenLanes& g : groups) {
+      hits0 |= g == b0;
+      hits1 |= g == b1;
+      hits2 |= g == b2;
+      hits3 |= g == b3;
     }
   }
-  return false;
+  const TokenLanes hits = (hits0 | hits1) | (hits2 | hits3);
+  return (hits[0] | hits[1] | hits[2] | hits[3]) != 0;
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "src/model/synthetic_lm.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/common/arena.h"
@@ -45,6 +46,22 @@ SparseDist SyntheticLm::NextDist(uint64_t stream, std::span<const Token> context
   }
   return SparseDist::FromWeights({tokens.data(), tokens.size()},
                                  {weights.data(), weights.size()});
+}
+
+SparseDist SyntheticLm::NextDist(uint64_t stream, std::span<const Token> context,
+                                 std::span<const Token> suffix) const {
+  const size_t order = static_cast<size_t>(config_.context_order);
+  const std::span<const Token> from_suffix = suffix.last(std::min(order, suffix.size()));
+  const std::span<const Token> from_context =
+      context.last(std::min(order - from_suffix.size(), context.size()));
+  SmallVector<Token, 8> window;
+  for (Token t : from_context) {
+    window.push_back(t);
+  }
+  for (Token t : from_suffix) {
+    window.push_back(t);
+  }
+  return NextDist(stream, {window.data(), window.size()});
 }
 
 }  // namespace adaserve

@@ -45,6 +45,11 @@ class SyntheticLm {
   // shorter contexts are implicitly left-padded with the stream hash.
   SparseDist NextDist(uint64_t stream, std::span<const Token> context) const;
 
+  // NextDist(stream, context followed by suffix), without building the
+  // concatenation: only its trailing window is copied, onto the stack.
+  SparseDist NextDist(uint64_t stream, std::span<const Token> context,
+                      std::span<const Token> suffix) const;
+
  private:
   LmConfig config_;
   // zipf_[i] = (i + 1)^-zipf_exponent: the un-jittered weight of the

@@ -8,16 +8,6 @@
 #include "src/common/logging.h"
 
 namespace adaserve {
-namespace {
-
-struct Extension {
-  NodeId parent;
-  Token token;
-  double cond_prob;
-  double path_prob;
-};
-
-}  // namespace
 
 DistHead ExpandNode(const DraftLm& draft, uint64_t stream, NodeId node, size_t n,
                     std::vector<Token>& context, TokenTree& tree) {
@@ -48,28 +38,27 @@ size_t ExtensionCut(std::span<const SparseDist::Entry> head, double parent_path,
   return cut;
 }
 
-TokenTree BuildCandidateTree(const DraftLm& draft, uint64_t stream,
-                             std::span<const Token> committed, const BeamConfig& config) {
+void BuildCandidateTree(const DraftLm& draft, uint64_t stream, std::span<const Token> committed,
+                        const BeamConfig& config, BuildScratch& scratch, TokenTree& tree) {
   ADASERVE_CHECK(config.depth >= 1) << "beam depth must be >= 1";
   ADASERVE_CHECK(config.width >= 1) << "beam width must be >= 1";
-  const Token root_token = committed.empty() ? kInvalidToken : committed.back();
-  TokenTree tree(root_token);
+  tree.Reset(committed.empty() ? kInvalidToken : committed.back());
   // Each step keeps at most `width` nodes, and all but the last step's are
   // expanded (and so carry a target distribution).
   tree.Reserve(1 + config.depth * config.width, 1 + (config.depth - 1) * config.width);
 
   const auto width = static_cast<size_t>(config.width);
-  std::vector<NodeId> frontier = {kRootNode};
-  std::vector<NodeId> next_frontier;
+  std::vector<NodeId>& frontier = scratch.frontier;
+  std::vector<NodeId>& next_frontier = scratch.next_frontier;
+  frontier.assign(1, kRootNode);
   // One draft-context buffer for the whole tree: the committed tokens, to
   // which ExpandNode appends each frontier node's path in turn.
-  std::vector<Token> context;
-  context.reserve(committed.size() + static_cast<size_t>(config.depth));
+  std::vector<Token>& context = scratch.context;
   context.assign(committed.begin(), committed.end());
   // Every frontier node contributes its top `width` draft entries, more
   // only on a tie at the cut.
-  std::vector<Extension> extensions;
-  extensions.reserve(width * width);
+  using Extension = BuildScratch::Extension;
+  std::vector<Extension>& extensions = scratch.extensions;
   for (int step = 0; step < config.depth; ++step) {
     extensions.clear();
     for (NodeId node : frontier) {
@@ -106,6 +95,13 @@ TokenTree BuildCandidateTree(const DraftLm& draft, uint64_t stream,
     }
     frontier.swap(next_frontier);
   }
+}
+
+TokenTree BuildCandidateTree(const DraftLm& draft, uint64_t stream,
+                             std::span<const Token> committed, const BeamConfig& config) {
+  BuildScratch scratch;
+  TokenTree tree(kInvalidToken);
+  BuildCandidateTree(draft, stream, committed, config, scratch, tree);
   return tree;
 }
 

@@ -12,6 +12,11 @@
 // head of each frontier node's draft distribution: its top w + 1 entries,
 // the last one showing whether the cut falls inside a path-probability tie.
 // The tree is the one that extending every draft entry would build.
+//
+// Every builder rebuilds into a caller-owned TokenTree with caller-owned
+// BuildScratch. A caller that keeps both across iterations builds without
+// touching the heap once they have grown to its largest tree; the
+// by-value overloads are thin wrappers for one-off builds.
 #ifndef ADASERVE_SRC_SPEC_BEAM_SEARCH_H_
 #define ADASERVE_SRC_SPEC_BEAM_SEARCH_H_
 
@@ -32,6 +37,23 @@ struct BeamConfig {
   int width = 2;
 };
 
+// Buffers a tree builder reuses from one call to the next: the draft
+// context ExpandNode extends, and a step's frontiers and extensions.
+struct BuildScratch {
+  // A candidate child of a beam step: `token` under `parent`.
+  struct Extension {
+    NodeId parent;
+    Token token;
+    double cond_prob;
+    double path_prob;
+  };
+
+  std::vector<Token> context;
+  std::vector<NodeId> frontier;
+  std::vector<NodeId> next_frontier;
+  std::vector<Extension> extensions;
+};
+
 // Expands `node` of a tree built on a committed sequence for `stream`:
 // returns the first `n` entries (kWholeDist: all) of the draft
 // distribution at committed + the node's path, and attaches to the node
@@ -49,9 +71,12 @@ DistHead ExpandNode(const DraftLm& draft, uint64_t stream, NodeId node, size_t n
 // outrank an earlier one. A result above `width` may need a longer head.
 size_t ExtensionCut(std::span<const SparseDist::Entry> head, double parent_path, size_t width);
 
-// Builds the candidate token tree for one request. `committed` is the
-// request's committed token sequence (prompt surrogate + outputs); the tree
-// root anchors on its last token.
+// Rebuilds `tree` as the candidate token tree for one request. `committed`
+// is the request's committed token sequence (prompt surrogate + outputs);
+// the tree root anchors on its last token. Whatever `tree` and `scratch`
+// held before does not affect the result.
+void BuildCandidateTree(const DraftLm& draft, uint64_t stream, std::span<const Token> committed,
+                        const BeamConfig& config, BuildScratch& scratch, TokenTree& tree);
 TokenTree BuildCandidateTree(const DraftLm& draft, uint64_t stream,
                              std::span<const Token> committed, const BeamConfig& config);
 

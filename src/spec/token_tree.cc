@@ -7,14 +7,16 @@
 
 namespace adaserve {
 
-TokenTree::TokenTree(Token root_token) {
+TokenTree::TokenTree(Token root_token) { Reset(root_token); }
+
+void TokenTree::Reset(Token root_token) {
+  nodes_.clear();
   Node root;
   root.token = root_token;
-  root.parent = kInvalidNode;
-  root.cond_prob = 1.0;
-  root.path_prob = 1.0;
-  root.depth = 0;
   nodes_.push_back(root);
+  target_dists_.clear();
+  dist_model_ = nullptr;
+  dist_stream_ = 0;
 }
 
 NodeId TokenTree::AddNode(NodeId parent, Token token, double cond_prob) {
@@ -66,8 +68,8 @@ double TokenTree::SumPathProb(const std::vector<NodeId>& ids) const {
   return sum;
 }
 
-std::vector<NodeId> TokenTree::NodesByPathProb() const {
-  std::vector<NodeId> ids;
+void TokenTree::NodesByPathProb(std::vector<NodeId>& ids) const {
+  ids.clear();
   ids.reserve(nodes_.size() - 1);
   for (NodeId id = 1; id < size(); ++id) {
     ids.push_back(id);
@@ -83,7 +85,6 @@ std::vector<NodeId> TokenTree::NodesByPathProb() const {
     }
     return a < b;
   });
-  return ids;
 }
 
 bool TokenTree::IsConnectedSelection(const std::vector<char>& selected) const {

@@ -10,6 +10,12 @@
 // mixed from the target model's distribution at the same context. That
 // target distribution is built whole and attached to the node, so the
 // verifier samples from it instead of building it a second time.
+//
+// A tree is rebuilt in place: Reset drops the nodes and the attached
+// distributions but keeps their storage, so a caller that rebuilds the
+// same tree every iteration stops allocating once it has held the largest
+// tree. The retained capacity (nodes plus ~800-byte distribution slots)
+// lives as long as the tree.
 #ifndef ADASERVE_SRC_SPEC_TOKEN_TREE_H_
 #define ADASERVE_SRC_SPEC_TOKEN_TREE_H_
 
@@ -50,6 +56,11 @@ class TokenTree {
   // committed token (context anchor), not a speculated token.
   explicit TokenTree(Token root_token);
 
+  // Makes this a tree containing only a root on `root_token`, as a fresh
+  // TokenTree(root_token) would be: every node and attached target
+  // distribution is dropped, their storage kept for the next build.
+  void Reset(Token root_token);
+
   // Adds a speculated token under `parent`. Requires parent to exist and
   // cond_prob in (0, 1]. Returns the new node's id.
   NodeId AddNode(NodeId parent, Token token, double cond_prob);
@@ -71,11 +82,11 @@ class TokenTree {
   // constraint (Eq. 5). Pass ids excluding the root.
   double SumPathProb(const std::vector<NodeId>& ids) const;
 
-  // All non-root node ids ordered by descending path probability (ties by
-  // shallower depth, then smaller id). A prefix of this order is always a
-  // connected subtree (Appendix B): parents precede children because
-  // conditionals are <= 1.
-  std::vector<NodeId> NodesByPathProb() const;
+  // Replaces the contents of `ids` with all non-root node ids ordered by
+  // descending path probability (ties by shallower depth, then smaller id).
+  // A prefix of this order is always a connected subtree (Appendix B):
+  // parents precede children because conditionals are <= 1.
+  void NodesByPathProb(std::vector<NodeId>& ids) const;
 
   // True if `selected` (indexed by NodeId, root implicitly selected) forms a
   // connected subtree containing the root.

@@ -22,7 +22,6 @@ VerifyResult VerifyTree(const SyntheticLm& target, uint64_t stream,
     result.tokens_verified = tree.size() - 1;
   }
 
-  std::vector<Token> context;
   SparseDist computed;
   NodeId cur = kRootNode;
   while (true) {
@@ -31,9 +30,8 @@ VerifyResult VerifyTree(const SyntheticLm& target, uint64_t stream,
     // it built here, at committed + the accepted path.
     const SparseDist* dist = tree.TargetDist(cur, target, stream);
     if (dist == nullptr) {
-      context.assign(committed.begin(), committed.end());
-      context.insert(context.end(), result.accepted.begin(), result.accepted.end());
-      computed = target.NextDist(stream, context);
+      computed = target.NextDist(stream, committed,
+                                 {result.accepted.data(), result.accepted.size()});
       dist = &computed;
     }
     const Token drawn = SampleToken(*dist, mode, rng);

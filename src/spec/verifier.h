@@ -17,6 +17,7 @@
 #include <span>
 #include <vector>
 
+#include "src/common/arena.h"
 #include "src/model/sampler.h"
 #include "src/model/synthetic_lm.h"
 #include "src/spec/token_tree.h"
@@ -24,8 +25,9 @@
 namespace adaserve {
 
 struct VerifyResult {
-  // Accepted speculated tokens, in path order.
-  std::vector<Token> accepted;
+  // Accepted speculated tokens, in path order. Inline up to the deepest
+  // default tree, so verification does not allocate.
+  SmallVector<Token, 8> accepted;
   // Target-drawn token committed after the accepted path (always present).
   Token bonus = kInvalidToken;
   // Number of speculated tokens submitted for verification (selected nodes,

@@ -291,6 +291,38 @@ TEST_P(BuilderEquivalence, ChainTreeMatchesWholeDistributionChain) {
   }
 }
 
+// Rebuilding into a tree and scratch last used for a larger tree, on a
+// longer context, for another stream and another model gives the fresh
+// build node for node, attached target distributions included.
+TEST_P(BuilderEquivalence, RebuildIntoUsedStorageMatchesFreshBuild) {
+  const Models other;
+  const std::vector<Token> longer(64, 3);
+  BuildScratch scratch;
+  TokenTree tree(kInvalidToken);
+  for (const auto& draft : drafts_) {
+    for (uint64_t stream = 0; stream < 12; ++stream) {
+      const std::vector<Token> committed = Committed(stream);
+      for (int width = 1; width <= 4; ++width) {
+        for (int depth = 1; depth <= 8; ++depth) {
+          SCOPED_TRACE(testing::Message() << "fidelity=" << draft->config().fidelity
+                                          << " stream=" << stream << " w=" << width
+                                          << " d=" << depth);
+          const BeamConfig beam{.depth = depth, .width = width};
+          BuildCandidateTree(other.draft, stream + 1, longer, BeamConfig{.depth = 9, .width = 5},
+                             scratch, tree);
+          BuildCandidateTree(*draft, stream, committed, beam, scratch, tree);
+          ExpectSameTree(tree, BuildCandidateTree(*draft, stream, committed, beam), exp_.target(),
+                         stream);
+          BuildChainTree(other.draft, stream + 1, longer, 9, scratch, tree);
+          BuildChainTree(*draft, stream, committed, depth, scratch, tree);
+          ExpectSameTree(tree, BuildChainTree(*draft, stream, committed, depth), exp_.target(),
+                         stream);
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Setups, BuilderEquivalence, ::testing::Bool(),
                          [](const auto& info) { return info.param ? "Llama" : "Qwen"; });
 

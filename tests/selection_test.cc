@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <numeric>
+#include <span>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -174,6 +178,106 @@ TEST(Selection, EmptyRequestListIsFine) {
   const SelectionResult result = SelectTokens({}, 10);
   EXPECT_EQ(result.total_taken, 0);
   EXPECT_TRUE(result.all_slo_met);
+}
+
+// A random tree of up to `max_nodes` speculated tokens.
+TokenTree RandomTree(Rng& rng, int max_nodes) {
+  TokenTree tree(0);
+  const int nodes = static_cast<int>(rng.UniformInt(static_cast<uint64_t>(max_nodes) + 1));
+  for (int j = 0; j < nodes; ++j) {
+    const NodeId parent = static_cast<NodeId>(rng.UniformInt(static_cast<uint64_t>(tree.size())));
+    tree.AddNode(parent, static_cast<Token>(j), 0.05 + 0.9 * rng.Uniform());
+  }
+  return tree;
+}
+
+void ExpectSameResult(const SelectionResult& got, const SelectionResult& want) {
+  EXPECT_EQ(got.selected, want.selected);
+  ASSERT_EQ(got.expected.size(), want.expected.size());
+  for (size_t i = 0; i < want.expected.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&got.expected[i], &want.expected[i], sizeof(double)), 0) << i;
+  }
+  EXPECT_EQ(got.taken, want.taken);
+  EXPECT_EQ(got.total_taken, want.total_taken);
+  EXPECT_EQ(got.all_slo_met, want.all_slo_met);
+}
+
+// One selector Reset for batches that shrink, grow, empty and refill, over
+// trees of different sizes, selects exactly what a fresh selector does.
+TEST(Selection, ResetSelectorMatchesFreshSelector) {
+  Rng rng(17);
+  const SelectionConfig config{.n_max = 6};
+  TokenSelector reused(config);
+  for (int batch : {5, 2, 9, 0, 3, 9, 1, 12, 4}) {
+    SCOPED_TRACE(testing::Message() << "batch " << batch);
+    std::vector<TokenTree> trees;
+    for (int i = 0; i < batch; ++i) {
+      trees.push_back(RandomTree(rng, 30));
+    }
+    std::vector<SelectionRequest> reqs;
+    for (const TokenTree& tree : trees) {
+      // Few distinct requirements, so some tie.
+      reqs.push_back({.tree = &tree, .a_cap = 1.0 + 0.5 * static_cast<double>(rng.UniformInt(5))});
+    }
+    const int slo_budget = static_cast<int>(rng.UniformInt(40));
+    const int throughput_budget = static_cast<int>(rng.UniformInt(40));
+    TokenSelector fresh(reqs, config);
+    reused.Reset(reqs);
+    EXPECT_EQ(reused.SloPhase(slo_budget), fresh.SloPhase(slo_budget));
+    EXPECT_EQ(reused.ThroughputPhase(throughput_budget), fresh.ThroughputPhase(throughput_budget));
+    ExpectSameResult(reused.result(), fresh.result());
+  }
+}
+
+// Scarce budget goes to requests in descending A_cap order, ties in batch
+// order: the order std::stable_sort gives. Chains of equal conditionals
+// make each request's need a function of its A_cap alone. The batch is
+// larger than the sort's insertion-sort cutoff, so an unbroken tie would
+// show.
+TEST(Selection, SloPhaseBreaksACapTiesByBatchOrder) {
+  std::vector<double> a_caps;
+  for (int i = 0; i < 48; ++i) {
+    a_caps.push_back(std::vector<double>{2.0, 3.0, 2.0, 3.0, 1.5, 3.0, 2.0, 1.5}[i % 8]);
+  }
+  std::vector<TokenTree> chains;
+  for (size_t i = 0; i < a_caps.size(); ++i) {
+    TokenTree chain(0);
+    for (NodeId cur = kRootNode; cur < 8;) {
+      cur = chain.AddNode(cur, static_cast<Token>(cur), 0.9);
+    }
+    chains.push_back(std::move(chain));
+  }
+  std::vector<SelectionRequest> reqs;
+  for (size_t i = 0; i < a_caps.size(); ++i) {
+    reqs.push_back({.tree = &chains[i], .a_cap = a_caps[i]});
+  }
+  // Tokens each request needs: 1 + 0.9 + 0.81 + ... reaches A_cap.
+  std::vector<int> need;
+  for (double a_cap : a_caps) {
+    double expected = 1.0;
+    int n = 0;
+    for (double p = 0.9; expected < a_cap; p *= 0.9) {
+      expected += p;
+      ++n;
+    }
+    need.push_back(n);
+  }
+  std::vector<size_t> order(a_caps.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return a_caps[a] > a_caps[b]; });
+  for (int budget = 0; budget <= 120; ++budget) {
+    SCOPED_TRACE(testing::Message() << "budget " << budget);
+    std::vector<int> want(a_caps.size(), 0);
+    int left = budget;
+    for (size_t idx : order) {
+      want[idx] = std::min(need[idx], left);
+      left -= want[idx];
+    }
+    TokenSelector selector(reqs, {});
+    selector.SloPhase(budget);
+    EXPECT_EQ(selector.result().taken, want);
+  }
 }
 
 // Budget-compliance property over random scenarios.

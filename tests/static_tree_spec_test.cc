@@ -123,5 +123,30 @@ TEST(StaticTreeEquivalence, MatchesWholeDistributionTree) {
   }
 }
 
+// Rebuilding into storage last used for a larger tree, on a longer
+// context, for another stream and another model gives the fresh build.
+TEST(StaticTreeEquivalence, RebuildIntoUsedStorageMatchesFreshBuild) {
+  const std::vector<std::vector<int>> shapes = {{3, 2, 1}, {1, 1, 1, 1}, {4, 2}, {2, 2, 2}, {9},
+                                                {60, 1}};
+  const Experiment other(TestSetup());
+  const std::vector<Token> longer(64, 3);
+  BuildScratch scratch;
+  TokenTree tree(kInvalidToken);
+  for (const adaserve::Setup& setup : {LlamaSetup(), QwenSetup()}) {
+    const Experiment exp(setup);
+    for (uint64_t stream = 0; stream < 8; ++stream) {
+      const std::vector<Token> committed = {static_cast<Token>(100 + stream), 7};
+      for (const std::vector<int>& shape : shapes) {
+        SCOPED_TRACE(testing::Message() << setup.label << " stream=" << stream
+                                        << " levels=" << shape.size() << " k0=" << shape[0]);
+        BuildStaticTree(other.draft(), stream + 1, longer, {5, 4, 2}, scratch, tree);
+        BuildStaticTree(exp.draft(), stream, committed, shape, scratch, tree);
+        ExpectSameTree(tree, BuildStaticTree(exp.draft(), stream, committed, shape), exp.target(),
+                       stream);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace adaserve

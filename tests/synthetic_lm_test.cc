@@ -57,6 +57,38 @@ TEST(SyntheticLm, OnlyTrailingWindowMatters) {
   EXPECT_EQ(a.entry(0).prob, b.entry(0).prob);
 }
 
+// A context and a suffix give the distribution of their concatenation,
+// bit for bit, whichever of them the trailing window falls in.
+TEST(SyntheticLm, ContextPlusSuffixMatchesConcatenation) {
+  for (int order : {1, 2, 3, 9}) {
+    LmConfig config = SmallConfig();
+    config.context_order = order;
+    const SyntheticLm lm(config);
+    for (size_t context_len = 0; context_len <= 12; ++context_len) {
+      for (size_t suffix_len = 0; suffix_len <= 12; ++suffix_len) {
+        std::vector<Token> context;
+        std::vector<Token> suffix;
+        for (size_t i = 0; i < context_len; ++i) {
+          context.push_back(static_cast<Token>(10 + i));
+        }
+        for (size_t i = 0; i < suffix_len; ++i) {
+          suffix.push_back(static_cast<Token>(500 + i));
+        }
+        std::vector<Token> whole = context;
+        whole.insert(whole.end(), suffix.begin(), suffix.end());
+        const SparseDist want = lm.NextDist(3, whole);
+        const SparseDist got = lm.NextDist(3, context, suffix);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got.entry(i).token, want.entry(i).token);
+          EXPECT_EQ(got.entry(i).prob, want.entry(i).prob)
+              << "order=" << order << " context=" << context_len << " suffix=" << suffix_len;
+        }
+      }
+    }
+  }
+}
+
 TEST(SyntheticLm, TokensWithinVocab) {
   const SyntheticLm lm(SmallConfig());
   for (uint64_t s = 0; s < 20; ++s) {

@@ -56,7 +56,8 @@ TEST(TokenTree, NodesByPathProbDescending) {
   tree.AddNode(kRootNode, 1, 0.3);
   const NodeId b = tree.AddNode(kRootNode, 2, 0.6);
   tree.AddNode(b, 3, 0.5);  // path prob 0.3
-  const std::vector<NodeId> order = tree.NodesByPathProb();
+  std::vector<NodeId> order = {7, 8, 9, 10, 11};  // Replaced, not appended to.
+  tree.NodesByPathProb(order);
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order[0], b);
   for (size_t i = 1; i < order.size(); ++i) {
@@ -96,7 +97,8 @@ TEST_P(ConnectivityPropertySweep, GreedyPrefixAlwaysConnected) {
     const NodeId parent = static_cast<NodeId>(rng.UniformInt(static_cast<uint64_t>(tree.size())));
     tree.AddNode(parent, static_cast<Token>(i), 0.05 + 0.9 * rng.Uniform());
   }
-  const std::vector<NodeId> order = tree.NodesByPathProb();
+  std::vector<NodeId> order;
+  tree.NodesByPathProb(order);
   std::vector<char> selected(static_cast<size_t>(tree.size()), 0);
   selected[kRootNode] = 1;
   for (NodeId id : order) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <utility>
@@ -214,7 +215,8 @@ void ExpectSameVerdicts(const SyntheticLm& target, uint64_t stream, const std::v
   const TokenTree bare = WithoutTargetDists(tree);
   // Whole tree, and the top half by path probability.
   std::vector<char> half(static_cast<size_t>(tree.size()), 0);
-  const std::vector<NodeId> order = tree.NodesByPathProb();
+  std::vector<NodeId> order;
+  tree.NodesByPathProb(order);
   for (size_t i = 0; i < order.size() / 2; ++i) {
     half[static_cast<size_t>(order[i])] = 1;
   }
@@ -225,7 +227,7 @@ void ExpectSameVerdicts(const SyntheticLm& target, uint64_t stream, const std::v
       const VerifyResult reused = VerifyTree(target, stream, ctx, tree, selected, mode, reuse_rng);
       const VerifyResult recomputed =
           VerifyTree(target, stream, ctx, bare, selected, mode, recompute_rng);
-      ASSERT_EQ(reused.accepted, recomputed.accepted) << "trial " << i;
+      ASSERT_TRUE(std::ranges::equal(reused.accepted, recomputed.accepted)) << "trial " << i;
       ASSERT_EQ(reused.bonus, recomputed.bonus) << "trial " << i;
       ASSERT_EQ(reused.tokens_verified, recomputed.tokens_verified) << "trial " << i;
     }
