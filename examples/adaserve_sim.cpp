@@ -34,8 +34,7 @@ struct Options {
 void PrintUsage() {
   std::cout <<
       "Usage: adaserve_sim [options]\n"
-      "  --system=NAME       adaserve|vllm|sarathi|spec4|spec6|spec8|priority|fastserve|vtc|"
-      "edf|edf_ac\n"
+      "  --system=NAME       adaserve|vllm|sarathi|spec4|spec6|spec8|priority|fastserve|vtc|edf\n"
       "  --model=NAME        llama (70B, 4xA100) | qwen (32B, 2xA100)\n"
       "  --rps=R             mean request rate (default 4.0)\n"
       "  --duration=S        trace duration in seconds (default 30)\n"
@@ -89,7 +88,6 @@ const std::map<std::string, SystemKind>& SystemsByName() {
       {"spec6", SystemKind::kVllmSpec6},     {"spec8", SystemKind::kVllmSpec8},
       {"priority", SystemKind::kVllmPriority}, {"fastserve", SystemKind::kFastServe},
       {"vtc", SystemKind::kVtc},               {"edf", SystemKind::kEdf},
-      {"edf_ac", SystemKind::kEdfAdmission},
   };
   return *kMap;
 }
@@ -136,12 +134,10 @@ int main(int argc, char** argv) {
   table.AddRow({"Throughput (tok/s)", Fmt(result.metrics.ThroughputTps(), 1)});
   table.AddRow({"Mean accepted/verification", Fmt(result.metrics.mean_accepted, 2)});
   table.AddRow({"Makespan (s)", Fmt(result.metrics.makespan, 1)});
-  // Work the tick displaced or refused: an admission controller that
-  // rejects or degrades requests shows up here, not only as lost attainment.
+  // Work the tick displaced: evictions and pauses show up here, not only
+  // as lost attainment.
   table.AddRow({"Evictions", std::to_string(result.metrics.evictions)});
   table.AddRow({"Pauses", std::to_string(result.metrics.pauses)});
-  table.AddRow({"Rejections", std::to_string(result.metrics.rejections)});
-  table.AddRow({"Degraded", std::to_string(result.metrics.degraded)});
   for (int c = 0; c < kNumCategories; ++c) {
     const CategoryMetrics& m = result.metrics.per_category[static_cast<size_t>(c)];
     table.AddRow({"Cat" + std::to_string(c + 1) + " attainment (%)", FmtPct(m.AttainmentPct())});

@@ -26,14 +26,6 @@ void AppendMetricsBlock(std::ostringstream& os, const Metrics& m) {
   os << "goodput_tps: " << FmtFixed(m.GoodputTps()) << "\n";
   os << "mean_accepted: " << FmtFixed(m.mean_accepted) << "\n";
   os << "makespan_s: " << FmtFixed(m.makespan) << "\n";
-  // Admission-control counters, emitted only when nonzero so text of
-  // systems without a controller stays byte-identical.
-  if (m.rejections != 0) {
-    os << "rejections: " << m.rejections << "\n";
-  }
-  if (m.degraded != 0) {
-    os << "degraded: " << m.degraded << "\n";
-  }
   for (int c = 0; c < kNumCategories; ++c) {
     const CategoryMetrics& cat = m.per_category[static_cast<size_t>(c)];
     os << "cat" << (c + 1) << ".finished: " << cat.finished << "\n";
@@ -60,8 +52,6 @@ Metrics MergeMetrics(std::span<const Metrics> parts) {
     merged.admissions += part.admissions;
     merged.evictions += part.evictions;
     merged.pauses += part.pauses;
-    merged.rejections += part.rejections;
-    merged.degraded += part.degraded;
     merged.spec_requests += part.spec_requests;
     accepted_weighted += part.mean_accepted * part.spec_requests;
     for (int c = 0; c < kNumCategories; ++c) {

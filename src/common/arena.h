@@ -1,6 +1,6 @@
 // Allocation-recycling primitives for the serving hot path.
 //
-// Steady-state serving should not touch the heap. Three tools enforce
+// Steady-state serving should not touch the heap. Two tools enforce
 // that, in increasing order of scope:
 //   - SmallVector<T, N>: bounded scratch (distribution supports,
 //     token-tree children, per-phase id lists) lives in inline storage
@@ -9,16 +9,11 @@
 //     vectors (output tokens, commit timestamps) from retired requests
 //     to newly admitted ones, so a long streaming run reaches a fixed
 //     point where no request ever allocates.
-//   - Arena: a chunked bump allocator for records whose lifetime is one
-//     run (iteration logs, per-cell scratch); freed wholesale on Reset.
 #ifndef ADASERVE_SRC_COMMON_ARENA_H_
 #define ADASERVE_SRC_COMMON_ARENA_H_
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
-#include <memory>
-#include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -154,65 +149,6 @@ class VectorPool {
  private:
   std::vector<std::vector<T>> free_;
   size_t reuses_ = 0;
-};
-
-// Chunked bump allocator: allocations are O(1) pointer bumps, and the
-// whole arena is reclaimed at once by Reset (retaining chunk capacity)
-// or destruction. For trivially destructible record types only — nothing
-// is destroyed individually.
-class Arena {
- public:
-  explicit Arena(size_t chunk_bytes = 64 * 1024) : chunk_bytes_(chunk_bytes) {}
-
-  template <typename T>
-  T* Allocate(size_t count = 1) {
-    static_assert(std::is_trivially_destructible_v<T>,
-                  "Arena never runs destructors");
-    const size_t bytes = sizeof(T) * count;
-    // Element-wise placement-new: placement array-new may prepend an
-    // array cookie, which would misalign the returned pointer.
-    T* p = static_cast<T*>(AllocateBytes(bytes, alignof(T)));
-    for (size_t i = 0; i < count; ++i) {
-      new (p + i) T();
-    }
-    return p;
-  }
-
-  // Reclaims every allocation; the first chunk's capacity is retained so
-  // a steady-state reuse cycle stops touching the heap.
-  void Reset() {
-    if (chunks_.size() > 1) {
-      chunks_.resize(1);
-    }
-    used_ = 0;
-    total_used_ = 0;
-  }
-
-  size_t bytes_allocated() const { return total_used_; }
-
- private:
-  void* AllocateBytes(size_t bytes, size_t align) {
-    used_ = (used_ + align - 1) & ~(align - 1);
-    if (chunks_.empty() || used_ + bytes > chunks_.back().size) {
-      const size_t size = bytes > chunk_bytes_ ? bytes : chunk_bytes_;
-      chunks_.push_back({std::make_unique<unsigned char[]>(size), size});
-      used_ = 0;
-    }
-    void* p = chunks_.back().data.get() + used_;
-    used_ += bytes;
-    total_used_ += bytes;
-    return p;
-  }
-
-  struct Chunk {
-    std::unique_ptr<unsigned char[]> data;
-    size_t size = 0;
-  };
-
-  size_t chunk_bytes_;
-  std::vector<Chunk> chunks_;
-  size_t used_ = 0;        // Bump offset within the last chunk.
-  size_t total_used_ = 0;  // Sum of live allocation bytes since Reset.
 };
 
 }  // namespace adaserve

@@ -1,6 +1,5 @@
 #include "src/harness/comparisons.h"
 
-#include "src/baselines/admission_control.h"
 #include "src/baselines/edf.h"
 #include "src/baselines/fastserve.h"
 #include "src/baselines/priority.h"
@@ -36,8 +35,6 @@ std::unique_ptr<Scheduler> MakeScheduler(SystemKind kind) {
       return std::make_unique<VtcScheduler>();
     case SystemKind::kEdf:
       return std::make_unique<EdfScheduler>();
-    case SystemKind::kEdfAdmission:
-      return std::make_unique<AdmissionControlScheduler>();
   }
   ADASERVE_CHECK(false) << "unknown system kind";
   return nullptr;
@@ -65,8 +62,6 @@ std::string_view SystemName(SystemKind kind) {
       return "VTC";
     case SystemKind::kEdf:
       return "EDF";
-    case SystemKind::kEdfAdmission:
-      return "EDF+AC";
   }
   return "?";
 }
@@ -75,8 +70,7 @@ std::optional<SystemKind> SystemKindFromName(std::string_view name) {
   for (SystemKind kind :
        {SystemKind::kAdaServe, SystemKind::kVllm, SystemKind::kSarathi, SystemKind::kVllmSpec4,
         SystemKind::kVllmSpec6, SystemKind::kVllmSpec8, SystemKind::kVllmPriority,
-        SystemKind::kFastServe, SystemKind::kVtc, SystemKind::kEdf,
-        SystemKind::kEdfAdmission}) {
+        SystemKind::kFastServe, SystemKind::kVtc, SystemKind::kEdf}) {
     if (SystemName(kind) == name) {
       return kind;
     }
@@ -87,7 +81,7 @@ std::optional<SystemKind> SystemKindFromName(std::string_view name) {
 std::vector<SystemKind> MainComparisonSet() {
   return {SystemKind::kAdaServe,  SystemKind::kSarathi,   SystemKind::kVllm,
           SystemKind::kVllmSpec4, SystemKind::kVllmSpec6, SystemKind::kVllmSpec8,
-          SystemKind::kEdf,       SystemKind::kEdfAdmission};
+          SystemKind::kEdf};
 }
 
 std::vector<SystemKind> MotivationSet() {

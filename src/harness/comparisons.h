@@ -24,7 +24,6 @@ enum class SystemKind {
   kFastServe,
   kVtc,
   kEdf,
-  kEdfAdmission,
 };
 
 std::unique_ptr<Scheduler> MakeScheduler(SystemKind kind);
@@ -36,8 +35,7 @@ std::optional<SystemKind> SystemKindFromName(std::string_view name);
 
 // Systems of the end-to-end comparison (Figs. 8-12, 14):
 // AdaServe, Sarathi-Serve, vLLM, vLLM-Spec(4/6/8), plus the
-// deadline-theoretic baselines EDF and EDF+AC (utilization-bound
-// admission control).
+// deadline-theoretic baseline EDF.
 std::vector<SystemKind> MainComparisonSet();
 
 // Systems of the motivation study (Fig. 1): vLLM, vLLM+chunked-prefill

@@ -177,14 +177,6 @@ std::string GoldenMetricsText(SystemKind kind, const Metrics& metrics) {
   os << "goodput_tps: " << FmtFixed(metrics.GoodputTps()) << "\n";
   os << "mean_accepted: " << FmtFixed(metrics.mean_accepted) << "\n";
   os << "makespan_s: " << FmtFixed(metrics.makespan) << "\n";
-  // Admission-control counters, emitted only when nonzero so the corpus
-  // of systems without a controller stays byte-identical.
-  if (metrics.rejections != 0) {
-    os << "rejections: " << metrics.rejections << "\n";
-  }
-  if (metrics.degraded != 0) {
-    os << "degraded: " << metrics.degraded << "\n";
-  }
   for (int c = 0; c < kNumCategories; ++c) {
     const CategoryMetrics& cat = metrics.per_category[static_cast<size_t>(c)];
     os << "cat" << (c + 1) << ".finished: " << cat.finished << "\n";

@@ -211,8 +211,7 @@ std::string SerializeReplayArtifact(const ReplayArtifact& artifact) {
        << FmtDouble(r.spec_time) << " " << FmtDouble(r.select_time) << " "
        << FmtDouble(r.verify_time) << " " << FmtDouble(r.prefill_time) << " " << r.prefill_tokens
        << " " << r.decode_requests << " " << r.verified_tokens << " " << r.committed_tokens << " "
-       << r.admitted << " " << r.evicted << " " << r.paused << " " << r.rejected << " "
-       << r.degraded << " " << t.arrivals_pulled << "\n";
+       << r.admitted << " " << r.evicted << " " << r.paused << " " << t.arrivals_pulled << "\n";
   }
 
   // The metrics block is recorded verbatim (line count + raw lines), so
@@ -363,23 +362,21 @@ bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std:
       return false;
     }
     const std::vector<std::string> f = SplitFields(line);
-    if (f.size() != 18 || f[0] != "t") {
+    if (f.size() != 16 || f[0] != "t") {
       SetError(error, in.line_no, "bad tick line '" + line + "'");
       return false;
     }
     TickTraceEvent t;
     IterationRecord& r = t.record;
     long prefill_tokens = 0, decode_requests = 0, verified = 0, committed = 0;
-    long admitted = 0, evicted = 0, paused = 0, rejected = 0, degraded = 0;
-    long pulled = 0;
+    long admitted = 0, evicted = 0, paused = 0, pulled = 0;
     if (!ParseLong(f[1], &t.index) || !ParseF64(f[2], &t.start) || !ParseF64(f[3], &r.duration) ||
         !ParseF64(f[4], &r.spec_time) || !ParseF64(f[5], &r.select_time) ||
         !ParseF64(f[6], &r.verify_time) || !ParseF64(f[7], &r.prefill_time) ||
         !ParseLong(f[8], &prefill_tokens) || !ParseLong(f[9], &decode_requests) ||
         !ParseLong(f[10], &verified) || !ParseLong(f[11], &committed) ||
         !ParseLong(f[12], &admitted) || !ParseLong(f[13], &evicted) ||
-        !ParseLong(f[14], &paused) || !ParseLong(f[15], &rejected) ||
-        !ParseLong(f[16], &degraded) || !ParseLong(f[17], &pulled)) {
+        !ParseLong(f[14], &paused) || !ParseLong(f[15], &pulled)) {
       SetError(error, in.line_no, "bad tick field in '" + line + "'");
       return false;
     }
@@ -390,8 +387,6 @@ bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std:
     r.admitted = static_cast<int>(admitted);
     r.evicted = static_cast<int>(evicted);
     r.paused = static_cast<int>(paused);
-    r.rejected = static_cast<int>(rejected);
-    r.degraded = static_cast<int>(degraded);
     t.arrivals_pulled = static_cast<int>(pulled);
     out.ticks.push_back(t);
   }
@@ -600,8 +595,6 @@ std::optional<ReplayDivergence> DiffTick(const TickTraceEvent& want, const TickT
   if (auto d = check_long("record.admitted", w.admitted, g.admitted)) return d;
   if (auto d = check_long("record.evicted", w.evicted, g.evicted)) return d;
   if (auto d = check_long("record.paused", w.paused, g.paused)) return d;
-  if (auto d = check_long("record.rejected", w.rejected, g.rejected)) return d;
-  if (auto d = check_long("record.degraded", w.degraded, g.degraded)) return d;
   if (auto d = check_long("arrivals_pulled", want.arrivals_pulled, got.arrivals_pulled)) return d;
   return std::nullopt;
 }

@@ -36,10 +36,11 @@
 namespace adaserve {
 
 // Bumped on any artifact field change; parsers reject other versions.
-// v2: tick lines carry the admission-control rejected/degraded counters.
+// v2: tick lines carry the rejected/degraded counters.
 // v3: drops the async-planner config key and the per-tick planner verdict.
 // v4: drops the tick.event_driven key (next-event skip is always on).
-inline constexpr int kReplaySchemaVersion = 4;
+// v5: drops the tick lines' rejected/degraded counters.
+inline constexpr int kReplaySchemaVersion = 5;
 
 // A recorded run, self-contained up to the setup registry: everything
 // needed to re-execute and everything needed to check the re-execution.

@@ -36,9 +36,7 @@ int DeriveDraftBudget(const LatencyModel& verifier, const LatencyModel& draft, d
 // Decode-throughput proxy of one replica: tokens per second of a
 // budget-sized verification batch under the profiling assumptions the
 // budget derivation itself uses (BudgetConfig typical batch/context).
-// Shared by the cluster router's service-rate seeding and the
-// utilization-bound admission controller — both must score capacity
-// identically.
+// Seeds the cluster router's per-replica service rate.
 double DeriveServiceTps(const LatencyModel& target, const BudgetConfig& config = {});
 
 }  // namespace adaserve

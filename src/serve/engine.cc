@@ -99,28 +99,11 @@ EngineResult Engine::Run(Scheduler& scheduler, WorkloadSource source, int verify
     const TickResult tick = scheduler.Tick(now, pool, ctx);
     result.peak_resident_requests = std::max(result.peak_resident_requests, pool.resident_count());
     if (!tick.MadeProgress()) {
-      // A no-progress tick may still have *rejected* work (admission
-      // control refusing an entire backlog consumes no simulated time);
-      // keep its counters so Metrics::rejections stays exact.
-      if (tick.record.rejected > 0 || tick.record.degraded > 0) {
-        acc.AddIteration(tick.record);
-        if (config_.record_iterations) {
-          result.iterations.push_back(tick.record);
-        }
-      }
-      // Nothing was admissible and nothing ran. Either the queue is empty
-      // (idle until the next arrival) or admission is blocked, which
-      // cannot happen with an empty active set given worst-case
-      // reservations.
+      // A no-progress tick is legal only on an empty pool. Active work
+      // always runs, and admission cannot block with an empty active set
+      // given worst-case reservations.
       ADASERVE_CHECK(pool.active().empty()) << scheduler.name() << " made no progress";
       ADASERVE_CHECK(pool.queued().empty()) << "admission deadlock";
-      if (stream.Exhausted()) {
-        // Legal only when this tick rejected the final backlog; the loop
-        // condition then ends the run.
-        ADASERVE_CHECK(tick.record.rejected > 0) << "engine stalled with no work";
-        continue;
-      }
-      now = stream.Peek()->arrival;
       continue;
     }
     if (config_.trace_sink != nullptr) {

@@ -36,9 +36,6 @@ long Metrics::output_tokens() const {
 }
 
 void MetricsAccumulator::AddRequest(const Request& req) {
-  if (req.state == RequestState::kRejected) {
-    return;  // No service rendered; counted via IterationRecord::rejected.
-  }
   ADASERVE_CHECK(req.state == RequestState::kFinished)
       << "metrics over unfinished request " << req.id;
   ADASERVE_CHECK(req.category >= 0 && req.category < kNumCategories)
@@ -69,8 +66,6 @@ void MetricsAccumulator::AddIteration(const IterationRecord& rec) {
   m_.admissions += rec.admitted;
   m_.evictions += rec.evicted;
   m_.pauses += rec.paused;
-  m_.rejections += rec.rejected;
-  m_.degraded += rec.degraded;
 }
 
 Metrics MetricsAccumulator::Finalize(SimTime makespan) const {

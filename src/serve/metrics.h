@@ -58,11 +58,6 @@ struct Metrics {
   long admissions = 0;
   long evictions = 0;
   long pauses = 0;
-  // Admission-control counters: requests refused outright (kRejected, no
-  // service) and requests accepted with a loosened TPOT SLO. Zero for
-  // every system without an admission controller.
-  long rejections = 0;
-  long degraded = 0;
 
   double AttainmentPct() const {
     return finished == 0 ? 100.0 : 100.0 * attained / static_cast<double>(finished);
@@ -85,10 +80,8 @@ struct Metrics {
 // produces bit-identical results — both paths share this accumulator.
 class MetricsAccumulator {
  public:
-  // `req` must be finished or rejected. Call in a deterministic order (the
-  // engine uses id order) — floating-point accumulation is order-sensitive.
-  // Rejected requests are ignored (they received no service; the tick
-  // counters carry them into Metrics::rejections).
+  // `req` must be finished. Call in a deterministic order (the engine
+  // uses id order) — floating-point accumulation is order-sensitive.
   void AddRequest(const Request& req);
 
   void AddIteration(const IterationRecord& rec);

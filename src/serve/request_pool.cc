@@ -209,23 +209,6 @@ void RequestPool::Preempt(RequestId id) {
   queued_.push_front(id);
 }
 
-void RequestPool::Reject(RequestId id, SimTime now) {
-  Request& req = Get(id);
-  ADASERVE_CHECK(req.state == RequestState::kQueued || req.state == RequestState::kPaused)
-      << "reject on non-queued " << id;
-  auto it = std::find(queued_.begin(), queued_.end(), id);
-  ADASERVE_CHECK(it != queued_.end()) << "rejected request not queued " << id;
-  queued_.erase(it);
-  kv_->Release(id);  // No-op unless a paused reservation lingers.
-  req.state = RequestState::kRejected;
-  req.finish_time = now;
-  if (release_payload_on_finish_) {
-    token_pool_.Release(std::move(req.output));
-    time_pool_.Release(std::move(req.token_times));
-    req.ReleasePayload();
-  }
-}
-
 long RequestPool::SumContextTokens(const std::vector<RequestId>& ids) const {
   long sum = 0;
   for (RequestId id : ids) {
@@ -236,8 +219,7 @@ long RequestPool::SumContextTokens(const std::vector<RequestId>& ids) const {
 
 size_t RequestPool::RetireFinishedPrefix(const std::function<void(const Request&)>& sink) {
   size_t retired = 0;
-  while (!requests_.empty() && (requests_.front().state == RequestState::kFinished ||
-                                requests_.front().state == RequestState::kRejected)) {
+  while (!requests_.empty() && requests_.front().state == RequestState::kFinished) {
     sink(requests_.front());
     requests_.pop_front();
     ++base_id_;

@@ -125,12 +125,6 @@ class RequestPool {
   // admission queue and resumes without re-prefilling.
   void Preempt(RequestId id);
 
-  // Admission-control rejection: removes a *queued* request from the
-  // admission queue and marks it kRejected (terminal, finish_time = now,
-  // no KV, no service). Rejected requests retire like finished ones but
-  // are excluded from attainment/throughput accounting.
-  void Reject(RequestId id, SimTime now);
-
   // Sum of context (KV) tokens across the given requests — the attention
   // read volume of one iteration.
   long SumContextTokens(const std::vector<RequestId>& ids) const;

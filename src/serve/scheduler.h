@@ -145,15 +145,15 @@ struct IterationRecord {
   int admitted = 0;          // requests admitted during this tick
   int evicted = 0;           // requests evicted (recompute-style) this tick
   int paused = 0;            // requests paused (progress-preserving) this tick
-  int rejected = 0;          // requests rejected by admission control this tick
-  int degraded = 0;          // requests SLO-degraded by admission control this tick
+  // Kept only as a name: slobench reads it. Nothing in src/ sets it now.
+  int rejected = 0;
 };
 
 // Result of one scheduler tick.
 struct TickResult {
   IterationRecord record;
-  // A tick makes progress iff it consumed simulated time. A no-progress
-  // tick tells the engine nothing was admissible: idle until next arrival.
+  // A tick makes progress iff it consumed simulated time. The engine
+  // CHECKs that a no-progress tick leaves an empty pool.
   bool MadeProgress() const { return record.duration > 0.0; }
 };
 
@@ -165,10 +165,9 @@ class Scheduler {
 
   // Runs one tick starting at `now`: boundary admission, then either the
   // drain-style iteration (boundary mode) or the shared continuous-tick
-  // phases around DecodePhase (tick-native mode). Must make progress
-  // whenever the pool has admissible or active work. Overridable for
-  // schedulers that want to own the whole tick.
-  virtual TickResult Tick(SimTime now, RequestPool& pool, ServingContext& ctx);
+  // phases around DecodePhase (tick-native mode). Makes progress whenever
+  // the pool has admissible or active work.
+  TickResult Tick(SimTime now, RequestPool& pool, ServingContext& ctx);
 
   // Legacy drain-loop entry point: one drain-style iteration with
   // admission handled by the caller. Kept public for reference drivers

@@ -21,9 +21,7 @@ enum class RequestState {
   kPaused,
   // All output tokens committed.
   kFinished,
-  // Refused by an admission controller before any service (no KV, no
-  // tokens). Terminal like kFinished, but excluded from attainment /
-  // throughput accounting; Metrics counts it under `rejections`.
+  // Kept only as a name: slobench reads it. Nothing in src/ sets it now.
   kRejected,
 };
 

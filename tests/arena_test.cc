@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <vector>
 
 namespace adaserve {
@@ -152,42 +151,6 @@ TEST(VectorPool, IgnoresCapacitylessReleases) {
   VectorPool<int> pool;
   pool.Release(std::vector<int>{});
   EXPECT_EQ(pool.pooled(), 0u);
-}
-
-TEST(Arena, AllocationsAreDistinctAndAligned) {
-  Arena arena(256);
-  int* a = arena.Allocate<int>();
-  double* b = arena.Allocate<double>();
-  int64_t* c = arena.Allocate<int64_t>(10);
-  EXPECT_NE(static_cast<void*>(a), static_cast<void*>(b));
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(b) % alignof(double), 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(c) % alignof(int64_t), 0u);
-  *a = 1;
-  *b = 2.0;
-  c[9] = 3;
-  EXPECT_EQ(*a, 1);
-  EXPECT_EQ(*b, 2.0);
-  EXPECT_EQ(c[9], 3);
-}
-
-TEST(Arena, AllocationLargerThanChunkGetsDedicatedChunk) {
-  Arena arena(64);
-  int* big = arena.Allocate<int>(100);  // 400 bytes > 64-byte chunks.
-  for (int i = 0; i < 100; ++i) {
-    big[i] = i;
-  }
-  EXPECT_EQ(big[99], 99);
-  EXPECT_GE(arena.bytes_allocated(), 400u);
-}
-
-TEST(Arena, ResetReclaimsAndValueInitializes) {
-  Arena arena(128);
-  int* p = arena.Allocate<int>(4);
-  p[0] = 42;
-  arena.Reset();
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-  int* q = arena.Allocate<int>(4);
-  EXPECT_EQ(q[0], 0);  // Value-initialized despite reusing the chunk.
 }
 
 }  // namespace

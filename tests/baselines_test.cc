@@ -168,8 +168,23 @@ TEST_F(BaselinesTest, SpecLenNamesDistinct) {
   EXPECT_EQ(VllmSpecScheduler(VllmSpecConfig{.spec_len = 8}).name(), "vLLM-Spec(8)");
 }
 
+// Every SystemKind round-trips through its name (replay resolves recorded
+// systems with SystemKindFromName's hand-written list) and builds a
+// scheduler reporting that name. The walk stops where SystemName falls off
+// the enum, so it covers enumerators the list may have missed.
+TEST_F(BaselinesTest, EverySystemKindRoundTripsThroughItsName) {
+  int kinds = 0;
+  for (int i = 0; SystemName(static_cast<SystemKind>(i)) != "?"; ++i) {
+    const auto kind = static_cast<SystemKind>(i);
+    EXPECT_EQ(SystemKindFromName(SystemName(kind)), kind) << SystemName(kind);
+    EXPECT_EQ(MakeScheduler(kind)->name(), SystemName(kind));
+    ++kinds;
+  }
+  EXPECT_GE(kinds, static_cast<int>(SystemKind::kEdf) + 1);
+}
+
 TEST_F(BaselinesTest, ComparisonSetsWellFormed) {
-  EXPECT_EQ(MainComparisonSet().size(), 8u);
+  EXPECT_EQ(MainComparisonSet().size(), 7u);
   EXPECT_EQ(MotivationSet().size(), 5u);
   for (SystemKind kind : MainComparisonSet()) {
     EXPECT_NE(MakeScheduler(kind), nullptr);

@@ -1,24 +1,14 @@
-// Laws of the deadline-theoretic baselines (EDF and EDF+AC).
-//
-// EDF laws: the decode batch is always a (deadline, id)-sorted prefix of
-// the running set — tighter deadlines schedule first, ties keep arrival
-// order — overdue deadlines never constrain the batch (no starvation),
-// and NextTokenDeadline is a pure function of current progress, so
-// pause/resume cycles recompute rather than cache it.
-//
-// Admission-control laws: a request whose demand provably cannot fit the
-// utilization bound is rejected at any load (and counted in
-// Metrics::rejections), degradation loosens the SLO to exactly the
-// remaining headroom within the configured cap, and the live accepted
-// utilization never exceeds the bound in any tick.
+// Laws of the deadline-theoretic baseline (EDF): the decode batch is
+// always a (deadline, id)-sorted prefix of the running set — tighter
+// deadlines schedule first, ties keep arrival order — overdue deadlines
+// never constrain the batch (no starvation), and NextTokenDeadline is a
+// pure function of current progress, so pause/resume cycles recompute
+// rather than cache it.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
-#include "src/baselines/admission_control.h"
 #include "src/baselines/edf.h"
-#include "src/hw/budget.h"
 #include "tests/test_util.h"
 
 namespace adaserve {
@@ -59,8 +49,6 @@ class DeadlineBaselinesTest : public ::testing::Test {
   RequestPool pool_;
   ServingContext ctx_;
 };
-
-// --- EDF laws ----------------------------------------------------------------
 
 TEST_F(DeadlineBaselinesTest, DecodeBatchIsTightestDeadlineFirstPrefix) {
   // Deadlines at now=1.0: id0 -> 3.0, id1 -> 1.5, id2 -> 2.0.
@@ -131,7 +119,7 @@ TEST_F(DeadlineBaselinesTest, OverdueDeadlinesNeverConstrainTheBatch) {
   EXPECT_EQ(batch.size(), 4u);
 }
 
-TEST_F(DeadlineBaselinesTest, EdfAdmissionPrefersEarliestDeadlineNotArrival) {
+TEST_F(DeadlineBaselinesTest, EdfAdmitPhasePrefersEarliestDeadlineNotArrival) {
   // Queued deadlines are arrival + tpot_slo: the later arrival with the
   // tighter SLO outranks the earlier relaxed one under kEdf.
   pool_.AddArrival(SloRequest(0, /*tpot_slo=*/0.15, /*arrival=*/0.0));   // deadline 0.15
@@ -163,132 +151,6 @@ TEST_F(DeadlineBaselinesTest, DeadlineIsRecomputedAcrossPauseResumeAndProgress) 
       << "after the first token the deadline tracks actual progress";
   pool_.CommitToken(0, 1, 5.05);
   EXPECT_DOUBLE_EQ(NextTokenDeadline(pool_.Get(0)), 5.0 + 2 * 0.1);
-}
-
-// --- admission-control laws --------------------------------------------------
-
-// Records the peak live utilization across every tick of a run.
-class ProbeAcScheduler : public AdmissionControlScheduler {
- public:
-  using AdmissionControlScheduler::AdmissionControlScheduler;
-  TickResult Tick(SimTime now, RequestPool& pool, ServingContext& ctx) override {
-    TickResult result = AdmissionControlScheduler::Tick(now, pool, ctx);
-    max_utilization = std::max(max_utilization, utilization());
-    ++ticks;
-    return result;
-  }
-  double max_utilization = 0.0;
-  long ticks = 0;
-};
-
-TEST_F(DeadlineBaselinesTest, InfeasibleRequestIsRejectedAtAnyLoad) {
-  const double service_tps = DeriveServiceTps(exp_.target_latency());
-  ASSERT_GT(service_tps, 0.0);
-  // Demand 1/(slo * service_tps) = 1.0 against a bound of 0.5: infeasible
-  // even on an idle replica.
-  const double infeasible_slo = 1.0 / service_tps;
-  std::vector<Request> workload = {SloRequest(0, infeasible_slo, 0.0)};
-  AdmissionControlConfig config;
-  config.utilization_bound = 0.5;
-  config.allow_degrade = false;
-  AdmissionControlScheduler scheduler(config);
-  const EngineResult result = exp_.Run(scheduler, workload);
-  EXPECT_EQ(result.metrics.rejections, 1);
-  EXPECT_EQ(result.metrics.finished, 0);
-  EXPECT_EQ(result.requests.at(0).state, RequestState::kRejected);
-  EXPECT_EQ(result.requests.at(0).committed_len, 0) << "rejected requests get no service";
-}
-
-TEST_F(DeadlineBaselinesTest, InfeasibleRequestIsRejectedAlongsideFeasibleTraffic) {
-  const double service_tps = DeriveServiceTps(exp_.target_latency());
-  // Two easily served requests plus the infeasible one; only it may be
-  // refused, and its refusal must not disturb the others.
-  std::vector<Request> workload = {SloRequest(0, 100.0 / service_tps, 0.0),
-                                   SloRequest(1, 1.0 / service_tps, 0.1),
-                                   SloRequest(2, 100.0 / service_tps, 0.2)};
-  AdmissionControlConfig config;
-  config.utilization_bound = 0.5;
-  config.allow_degrade = false;
-  AdmissionControlScheduler scheduler(config);
-  const EngineResult result = exp_.Run(scheduler, workload);
-  EXPECT_EQ(result.metrics.rejections, 1);
-  EXPECT_EQ(result.metrics.finished, 2);
-  EXPECT_EQ(result.requests.at(1).state, RequestState::kRejected);
-}
-
-TEST_F(DeadlineBaselinesTest, RejectsWhenDegradationWouldExceedTheCap) {
-  const double service_tps = DeriveServiceTps(exp_.target_latency());
-  // Headroom 0.05 would need a 20x looser SLO; the 4x cap forbids it.
-  std::vector<Request> workload = {SloRequest(0, 1.0 / service_tps, 0.0)};
-  AdmissionControlConfig config;
-  config.utilization_bound = 0.05;
-  AdmissionControlScheduler scheduler(config);
-  const EngineResult result = exp_.Run(scheduler, workload);
-  EXPECT_EQ(result.metrics.rejections, 1);
-  EXPECT_EQ(result.metrics.degraded, 0);
-}
-
-TEST_F(DeadlineBaselinesTest, DegradationLoosensTheSloToExactlyTheHeadroom) {
-  const double service_tps = DeriveServiceTps(exp_.target_latency());
-  const double original_slo = 1.0 / service_tps;  // demand 1.0 > bound 0.5
-  std::vector<Request> workload = {SloRequest(0, original_slo, 0.0)};
-  AdmissionControlConfig config;
-  config.utilization_bound = 0.5;
-  AdmissionControlScheduler scheduler(config);
-  const EngineResult result = exp_.Run(scheduler, workload);
-  EXPECT_EQ(result.metrics.degraded, 1);
-  EXPECT_EQ(result.metrics.rejections, 0);
-  EXPECT_EQ(result.metrics.finished, 1);
-  // The degraded SLO consumes exactly the headroom: 1/(0.5 * service_tps)
-  // = 2x the original.
-  EXPECT_NEAR(result.requests.at(0).tpot_slo, 2.0 * original_slo, 1e-12);
-}
-
-TEST_F(DeadlineBaselinesTest, UtilizationNeverExceedsTheBoundInAnyTick) {
-  const double service_tps = DeriveServiceTps(exp_.target_latency());
-  // 30 simultaneous requests at demand 0.25 each: 7.5 total against a
-  // bound of 1.0 — most must be refused, and the accepted set must never
-  // overshoot in any tick, including the degradation that lands exactly
-  // on the bound.
-  const double slo = 4.0 / service_tps;
-  std::vector<Request> workload;
-  for (RequestId id = 0; id < 30; ++id) {
-    workload.push_back(SloRequest(id, slo, 0.0));
-  }
-  AdmissionControlConfig config;
-  config.utilization_bound = 1.0;
-  ProbeAcScheduler scheduler(config);
-  const EngineResult result = exp_.Run(scheduler, workload);
-  ASSERT_GT(scheduler.ticks, 0);
-  EXPECT_LE(scheduler.max_utilization, config.utilization_bound + 1e-9);
-  EXPECT_GT(result.metrics.rejections, 0) << "a 7.5x overload must refuse work";
-  EXPECT_EQ(result.metrics.finished + result.metrics.rejections, 30);
-}
-
-TEST_F(DeadlineBaselinesTest, BoundaryModeIsPlainEdf) {
-  // Boundary mode is defined as the legacy drain loop: the controller
-  // stands down, so EDF+AC and EDF are byte-identical there.
-  const std::vector<Request> workload = SmallMixedWorkload(exp_);
-  EdfScheduler edf;
-  AdmissionControlScheduler ac;
-  const EngineResult edf_result = exp_.Run(edf, workload, BoundaryTickConfig());
-  const EngineResult ac_result = exp_.Run(ac, workload, BoundaryTickConfig());
-  EXPECT_EQ(ac_result.metrics.rejections, 0);
-  EXPECT_EQ(ac_result.metrics.degraded, 0);
-  EXPECT_EQ(ac_result.metrics.finished, edf_result.metrics.finished);
-  EXPECT_EQ(ac_result.metrics.attained, edf_result.metrics.attained);
-  EXPECT_EQ(ac_result.metrics.output_tokens(), edf_result.metrics.output_tokens());
-  EXPECT_DOUBLE_EQ(ac_result.metrics.makespan, edf_result.metrics.makespan);
-}
-
-TEST_F(DeadlineBaselinesTest, SystemRegistryRoundTripsTheNewBaselines) {
-  EXPECT_EQ(SystemName(SystemKind::kEdf), "EDF");
-  EXPECT_EQ(SystemName(SystemKind::kEdfAdmission), "EDF+AC");
-  EXPECT_EQ(SystemKindFromName("EDF"), SystemKind::kEdf);
-  EXPECT_EQ(SystemKindFromName("EDF+AC"), SystemKind::kEdfAdmission);
-  const std::vector<SystemKind> systems = MainComparisonSet();
-  EXPECT_NE(std::find(systems.begin(), systems.end(), SystemKind::kEdf), systems.end());
-  EXPECT_NE(std::find(systems.begin(), systems.end(), SystemKind::kEdfAdmission), systems.end());
 }
 
 }  // namespace
