@@ -2,7 +2,7 @@
 //
 // Speculation and verification are GPU work; selection (scheduling) runs on
 // the CPU. The paper reports CPU scheduling overhead of 0.41% / 0.31% on
-// the two models; this bench reports the same split from the iteration log.
+// the two models; this bench reports the same split from the run's per-tick time totals.
 #include <iostream>
 
 #include "bench/sweep_common.h"

@@ -36,7 +36,6 @@ int Run(const BenchArgs& args) {
 
   // Keep per-request records: RecoveryTimeToSlo reads finish times.
   EngineConfig engine;
-  engine.record_iterations = false;
 
   for (const StressScenario scenario : AllStressScenarios()) {
     const std::string slug = StressScenarioSlug(scenario);

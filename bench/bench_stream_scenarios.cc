@@ -61,7 +61,6 @@ void Run() {
 
   EngineConfig engine;
   engine.retire_finished = true;
-  engine.record_iterations = false;
 
   for (const Scenario& scenario : Scenarios(exp)) {
     std::cout << "== " << scenario.label << " ==\n";

@@ -1,11 +1,11 @@
 // Streaming-scale demonstration: serves a million-request bursty (MMPP)
 // workload through the lazy arrival path and reports peak residency.
 //
-// The engine pulls requests from the generator on demand, retires finished
-// requests incrementally, and skips the per-iteration log, so the resident
-// request count stays bounded by tick.max_active + arrival_horizon
-// (plus a short retirement tail) no matter how long the trace is — the run
-// never materializes the trace. (Metrics retain two scalar samples per
+// The engine pulls requests from the generator on demand and retires
+// finished requests incrementally, so the resident request count stays
+// bounded by tick.max_active + arrival_horizon (plus a short retirement
+// tail) no matter how long the trace is — the run never materializes the
+// trace. (Metrics retain two scalar samples per
 // finished request for percentiles; that is the only per-request state.)
 //
 // Usage: bench_streaming_scale [num_requests]   (default 1,000,000)
@@ -44,7 +44,6 @@ void Run(size_t num_requests) {
   engine.tick.max_active = 256;
   engine.arrival_horizon = 256;
   engine.retire_finished = true;
-  engine.record_iterations = false;
 
   std::cout << "Streaming scale: " << num_requests
             << "-request MMPP bursty stream, lazy arrivals, retired finishes\n\n";

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "src/adaserve.h"
@@ -120,11 +121,18 @@ int main(int argc, char** argv) {
   auto scheduler = MakeScheduler(it->second);
   EngineConfig engine;
   engine.mode = opts.greedy ? DecodeMode::kGreedy : DecodeMode::kStochastic;
-  // Keep the finished request records for the CSV dump: rerun through a raw
-  // engine is unnecessary — Experiment::Run already computes everything we
-  // print; per-request CSVs need the pool, so re-simulate through Engine.
-  Engine raw(&exp.target(), &exp.draft(), &exp.target_latency(), &exp.draft_latency(), engine);
-  const EngineResult result = raw.Run(*scheduler, workload);
+  // The iteration CSV streams one row per tick while the run goes.
+  std::ofstream iterations_os;
+  std::optional<IterationCsvSink> iterations_sink;
+  if (!opts.iterations_csv.empty()) {
+    iterations_os.open(opts.iterations_csv);
+    if (!iterations_os) {
+      std::cerr << "cannot write " << opts.iterations_csv << "\n";
+      return 1;
+    }
+    engine.trace_sink = &iterations_sink.emplace(iterations_os);
+  }
+  const EngineResult result = exp.Run(*scheduler, workload, engine);
 
   std::cout << "system=" << SystemName(it->second) << " model=" << exp.setup().label
             << " requests=" << workload.size() << "\n";
@@ -147,11 +155,9 @@ int main(int argc, char** argv) {
   }
   table.Print(std::cout);
 
-  if (!opts.iterations_csv.empty()) {
-    std::ofstream os(opts.iterations_csv);
-    WriteIterationCsv(os, result.iterations);
-    std::cout << "wrote " << result.iterations.size() << " iterations to "
-              << opts.iterations_csv << "\n";
+  if (iterations_sink.has_value()) {
+    std::cout << "wrote " << iterations_sink->rows() << " iterations to " << opts.iterations_csv
+              << "\n";
   }
   if (!opts.requests_csv.empty()) {
     std::ofstream os(opts.requests_csv);

@@ -9,8 +9,47 @@
 
 #include "src/adaserve.h"
 
+namespace {
+
+using namespace adaserve;
+
+constexpr double kBucket = 5.0;
+
+struct Interval {
+  double time_sum = 0.0;
+  int iterations = 0;
+  long committed = 0;
+  long verified = 0;
+  int batch_sum = 0;
+};
+
+// Timeline: buckets tick records into kBucket-second intervals by each
+// tick's start on the engine clock, as the run goes.
+class TimelineSink final : public TickTraceSink {
+ public:
+  void OnArrival(const Request&) override {}
+  void OnTick(const TickTraceEvent& event) override {
+    const size_t bucket = static_cast<size_t>(event.start / kBucket);
+    if (bucket >= timeline_.size()) {
+      timeline_.resize(bucket + 1);
+    }
+    Interval& iv = timeline_[bucket];
+    const IterationRecord& rec = event.record;
+    iv.time_sum += rec.duration;
+    ++iv.iterations;
+    iv.committed += rec.committed_tokens;
+    iv.verified += rec.verified_tokens;
+    iv.batch_sum += rec.decode_requests;
+  }
+  const std::vector<Interval>& timeline() const { return timeline_; }
+
+ private:
+  std::vector<Interval> timeline_;
+};
+
+}  // namespace
+
 int main() {
-  using namespace adaserve;
   Experiment exp(LlamaSetup());
 
   // Background chat at 1.5 req/s for 60 s + a copilot burst peaking at 30 s.
@@ -25,29 +64,13 @@ int main() {
   std::cout << "Copilot burst scenario: " << workload.size()
             << " requests; copilot burst peaks at t=30 s\n\n";
 
+  TimelineSink sink;
+  EngineConfig engine;
+  engine.trace_sink = &sink;
   AdaServeScheduler scheduler;
-  const EngineResult result = exp.Run(scheduler, workload);
+  const EngineResult result = exp.Run(scheduler, workload, engine);
+  const std::vector<Interval>& timeline = sink.timeline();
 
-  // Timeline: bucket iteration records into 5-second intervals.
-  constexpr double kBucket = 5.0;
-  struct Interval {
-    double time_sum = 0.0;
-    int iterations = 0;
-    long committed = 0;
-    long verified = 0;
-    int batch_sum = 0;
-  };
-  std::vector<Interval> timeline(static_cast<size_t>(result.end_time / kBucket) + 1);
-  SimTime t = 0.0;
-  for (const IterationRecord& rec : result.iterations) {
-    Interval& iv = timeline[static_cast<size_t>(t / kBucket)];
-    iv.time_sum += rec.duration;
-    ++iv.iterations;
-    iv.committed += rec.committed_tokens;
-    iv.verified += rec.verified_tokens;
-    iv.batch_sum += rec.decode_requests;
-    t += rec.duration;
-  }
   TablePrinter table({"t(s)", "iters", "avg batch", "avg iter(ms)", "tok/s committed",
                       "spec tokens/iter"});
   for (size_t i = 0; i < timeline.size(); ++i) {

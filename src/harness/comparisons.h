@@ -68,10 +68,9 @@ std::vector<ComparisonPoint> RunComparison(const Experiment& exp,
                                            const EngineConfig& engine = {}, int threads = 1);
 
 // Engine config of the legacy drain-style boundary mode: admission only
-// at tick boundaries, FIFO, no eviction — byte-identical to the
-// historical engine loop and the legacy golden corpus (tests/golden/
-// files without the tick_ prefix). tick_equivalence_test pins it against
-// Experiment::RunLegacyDrainLoop.
+// at tick boundaries, FIFO, no eviction — the historical engine loop,
+// pinned by the boundary golden corpus (tests/golden/ files without the
+// tick_ prefix).
 EngineConfig BoundaryTickConfig();
 
 }  // namespace adaserve

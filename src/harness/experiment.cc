@@ -1,6 +1,6 @@
 #include "src/harness/experiment.h"
 
-#include "src/common/logging.h"
+#include <utility>
 
 namespace adaserve {
 namespace {
@@ -109,55 +109,6 @@ EngineResult Experiment::Run(Scheduler& scheduler, WorkloadSource workload,
                              int draft_budget) const {
   Engine e(&target_, &draft_, &target_latency_, &draft_latency_, engine);
   return e.Run(scheduler, std::move(workload), verify_budget, draft_budget);
-}
-
-EngineResult Experiment::RunLegacyDrainLoop(Scheduler& scheduler, std::vector<Request> requests,
-                                            const EngineConfig& engine, int verify_budget,
-                                            int draft_budget) const {
-  KvCache kv(target_latency_.KvCacheBytes(), target_latency_.model().KvBytesPerToken());
-  RequestPool pool(&kv);
-  Rng rng(engine.sampling_seed);
-
-  ServingContext ctx;
-  ctx.target = &target_;
-  ctx.draft = &draft_;
-  ctx.target_latency = &target_latency_;
-  ctx.draft_latency = &draft_latency_;
-  ctx.mode = engine.mode;
-  ctx.verify_budget = verify_budget > 0 ? verify_budget : DeriveTokenBudget(target_latency_);
-  ctx.draft_budget =
-      draft_budget > 0 ? draft_budget : DeriveDraftBudget(target_latency_, draft_latency_);
-  ctx.rng = &rng;
-
-  EngineResult result;
-  SimTime now = 0.0;
-  size_t next = 0;
-  long iterations = 0;
-  while (next < requests.size() || pool.HasWork()) {
-    ADASERVE_CHECK(++iterations <= engine.max_iterations) << "iteration budget exhausted";
-    while (next < requests.size() && requests[next].arrival <= now) {
-      pool.AddArrival(requests[next]);
-      ++next;
-    }
-    pool.AdmitUpTo(engine.tick.max_active);
-    result.peak_resident_requests = std::max(result.peak_resident_requests, pool.resident_count());
-    if (pool.active().empty()) {
-      ADASERVE_CHECK(pool.queued().empty()) << "admission deadlock";
-      ADASERVE_CHECK(next < requests.size()) << "legacy loop stalled with no work";
-      now = requests[next].arrival;
-      continue;
-    }
-    const IterationRecord record = scheduler.Step(now, pool, ctx);
-    ADASERVE_CHECK(record.duration > 0.0) << scheduler.name() << " made no progress";
-    now += record.duration;
-    result.iterations.push_back(record);
-  }
-  result.end_time = now;
-  result.total_iterations = iterations;
-  result.requests.assign(pool.requests().begin(), pool.requests().end());
-  result.metrics = ComputeMetrics(std::span<const Request>(result.requests),
-                                  std::span<const IterationRecord>(result.iterations), now);
-  return result;
 }
 
 }  // namespace adaserve

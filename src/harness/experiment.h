@@ -83,23 +83,13 @@ class Experiment {
 
   // Runs one scheduler over a workload — an arrival-sorted request vector
   // or a live ArrivalStream (single-pass; build a fresh one per run), both
-  // of which convert to WorkloadSource implicitly — and returns metrics +
-  // iteration log. The engine behavior (tick protocol included) comes
-  // entirely from `engine`: EngineConfig{} is the tick-native default,
-  // and BoundaryTickConfig (comparisons.h) the legacy boundary mode.
+  // of which convert to WorkloadSource implicitly — and returns its
+  // metrics. The engine behavior (tick protocol included) comes entirely
+  // from `engine`: EngineConfig{} is the tick-native default, and
+  // BoundaryTickConfig (comparisons.h) the legacy boundary mode. Per-tick
+  // records reach an EngineConfig::trace_sink, if set.
   EngineResult Run(Scheduler& scheduler, WorkloadSource workload, const EngineConfig& engine = {},
                    int verify_budget = 0, int draft_budget = 0) const;
-
-  // Reference drain loop — the pre-tick engine: inject due arrivals,
-  // boundary admission (pool.AdmitUpTo), one Scheduler::Step per
-  // iteration. Kept as the independent oracle for tick_equivalence_test;
-  // Engine itself only speaks the Tick protocol (BoundaryTickConfig is
-  // the TickPolicy preset reproducing this loop byte-for-byte). Honors
-  // the admission-relevant EngineConfig fields (tick.max_active,
-  // sampling_seed, mode, max_iterations); tick-native fields are ignored.
-  EngineResult RunLegacyDrainLoop(Scheduler& scheduler, std::vector<Request> requests,
-                                  const EngineConfig& engine = {}, int verify_budget = 0,
-                                  int draft_budget = 0) const;
 
  private:
   Setup setup_;

@@ -60,20 +60,13 @@ std::string GoldenCell::Filename() const {
 std::vector<GoldenCell> AllGoldenCells() {
   std::vector<GoldenCell> cells;
   const std::vector<SystemKind> systems = MainComparisonSet();
-  // The boundary corpus is the frozen legacy reference: it pins the
-  // historical drain loop for the systems that existed when it was
-  // recorded. Later systems (the deadline-theoretic baselines) are
-  // tick-native designs and join the tick_ corpus only.
-  const std::vector<SystemKind> boundary_systems = {
-      SystemKind::kAdaServe,  SystemKind::kSarathi,   SystemKind::kVllm,
-      SystemKind::kVllmSpec4, SystemKind::kVllmSpec6, SystemKind::kVllmSpec8};
   // The historical corpus: both modes across the original scenarios.
   for (GoldenScenario scenario :
        {GoldenScenario::kRealTrace, GoldenScenario::kBursty, GoldenScenario::kDiurnal}) {
     for (SystemKind kind : systems) {
       cells.push_back({kind, scenario, GoldenMode::kTickNative});
     }
-    for (SystemKind kind : boundary_systems) {
+    for (SystemKind kind : systems) {
       cells.push_back({kind, scenario, GoldenMode::kBoundary});
     }
   }

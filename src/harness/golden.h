@@ -35,8 +35,7 @@ Setup GoldenSetup();
 // through the lazy streaming engine with finished-request retirement, so
 // the baselines also pin the streaming admission/metrics path.
 // The stress scenarios (workload/scenarios.h) are pinned too, tick-native
-// only: the boundary corpus is the frozen legacy reference and does not
-// grow.
+// only.
 enum class GoldenScenario {
   kRealTrace,
   kBursty,
@@ -52,8 +51,7 @@ enum class GoldenScenario {
 // mode — continuous ticks with each scheduler's admission-priority
 // default and evict-for-admission — while kBoundary (unprefixed files,
 // the pre-tick corpus) pins the legacy drain loop via BoundaryTickConfig
-// and must never drift (tick_equivalence_test additionally proves it
-// byte-identical to Experiment::RunLegacyDrainLoop).
+// and must never drift.
 enum class GoldenMode {
   kTickNative,
   kBoundary,
@@ -92,9 +90,8 @@ std::unique_ptr<ArrivalStream> MakeGoldenStream(const Experiment& exp, GoldenSce
                                                 const GoldenConfig& config = {});
 
 // The canonical fixed-seed vector workload of the kRealTrace scenario —
-// what RunGoldenSystem replays. Exposed so equivalence tests can drive
-// alternative loops (legacy drain, tick-native) over the exact golden
-// trace.
+// what RunGoldenSystem replays. Exposed so tests can serve the exact
+// golden trace under other engine configs.
 std::vector<Request> GoldenWorkload(const Experiment& exp, const GoldenConfig& config = {});
 
 // Engine config RunGoldenSystem serves (scenario, mode) under — factored

@@ -182,7 +182,6 @@ std::string SerializeReplayArtifact(const ReplayArtifact& artifact) {
   os << "engine.sampling_seed: " << e.sampling_seed << "\n";
   os << "engine.mode: " << static_cast<int>(e.mode) << "\n";
   os << "engine.arrival_horizon: " << e.arrival_horizon << "\n";
-  os << "engine.record_iterations: " << (e.record_iterations ? 1 : 0) << "\n";
   os << "engine.retire_finished: " << (e.retire_finished ? 1 : 0) << "\n";
   os << "tick.max_active: " << e.tick.max_active << "\n";
   os << "tick.continuous: " << (e.tick.continuous ? 1 : 0) << "\n";
@@ -272,7 +271,6 @@ bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std:
   }
   e.mode = static_cast<DecodeMode>(mode);
   if (!ReadKeyedInt(in, "engine.arrival_horizon", &e.arrival_horizon, error)) return false;
-  if (!ReadKeyedBool(in, "engine.record_iterations", &e.record_iterations, error)) return false;
   if (!ReadKeyedBool(in, "engine.retire_finished", &e.retire_finished, error)) return false;
   if (!ReadKeyedInt(in, "tick.max_active", &e.tick.max_active, error)) return false;
   if (!ReadKeyedBool(in, "tick.continuous", &e.tick.continuous, error)) return false;

@@ -40,7 +40,8 @@ namespace adaserve {
 // v3: drops the async-planner config key and the per-tick planner verdict.
 // v4: drops the tick.event_driven key (next-event skip is always on).
 // v5: drops the tick lines' rejected/degraded counters.
-inline constexpr int kReplaySchemaVersion = 5;
+// v6: drops the engine's per-tick-log switch (the engine keeps no log).
+inline constexpr int kReplaySchemaVersion = 6;
 
 // A recorded run, self-contained up to the setup registry: everything
 // needed to re-execute and everything needed to check the re-execution.

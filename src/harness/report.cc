@@ -4,21 +4,6 @@
 
 namespace adaserve {
 
-MetricsCsvWriter::MetricsCsvWriter(std::ostream& os, std::string_view x_name) : os_(os) {
-  os_ << "system," << x_name
-      << ",attainment_pct,goodput_tps,throughput_tps,mean_accepted,cat1_pct,cat2_pct,cat3_pct,"
-         "makespan_s\n";
-}
-
-void MetricsCsvWriter::AddRow(std::string_view system, double x, const Metrics& metrics) {
-  os_ << system << ',' << x << ',' << metrics.AttainmentPct() << ',' << metrics.GoodputTps()
-      << ',' << metrics.ThroughputTps() << ',' << metrics.mean_accepted;
-  for (const CategoryMetrics& cat : metrics.per_category) {
-    os_ << ',' << cat.AttainmentPct();
-  }
-  os_ << ',' << metrics.makespan << '\n';
-}
-
 void WriteRequestCsv(std::ostream& os, std::span<const Request> requests) {
   os << "id,category,arrival_s,prompt_len,output_len,tpot_slo_ms,avg_tpot_ms,ttft_ms,attained,"
         "verifications,accepted_tokens,verified_tokens\n";
@@ -30,15 +15,18 @@ void WriteRequestCsv(std::ostream& os, std::span<const Request> requests) {
   }
 }
 
-void WriteIterationCsv(std::ostream& os, std::span<const IterationRecord> iterations) {
-  os << "duration_ms,spec_ms,select_ms,verify_ms,prefill_ms,prefill_tokens,decode_requests,"
-        "verified_tokens,committed_tokens\n";
-  for (const IterationRecord& rec : iterations) {
-    os << ToMs(rec.duration) << ',' << ToMs(rec.spec_time) << ',' << ToMs(rec.select_time) << ','
-       << ToMs(rec.verify_time) << ',' << ToMs(rec.prefill_time) << ',' << rec.prefill_tokens
-       << ',' << rec.decode_requests << ',' << rec.verified_tokens << ','
-       << rec.committed_tokens << '\n';
-  }
+IterationCsvSink::IterationCsvSink(std::ostream& os) : os_(os) {
+  os_ << "duration_ms,spec_ms,select_ms,verify_ms,prefill_ms,prefill_tokens,decode_requests,"
+         "verified_tokens,committed_tokens\n";
+}
+
+void IterationCsvSink::OnTick(const TickTraceEvent& event) {
+  const IterationRecord& rec = event.record;
+  os_ << ToMs(rec.duration) << ',' << ToMs(rec.spec_time) << ',' << ToMs(rec.select_time) << ','
+      << ToMs(rec.verify_time) << ',' << ToMs(rec.prefill_time) << ',' << rec.prefill_tokens
+      << ',' << rec.decode_requests << ',' << rec.verified_tokens << ',' << rec.committed_tokens
+      << '\n';
+  ++rows_;
 }
 
 }  // namespace adaserve

@@ -1,36 +1,37 @@
-// Machine-readable experiment output: CSV writers for run metrics and
-// per-request records, so sweeps can be post-processed/plotted outside the
-// binaries.
+// Machine-readable experiment output: CSV writers for per-request records
+// and the per-tick breakdown, so runs can be post-processed/plotted
+// outside the binaries.
 #ifndef ADASERVE_SRC_HARNESS_REPORT_H_
 #define ADASERVE_SRC_HARNESS_REPORT_H_
 
 #include <ostream>
 #include <span>
-#include <string_view>
 
 #include "src/serve/engine.h"
 
 namespace adaserve {
 
-// One row per (system, x) sweep point: attainment, goodput, acceptance and
-// per-category attainment.
-class MetricsCsvWriter {
- public:
-  // Writes the header. `x_name` labels the swept knob (e.g. "rps").
-  MetricsCsvWriter(std::ostream& os, std::string_view x_name);
-
-  void AddRow(std::string_view system, double x, const Metrics& metrics);
-
- private:
-  std::ostream& os_;
-};
-
 // One row per finished request: ids, category, lengths, timestamps, TPOT,
 // attainment, speculation counters.
 void WriteRequestCsv(std::ostream& os, std::span<const Request> requests);
 
-// One row per iteration of the engine log: duration + breakdown.
-void WriteIterationCsv(std::ostream& os, std::span<const IterationRecord> iterations);
+// Streams one row per progressing engine tick — duration plus breakdown —
+// as the run goes. Writes the header on construction; attach it as the
+// run's EngineConfig::trace_sink.
+class IterationCsvSink final : public TickTraceSink {
+ public:
+  explicit IterationCsvSink(std::ostream& os);
+
+  void OnArrival(const Request&) override {}
+  void OnTick(const TickTraceEvent& event) override;
+
+  // Tick rows written so far.
+  long rows() const { return rows_; }
+
+ private:
+  std::ostream& os_;
+  long rows_ = 0;
+};
 
 }  // namespace adaserve
 

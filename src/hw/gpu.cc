@@ -20,13 +20,4 @@ GpuSpec H100_80G() {
   };
 }
 
-GpuSpec L4_24G() {
-  return GpuSpec{
-      .name = "L4-24G",
-      .mem_bw_bytes_per_s = 300e9,
-      .fp16_flops_per_s = 121e12,
-      .mem_bytes = 24e9,
-  };
-}
-
 }  // namespace adaserve

@@ -57,15 +57,4 @@ ModelProfile Llama31_8B() {
   };
 }
 
-ModelProfile Qwen25_7B() {
-  return ModelProfile{
-      .name = "Qwen2.5-7B-Instruct",
-      .params = 7.62e9,
-      .num_layers = 28,
-      .hidden_dim = 3584,
-      .kv_heads = 4,
-      .head_dim = 128,
-  };
-}
-
 }  // namespace adaserve

@@ -41,13 +41,12 @@ ModelProfile Qwen25_32B();
 ModelProfile Llama32_1B();
 ModelProfile Qwen25_05B();
 
-// Mid-size family members used as *strong* drafts by the cluster layer's
-// heterogeneous replicas (H100 / TP=8 / draft-on-separate-GPU setups): a
-// bigger draft tracks the target distribution more faithfully, and the
+// Mid-size family member used as the *strong* draft by the cluster
+// layer's heterogeneous replicas (H100 / TP=8 / draft-on-separate-GPU
+// setups): a bigger draft tracks the target distribution more faithfully, and the
 // draft-on-separate-GPU deployment shape is what makes its extra cost
 // affordable.
 ModelProfile Llama31_8B();
-ModelProfile Qwen25_7B();
 
 }  // namespace adaserve
 

@@ -14,8 +14,6 @@
 namespace adaserve {
 namespace {
 
-constexpr double kMinMass = 1e-12;
-
 // Hash-index slots that live on the stack: enough for any input of up to
 // 128 weights (a target support plus a draft mixture's union) at the
 // index's load factor of at most 1/2.
@@ -167,12 +165,6 @@ SparseDist SparseDist::FromWeights(std::span<const Token> tokens, std::span<cons
   return dist;
 }
 
-SparseDist SparseDist::PointMass(Token token) {
-  SparseDist dist;
-  dist.entries_.push_back({token, 1.0});
-  return dist;
-}
-
 double SparseDist::ProbOf(Token token) const {
   for (const Entry& e : entries_) {
     if (e.token == token) {
@@ -208,37 +200,6 @@ double SparseDist::Entropy() const {
     }
   }
   return h;
-}
-
-SparseDist SparseDist::Residual(const SparseDist& q) const {
-  SmallVector<Token, kInlineSupport> tokens;
-  SmallVector<double, kInlineSupport> weights;
-  double total = 0.0;
-  for (const Entry& e : entries_) {
-    const double w = std::max(e.prob - q.ProbOf(e.token), 0.0);
-    tokens.push_back(e.token);
-    weights.push_back(w);
-    total += w;
-  }
-  if (total <= kMinMass) {
-    return *this;
-  }
-  return FromWeights({tokens.data(), tokens.size()}, {weights.data(), weights.size()});
-}
-
-SparseDist SparseDist::WithTemperature(double t) const {
-  ADASERVE_CHECK(t > 0.0) << "temperature must be positive";
-  ADASERVE_CHECK(!entries_.empty()) << "temperature of empty distribution";
-  // Scale by the maximum before exponentiating: at small t every p^(1/t)
-  // underflows to 0, while (p / p_max)^(1/t) keeps the argmax at 1.
-  const double p_max = entries_.front().prob;
-  SmallVector<Token, kInlineSupport> tokens;
-  SmallVector<double, kInlineSupport> weights;
-  for (const Entry& e : entries_) {
-    tokens.push_back(e.token);
-    weights.push_back(std::pow(e.prob / p_max, 1.0 / t));
-  }
-  return FromWeights({tokens.data(), tokens.size()}, {weights.data(), weights.size()});
 }
 
 DistHead SparseDist::Head(size_t n) const {

@@ -1,9 +1,10 @@
 // Sparse categorical next-token distributions.
 //
 // The synthetic language models emit distributions with small support
-// (top-k tokens); speculative-sampling verification needs pointwise
-// probability lookups, residual arithmetic (max(p - q, 0) renormalised) and
-// exact sampling. All of that lives here.
+// (top-k tokens); tree building and verification need pointwise
+// probability lookups, argmax and exact sampling (verification draws each
+// token straight from the target, so it needs no residual arithmetic).
+// All of that lives here.
 #ifndef ADASERVE_SRC_MODEL_DISTRIBUTION_H_
 #define ADASERVE_SRC_MODEL_DISTRIBUTION_H_
 
@@ -33,9 +34,6 @@ class SparseDist {
   // be non-negative with a positive sum; duplicate tokens are coalesced.
   static SparseDist FromWeights(std::span<const Token> tokens, std::span<const double> weights);
 
-  // Convenience: a point mass on a single token.
-  static SparseDist PointMass(Token token);
-
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
   const Entry& entry(size_t i) const { return entries_[i]; }
@@ -53,18 +51,6 @@ class SparseDist {
 
   // Shannon entropy in nats (diagnostics).
   double Entropy() const;
-
-  // Speculative-sampling residual: normalise(max(p - q, 0)) where p = *this.
-  // Only tokens in p's support can carry residual mass. If the residual mass
-  // underflows (q dominates p pointwise), returns p unchanged — that can only
-  // happen within numerical noise of acceptance probability 1.
-  SparseDist Residual(const SparseDist& q) const;
-
-  // Applies temperature t (p_i^(1/t), renormalised). t = 1 is identity;
-  // t -> 0 sharpens toward the argmax, reaching a point mass (uniform over
-  // tied maxima) once the other tokens' mass underflows. Requires t > 0 and
-  // a non-empty distribution.
-  SparseDist WithTemperature(double t) const;
 
   // Sum of stored probabilities (should be ~1; exposed for tests).
   double TotalMass() const;

@@ -40,8 +40,7 @@ EngineResult Engine::Run(Scheduler& scheduler, WorkloadSource source, int verify
   ctx.rng = &rng;
   // The whole tick policy crosses the engine boundary as one value:
   // ResolvedFor fills an unset admission priority from the scheduler's
-  // default and neutralizes tick-native knobs in boundary mode (the drain
-  // loop's byte-identity to the legacy engine depends on it).
+  // default and leaves every explicit knob alone, in both modes.
   ctx.tick = config_.tick.ResolvedFor(scheduler);
 
   // Pull until this many requests sit in the admission queue: admission can
@@ -117,9 +116,6 @@ EngineResult Engine::Run(Scheduler& scheduler, WorkloadSource source, int verify
     }
     now += tick.record.duration;
     acc.AddIteration(tick.record);
-    if (config_.record_iterations) {
-      result.iterations.push_back(tick.record);
-    }
     if (config_.retire_finished) {
       pool.RetireFinishedPrefix(retire_sink);
     }

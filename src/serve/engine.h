@@ -49,7 +49,8 @@ struct TickTraceEvent {
 // the request still in its immutable arrival state) and every progressing
 // tick. Callbacks run synchronously on the engine loop — implementations
 // must not re-enter the engine. The record/replay harness
-// (src/harness/replay.h) is the canonical consumer.
+// (src/harness/replay.h) is the canonical consumer; IterationCsvSink
+// (src/harness/report.h) streams the per-tick breakdown to CSV.
 class TickTraceSink {
  public:
   virtual ~TickTraceSink() = default;
@@ -72,9 +73,6 @@ struct EngineConfig {
   // urgent arrival beyond the horizon cannot jump the queue until the
   // backlog ahead of it is pulled.
   int arrival_horizon = 256;
-  // Keep the per-iteration log in EngineResult::iterations. Turn off for
-  // huge streaming runs; metrics aggregate the log either way.
-  bool record_iterations = true;
   // Retire finished requests as the run progresses: their metrics are
   // accumulated incrementally, their token payloads are freed at finish,
   // and EngineResult::requests is left empty. Metrics are bit-identical
@@ -86,21 +84,20 @@ struct EngineConfig {
   // Engine::Run resolves it (TickPolicy::ResolvedFor) and hands it to the
   // scheduler through ServingContext unchanged.
   TickPolicy tick;
-  // Optional run observer (record/replay): receives every pulled arrival
-  // and every progressing tick. Non-owning; must outlive the run. Purely
+  // Optional run observer — the engine's only per-tick channel (record/
+  // replay, the iteration CSV): receives every pulled arrival and every
+  // progressing tick. Non-owning; must outlive the run. Purely
   // observational — a run with a sink is byte-identical to one without.
   TickTraceSink* trace_sink = nullptr;
 };
 
 struct EngineResult {
   Metrics metrics;
-  // Per-iteration log; empty when EngineConfig::record_iterations is off.
-  std::vector<IterationRecord> iterations;
   // Final per-request records (timestamps, outputs, speculation counters).
   // Empty when EngineConfig::retire_finished is on.
   std::vector<Request> requests;
   SimTime end_time = 0.0;
-  // Iterations executed (valid even when the log is not recorded).
+  // Engine loop iterations executed, event-driven skips included.
   long total_iterations = 0;
   // Peak number of requests resident in the pool at once — the O(active)
   // memory guarantee for streaming runs.

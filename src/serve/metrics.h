@@ -53,8 +53,8 @@ struct Metrics {
 
   // Tick-protocol counters: admissions, recompute-style evictions, and
   // progress-preserving pauses (kSloUrgentPause preemptive eviction)
-  // summed over all ticks. In boundary mode evictions and pauses are
-  // always 0.
+  // summed over all ticks. Under BoundaryTickConfig() (no eviction
+  // budget) evictions and pauses are always 0.
   long admissions = 0;
   long evictions = 0;
   long pauses = 0;

@@ -120,11 +120,6 @@ class RequestPool {
   // releases its KV.
   void CommitToken(RequestId id, Token token, SimTime now);
 
-  // Deactivates a running/prefilling request (FastServe/priority
-  // preemption). KV stays resident; the request returns to the front of the
-  // admission queue and resumes without re-prefilling.
-  void Preempt(RequestId id);
-
   // Sum of context (KV) tokens across the given requests — the attention
   // read volume of one iteration.
   long SumContextTokens(const std::vector<RequestId>& ids) const;

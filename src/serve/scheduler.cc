@@ -9,20 +9,11 @@
 namespace adaserve {
 
 TickPolicy TickPolicy::ResolvedFor(const Scheduler& scheduler) const {
+  // An explicit policy wins, otherwise the scheduler's own default (e.g.
+  // AdaServe admits urgent-first, vLLM stays FIFO).
   TickPolicy resolved = *this;
-  if (resolved.continuous) {
-    // Tick-native mode: an explicit policy wins, otherwise the
-    // scheduler's own default (e.g. AdaServe admits urgent-first, vLLM
-    // stays FIFO).
-    if (!resolved.admission_priority.has_value()) {
-      resolved.admission_priority = scheduler.AdmissionPriority();
-    }
-  } else {
-    // Boundary mode is the legacy drain loop, byte-for-byte: it admits
-    // FIFO and never evicts, regardless of the tick-native knobs —
-    // `continuous = false` alone must still mean "the historical engine".
-    resolved.admission_priority = PriorityPolicy::kFifo;
-    resolved.max_evictions = 0;
+  if (!resolved.admission_priority.has_value()) {
+    resolved.admission_priority = scheduler.AdmissionPriority();
   }
   return resolved;
 }
@@ -368,15 +359,17 @@ TickResult Scheduler::Tick(SimTime now, RequestPool& pool, ServingContext& ctx) 
                              });
   }
   // Boundary mode: admission at tick start, then one drain-style
-  // iteration — the exact sequence of the historical engine loop.
+  // iteration — under BoundaryTickConfig() the exact sequence of the
+  // historical engine loop.
   TickResult tick;
-  tick.record.admitted = TickAdmitPhase(now, pool, ctx, &tick.record.evicted);
+  IterationRecord& rec = tick.record;
+  rec.admitted = TickAdmitPhase(now, pool, ctx, &rec.evicted, &rec.paused);
   if (!pool.active().empty()) {
-    const int admitted = tick.record.admitted;
-    const int evicted = tick.record.evicted;
-    tick.record = DrainStep(now, pool, ctx);
-    tick.record.admitted += admitted;
-    tick.record.evicted += evicted;
+    const IterationRecord admission = rec;
+    rec = DrainStep(now, pool, ctx);
+    rec.admitted += admission.admitted;
+    rec.evicted += admission.evicted;
+    rec.paused += admission.paused;
   }
   return tick;
 }

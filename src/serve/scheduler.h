@@ -48,11 +48,10 @@ inline constexpr int kBurst = 512;
 inline constexpr int kMaxPrefillTokens = 4096;
 
 // Admission-ordering policy of the tick's admission phases (boundary and
-// mid-tick). kFifo admits in arrival order — the historical behavior and
-// the only order the drain-style boundary mode can express. kSloUrgentFirst
-// is the paper's SLO-customized admission: requests from tighter-TPOT-SLO
-// categories jump the queue at both admission points, and the
-// evict-for-admission phase may recompute-evict a strictly less urgent
+// mid-tick). kFifo admits in arrival order — the historical behavior.
+// kSloUrgentFirst is the paper's SLO-customized admission: requests from
+// tighter-TPOT-SLO categories jump the queue at both admission points, and
+// the evict-for-admission phase may recompute-evict a strictly less urgent
 // *prefilling* request to make room for an urgent head. kSloUrgentPause
 // ranks identically but resolves KV pressure preemptively: the urgent head
 // *pauses* its victim (prefill progress preserved, resume-where-left-off)
@@ -81,18 +80,17 @@ struct TickPolicy {
   // Tick-native continuous batching: admission moves inside the tick
   // (including mid-tick, after the decode phase) and prefill runs as a
   // shared burst-capped phase. false = boundary admission + drain-style
-  // iterations, byte-identical to the historical loop.
+  // iterations; with FIFO admission and no eviction (BoundaryTickConfig)
+  // that is byte-identical to the historical loop.
   bool continuous = true;
   // kBurst-style per-request prefill cap of the tick's prefill phase.
   int prefill_burst = kBurst;
-  // Continuous mode: max evictions (recompute- or pause-style, per the
-  // priority policy) per boundary admission phase (0 disables
-  // evict-for-admission).
+  // Max evictions (recompute- or pause-style, per the priority policy)
+  // per boundary admission phase (0 disables evict-for-admission).
   int max_evictions = 4;
   // Admission ordering of both admission phases, and the victim policy of
   // evict-for-admission. Unset defers to the scheduler's own
-  // AdmissionPriority() default (ResolvedFor fills it in); boundary mode
-  // always resolves to kFifo (drain-loop byte-identity).
+  // AdmissionPriority() default (ResolvedFor fills it in).
   std::optional<PriorityPolicy> admission_priority;
 
   // The policy both admission phases actually rank by (kFifo until
@@ -101,10 +99,9 @@ struct TickPolicy {
     return admission_priority.value_or(PriorityPolicy::kFifo);
   }
 
-  // The policy the engine serves: tick-native mode fills an unset
-  // admission_priority from the scheduler's default; boundary mode
-  // neutralizes every tick-native knob (FIFO, no eviction) so
-  // `continuous = false` alone still means "the historical engine".
+  // The policy the engine serves: an unset admission_priority becomes the
+  // scheduler's default; every other field is served as set, in both
+  // modes.
   TickPolicy ResolvedFor(const Scheduler& scheduler) const;
 };
 
@@ -169,17 +166,8 @@ class Scheduler {
   // the pool has admissible or active work.
   TickResult Tick(SimTime now, RequestPool& pool, ServingContext& ctx);
 
-  // Legacy drain-loop entry point: one drain-style iteration with
-  // admission handled by the caller. Kept public for reference drivers
-  // (tick_equivalence_test pins Engine ticks against it); the engine
-  // itself only calls Tick().
-  IterationRecord Step(SimTime now, RequestPool& pool, ServingContext& ctx) {
-    return DrainStep(now, pool, ctx);
-  }
-
-  // The scheduler's default admission-priority policy for tick-native
-  // serving; TickPolicy::admission_priority overrides it and boundary
-  // mode ignores it (admission there is always FIFO). Base default: FIFO.
+  // The scheduler's default admission-priority policy;
+  // TickPolicy::admission_priority overrides it. Base default: FIFO.
   virtual PriorityPolicy AdmissionPriority() const { return PriorityPolicy::kFifo; }
 
  protected:

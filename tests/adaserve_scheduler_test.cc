@@ -27,8 +27,11 @@ TEST_F(AdaServeSchedulerTest, VerifiedTokensNeverExceedBudget) {
   const int budget = 64;
   // Boundary mode: the drain step co-batches prefill chunks inside the
   // same budget, so the bound covers roots + speculation + prefill.
-  const EngineResult result = exp_.Run(scheduler, workload, BoundaryTickConfig(), budget);
-  for (const IterationRecord& rec : result.iterations) {
+  TickLog log;
+  EngineConfig engine = BoundaryTickConfig();
+  engine.trace_sink = &log;
+  exp_.Run(scheduler, workload, engine, budget);
+  for (const IterationRecord& rec : log.ticks) {
     // Budget covers roots + speculated tokens + co-batched prefill chunks;
     // dedicated prefill passes (verified_tokens == 0) may exceed it.
     if (rec.verified_tokens > 0) {
@@ -46,8 +49,11 @@ TEST_F(AdaServeSchedulerTest, TickNativeDecodePhaseRespectsBudget) {
   AdaServeScheduler scheduler;
   const std::vector<Request> workload = SmallMixedWorkload(exp_, /*duration=*/10.0, /*rps=*/4.0);
   const int budget = 64;
-  const EngineResult result = exp_.Run(scheduler, workload, {}, budget);
-  for (const IterationRecord& rec : result.iterations) {
+  TickLog log;
+  EngineConfig engine;
+  engine.trace_sink = &log;
+  exp_.Run(scheduler, workload, engine, budget);
+  for (const IterationRecord& rec : log.ticks) {
     if (rec.verified_tokens > 0) {
       EXPECT_LE(rec.decode_requests + rec.verified_tokens, budget)
           << "tick-native speculation overflowed the budget";
@@ -58,9 +64,9 @@ TEST_F(AdaServeSchedulerTest, TickNativeDecodePhaseRespectsBudget) {
 TEST_F(AdaServeSchedulerTest, BreakdownFieldsPopulated) {
   AdaServeScheduler scheduler;
   const std::vector<Request> workload = UniformWorkload(exp_, 4, kCatChat, 0.0);
-  const EngineResult result = exp_.Run(scheduler, workload);
+  const LoggedRun run = RunLogged(exp_, scheduler, workload);
   bool saw_decode_iteration = false;
-  for (const IterationRecord& rec : result.iterations) {
+  for (const IterationRecord& rec : run.ticks) {
     if (rec.verified_tokens > 0) {
       saw_decode_iteration = true;
       EXPECT_GT(rec.spec_time, 0.0);
@@ -144,15 +150,14 @@ TEST_F(AdaServeSchedulerTest, PrefillOnlyWorkloadCompletes) {
 TEST_F(AdaServeSchedulerTest, SpeculationBookkeepingConsistent) {
   AdaServeScheduler scheduler;
   const std::vector<Request> workload = UniformWorkload(exp_, 4, kCatChat, 0.0);
-  Engine engine(&exp_.target(), &exp_.draft(), &exp_.target_latency(), &exp_.draft_latency());
-  const EngineResult result = exp_.Run(scheduler, workload);
+  const LoggedRun run = RunLogged(exp_, scheduler, workload);
   long committed = 0;
-  for (const IterationRecord& rec : result.iterations) {
+  for (const IterationRecord& rec : run.ticks) {
     EXPECT_GE(rec.verified_tokens, 0);
     EXPECT_GE(rec.committed_tokens, 0);
     committed += rec.committed_tokens;
   }
-  EXPECT_EQ(committed, result.metrics.output_tokens());
+  EXPECT_EQ(committed, run.result.metrics.output_tokens());
 }
 
 TEST_F(AdaServeSchedulerTest, NmaxOneStillDrains) {

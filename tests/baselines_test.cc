@@ -38,12 +38,12 @@ TEST_F(BaselinesTest, VllmSpecCommitsMoreTokensPerIteration) {
   const std::vector<Request> workload = UniformWorkload(exp_, 4, kCatChat, 0.0);
   VllmScheduler cb;
   VllmSpecScheduler spec(VllmSpecConfig{.spec_len = 6});
-  const EngineResult cb_result = exp_.Run(cb, workload);
-  const EngineResult spec_result = exp_.Run(spec, workload);
+  const LoggedRun cb_run = RunLogged(exp_, cb, workload);
+  const LoggedRun spec_run = RunLogged(exp_, spec, workload);
   // Same tokens served, fewer iterations for the speculative system.
-  EXPECT_LT(spec_result.iterations.size(), cb_result.iterations.size());
-  EXPECT_GT(spec_result.metrics.mean_accepted, 0.0);
-  EXPECT_EQ(cb_result.metrics.mean_accepted, 0.0);
+  EXPECT_LT(spec_run.ticks.size(), cb_run.ticks.size());
+  EXPECT_GT(spec_run.result.metrics.mean_accepted, 0.0);
+  EXPECT_EQ(cb_run.result.metrics.mean_accepted, 0.0);
 }
 
 TEST_F(BaselinesTest, VllmSpecAcceptanceBoundedBySpecLen) {
@@ -119,11 +119,11 @@ TEST_F(BaselinesTest, SarathiBoundsIterationTokens) {
   // Per-iteration chunk budgeting is a drain-step property: tick-native
   // records merge the decode phase with the shared (kBurst-floored)
   // prefill phase, so the bound only holds in boundary mode.
-  const EngineResult result = exp_.Run(scheduler, workload, BoundaryTickConfig());
-  for (const IterationRecord& rec : result.iterations) {
+  const LoggedRun run = RunLogged(exp_, scheduler, workload, BoundaryTickConfig());
+  for (const IterationRecord& rec : run.ticks) {
     EXPECT_LE(rec.prefill_tokens + rec.decode_requests, 64 + 1);
   }
-  EXPECT_EQ(result.metrics.finished, 3);
+  EXPECT_EQ(run.result.metrics.finished, 3);
 }
 
 TEST_F(BaselinesTest, SarathiChunksLongPromptsAcrossIterations) {
@@ -134,9 +134,9 @@ TEST_F(BaselinesTest, SarathiChunksLongPromptsAcrossIterations) {
       UniformWorkload(exp_, 1, kCatSummarization, 0.0, /*prompt_len=*/300, /*output_len=*/4);
   // Boundary mode: the tick-native prefill phase would swallow the whole
   // prompt in one kBurst-capped pass instead of chunk_budget slices.
-  const EngineResult result = exp_.Run(scheduler, workload, BoundaryTickConfig());
+  const LoggedRun run = RunLogged(exp_, scheduler, workload, BoundaryTickConfig());
   int prefill_iterations = 0;
-  for (const IterationRecord& rec : result.iterations) {
+  for (const IterationRecord& rec : run.ticks) {
     if (rec.prefill_tokens > 0) {
       ++prefill_iterations;
     }
@@ -156,8 +156,8 @@ TEST_F(BaselinesTest, VllmPrefillPriorityStallsDecodes) {
   workload.push_back(late);
   // Prefill/decode exclusivity is the drain-style iteration shape; a
   // tick-native tick co-schedules both phases in one record by design.
-  const EngineResult result = exp_.Run(scheduler, workload, BoundaryTickConfig());
-  for (const IterationRecord& rec : result.iterations) {
+  const LoggedRun run = RunLogged(exp_, scheduler, workload, BoundaryTickConfig());
+  for (const IterationRecord& rec : run.ticks) {
     // An iteration is either prefill or decode, never both (vLLM v0.8 default).
     EXPECT_TRUE(rec.prefill_tokens == 0 || rec.decode_requests == 0);
   }

@@ -13,6 +13,18 @@ namespace {
 // may refer back into the config itself.
 static_assert(std::is_trivially_copyable_v<EngineConfig>);
 
+// The default config IS the tick-native mode: continuous ticks with a
+// bounded evict-for-admission budget and each scheduler's own admission
+// priority (literals, so a silent default regression cannot hide).
+TEST(EngineConfigTest, DefaultTickPolicyIsTickNative) {
+  const EngineConfig defaults;
+  EXPECT_TRUE(defaults.tick.continuous);
+  EXPECT_EQ(defaults.tick.max_active, 256);
+  EXPECT_EQ(defaults.tick.prefill_burst, kBurst);
+  EXPECT_EQ(defaults.tick.max_evictions, 4);
+  EXPECT_FALSE(defaults.tick.admission_priority.has_value());
+}
+
 class EngineTest : public ::testing::Test {
  protected:
   EngineTest() : exp_(TestSetup()) {}
@@ -40,20 +52,20 @@ TEST_F(EngineTest, DeterministicAcrossRuns) {
   const EngineResult a = exp_.Run(s1, workload);
   const EngineResult b = exp_.Run(s2, workload);
   EXPECT_EQ(a.end_time, b.end_time);
-  EXPECT_EQ(a.iterations.size(), b.iterations.size());
+  EXPECT_EQ(a.total_iterations, b.total_iterations);
   EXPECT_EQ(a.metrics.GoodputTps(), b.metrics.GoodputTps());
 }
 
 TEST_F(EngineTest, IterationDurationsPositiveAndSumToMakespanMinusIdle) {
   AdaServeScheduler scheduler;
   const std::vector<Request> workload = SmallMixedWorkload(exp_);
-  const EngineResult result = exp_.Run(scheduler, workload);
+  const LoggedRun run = RunLogged(exp_, scheduler, workload);
   SimTime busy = 0.0;
-  for (const IterationRecord& rec : result.iterations) {
+  for (const IterationRecord& rec : run.ticks) {
     EXPECT_GT(rec.duration, 0.0);
     busy += rec.duration;
   }
-  EXPECT_LE(busy, result.end_time + 1e-9);
+  EXPECT_LE(busy, run.result.end_time + 1e-9);
 }
 
 TEST_F(EngineTest, TokenTimesMonotonePerRequest) {
@@ -99,7 +111,7 @@ TEST_F(EngineTest, IdleGapsSkippedToNextArrival) {
   VllmScheduler scheduler;
   const EngineResult result = exp_.Run(scheduler, workload);
   EXPECT_GE(result.end_time, 100.0);
-  EXPECT_LT(result.iterations.size(), 500u);  // no busy-waiting
+  EXPECT_LT(result.total_iterations, 500);  // no busy-waiting
 }
 
 // A category table with fixed tiny lengths: scale tests stress request
@@ -129,13 +141,14 @@ TEST_F(EngineTest, BurstyBackpressureNeverExceedsAdmissionCapOrDropsRequests) {
   engine.arrival_horizon = 16;
   engine.retire_finished = true;
   VllmScheduler scheduler;
-  const EngineResult result = exp_.Run(scheduler, *stream, engine);
+  const LoggedRun run = RunLogged(exp_, scheduler, *stream, engine);
+  const EngineResult& result = run.result;
 
   // No request dropped: everything the generator emitted finished.
   EXPECT_EQ(result.metrics.finished, static_cast<int>(stream->emitted()));
   EXPECT_GT(result.metrics.finished, 300) << "burst too small to stress admission";
   // Admission never exceeds the cap.
-  for (const IterationRecord& rec : result.iterations) {
+  for (const IterationRecord& rec : run.ticks) {
     EXPECT_LE(rec.decode_requests, engine.tick.max_active);
   }
   // Residency stays near cap + horizon even though arrivals outpace
@@ -159,7 +172,6 @@ TEST_F(EngineTest, SmokeScale100kPeakResidencyStaysNearActiveSet) {
   engine.tick.max_active = 64;
   engine.arrival_horizon = 64;
   engine.retire_finished = true;
-  engine.record_iterations = false;
   VllmScheduler scheduler;
   const EngineResult result = exp_.Run(scheduler, *stream, engine);
 
@@ -172,28 +184,29 @@ TEST_F(EngineTest, SmokeScale100kPeakResidencyStaysNearActiveSet) {
       << "peak residency is O(trace), not O(active)";
 }
 
-TEST_F(EngineTest, MetricsBreakdownMatchesIterationLog) {
+TEST_F(EngineTest, MetricsBreakdownMatchesTickLog) {
   AdaServeScheduler scheduler;
   const std::vector<Request> workload = SmallMixedWorkload(exp_);
-  const EngineResult result = exp_.Run(scheduler, workload);
+  const LoggedRun run = RunLogged(exp_, scheduler, workload);
   SimTime spec = 0.0;
   SimTime verify = 0.0;
-  for (const IterationRecord& rec : result.iterations) {
+  for (const IterationRecord& rec : run.ticks) {
     spec += rec.spec_time;
     verify += rec.verify_time;
   }
-  EXPECT_NEAR(result.metrics.spec_time, spec, 1e-9);
-  EXPECT_NEAR(result.metrics.verify_time, verify, 1e-9);
+  EXPECT_NEAR(run.result.metrics.spec_time, spec, 1e-9);
+  EXPECT_NEAR(run.result.metrics.verify_time, verify, 1e-9);
 }
 
 TEST_F(EngineTest, ContinuousTicksDrainEverythingAndCountAdmissions) {
   VllmScheduler scheduler;
   const std::vector<Request> workload = SmallMixedWorkload(exp_);
-  const EngineResult result = exp_.Run(scheduler, workload, EngineConfig{});
+  const LoggedRun run = RunLogged(exp_, scheduler, workload);
+  const EngineResult& result = run.result;
   EXPECT_EQ(result.metrics.finished, static_cast<int>(workload.size()));
   EXPECT_EQ(result.metrics.admissions,
             static_cast<long>(workload.size()) + result.metrics.evictions);
-  for (const IterationRecord& rec : result.iterations) {
+  for (const IterationRecord& rec : run.ticks) {
     EXPECT_GT(rec.duration, 0.0);
   }
 }
@@ -238,7 +251,6 @@ TEST_F(EngineTest, ContinuousStreamingRunRetiresAndMatchesVectorPath) {
   // and vector-fed runs of the same trace stay bit-identical.
   EngineConfig engine;
   engine.retire_finished = true;
-  engine.record_iterations = false;
   VllmSpecScheduler s1(VllmSpecConfig{.spec_len = 4});
   auto stream = exp_.RealTraceStream(8.0, 3.0, WorkloadConfig{.mix = {0.4, 0.3, 0.3}});
   const EngineResult streamed = exp_.Run(s1, *stream, engine);

@@ -184,12 +184,6 @@ TEST(GoldenRegenerationTest, ParallelRecomputationMatchesBaselines) {
   std::vector<GoldenCell> cells;
   for (SystemKind kind : MainComparisonSet()) {
     cells.push_back({kind, GoldenScenario::kRealTrace, GoldenMode::kTickNative});
-  }
-  // The boundary corpus is the frozen legacy reference (AllGoldenCells):
-  // the deadline-theoretic baselines are tick-native-only there.
-  for (SystemKind kind :
-       {SystemKind::kAdaServe, SystemKind::kSarathi, SystemKind::kVllm, SystemKind::kVllmSpec4,
-        SystemKind::kVllmSpec6, SystemKind::kVllmSpec8}) {
     cells.push_back({kind, GoldenScenario::kRealTrace, GoldenMode::kBoundary});
   }
   std::vector<std::function<Cell()>> tasks;

@@ -119,6 +119,9 @@ TEST_P(ServingProperties, InvariantsHoldEndToEnd) {
     committed += rec.committed_tokens;
   }
   EXPECT_EQ(committed, m.output_tokens());
+  // Every request is admitted once, plus once more per eviction or pause
+  // it suffered.
+  EXPECT_EQ(m.admissions, static_cast<long>(workload.size()) + m.evictions + m.pauses);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -126,7 +129,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(SystemKind::kAdaServe, SystemKind::kVllm,
                                          SystemKind::kSarathi, SystemKind::kVllmSpec6,
                                          SystemKind::kVllmPriority, SystemKind::kFastServe,
-                                         SystemKind::kVtc),
+                                         SystemKind::kVtc, SystemKind::kEdf),
                        ::testing::Values(1u, 2u, 3u), ::testing::Bool()),
     [](const ::testing::TestParamInfo<PropertyParams>& info) {
       std::string name(SystemName(std::get<0>(info.param)));

@@ -134,9 +134,9 @@ TEST(ReplayArtifactTest, TruncationAndVersionMismatchAreParseErrors) {
   EXPECT_NE(error.find("unsupported replay schema"), std::string::npos) << error;
 
   // Schema 2 carried the planner fields, schema 3 the tick.event_driven
-  // key and schema 4 the tick lines' rejected/degraded counters, none of
-  // which this binary reads.
-  for (const char* old_schema : {"2", "3", "4"}) {
+  // key, schema 4 the tick lines' rejected/degraded counters and schema 5
+  // the engine's per-tick-log switch, none of which this binary reads.
+  for (const char* old_schema : {"2", "3", "4", "5"}) {
     std::string old_text = text;
     old_text.replace(0, header.size(), std::string("adaserve_replay_schema: ") + old_schema);
     EXPECT_FALSE(ParseReplayArtifact(old_text, &parsed, &error));

@@ -31,18 +31,6 @@ class ReportTest : public ::testing::Test {
   Experiment exp_;
 };
 
-TEST_F(ReportTest, MetricsCsvHasHeaderAndRows) {
-  const EngineResult result = RunSmall();
-  std::ostringstream os;
-  MetricsCsvWriter writer(os, "rps");
-  writer.AddRow("AdaServe", 4.0, result.metrics);
-  writer.AddRow("vLLM", 4.0, result.metrics);
-  const std::string csv = os.str();
-  EXPECT_EQ(CountLines(csv), 3u);
-  EXPECT_NE(csv.find("system,rps,attainment_pct"), std::string::npos);
-  EXPECT_NE(csv.find("AdaServe,4,"), std::string::npos);
-}
-
 TEST_F(ReportTest, RequestCsvOneRowPerRequest) {
   const EngineResult result = RunSmall();
   std::ostringstream os;
@@ -51,11 +39,19 @@ TEST_F(ReportTest, RequestCsvOneRowPerRequest) {
   EXPECT_NE(os.str().find("id,category,arrival_s"), std::string::npos);
 }
 
-TEST_F(ReportTest, IterationCsvOneRowPerIteration) {
-  const EngineResult result = RunSmall();
+TEST_F(ReportTest, IterationCsvSinkWritesOneRowPerTick) {
   std::ostringstream os;
-  WriteIterationCsv(os, result.iterations);
-  EXPECT_EQ(CountLines(os.str()), 1u + result.iterations.size());
+  IterationCsvSink sink(os);
+  EngineConfig engine;
+  engine.trace_sink = &sink;
+  AdaServeScheduler scheduler;
+  exp_.Run(scheduler, UniformWorkload(exp_, 3, kCatChat, 0.1), engine);
+  EXPECT_EQ(os.str().rfind("duration_ms,spec_ms,select_ms,verify_ms,prefill_ms,", 0), 0u);
+  EXPECT_EQ(CountLines(os.str()), 1u + static_cast<size_t>(sink.rows()));
+  AdaServeScheduler twin;
+  const LoggedRun run = RunLogged(exp_, twin, UniformWorkload(exp_, 3, kCatChat, 0.1));
+  ASSERT_FALSE(run.ticks.empty());
+  EXPECT_EQ(static_cast<size_t>(sink.rows()), run.ticks.size());
 }
 
 TEST_F(ReportTest, EngineResultCarriesFinishedRequests) {

@@ -108,16 +108,18 @@ TEST_P(StreamingEquivalence, LazyStreamMatchesMaterializedVector) {
     ASSERT_FALSE(trace.empty());
 
     auto vec_scheduler = MakeScheduler(kind);
-    const EngineResult vec_run = exp_->Run(*vec_scheduler, trace);
+    const LoggedRun vec_logged = RunLogged(*exp_, *vec_scheduler, trace);
+    const EngineResult& vec_run = vec_logged.result;
 
     auto stream = scenario.make();
     auto stream_scheduler = MakeScheduler(kind);
-    const EngineResult stream_run = exp_->Run(*stream_scheduler, *stream);
+    const LoggedRun stream_logged = RunLogged(*exp_, *stream_scheduler, *stream);
+    const EngineResult& stream_run = stream_logged.result;
 
     ExpectMetricsBitIdentical(vec_run.metrics, stream_run.metrics);
     EXPECT_EQ(vec_run.end_time, stream_run.end_time);
     EXPECT_EQ(vec_run.total_iterations, stream_run.total_iterations);
-    ASSERT_EQ(vec_run.iterations.size(), stream_run.iterations.size());
+    ASSERT_EQ(vec_logged.ticks.size(), stream_logged.ticks.size());
     ASSERT_EQ(vec_run.requests.size(), stream_run.requests.size());
     EXPECT_EQ(stream_run.requests.size(), trace.size());
     for (size_t i = 0; i < vec_run.requests.size(); ++i) {
@@ -130,8 +132,8 @@ TEST_P(StreamingEquivalence, LazyStreamMatchesMaterializedVector) {
   }
 }
 
-// The O(active)-memory configuration (retire finished requests, no
-// iteration log) must not change a single metric bit.
+// The O(active)-memory configuration (retire finished requests) must not
+// change a single metric bit.
 TEST_P(StreamingEquivalence, RetiringRunMetricsBitIdentical) {
   const SystemKind kind = GetParam();
   for (const Scenario& scenario : Scenarios(*exp_)) {
@@ -145,7 +147,6 @@ TEST_P(StreamingEquivalence, RetiringRunMetricsBitIdentical) {
 
     EngineConfig streaming;
     streaming.retire_finished = true;
-    streaming.record_iterations = false;
     auto stream = scenario.make();
     auto stream_scheduler = MakeScheduler(kind);
     const EngineResult stream_run = exp_->Run(*stream_scheduler, *stream, streaming);
@@ -153,9 +154,8 @@ TEST_P(StreamingEquivalence, RetiringRunMetricsBitIdentical) {
     ExpectMetricsBitIdentical(vec_run.metrics, stream_run.metrics);
     EXPECT_EQ(vec_run.end_time, stream_run.end_time);
     EXPECT_EQ(vec_run.total_iterations, stream_run.total_iterations);
-    // The streaming run keeps no per-request or per-iteration state around.
+    // The streaming run keeps no per-request state around.
     EXPECT_TRUE(stream_run.requests.empty());
-    EXPECT_TRUE(stream_run.iterations.empty());
     EXPECT_LE(stream_run.peak_resident_requests, trace.size());
   }
 }

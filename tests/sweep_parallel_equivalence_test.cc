@@ -1,5 +1,4 @@
-// Parallel ≡ serial equivalence proof for the sweep execution engine —
-// the parallel analogue of tick_equivalence_test.
+// Parallel ≡ serial equivalence proof for the sweep execution engine.
 //
 // Runs a smoke-sized Fig. 8-style sweep (systems × RPS grid) serially
 // (threads=1, the exact historical path) and in parallel (threads=4) and

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "src/adaserve.h"
@@ -44,6 +45,30 @@ inline std::vector<Request> UniformWorkload(const Experiment& exp, int n, int ca
 inline std::vector<Request> SmallMixedWorkload(const Experiment& exp, double duration = 8.0,
                                                double rps = 3.0) {
   return exp.RealTraceWorkload(duration, rps, WorkloadConfig{.mix = {0.4, 0.3, 0.3}});
+}
+
+// Collects every progressing tick's IterationRecord of a run, in order.
+// Attach it as EngineConfig::trace_sink.
+struct TickLog final : TickTraceSink {
+  void OnArrival(const Request&) override {}
+  void OnTick(const TickTraceEvent& event) override { ticks.push_back(event.record); }
+
+  std::vector<IterationRecord> ticks;
+};
+
+// One run's result together with its tick log.
+struct LoggedRun {
+  EngineResult result;
+  std::vector<IterationRecord> ticks;
+};
+
+// Experiment::Run with a TickLog attached to `engine`.
+inline LoggedRun RunLogged(const Experiment& exp, Scheduler& scheduler, WorkloadSource workload,
+                           EngineConfig engine = {}) {
+  TickLog log;
+  engine.trace_sink = &log;
+  EngineResult result = exp.Run(scheduler, std::move(workload), engine);
+  return {std::move(result), std::move(log.ticks)};
 }
 
 // True if the two doubles have the same bit pattern.

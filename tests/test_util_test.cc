@@ -78,9 +78,10 @@ TEST(TestUtil, TestSetupRunsAnEndToEndEngineTick) {
   Experiment exp(TestSetup());
   std::vector<Request> workload = UniformWorkload(exp, 4, kCatChat, 0.5);
   auto scheduler = MakeScheduler(SystemKind::kAdaServe);
-  const EngineResult result = exp.Run(*scheduler, std::move(workload));
+  const LoggedRun run = RunLogged(exp, *scheduler, std::move(workload));
+  const EngineResult& result = run.result;
   EXPECT_EQ(result.metrics.finished, 4);
-  EXPECT_GT(result.iterations.size(), 0u);
+  EXPECT_GT(run.ticks.size(), 0u);
   EXPECT_GT(result.end_time, 0.0);
   for (const Request& req : result.requests) {
     EXPECT_EQ(req.state, RequestState::kFinished);

@@ -410,9 +410,9 @@ TEST_F(TickEdgeCaseTest, PrefillBurstZeroDrainsEndToEnd) {
   engine.tick.prefill_burst = 0;
   VllmScheduler scheduler;
   const std::vector<Request> workload = SmallMixedWorkload(exp_);
-  const EngineResult result = exp_.Run(scheduler, workload, engine);
-  EXPECT_EQ(result.metrics.finished, static_cast<int>(workload.size()));
-  for (const IterationRecord& rec : result.iterations) {
+  const LoggedRun run = RunLogged(exp_, scheduler, workload, engine);
+  EXPECT_EQ(run.result.metrics.finished, static_cast<int>(workload.size()));
+  for (const IterationRecord& rec : run.ticks) {
     EXPECT_GT(rec.duration, 0.0);
   }
 }
@@ -436,8 +436,10 @@ class PriorityPolicyEngineTest : public ::testing::Test {
     return MakeMmppStream(exp_.Categories(), config);
   }
 
-  EngineResult RunWithPolicy(Scheduler& scheduler, PriorityPolicy policy) const {
+  EngineResult RunWithPolicy(Scheduler& scheduler, PriorityPolicy policy,
+                             bool continuous = true) const {
     EngineConfig engine;
+    engine.tick.continuous = continuous;
     engine.tick.max_active = 8;  // Small slot cap: queueing dominates.
     engine.tick.admission_priority = policy;
     auto stream = BurstyMixedStream();
@@ -493,33 +495,59 @@ TEST_F(PriorityPolicyEngineTest, SchedulerDefaultsResolveWhenConfigUnset) {
             GoldenMetricsText(SystemKind::kVllm, vllm_b.metrics));
 }
 
-// Boundary mode ignores priority entirely — even a forced kSloUrgentFirst
-// stays byte-identical to the FIFO drain loop, because the legacy-golden
-// guarantee would otherwise silently break.
-TEST_F(PriorityPolicyEngineTest, BoundaryModeIgnoresPriorityPolicy) {
-  const std::vector<Request> workload = SmallMixedWorkload(exp_);
-  VllmScheduler s1;
-  const EngineResult plain = exp_.Run(s1, workload, BoundaryTickConfig());
-  VllmScheduler s2;
-  EngineConfig forced = BoundaryTickConfig();
-  forced.tick.admission_priority = PriorityPolicy::kSloUrgentFirst;
-  const EngineResult with_priority = exp_.Run(s2, workload, forced);
-  EXPECT_EQ(GoldenMetricsText(SystemKind::kVllm, plain.metrics),
-            GoldenMetricsText(SystemKind::kVllm, with_priority.metrics));
-  EXPECT_EQ(plain.end_time, with_priority.end_time);
+// Boundary mode serves the TickPolicy it is given, like tick-native mode:
+// ResolvedFor keeps an explicit admission priority and eviction budget
+// (an unset priority still defers to the scheduler), ranked admission
+// changes who waits, and the boundary tick counts the pauses its
+// admission phase makes.
+TEST_F(PriorityPolicyEngineTest, BoundaryModeHonoursTickPolicy) {
+  VllmScheduler vllm;
+  TickPolicy policy = BoundaryTickConfig().tick;
+  policy.admission_priority = PriorityPolicy::kSloUrgentPause;
+  policy.max_evictions = 2;
+  const TickPolicy resolved = policy.ResolvedFor(vllm);
+  EXPECT_FALSE(resolved.continuous);
+  EXPECT_EQ(resolved.priority(), PriorityPolicy::kSloUrgentPause);
+  EXPECT_EQ(resolved.max_evictions, 2);
+  AdaServeScheduler adaserve;
+  policy.admission_priority.reset();
+  EXPECT_EQ(policy.ResolvedFor(adaserve).priority(), PriorityPolicy::kSloUrgentFirst);
 
-  // Flipping only tick.continuous off — leaving the now-default
-  // eviction budget and any priority default in place — must be the
-  // same legacy path as the full BoundaryTickConfig(): the engine
-  // neutralizes every tick-native knob at the boundary.
-  VllmScheduler s3;
-  EngineConfig hand_rolled;
-  hand_rolled.tick.continuous = false;
-  const EngineResult minimal = exp_.Run(s3, workload, hand_rolled);
-  EXPECT_EQ(GoldenMetricsText(SystemKind::kVllm, plain.metrics),
-            GoldenMetricsText(SystemKind::kVllm, minimal.metrics));
-  EXPECT_EQ(plain.end_time, minimal.end_time);
-  EXPECT_EQ(minimal.metrics.evictions, 0);
+  // Engine level: SLO-aware admission at the boundary lowers urgent TTFT.
+  const int urgent = UrgentCategory(exp_);
+  VllmScheduler fifo_scheduler;
+  const EngineResult fifo = RunWithPolicy(fifo_scheduler, PriorityPolicy::kFifo, false);
+  VllmScheduler slo_scheduler;
+  const EngineResult slo = RunWithPolicy(slo_scheduler, PriorityPolicy::kSloUrgentFirst, false);
+  ASSERT_EQ(fifo.metrics.finished, slo.metrics.finished);
+  EXPECT_LT(slo.metrics.per_category[static_cast<size_t>(urgent)].ttft_ms.Mean(),
+            fifo.metrics.per_category[static_cast<size_t>(urgent)].ttft_ms.Mean());
+
+  // Tick level: the KV-pressure shape of
+  // UrgentHeadPausesLeastUrgentVictimUnderPausePolicy, served by one
+  // boundary tick under the resolved pause policy.
+  KvCache kv(64.0, 1.0, 16);
+  RequestPool pool(&kv);
+  pool.AddArrival(CategorizedRequest(0, kCatChat, 0.05));
+  pool.AddArrival(CategorizedRequest(1, kCatSummarization, kRelaxedSlo));
+  ASSERT_EQ(pool.AdmitUpTo(10), 2);
+  pool.AdvancePrefill(1, 8);
+  pool.AddArrival(CategorizedRequest(2, kCatCoding, kUrgentSlo));
+  Rng rng(7);
+  ServingContext ctx;
+  ctx.target = &exp_.target();
+  ctx.draft = &exp_.draft();
+  ctx.target_latency = &exp_.target_latency();
+  ctx.draft_latency = &exp_.draft_latency();
+  ctx.rng = &rng;
+  ctx.tick = resolved;
+  const TickResult tick = vllm.Tick(0.0, pool, ctx);
+  EXPECT_TRUE(tick.MadeProgress());
+  EXPECT_EQ(tick.record.admitted, 1);
+  EXPECT_EQ(tick.record.paused, 1);
+  EXPECT_EQ(tick.record.evicted, 0);
+  EXPECT_EQ(pool.Get(1).state, RequestState::kPaused);
+  EXPECT_EQ(pool.Get(1).prefill_progress, 8);
 }
 
 }  // namespace
