@@ -2,29 +2,16 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <vector>
+#include <limits>
 
 #include "src/common/logging.h"
 
 namespace adaserve {
 namespace {
-
-// Hash-index slots that live on the stack: enough for any input of up to
-// 128 weights (a target support plus a draft mixture's union) at the
-// index's load factor of at most 1/2.
-constexpr size_t kInlineSlots = 256;
-
-// Fibonacci hashing of a token onto a power-of-two table of 2^(64 - shift)
-// slots; negative ids hash like any other bit pattern.
-size_t SlotOf(Token token, int shift) {
-  return static_cast<size_t>(
-      (static_cast<uint64_t>(static_cast<uint32_t>(token)) * 0x9e3779b97f4a7c15ULL) >> shift);
-}
 
 bool Before(const SparseDist::Entry& a, const SparseDist::Entry& b) {
   if (a.prob != b.prob) {
@@ -54,6 +41,17 @@ void SortEntries(std::span<SparseDist::Entry> entries) {
 // one SSE2 instruction.
 using TokenLanes = Token __attribute__((vector_size(4 * sizeof(Token))));
 
+// Lane k is nonzero where a[k] equals one of b's other three lanes: for
+// one group (a == b), every pair of distinct lanes; together with the
+// lane-wise a == b, all sixteen pairs of two groups.
+TokenLanes OtherLaneMatches(TokenLanes a, TokenLanes b) {
+  return (a == __builtin_shufflevector(b, b, 1, 2, 3, 0)) |
+         (a == __builtin_shufflevector(b, b, 2, 3, 0, 1)) |
+         (a == __builtin_shufflevector(b, b, 3, 0, 1, 2));
+}
+
+bool AnyLane(TokenLanes hits) { return (hits[0] | hits[1] | hits[2] | hits[3]) != 0; }
+
 // The tokens of entries i..i+3 of `entries` (the last one repeated past
 // the end). A whole group loads each 16-byte entry and shuffles the
 // tokens together instead of inserting them one by one.
@@ -82,7 +80,7 @@ TokenLanes TokensAt(std::span<const SparseDist::Entry> entries, size_t i) {
 
 // True if some token of `b` is also a token of `a`. Exact and branch-free:
 // every group of four `b` tokens is compared with every group of four `a`
-// tokens under all four rotations, which covers all sixteen pairs.
+// tokens.
 bool SharesToken(const SparseDist& a, const SparseDist& b) {
   if (a.empty()) {
     return false;
@@ -91,53 +89,100 @@ bool SharesToken(const SparseDist& a, const SparseDist& b) {
   for (size_t i = 0; i < a.size(); i += 4) {
     groups.push_back(TokensAt(a.entries(), i));
   }
-  TokenLanes hits0 = {};
-  TokenLanes hits1 = {};
-  TokenLanes hits2 = {};
-  TokenLanes hits3 = {};
+  TokenLanes hits = {};
   for (size_t j = 0; j < b.size(); j += 4) {
     const TokenLanes b0 = TokensAt(b.entries(), j);
-    const TokenLanes b1 = __builtin_shufflevector(b0, b0, 1, 2, 3, 0);
-    const TokenLanes b2 = __builtin_shufflevector(b0, b0, 2, 3, 0, 1);
-    const TokenLanes b3 = __builtin_shufflevector(b0, b0, 3, 0, 1, 2);
     for (const TokenLanes& g : groups) {
-      hits0 |= g == b0;
-      hits1 |= g == b1;
-      hits2 |= g == b2;
-      hits3 |= g == b3;
+      hits |= (g == b0) | OtherLaneMatches(g, b0);
     }
   }
-  const TokenLanes hits = (hits0 | hits1) | (hits2 | hits3);
-  return (hits[0] | hits[1] | hits[2] | hits[3]) != 0;
+  return AnyLane(hits);
+}
+
+// The widest input the rank path takes: a setup's 24-token target or noise
+// support. A compile-time width lets the compiler unroll the rank loop.
+constexpr size_t kRankWidth = 24;
+// Two probabilities as one GCC/Clang vector (one SSE2 register).
+using ProbLanes = double __attribute__((vector_size(2 * sizeof(double))));
+
+// FromWeights for the shape nearly every call has: at most kRankWidth
+// entries, every weight positive, no token twice; false for any other
+// input. With distinct tokens and probabilities, an entry's sorted position
+// is the number of probabilities above its own, counted without a branch
+// over fixed-width lanes, where a sort mispredicts on every fresh support.
+// Pad lanes hold prob 0.0, which exceeds no real prob, and a distinct
+// negative token; a real token equal to one only sends the input to the scan.
+bool RankInto(std::span<const Token> tokens, std::span<const double> weights,
+              SmallVector<SparseDist::Entry, SparseDist::kInlineSupport>& out) {
+  const size_t n = tokens.size();
+  // Summed in input order and divided once per entry, as the scan does.
+  double total = 0.0;
+  bool positive = n > 0 && n <= kRankWidth;
+  for (size_t i = 0; positive && i < n; ++i) {
+    positive = weights[i] > 0.0;
+    total += weights[i];
+  }
+  if (!positive || !std::isfinite(total)) {
+    return false;
+  }
+  std::array<TokenLanes, kRankWidth / 4> groups = {};
+  for (size_t i = 0; i < kRankWidth; ++i) {
+    groups[i / 4][i % 4] =
+        i < n ? tokens[i] : std::numeric_limits<Token>::min() + static_cast<Token>(i);
+  }
+  TokenLanes repeats = {};
+  for (size_t g = 0; g < groups.size(); ++g) {
+    repeats |= OtherLaneMatches(groups[g], groups[g]);
+    for (size_t h = g + 1; h < groups.size(); ++h) {
+      repeats |= (groups[g] == groups[h]) | OtherLaneMatches(groups[g], groups[h]);
+    }
+  }
+  if (AnyLane(repeats)) {
+    return false;
+  }
+  std::array<ProbLanes, kRankWidth / 2> probs = {};
+  std::memcpy(probs.data(), weights.data(), n * sizeof(double));
+  for (ProbLanes& p : probs) {
+    p /= ProbLanes{total, total};
+  }
+  const auto entry = [&](size_t i) { return SparseDist::Entry{tokens[i], probs[i / 2][i % 2]}; };
+  // Lane i of ranks[i / 2] counts the probabilities above entry i's (a
+  // true lane compare is -1). The ranks are below n, and a permutation
+  // unless two probabilities tie.
+  std::array<decltype(ProbLanes{} > ProbLanes{}), kRankWidth / 2> ranks = {};
+  for (size_t j = 0; j < kRankWidth; ++j) {
+    const ProbLanes pj = {probs[j / 2][j % 2], probs[j / 2][j % 2]};
+    for (size_t k = 0; k < ranks.size(); ++k) {
+      ranks[k] -= pj > probs[k];
+    }
+  }
+  std::array<SparseDist::Entry, kRankWidth> sorted = {};
+  uint32_t seen = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const auto rank = static_cast<size_t>(ranks[i / 2][i % 2]);
+    seen |= 1U << rank;
+    sorted[rank] = entry(i);
+  }
+  const bool tie = seen != (1U << n) - 1;
+  for (size_t i = 0; i < n; ++i) {
+    out.push_back(tie ? entry(i) : sorted[i]);
+  }
+  if (tie) {
+    SortEntries({out.data(), out.size()});
+  }
+  return true;
 }
 
 }  // namespace
 
 SparseDist SparseDist::FromWeights(std::span<const Token> tokens, std::span<const double> weights) {
   ADASERVE_CHECK(tokens.size() == weights.size()) << "token/weight size mismatch";
-  // Duplicates are coalesced through an open-addressing index (token ->
-  // 1 + output position, 0 = empty slot) sized to at least twice the
-  // input, so a lookup is one or two probes instead of a scan of the
-  // output. Per-token weight sums and the total accumulate in input order
-  // and entries are appended in first-appearance order, exactly as a
-  // linear-scan coalescing does, so every double -- and therefore the
-  // sorted entry array -- matches it bit for bit (distribution_test keeps
-  // that scan as the reference).
-  const size_t capacity = std::bit_ceil(std::max<size_t>(2 * tokens.size(), 2));
-  const int shift = 64 - std::countr_zero(capacity);
-  // Left uninitialised: only the first `capacity` slots are used, and
-  // exactly those are zeroed below.
-  std::array<uint32_t, kInlineSlots> inline_slots;
-  std::vector<uint32_t> heap_slots;
-  uint32_t* slots = inline_slots.data();
-  if (capacity > kInlineSlots) {
-    heap_slots.resize(capacity);
-    slots = heap_slots.data();
-  } else {
-    std::fill_n(slots, capacity, 0U);
-  }
-
   SparseDist dist;
+  if (RankInto(tokens, weights, dist.entries_)) {
+    return dist;
+  }
+  // Any other input: coalesce by first appearance, summing each token's
+  // weights and the total in input order, then sort.
   SmallVector<Entry, kInlineSupport>& entries = dist.entries_;
   double total = 0.0;
   for (size_t i = 0; i < tokens.size(); ++i) {
@@ -146,15 +191,12 @@ SparseDist SparseDist::FromWeights(std::span<const Token> tokens, std::span<cons
       continue;
     }
     total += weights[i];
-    size_t slot = SlotOf(tokens[i], shift);
-    while (slots[slot] != 0 && entries[slots[slot] - 1].token != tokens[i]) {
-      slot = (slot + 1) & (capacity - 1);
-    }
-    if (slots[slot] == 0) {
+    Entry* const seen = std::find_if(entries.begin(), entries.end(),
+                                     [&](const Entry& e) { return e.token == tokens[i]; });
+    if (seen == entries.end()) {
       entries.push_back({tokens[i], weights[i]});
-      slots[slot] = static_cast<uint32_t>(entries.size());
     } else {
-      entries[slots[slot] - 1].prob += weights[i];
+      seen->prob += weights[i];
     }
   }
   ADASERVE_CHECK(total > 0.0) << "distribution has no mass";

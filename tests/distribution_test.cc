@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -92,9 +93,9 @@ TEST(Mix, ExtremeWeightsRecoverInputs) {
   EXPECT_NEAR(Mix(a, b, 0.0).ProbOf(2), 1.0, 1e-12);
 }
 
-// The historical FromWeights, kept as the reference the hash-indexed one
-// must match bit for bit: linear-scan coalescing in input order, then
-// std::sort by (descending prob, ascending token).
+// The historical FromWeights, kept as the reference the current one must
+// match bit for bit: linear-scan coalescing in input order, then std::sort
+// by (descending prob, ascending token).
 std::vector<SparseDist::Entry> ReferenceFromWeights(const std::vector<Token>& tokens,
                                                     const std::vector<double>& weights) {
   std::vector<SparseDist::Entry> entries;
@@ -137,9 +138,10 @@ void ExpectBitIdentical(const SparseDist& got, const std::vector<SparseDist::Ent
   }
 }
 
-// Sizes 1..200 cross the inline entry capacity (48) and the inline hash
-// index (64 inputs). Each size draws tokens from a duplicate-heavy, a wide
-// or a signed range, and weights that include zeros and exact ties.
+// Sizes 1..200 cross the rank path's width (24) and the inline entry
+// capacity (48). Each size draws tokens from a duplicate-heavy, a wide or a
+// signed range, and weights that include zeros and exact ties, so most
+// inputs take the first-appearance scan.
 class FromWeightsEquivalenceSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(FromWeightsEquivalenceSweep, MatchesScanAndSortReference) {
@@ -175,6 +177,139 @@ TEST_P(FromWeightsEquivalenceSweep, MatchesScanAndSortReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FromWeightsEquivalenceSweep, ::testing::Range<uint64_t>(0, 8));
+
+void ExpectMatchesReference(const std::vector<Token>& tokens, const std::vector<double>& weights) {
+  ExpectBitIdentical(SparseDist::FromWeights(tokens, weights),
+                     ReferenceFromWeights(tokens, weights));
+}
+
+// The (token, weight) draw SyntheticLm::NextDist hands FromWeights, rebuilt
+// here so FromWeights can be checked on it directly.
+void DrawSupport(const LmConfig& config, uint64_t stream, std::span<const Token> context,
+                 std::vector<Token>& tokens, std::vector<double>& weights) {
+  const auto order = static_cast<size_t>(config.context_order);
+  const std::span<const Token> window = context.last(std::min(order, context.size()));
+  uint64_t state =
+      HashCombine(HashCombine(Mix64(config.seed), stream), HashTokens(config.seed, window));
+  tokens.clear();
+  weights.clear();
+  for (int i = 0; i < config.support; ++i) {
+    const uint64_t r1 = SplitMix64(state);
+    const uint64_t r2 = SplitMix64(state);
+    const double jitter_u = static_cast<double>(r2 >> 11) * 0x1.0p-53;
+    tokens.push_back(static_cast<Token>(r1 % static_cast<uint64_t>(config.vocab_size)));
+    weights.push_back(std::pow(static_cast<double>(i + 1), -config.zipf_exponent) *
+                      (1.0 + config.weight_jitter * (2.0 * jitter_u - 1.0)));
+  }
+}
+
+bool RepeatsToken(std::vector<Token> tokens) {
+  std::sort(tokens.begin(), tokens.end());
+  return std::adjacent_find(tokens.begin(), tokens.end()) != tokens.end();
+}
+
+// Every setup's target and noise draws: 24 distinct tokens with positive
+// weights (the rank path) except the ~1% that repeat a token (the scan).
+// The draw is checked against NextDist itself, so it cannot drift from it.
+TEST(FromWeightsEquivalence, SetupNextDistDraws) {
+  for (const adaserve::Setup& setup : {LlamaSetup(), QwenSetup()}) {
+    SCOPED_TRACE(setup.label);
+    LmConfig noise_config = setup.lm_config;
+    noise_config.seed = setup.draft_config.noise_seed;
+    noise_config.support = setup.draft_config.noise_support;
+    for (const LmConfig& config : {setup.lm_config, noise_config}) {
+      const SyntheticLm lm(config);
+      Rng rng(config.seed);
+      std::vector<Token> context;
+      std::vector<Token> tokens;
+      std::vector<double> weights;
+      int repeats = 0;
+      constexpr int kContexts = 2000;
+      for (int i = 0; i < kContexts; ++i) {
+        context.push_back(static_cast<Token>(rng.UniformInt(32000)));
+        const auto stream = static_cast<uint64_t>(i % 13);
+        DrawSupport(config, stream, context, tokens, weights);
+        repeats += RepeatsToken(tokens) ? 1 : 0;
+        SCOPED_TRACE(testing::Message() << "i=" << i);
+        const SparseDist dist = lm.NextDist(stream, context);
+        ExpectBitIdentical(dist, ReferenceFromWeights(tokens, weights));
+        ExpectBitIdentical(SparseDist::FromWeights(tokens, weights),
+                           {dist.entries().begin(), dist.entries().end()});
+      }
+      EXPECT_GT(repeats, 0);
+      EXPECT_LT(repeats, kContexts / 20);
+    }
+  }
+}
+
+// Distinct tokens and distinct positive weights, sizes 1..25: the rank
+// path up to its width, then the scan.
+TEST(FromWeightsEquivalence, DistinctSupportsAcrossTheRankWidth) {
+  Rng rng(29);
+  for (size_t n = 1; n <= 25; ++n) {
+    for (int trial = 0; trial < 50; ++trial) {
+      std::vector<Token> tokens;
+      std::vector<double> weights;
+      for (size_t i = 0; i < n; ++i) {
+        tokens.push_back(static_cast<Token>(1000 * i + rng.UniformInt(1000)));
+        weights.push_back(std::pow(static_cast<double>(i + 1), -3.0) * (0.6 + 0.8 * rng.Uniform()));
+      }
+      for (size_t i = n - 1; i > 0; --i) {
+        const size_t j = rng.UniformInt(i + 1);
+        std::swap(tokens[i], tokens[j]);
+      }
+      SCOPED_TRACE(testing::Message() << "n=" << n << " trial=" << trial);
+      ExpectMatchesReference(tokens, weights);
+    }
+  }
+}
+
+// Inputs that look like the rank path's but must leave it, each as small
+// as it gets and at the full width.
+TEST(FromWeightsEquivalence, RankPathExits) {
+  std::vector<Token> tokens(24);
+  std::vector<double> weights(24);
+  for (size_t i = 0; i < 24; ++i) {
+    tokens[i] = static_cast<Token>(24 - i);
+    weights[i] = 1.0 / static_cast<double>(i + 1);
+  }
+  ExpectMatchesReference(tokens, weights);
+  {
+    SCOPED_TRACE("exact prob tie between distinct tokens");
+    ExpectMatchesReference({9, 3, 5}, {0.25, 0.5, 0.25});
+    std::vector<double> tied = weights;
+    tied[17] = tied[3];
+    ExpectMatchesReference(tokens, tied);
+    ExpectMatchesReference(tokens, std::vector<double>(24, 1.0));
+  }
+  {
+    SCOPED_TRACE("one repeated token");
+    ExpectMatchesReference({4, 7, 4}, {0.5, 0.3, 0.2});
+    std::vector<Token> repeated = tokens;
+    repeated[23] = repeated[0];
+    ExpectMatchesReference(repeated, weights);
+  }
+  {
+    SCOPED_TRACE("negative token ids, pad tokens included");
+    constexpr Token kMin = std::numeric_limits<Token>::min();
+    ExpectMatchesReference({-1, -50, 7}, {0.2, 0.5, 0.3});
+    for (Token pad = kMin; pad < kMin + 24; ++pad) {
+      ExpectMatchesReference({5, pad, -5}, {0.2, 0.5, 0.3});
+    }
+    std::vector<Token> negative = tokens;
+    for (Token& t : negative) {
+      t = kMin + 24 - t;
+    }
+    ExpectMatchesReference(negative, weights);
+  }
+  {
+    SCOPED_TRACE("one zero weight");
+    ExpectMatchesReference({1, 2, 3}, {0.5, 0.0, 0.5});
+    std::vector<double> zeroed = weights;
+    zeroed[11] = 0.0;
+    ExpectMatchesReference(tokens, zeroed);
+  }
+}
 
 // Mix as FromWeights over a's scaled entries followed by b's, through the
 // reference algorithm.
