@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/adaserve.h"
+#include "src/model/dist_kernels.h"
 
 namespace adaserve {
 namespace {
@@ -29,11 +30,36 @@ std::vector<Token> MakeContext(uint64_t seed, int len) {
   return ctx;
 }
 
+// The distribution rows rotate over kInputs inputs, each a distinct
+// stream seed and committed prefix as slobench's layer timings take them
+// from finished requests, so every call meets a fresh hashed support as in
+// serving. Replaying one input, or even 256, lets the branch predictor
+// learn them and hides the mispredictions real calls pay.
+constexpr size_t kInputs = 1024;
+
+struct StreamContext {
+  uint64_t stream;
+  std::vector<Token> context;
+};
+
+const std::vector<StreamContext>& Contexts() {
+  static const auto* contexts = [] {
+    auto* v = new std::vector<StreamContext>;
+    for (size_t i = 0; i < kInputs; ++i) {
+      v->push_back({100 + i, MakeContext(100 + i, 1 + static_cast<int>(i % 32))});
+    }
+    return v;
+  }();
+  return *contexts;
+}
+
 void BM_DraftNextDist(benchmark::State& state) {
   const Experiment& exp = GetExperiment();
-  const std::vector<Token> ctx = MakeContext(1, 32);
+  const std::vector<StreamContext>& contexts = Contexts();
+  size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(exp.draft().NextDist(7, ctx));
+    benchmark::DoNotOptimize(exp.draft().NextDist(contexts[i].stream, contexts[i].context));
+    i = (i + 1) % kInputs;
   }
 }
 BENCHMARK(BM_DraftNextDist);
@@ -65,10 +91,14 @@ BENCHMARK(BM_BuildCandidateTree)->ArgNames({"depth", "reuse"})->ArgsProduct({{2,
 // head:5 a width-4 beam step's cut, head:all the whole mixture.
 void BM_ExpandNode(benchmark::State& state, size_t head) {
   const Experiment& exp = GetExperiment();
-  std::vector<Token> ctx = MakeContext(11, 32);
+  std::vector<StreamContext> inputs = Contexts();
+  size_t i = 0;
   for (auto _ : state) {
-    TokenTree tree(ctx.back());
-    benchmark::DoNotOptimize(ExpandNode(exp.draft(), 7, kRootNode, head, ctx, tree));
+    StreamContext& input = inputs[i];
+    TokenTree tree(input.context.back());
+    benchmark::DoNotOptimize(
+        ExpandNode(exp.draft(), input.stream, kRootNode, head, input.context, tree));
+    i = (i + 1) % kInputs;
   }
 }
 BENCHMARK_CAPTURE(BM_ExpandNode, head:1, size_t{1});
@@ -137,29 +167,6 @@ void BM_OptimalConstruct(benchmark::State& state) {
 }
 BENCHMARK(BM_OptimalConstruct)->Arg(16)->Arg(64);
 
-// The distribution rows below rotate over kInputs inputs, each a distinct
-// stream seed and committed prefix as slobench's layer timings take them
-// from finished requests, so every call meets a fresh hashed support as in
-// serving. Replaying one input, or even 256, lets the branch predictor
-// learn them and hides the mispredictions real calls pay.
-constexpr size_t kInputs = 1024;
-
-struct StreamContext {
-  uint64_t stream;
-  std::vector<Token> context;
-};
-
-const std::vector<StreamContext>& Contexts() {
-  static const auto* contexts = [] {
-    auto* v = new std::vector<StreamContext>;
-    for (size_t i = 0; i < kInputs; ++i) {
-      v->push_back({100 + i, MakeContext(100 + i, 1 + static_cast<int>(i % 32))});
-    }
-    return v;
-  }();
-  return *contexts;
-}
-
 // The Llama setup's target and noise distributions at every input.
 struct DraftPair {
   SparseDist target;
@@ -186,13 +193,17 @@ const std::vector<DraftPair>& DraftPairs() {
 
 // The (token, weight) draw SyntheticLm::NextDist hands FromWeights, rebuilt
 // here so FromWeights can be timed alone.
-void DrawSupport(const LmConfig& config, const StreamContext& c, std::vector<Token>& tokens,
-                 std::vector<double>& weights) {
+// The hash NextDist seeds the draw with: stream and context window.
+uint64_t DrawHash(const LmConfig& config, const StreamContext& c) {
   const auto order = static_cast<size_t>(config.context_order);
   const std::span<const Token> context(c.context);
   const std::span<const Token> window = context.last(std::min(order, context.size()));
-  uint64_t state =
-      HashCombine(HashCombine(Mix64(config.seed), c.stream), HashTokens(config.seed, window));
+  return HashCombine(HashCombine(Mix64(config.seed), c.stream), HashTokens(config.seed, window));
+}
+
+void DrawSupport(const LmConfig& config, const StreamContext& c, std::vector<Token>& tokens,
+                 std::vector<double>& weights) {
+  uint64_t state = DrawHash(config, c);
   for (int i = 0; i < config.support; ++i) {
     const uint64_t r1 = SplitMix64(state);
     const uint64_t r2 = SplitMix64(state);
@@ -291,6 +302,68 @@ void BM_TargetNextDist(benchmark::State& state) {
 }
 BENCHMARK(BM_TargetNextDist);
 
+// The vector kernels under FromWeights and NextDist at each width, on the
+// Llama target's draws (the inputs of FromWeights/24 and TargetNextDist).
+// The library calls the chosen width (the distribution_kernels context
+// entry); a CPU without AVX-512 skips the wide rows.
+bool SkipUnsupported(benchmark::State& state, dist_kernels::Width width) {
+  if (width == dist_kernels::Width::kWide && !dist_kernels::WideSupported()) {
+    state.SkipWithError("this CPU has no AVX-512 (x86-64-v4)");
+    return true;
+  }
+  return false;
+}
+
+// FromWeights' rank path alone.
+void BM_RankKernel(benchmark::State& state, dist_kernels::Width width) {
+  if (SkipUnsupported(state, width)) {
+    return;
+  }
+  const LmConfig& config = GetExperiment().target().config();
+  std::vector<std::vector<Token>> tokens(kInputs);
+  std::vector<std::vector<double>> weights(kInputs);
+  for (size_t i = 0; i < kInputs; ++i) {
+    DrawSupport(config, Contexts()[i], tokens[i], weights[i]);
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    dist_kernels::EntryScratch out;
+    benchmark::DoNotOptimize(dist_kernels::RankInto(width, tokens[i], weights[i], out));
+    benchmark::DoNotOptimize(out.data());
+    i = (i + 1) % kInputs;
+  }
+}
+BENCHMARK_CAPTURE(BM_RankKernel, narrow, dist_kernels::Width::kNarrow);
+BENCHMARK_CAPTURE(BM_RankKernel, wide, dist_kernels::Width::kWide);
+
+// NextDist's support draw alone, from each input's context hash.
+void BM_DrawKernel(benchmark::State& state, dist_kernels::Width width) {
+  if (SkipUnsupported(state, width)) {
+    return;
+  }
+  const LmConfig& config = GetExperiment().target().config();
+  std::vector<double> zipf;
+  for (int i = 0; i < config.support; ++i) {
+    zipf.push_back(std::pow(static_cast<double>(i + 1), -config.zipf_exponent));
+  }
+  std::vector<uint64_t> hashes;
+  for (const StreamContext& c : Contexts()) {
+    hashes.push_back(DrawHash(config, c));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    dist_kernels::TokenScratch tokens;
+    dist_kernels::WeightScratch weights;
+    dist_kernels::DrawSupport(width, hashes[i], static_cast<uint64_t>(config.vocab_size),
+                              config.weight_jitter, zipf, tokens, weights);
+    benchmark::DoNotOptimize(tokens.data());
+    benchmark::DoNotOptimize(weights.data());
+    i = (i + 1) % kInputs;
+  }
+}
+BENCHMARK_CAPTURE(BM_DrawKernel, narrow, dist_kernels::Width::kNarrow);
+BENCHMARK_CAPTURE(BM_DrawKernel, wide, dist_kernels::Width::kWide);
+
 // Percentile queries at metrics finalization: the cached sorted view makes
 // the k-th query O(1) after the first.
 void BM_SamplesPercentiles(benchmark::State& state) {
@@ -312,4 +385,17 @@ BENCHMARK(BM_SamplesPercentiles);
 }  // namespace
 }  // namespace adaserve
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // Which kernel width the library rows timed, recorded in every report.
+  using adaserve::dist_kernels::Width;
+  benchmark::AddCustomContext(
+      "distribution_kernels",
+      adaserve::dist_kernels::Chosen() == Width::kWide ? "wide (x86-64-v4)" : "narrow");
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+    return 1;
+  }
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -10,24 +10,6 @@ uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
-uint64_t SplitMix64(uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ULL;
-  uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-uint64_t Mix64(uint64_t x) {
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-uint64_t HashCombine(uint64_t seed, uint64_t value) {
-  return Mix64(seed ^ (value + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2)));
-}
-
 uint64_t HashTokens(uint64_t seed, std::span<const Token> tokens) {
   uint64_t h = Mix64(seed ^ 0xadaceede5e4e5e4eULL);
   for (Token t : tokens) {

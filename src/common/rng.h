@@ -16,14 +16,37 @@
 
 namespace adaserve {
 
-// SplitMix64 step; also the core of our stable hash mixing.
-uint64_t SplitMix64(uint64_t& state);
+// SplitMix64's state increment (the golden-ratio constant).
+inline constexpr uint64_t kSplitMixGamma = 0x9e3779b97f4a7c15ULL;
 
-// Mixes a single 64-bit value (Stafford variant 13 finalizer).
-uint64_t Mix64(uint64_t x);
+// Mixes `x` in place (Stafford variant 13 finalizer). A template so that
+// vector kernels apply the same finalizer to every lane of a GCC/Clang
+// vector of uint64_t; by reference, as wide vectors passed by value change
+// the calling convention.
+template <typename U>
+inline void Mix64InPlace(U& x) {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  x = x ^ (x >> 31);
+}
+
+// Mixes a single 64-bit value.
+inline uint64_t Mix64(uint64_t x) {
+  Mix64InPlace(x);
+  return x;
+}
+
+// SplitMix64 step; also the core of our stable hash mixing. The k-th
+// output from state s is Mix64(s + k * kSplitMixGamma).
+inline uint64_t SplitMix64(uint64_t& state) {
+  state += kSplitMixGamma;
+  return Mix64(state);
+}
 
 // Combines a hash with a new value, order-sensitive.
-uint64_t HashCombine(uint64_t seed, uint64_t value);
+inline uint64_t HashCombine(uint64_t seed, uint64_t value) {
+  return Mix64(seed ^ (value + kSplitMixGamma + (seed << 6) + (seed >> 2)));
+}
 
 // Stable hash of a token span with a stream seed. Used to key the synthetic
 // language model's next-token distribution on (stream, context window).

@@ -7,8 +7,10 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "src/common/logging.h"
+#include "src/model/dist_kernels.h"
 
 namespace adaserve {
 namespace {
@@ -37,83 +39,141 @@ void SortEntries(std::span<SparseDist::Entry> entries) {
   }
 }
 
-// Four tokens as one GCC/Clang vector: on x86-64 a lane-wise == or |= is
-// one SSE2 instruction.
-using TokenLanes = Token __attribute__((vector_size(4 * sizeof(Token))));
+}  // namespace
 
-// Lane k is nonzero where a[k] equals one of b's other three lanes: for
-// one group (a == b), every pair of distinct lanes; together with the
-// lane-wise a == b, all sixteen pairs of two groups.
-TokenLanes OtherLaneMatches(TokenLanes a, TokenLanes b) {
-  return (a == __builtin_shufflevector(b, b, 1, 2, 3, 0)) |
-         (a == __builtin_shufflevector(b, b, 2, 3, 0, 1)) |
-         (a == __builtin_shufflevector(b, b, 3, 0, 1, 2));
+namespace dist_kernels {
+namespace {
+
+template <typename V>
+constexpr size_t kLanes = sizeof(V) / sizeof(V{}[0]);
+
+// Every lane of `lanes` set to x.
+template <typename V, typename T, size_t... K>
+[[gnu::always_inline]] inline void Splat(T x, V& lanes, std::index_sequence<K...> /*lanes*/) {
+  lanes = V{((void)K, x)...};
 }
 
-bool AnyLane(TokenLanes hits) { return (hits[0] | hits[1] | hits[2] | hits[3]) != 0; }
+template <typename V, typename T>
+[[gnu::always_inline]] inline void Splat(T x, V& lanes) {
+  Splat(x, lanes, std::make_index_sequence<kLanes<V>>());
+}
 
-// The tokens of entries i..i+3 of `entries` (the last one repeated past
-// the end). A whole group loads each 16-byte entry and shuffles the
-// tokens together instead of inserting them one by one.
-TokenLanes TokensAt(std::span<const SparseDist::Entry> entries, size_t i) {
-  static_assert(sizeof(SparseDist::Entry) == sizeof(TokenLanes) &&
-                offsetof(SparseDist::Entry, token) == 0);
-  if (i + 4 <= entries.size()) {
-    TokenLanes e0;
-    TokenLanes e1;
-    TokenLanes e2;
-    TokenLanes e3;
-    std::memcpy(&e0, &entries[i], sizeof(TokenLanes));
-    std::memcpy(&e1, &entries[i + 1], sizeof(TokenLanes));
-    std::memcpy(&e2, &entries[i + 2], sizeof(TokenLanes));
-    std::memcpy(&e3, &entries[i + 3], sizeof(TokenLanes));
-    const TokenLanes lo = __builtin_shufflevector(e0, e1, 0, 4, 0, 4);
-    const TokenLanes hi = __builtin_shufflevector(e2, e3, 0, 4, 0, 4);
-    return __builtin_shufflevector(lo, hi, 0, 1, 4, 5);
+// Lanes i.. of `values` into `lanes`, `pad(i + k)` past values' end.
+template <typename V, typename T, typename Pad>
+[[gnu::always_inline]] inline void LoadPadded(std::span<const T> values, size_t i, const Pad& pad,
+                                              V& lanes) {
+  if (i + kLanes<V> <= values.size()) {
+    std::memcpy(&lanes, &values[i], sizeof(V));
+    return;
   }
-  TokenLanes lanes;
-  for (size_t k = 0; k < 4; ++k) {
+  for (size_t k = 0; k < kLanes<V>; ++k) {
+    lanes[k] = i + k < values.size() ? values[i + k] : pad(i + k);
+  }
+}
+
+// `lanes` rotated down by r: lane k holds lanes[(k + r) % n].
+template <size_t r, typename V, size_t... K>
+[[gnu::always_inline]] inline void Rotate(const V& lanes, V& rotated,
+                                          std::index_sequence<K...> /*lanes*/) {
+  rotated = __builtin_shufflevector(lanes, lanes, (K + r) % kLanes<V>...);
+}
+
+// ORs into `hits` lane k nonzero where a[k] equals one of b's other lanes:
+// for one group (a == b), every pair of distinct lanes; together with the
+// lane-wise a == b, every pair of two groups.
+template <typename V, size_t... R>
+[[gnu::always_inline]] inline void OtherLaneMatches(const V& a, const V& b, V& hits,
+                                                    std::index_sequence<0, R...> /*rotations*/) {
+  V rotated = {};
+  ((Rotate<R>(b, rotated, std::make_index_sequence<kLanes<V>>()), hits |= a == rotated), ...);
+}
+
+template <typename V>
+[[gnu::always_inline]] inline void OtherLaneMatches(const V& a, const V& b, V& hits) {
+  OtherLaneMatches(a, b, hits, std::make_index_sequence<kLanes<V>>());
+}
+
+template <typename M>
+[[gnu::always_inline]] inline bool AnyLane(const M& hits) {
+  auto any = hits[0];
+  for (size_t k = 1; k < kLanes<M>; ++k) {
+    any |= hits[k];
+  }
+  return any != 0;
+}
+
+// Lanes 0, 4, 8, ... of the concatenation of `lo` and `hi`.
+template <typename Half, typename V, size_t... K>
+[[gnu::always_inline]] inline void EveryFourth(const Half& lo, const Half& hi, V& lanes,
+                                               std::index_sequence<K...> /*lanes*/) {
+  lanes = __builtin_shufflevector(lo, hi, (4 * K)...);
+}
+
+// The tokens of entries i.. of `entries`, one per lane (the last entry
+// repeated past the end). A whole group loads its 16-byte entries half a
+// group at a time and shuffles the tokens together instead of inserting
+// them one by one.
+template <typename V>
+[[gnu::always_inline]] inline void TokensAt(std::span<const SparseDist::Entry> entries, size_t i,
+                                            V& lanes) {
+  constexpr size_t n = kLanes<V>;
+  static_assert(sizeof(SparseDist::Entry) == 4 * sizeof(Token) &&
+                offsetof(SparseDist::Entry, token) == 0);
+  if (i + n <= entries.size()) {
+    using Half = Lanes<Token, 2 * n>;
+    Half lo = {};
+    Half hi = {};
+    std::memcpy(&lo, &entries[i], sizeof(Half));
+    std::memcpy(&hi, &entries[i + n / 2], sizeof(Half));
+    EveryFourth(lo, hi, lanes, std::make_index_sequence<n>());
+    return;
+  }
+  for (size_t k = 0; k < n; ++k) {
     lanes[k] = entries[std::min(i + k, entries.size() - 1)].token;
   }
-  return lanes;
 }
 
-// True if some token of `b` is also a token of `a`. Exact and branch-free:
-// every group of four `b` tokens is compared with every group of four `a`
-// tokens.
-bool SharesToken(const SparseDist& a, const SparseDist& b) {
-  if (a.empty()) {
-    return false;
-  }
-  SmallVector<TokenLanes, (SparseDist::kInlineSupport + 3) / 4> groups;
-  for (size_t i = 0; i < a.size(); i += 4) {
-    groups.push_back(TokensAt(a.entries(), i));
-  }
+// SharesToken at kTokenLanes lanes. Exact and branch-free: every group of
+// `b` tokens is compared with every group of `a` tokens, a's groups held in
+// registers a block of kInlineSupport entries at a time.
+template <size_t kTokenLanes>
+[[gnu::always_inline]] inline bool SharesTokenBody(std::span<const SparseDist::Entry> a,
+                                                   std::span<const SparseDist::Entry> b) {
+  using TokenLanes = Lanes<Token, kTokenLanes>;
+  constexpr size_t kBlock = SparseDist::kInlineSupport;
   TokenLanes hits = {};
-  for (size_t j = 0; j < b.size(); j += 4) {
-    const TokenLanes b0 = TokensAt(b.entries(), j);
-    for (const TokenLanes& g : groups) {
-      hits |= (g == b0) | OtherLaneMatches(g, b0);
+  for (size_t start = 0; start < a.size(); start += kBlock) {
+    const std::span<const SparseDist::Entry> block =
+        a.subspan(start, std::min(kBlock, a.size() - start));
+    std::array<TokenLanes, (kBlock + kTokenLanes - 1) / kTokenLanes> groups = {};
+    const size_t num_groups = (block.size() + kTokenLanes - 1) / kTokenLanes;
+    for (size_t g = 0; g < num_groups; ++g) {
+      TokensAt(block, g * kTokenLanes, groups[g]);
+    }
+    for (size_t j = 0; j < b.size(); j += kTokenLanes) {
+      TokenLanes b0 = {};
+      TokensAt(b, j, b0);
+      for (size_t g = 0; g < num_groups; ++g) {
+        hits |= groups[g] == b0;
+        OtherLaneMatches(groups[g], b0, hits);
+      }
     }
   }
   return AnyLane(hits);
 }
 
-// The widest input the rank path takes: a setup's 24-token target or noise
-// support. A compile-time width lets the compiler unroll the rank loop.
-constexpr size_t kRankWidth = 24;
-// Two probabilities as one GCC/Clang vector (one SSE2 register).
-using ProbLanes = double __attribute__((vector_size(2 * sizeof(double))));
-
-// FromWeights for the shape nearly every call has: at most kRankWidth
-// entries, every weight positive, no token twice; false for any other
-// input. With distinct tokens and probabilities, an entry's sorted position
-// is the number of probabilities above its own, counted without a branch
-// over fixed-width lanes, where a sort mispredicts on every fresh support.
-// Pad lanes hold prob 0.0, which exceeds no real prob, and a distinct
-// negative token; a real token equal to one only sends the input to the scan.
-bool RankInto(std::span<const Token> tokens, std::span<const double> weights,
-              SmallVector<SparseDist::Entry, SparseDist::kInlineSupport>& out) {
+// RankInto at kProbLanes double lanes and kTokenLanes token lanes. With
+// distinct tokens and probabilities, an entry's sorted position is the
+// number of probabilities above its own, counted without a branch over
+// fixed-width lanes, where a sort mispredicts on every fresh support. Pad
+// lanes hold prob 0.0, which exceeds no real prob, and a distinct negative
+// token; a real token equal to one only sends the input to the scan.
+template <size_t kProbLanes, size_t kTokenLanes>
+[[gnu::always_inline]] inline bool RankBody(std::span<const Token> tokens,
+                                            std::span<const double> weights, EntryScratch& out) {
+  using ProbLanes = Lanes<double, kProbLanes>;
+  using TokenLanes = Lanes<Token, kTokenLanes>;
+  static_assert(kRankWidth % kProbLanes == 0 && kRankWidth % kTokenLanes == 0);
   const size_t n = tokens.size();
   // Summed in input order and divided once per entry, as the scan does.
   double total = 0.0;
@@ -125,60 +185,121 @@ bool RankInto(std::span<const Token> tokens, std::span<const double> weights,
   if (!positive || !std::isfinite(total)) {
     return false;
   }
-  std::array<TokenLanes, kRankWidth / 4> groups = {};
-  for (size_t i = 0; i < kRankWidth; ++i) {
-    groups[i / 4][i % 4] =
-        i < n ? tokens[i] : std::numeric_limits<Token>::min() + static_cast<Token>(i);
+  const auto pad_token = [](size_t i) {
+    return std::numeric_limits<Token>::min() + static_cast<Token>(i);
+  };
+  std::array<TokenLanes, kRankWidth / kTokenLanes> groups = {};
+  for (size_t g = 0; g < groups.size(); ++g) {
+    LoadPadded(tokens, g * kTokenLanes, pad_token, groups[g]);
   }
   TokenLanes repeats = {};
   for (size_t g = 0; g < groups.size(); ++g) {
-    repeats |= OtherLaneMatches(groups[g], groups[g]);
+    OtherLaneMatches(groups[g], groups[g], repeats);
     for (size_t h = g + 1; h < groups.size(); ++h) {
-      repeats |= (groups[g] == groups[h]) | OtherLaneMatches(groups[g], groups[h]);
+      repeats |= groups[g] == groups[h];
+      OtherLaneMatches(groups[g], groups[h], repeats);
     }
   }
   if (AnyLane(repeats)) {
     return false;
   }
-  std::array<ProbLanes, kRankWidth / 2> probs = {};
-  std::memcpy(probs.data(), weights.data(), n * sizeof(double));
-  for (ProbLanes& p : probs) {
-    p /= ProbLanes{total, total};
+  ProbLanes totals = {};
+  Splat(total, totals);
+  std::array<ProbLanes, kRankWidth / kProbLanes> probs = {};
+  for (size_t g = 0; g < probs.size(); ++g) {
+    LoadPadded(weights, g * kProbLanes, [](size_t /*i*/) { return 0.0; }, probs[g]);
+    probs[g] /= totals;
   }
-  const auto entry = [&](size_t i) { return SparseDist::Entry{tokens[i], probs[i / 2][i % 2]}; };
-  // Lane i of ranks[i / 2] counts the probabilities above entry i's (a
-  // true lane compare is -1). The ranks are below n, and a permutation
-  // unless two probabilities tie.
-  std::array<decltype(ProbLanes{} > ProbLanes{}), kRankWidth / 2> ranks = {};
+  const auto prob = [&](size_t i) { return probs[i / kProbLanes][i % kProbLanes]; };
+  // Lane i of ranks[i / kProbLanes] counts the probabilities above entry
+  // i's (a true lane compare is -1). The ranks are below n, and a
+  // permutation unless two probabilities tie.
+  std::array<decltype(ProbLanes{} > ProbLanes{}), kRankWidth / kProbLanes> ranks = {};
   for (size_t j = 0; j < kRankWidth; ++j) {
-    const ProbLanes pj = {probs[j / 2][j % 2], probs[j / 2][j % 2]};
+    ProbLanes pj = {};
+    Splat(prob(j), pj);
     for (size_t k = 0; k < ranks.size(); ++k) {
       ranks[k] -= pj > probs[k];
     }
   }
-  std::array<SparseDist::Entry, kRankWidth> sorted = {};
+  const auto entry = [&](size_t i) { return SparseDist::Entry{tokens[i], prob(i)}; };
+  for (size_t i = 0; i < n; ++i) {
+    out.push_back(entry(i));
+  }
+  // Scatter by rank, in place: the entries are read from the lanes.
+  SparseDist::Entry* const sorted = out.data();
   uint32_t seen = 0;
   for (size_t i = 0; i < n; ++i) {
-    const auto rank = static_cast<size_t>(ranks[i / 2][i % 2]);
+    const auto rank = static_cast<size_t>(ranks[i / kProbLanes][i % kProbLanes]);
     seen |= 1U << rank;
     sorted[rank] = entry(i);
   }
-  const bool tie = seen != (1U << n) - 1;
-  for (size_t i = 0; i < n; ++i) {
-    out.push_back(tie ? entry(i) : sorted[i]);
-  }
-  if (tie) {
+  if (seen != (1U << n) - 1) {
+    // A tie: back to input order, then sort.
+    for (size_t i = 0; i < n; ++i) {
+      sorted[i] = entry(i);
+    }
     SortEntries({out.data(), out.size()});
   }
   return true;
 }
 
+#if ADASERVE_WIDE_KERNELS
+[[gnu::target("arch=x86-64-v4")]] bool RankIntoWide(std::span<const Token> tokens,
+                                                    std::span<const double> weights,
+                                                    EntryScratch& out) {
+  return RankBody<8, 8>(tokens, weights, out);
+}
+
+[[gnu::target("arch=x86-64-v4")]] bool SharesTokenWide(std::span<const SparseDist::Entry> a,
+                                                       std::span<const SparseDist::Entry> b) {
+  return SharesTokenBody<8>(a, b);
+}
+#endif
+
 }  // namespace
+
+bool WideSupported() {
+#if ADASERVE_WIDE_KERNELS
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
+         __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512vl");
+#else
+  return false;
+#endif
+}
+
+Width Chosen() {
+  static const Width width = WideSupported() ? Width::kWide : Width::kNarrow;
+  return width;
+}
+
+bool RankInto([[maybe_unused]] Width width, std::span<const Token> tokens,
+              std::span<const double> weights, EntryScratch& out) {
+#if ADASERVE_WIDE_KERNELS
+  if (width == Width::kWide) {
+    return RankIntoWide(tokens, weights, out);
+  }
+#endif
+  return RankBody<2, 4>(tokens, weights, out);
+}
+
+bool SharesToken([[maybe_unused]] Width width, std::span<const SparseDist::Entry> a,
+                 std::span<const SparseDist::Entry> b) {
+#if ADASERVE_WIDE_KERNELS
+  if (width == Width::kWide) {
+    return SharesTokenWide(a, b);
+  }
+#endif
+  return SharesTokenBody<4>(a, b);
+}
+
+}  // namespace dist_kernels
 
 SparseDist SparseDist::FromWeights(std::span<const Token> tokens, std::span<const double> weights) {
   ADASERVE_CHECK(tokens.size() == weights.size()) << "token/weight size mismatch";
   SparseDist dist;
-  if (RankInto(tokens, weights, dist.entries_)) {
+  if (dist_kernels::RankInto(dist_kernels::Chosen(), tokens, weights, dist.entries_)) {
     return dist;
   }
   // Any other input: coalesce by first appearance, summing each token's
@@ -268,7 +389,7 @@ namespace {
 template <typename Entries>
 void MixInto(const SparseDist& a, const SparseDist& b, double weight, size_t n, Entries& out) {
   ADASERVE_CHECK(weight >= 0.0 && weight <= 1.0) << "mix weight out of range: " << weight;
-  if (SharesToken(a, b)) {
+  if (dist_kernels::SharesToken(dist_kernels::Chosen(), a.entries(), b.entries())) {
     // A shared token must be coalesced, which only FromWeights does.
     SmallVector<Token, SparseDist::kInlineSupport> tokens;
     SmallVector<double, SparseDist::kInlineSupport> weights;

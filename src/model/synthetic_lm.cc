@@ -2,11 +2,82 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "src/common/arena.h"
 #include "src/common/logging.h"
+#include "src/model/dist_kernels.h"
 
 namespace adaserve {
+
+namespace dist_kernels {
+namespace {
+
+// DrawSupport at kLanes slots per step. Slot i's draws are the SplitMix64
+// outputs Mix64(h + (2i + 1) * gamma) and Mix64(h + (2i + 2) * gamma), so
+// a step mixes and jitters kLanes slots lane-wise; only the modulo by the
+// vocabulary is scalar.
+template <size_t kLanes>
+[[gnu::always_inline]] inline void DrawBody(uint64_t h, uint64_t vocab_size, double jitter,
+                                            std::span<const double> zipf, TokenScratch& tokens,
+                                            WeightScratch& weights) {
+  using U64Lanes = Lanes<uint64_t, kLanes>;
+  using ProbLanes = Lanes<double, kLanes>;
+  U64Lanes state = {};  // Before slot k's first draw.
+  for (size_t k = 0; k < kLanes; ++k) {
+    state[k] = h + 2 * k * kSplitMixGamma;
+  }
+  for (size_t i = 0; i < zipf.size(); i += kLanes) {
+    U64Lanes r1 = state + kSplitMixGamma;
+    U64Lanes r2 = state + 2 * kSplitMixGamma;
+    Mix64InPlace(r1);
+    Mix64InPlace(r2);
+    state += 2 * kLanes * kSplitMixGamma;
+    const size_t slots = std::min(kLanes, zipf.size() - i);
+    ProbLanes zipf_lanes = {};
+    if (slots == kLanes) {
+      std::memcpy(&zipf_lanes, &zipf[i], sizeof(ProbLanes));
+    } else {
+      for (size_t k = 0; k < slots; ++k) {
+        zipf_lanes[k] = zipf[i + k];
+      }
+    }
+    // r2 >> 11 is below 2^53: signed, and exact as a double.
+    const auto top53 = __builtin_convertvector(r2 >> 11, Lanes<int64_t, kLanes>);
+    const ProbLanes u = __builtin_convertvector(top53, ProbLanes) * 0x1.0p-53;
+    const ProbLanes w = zipf_lanes * (1.0 + jitter * (2.0 * u - 1.0));
+    for (size_t k = 0; k < slots; ++k) {
+      tokens.push_back(static_cast<Token>(r1[k] % vocab_size));
+      weights.push_back(w[k]);
+    }
+  }
+}
+
+#if ADASERVE_WIDE_KERNELS
+[[gnu::target("arch=x86-64-v4")]] void DrawSupportWide(uint64_t h, uint64_t vocab_size,
+                                                       double jitter, std::span<const double> zipf,
+                                                       TokenScratch& tokens,
+                                                       WeightScratch& weights) {
+  DrawBody<8>(h, vocab_size, jitter, zipf, tokens, weights);
+}
+#endif
+
+}  // namespace
+
+void DrawSupport([[maybe_unused]] Width width, uint64_t h, uint64_t vocab_size, double jitter,
+                 std::span<const double> zipf, TokenScratch& tokens, WeightScratch& weights) {
+#if ADASERVE_WIDE_KERNELS
+  if (width == Width::kWide) {
+    DrawSupportWide(h, vocab_size, jitter, zipf, tokens, weights);
+    return;
+  }
+#endif
+  // One lane: SSE2 has no 64-bit lane multiply, so two lanes would cost
+  // more than two scalar mixes.
+  DrawBody<1>(h, vocab_size, jitter, zipf, tokens, weights);
+}
+
+}  // namespace dist_kernels
 
 SyntheticLm::SyntheticLm(const LmConfig& config) : config_(config) {
   ADASERVE_CHECK(config_.vocab_size > 1) << "vocab too small";
@@ -31,19 +102,11 @@ SparseDist SyntheticLm::NextDist(uint64_t stream, std::span<const Token> context
 
   // Inline scratch: the support is a few dozen tokens, so building the
   // weight list must not hit the heap on this per-token hot path.
-  SmallVector<Token, SparseDist::kInlineSupport> tokens;
-  SmallVector<double, SparseDist::kInlineSupport> weights;
-  uint64_t pick_state = h;
-  for (int i = 0; i < config_.support; ++i) {
-    // Derive the i-th support token and its jitter from the hash stream.
-    const uint64_t r1 = SplitMix64(pick_state);
-    const uint64_t r2 = SplitMix64(pick_state);
-    const auto token = static_cast<Token>(r1 % static_cast<uint64_t>(config_.vocab_size));
-    const double jitter_u = static_cast<double>(r2 >> 11) * 0x1.0p-53;
-    const double jitter = 1.0 + config_.weight_jitter * (2.0 * jitter_u - 1.0);
-    tokens.push_back(token);
-    weights.push_back(zipf_[static_cast<size_t>(i)] * jitter);
-  }
+  dist_kernels::TokenScratch tokens;
+  dist_kernels::WeightScratch weights;
+  dist_kernels::DrawSupport(dist_kernels::Chosen(), h,
+                            static_cast<uint64_t>(config_.vocab_size), config_.weight_jitter,
+                            zipf_, tokens, weights);
   return SparseDist::FromWeights({tokens.data(), tokens.size()},
                                  {weights.data(), weights.size()});
 }

@@ -7,9 +7,13 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/harness/experiment.h"
+#include "src/model/dist_kernels.h"
 #include "src/model/synthetic_lm.h"
 
 namespace adaserve {
@@ -138,15 +142,88 @@ void ExpectBitIdentical(const SparseDist& got, const std::vector<SparseDist::Ent
   }
 }
 
+using dist_kernels::Width;
+
+std::string WidthName(Width width) { return width == Width::kWide ? "Wide" : "Narrow"; }
+
+// True if this CPU cannot run `width`'s kernels: their cases skip.
+bool Unsupported(Width width) { return width == Width::kWide && !dist_kernels::WideSupported(); }
+
+constexpr char kNoWideKernels[] = "this CPU has no AVX-512 (x86-64-v4) kernels";
+
+// Tests over both kernel widths. FromWeights, Mix and NextDist take the
+// width the process chose; each case also calls its own width's kernel.
+class KernelWidth : public ::testing::TestWithParam<Width> {
+ protected:
+  void SetUp() override {
+    if (Unsupported(GetParam())) {
+      GTEST_SKIP() << kNoWideKernels;
+    }
+  }
+};
+
+std::string KernelWidthName(const testing::TestParamInfo<Width>& info) {
+  return WidthName(info.param);
+}
+
+TEST(KernelChoice, ChosenOncePerProcess) {
+  const Width chosen = dist_kernels::Chosen();
+  EXPECT_EQ(chosen, dist_kernels::WideSupported() ? Width::kWide : Width::kNarrow);
+  EXPECT_EQ(dist_kernels::Chosen(), chosen);
+}
+
+// The inputs the rank kernel must take: n = 1..kRankWidth distinct tokens
+// with positive weights, none equal to a pad lane's token (INT32_MIN + i
+// for lanes i = n..kRankWidth - 1).
+bool RankShaped(const std::vector<Token>& tokens, const std::vector<double>& weights) {
+  const size_t n = tokens.size();
+  std::set<Token> taken(tokens.begin(), tokens.end());
+  for (size_t i = n; i < dist_kernels::kRankWidth; ++i) {
+    taken.insert(std::numeric_limits<Token>::min() + static_cast<Token>(i));
+  }
+  return n >= 1 && n <= dist_kernels::kRankWidth && taken.size() == dist_kernels::kRankWidth &&
+         std::all_of(weights.begin(), weights.end(), [](double w) { return w > 0.0; });
+}
+
+// FromWeights, and the rank kernel at `width`, against the reference: the
+// kernel takes every rank-shaped input and returns the reference's bits,
+// and leaves every other input to the scan untouched.
+void ExpectMatchesReference(Width width, const std::vector<Token>& tokens,
+                            const std::vector<double>& weights) {
+  const std::vector<SparseDist::Entry> want = ReferenceFromWeights(tokens, weights);
+  ExpectBitIdentical(SparseDist::FromWeights(tokens, weights), want);
+  dist_kernels::EntryScratch out;
+  const bool ranked = dist_kernels::RankInto(width, tokens, weights, out);
+  EXPECT_EQ(ranked, RankShaped(tokens, weights));
+  if (!ranked) {
+    EXPECT_TRUE(out.empty());
+    return;
+  }
+  ASSERT_EQ(out.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(out[i].token, want[i].token) << "entry " << i;
+    EXPECT_EQ(std::memcmp(&out[i].prob, &want[i].prob, sizeof(double)), 0)
+        << "entry " << i << ": " << out[i].prob << " vs " << want[i].prob;
+  }
+}
+
 // Sizes 1..200 cross the rank path's width (24) and the inline entry
 // capacity (48). Each size draws tokens from a duplicate-heavy, a wide or a
 // signed range, and weights that include zeros and exact ties, so most
 // inputs take the first-appearance scan.
-class FromWeightsEquivalenceSweep : public ::testing::TestWithParam<uint64_t> {};
+class FromWeightsEquivalenceSweep : public ::testing::TestWithParam<std::tuple<uint64_t, Width>> {
+ protected:
+  void SetUp() override {
+    if (Unsupported(std::get<1>(GetParam()))) {
+      GTEST_SKIP() << kNoWideKernels;
+    }
+  }
+};
 
 TEST_P(FromWeightsEquivalenceSweep, MatchesScanAndSortReference) {
+  const auto [seed, width] = GetParam();
   for (size_t n = 1; n <= 200; ++n) {
-    Rng rng(GetParam() * 1000 + n);
+    Rng rng(seed * 1000 + n);
     const uint64_t shape = rng.UniformInt(3);
     std::vector<Token> tokens;
     std::vector<double> weights;
@@ -171,20 +248,20 @@ TEST_P(FromWeightsEquivalenceSweep, MatchesScanAndSortReference) {
     }
     weights[rng.UniformInt(n)] = 0.5;  // At least one positive weight.
     SCOPED_TRACE(testing::Message() << "n=" << n << " shape=" << shape);
-    ExpectBitIdentical(SparseDist::FromWeights(tokens, weights),
-                       ReferenceFromWeights(tokens, weights));
+    ExpectMatchesReference(width, tokens, weights);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, FromWeightsEquivalenceSweep, ::testing::Range<uint64_t>(0, 8));
-
-void ExpectMatchesReference(const std::vector<Token>& tokens, const std::vector<double>& weights) {
-  ExpectBitIdentical(SparseDist::FromWeights(tokens, weights),
-                     ReferenceFromWeights(tokens, weights));
-}
+INSTANTIATE_TEST_SUITE_P(Seeds, FromWeightsEquivalenceSweep,
+                         ::testing::Combine(::testing::Range<uint64_t>(0, 8),
+                                            ::testing::Values(Width::kNarrow, Width::kWide)),
+                         [](const auto& info) {
+                           return WidthName(std::get<1>(info.param)) + "_" +
+                                  std::to_string(std::get<0>(info.param));
+                         });
 
 // The (token, weight) draw SyntheticLm::NextDist hands FromWeights, rebuilt
-// here so FromWeights can be checked on it directly.
+// here at the baseline ISA so the kernels can be checked against it.
 void DrawSupport(const LmConfig& config, uint64_t stream, std::span<const Token> context,
                  std::vector<Token>& tokens, std::vector<double>& weights) {
   const auto order = static_cast<size_t>(config.context_order);
@@ -208,43 +285,80 @@ bool RepeatsToken(std::vector<Token> tokens) {
   return std::adjacent_find(tokens.begin(), tokens.end()) != tokens.end();
 }
 
+// The support draw kernel at `width` against the reference draw.
+void ExpectDrawMatches(Width width, const LmConfig& config, uint64_t stream,
+                       std::span<const Token> context, const std::vector<Token>& tokens,
+                       const std::vector<double>& weights) {
+  const auto order = static_cast<size_t>(config.context_order);
+  const std::span<const Token> window = context.last(std::min(order, context.size()));
+  const uint64_t h =
+      HashCombine(HashCombine(Mix64(config.seed), stream), HashTokens(config.seed, window));
+  std::vector<double> zipf;
+  for (int i = 0; i < config.support; ++i) {
+    zipf.push_back(std::pow(static_cast<double>(i + 1), -config.zipf_exponent));
+  }
+  dist_kernels::TokenScratch drawn_tokens;
+  dist_kernels::WeightScratch drawn_weights;
+  dist_kernels::DrawSupport(width, h, static_cast<uint64_t>(config.vocab_size),
+                            config.weight_jitter, zipf, drawn_tokens, drawn_weights);
+  ASSERT_EQ(drawn_tokens.size(), tokens.size());
+  ASSERT_EQ(drawn_weights.size(), weights.size());
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    EXPECT_EQ(drawn_tokens[i], tokens[i]) << "slot " << i;
+    EXPECT_EQ(std::memcmp(&drawn_weights[i], &weights[i], sizeof(double)), 0)
+        << "slot " << i << ": " << drawn_weights[i] << " vs " << weights[i];
+  }
+}
+
 // Every setup's target and noise draws: 24 distinct tokens with positive
 // weights (the rank path) except the ~1% that repeat a token (the scan).
-// The draw is checked against NextDist itself, so it cannot drift from it.
-TEST(FromWeightsEquivalence, SetupNextDistDraws) {
+// The draw is checked against NextDist itself, so it cannot drift from it,
+// and against the draw kernel. The same configs at other support sizes
+// cover the kernels' lane tails (1, 7, 9, 23, 25, 49) and the inline
+// capacity's spill (49, 64).
+TEST_P(KernelWidth, SetupNextDistDraws) {
+  constexpr int kSupports[] = {1, 7, 8, 9, 23, 24, 25, 48, 49, 64};
   for (const adaserve::Setup& setup : {LlamaSetup(), QwenSetup()}) {
     SCOPED_TRACE(setup.label);
     LmConfig noise_config = setup.lm_config;
     noise_config.seed = setup.draft_config.noise_seed;
     noise_config.support = setup.draft_config.noise_support;
-    for (const LmConfig& config : {setup.lm_config, noise_config}) {
-      const SyntheticLm lm(config);
-      Rng rng(config.seed);
-      std::vector<Token> context;
-      std::vector<Token> tokens;
-      std::vector<double> weights;
-      int repeats = 0;
-      constexpr int kContexts = 2000;
-      for (int i = 0; i < kContexts; ++i) {
-        context.push_back(static_cast<Token>(rng.UniformInt(32000)));
-        const auto stream = static_cast<uint64_t>(i % 13);
-        DrawSupport(config, stream, context, tokens, weights);
-        repeats += RepeatsToken(tokens) ? 1 : 0;
-        SCOPED_TRACE(testing::Message() << "i=" << i);
-        const SparseDist dist = lm.NextDist(stream, context);
-        ExpectBitIdentical(dist, ReferenceFromWeights(tokens, weights));
-        ExpectBitIdentical(SparseDist::FromWeights(tokens, weights),
-                           {dist.entries().begin(), dist.entries().end()});
+    for (const LmConfig& setup_config : {setup.lm_config, noise_config}) {
+      for (int support : kSupports) {
+        LmConfig config = setup_config;
+        config.support = support;
+        SCOPED_TRACE(testing::Message() << "support=" << support);
+        const bool setup_support = support == setup_config.support;
+        const SyntheticLm lm(config);
+        Rng rng(config.seed);
+        std::vector<Token> context;
+        std::vector<Token> tokens;
+        std::vector<double> weights;
+        int repeats = 0;
+        const int contexts = setup_support ? 2000 : 200;
+        for (int i = 0; i < contexts; ++i) {
+          context.push_back(static_cast<Token>(rng.UniformInt(32000)));
+          const auto stream = static_cast<uint64_t>(i % 13);
+          DrawSupport(config, stream, context, tokens, weights);
+          repeats += RepeatsToken(tokens) ? 1 : 0;
+          SCOPED_TRACE(testing::Message() << "i=" << i);
+          ExpectDrawMatches(GetParam(), config, stream, context, tokens, weights);
+          const SparseDist dist = lm.NextDist(stream, context);
+          ExpectBitIdentical(dist, ReferenceFromWeights(tokens, weights));
+          ExpectMatchesReference(GetParam(), tokens, weights);
+        }
+        if (setup_support) {
+          EXPECT_GT(repeats, 0);
+          EXPECT_LT(repeats, contexts / 20);
+        }
       }
-      EXPECT_GT(repeats, 0);
-      EXPECT_LT(repeats, kContexts / 20);
     }
   }
 }
 
 // Distinct tokens and distinct positive weights, sizes 1..25: the rank
 // path up to its width, then the scan.
-TEST(FromWeightsEquivalence, DistinctSupportsAcrossTheRankWidth) {
+TEST_P(KernelWidth, DistinctSupportsAcrossTheRankWidth) {
   Rng rng(29);
   for (size_t n = 1; n <= 25; ++n) {
     for (int trial = 0; trial < 50; ++trial) {
@@ -259,55 +373,65 @@ TEST(FromWeightsEquivalence, DistinctSupportsAcrossTheRankWidth) {
         std::swap(tokens[i], tokens[j]);
       }
       SCOPED_TRACE(testing::Message() << "n=" << n << " trial=" << trial);
-      ExpectMatchesReference(tokens, weights);
+      ExpectMatchesReference(GetParam(), tokens, weights);
     }
   }
 }
 
 // Inputs that look like the rank path's but must leave it, each as small
-// as it gets and at the full width.
-TEST(FromWeightsEquivalence, RankPathExits) {
+// as it gets and at the full width, and exact ties, which it sorts.
+TEST_P(KernelWidth, RankPathExits) {
+  const Width width = GetParam();
   std::vector<Token> tokens(24);
   std::vector<double> weights(24);
   for (size_t i = 0; i < 24; ++i) {
     tokens[i] = static_cast<Token>(24 - i);
     weights[i] = 1.0 / static_cast<double>(i + 1);
   }
-  ExpectMatchesReference(tokens, weights);
+  ExpectMatchesReference(width, tokens, weights);
   {
     SCOPED_TRACE("exact prob tie between distinct tokens");
-    ExpectMatchesReference({9, 3, 5}, {0.25, 0.5, 0.25});
+    ExpectMatchesReference(width, {9, 3, 5}, {0.25, 0.5, 0.25});
     std::vector<double> tied = weights;
     tied[17] = tied[3];
-    ExpectMatchesReference(tokens, tied);
-    ExpectMatchesReference(tokens, std::vector<double>(24, 1.0));
+    ExpectMatchesReference(width, tokens, tied);
+    ExpectMatchesReference(width, tokens, std::vector<double>(24, 1.0));
   }
   {
     SCOPED_TRACE("one repeated token");
-    ExpectMatchesReference({4, 7, 4}, {0.5, 0.3, 0.2});
+    ExpectMatchesReference(width, {4, 7, 4}, {0.5, 0.3, 0.2});
     std::vector<Token> repeated = tokens;
     repeated[23] = repeated[0];
-    ExpectMatchesReference(repeated, weights);
+    ExpectMatchesReference(width, repeated, weights);
+    // A repeat in every pair of lanes a group compares.
+    for (size_t i = 0; i < 24; ++i) {
+      for (size_t j = i + 1; j < 24; ++j) {
+        repeated = tokens;
+        repeated[j] = repeated[i];
+        SCOPED_TRACE(testing::Message() << "tokens " << i << " and " << j);
+        ExpectMatchesReference(width, repeated, weights);
+      }
+    }
   }
   {
     SCOPED_TRACE("negative token ids, pad tokens included");
     constexpr Token kMin = std::numeric_limits<Token>::min();
-    ExpectMatchesReference({-1, -50, 7}, {0.2, 0.5, 0.3});
+    ExpectMatchesReference(width, {-1, -50, 7}, {0.2, 0.5, 0.3});
     for (Token pad = kMin; pad < kMin + 24; ++pad) {
-      ExpectMatchesReference({5, pad, -5}, {0.2, 0.5, 0.3});
+      ExpectMatchesReference(width, {5, pad, -5}, {0.2, 0.5, 0.3});
     }
     std::vector<Token> negative = tokens;
     for (Token& t : negative) {
       t = kMin + 24 - t;
     }
-    ExpectMatchesReference(negative, weights);
+    ExpectMatchesReference(width, negative, weights);
   }
   {
     SCOPED_TRACE("one zero weight");
-    ExpectMatchesReference({1, 2, 3}, {0.5, 0.0, 0.5});
+    ExpectMatchesReference(width, {1, 2, 3}, {0.5, 0.0, 0.5});
     std::vector<double> zeroed = weights;
     zeroed[11] = 0.0;
-    ExpectMatchesReference(tokens, zeroed);
+    ExpectMatchesReference(width, tokens, zeroed);
   }
 }
 
@@ -502,6 +626,72 @@ TEST(MixHeadEquivalence, TiesMadeByScalingAtTheCut) {
   EXPECT_EQ(MixHead(a, b, kWeight, 4)[3].token, 5);
   ExpectHeadsArePrefixes(a, b, kWeight);
 }
+
+// The shared-token kernel against a set intersection: the setup draft
+// mixtures' target and noise supports, then supports of 1..100 entries
+// (past the 48-entry block a's groups are held in) sharing one token at
+// every position, or none.
+TEST_P(KernelWidth, SharesTokenMatchesSetIntersection) {
+  const Width width = GetParam();
+  const auto shares = [](const SparseDist& a, const SparseDist& b) {
+    return !Disjoint(a, b);
+  };
+  for (const adaserve::Setup& setup : {LlamaSetup(), QwenSetup()}) {
+    const SyntheticLm target(setup.lm_config);
+    LmConfig noise_config = setup.lm_config;
+    noise_config.seed = setup.draft_config.noise_seed;
+    noise_config.support = setup.draft_config.noise_support;
+    const SyntheticLm noise(noise_config);
+    Rng rng(setup.lm_config.seed);
+    std::vector<Token> context;
+    int shared = 0;
+    for (int i = 0; i < 2000; ++i) {
+      context.push_back(static_cast<Token>(rng.UniformInt(32000)));
+      const SparseDist a = target.NextDist(static_cast<uint64_t>(i % 13), context);
+      const SparseDist b = noise.NextDist(static_cast<uint64_t>(i % 13), context);
+      shared += shares(a, b) ? 1 : 0;
+      ASSERT_EQ(dist_kernels::SharesToken(width, a.entries(), b.entries()), shares(a, b))
+          << setup.label << " i=" << i;
+    }
+    EXPECT_GT(shared, 0);
+  }
+  const auto dist = [](Token first, size_t n) {
+    std::vector<Token> tokens;
+    for (size_t i = 0; i < n; ++i) {
+      tokens.push_back(first + static_cast<Token>(i));
+    }
+    return SparseDist::FromWeights(tokens, std::vector<double>(n, 1.0));
+  };
+  for (size_t na : {1, 3, 4, 5, 8, 9, 24, 47, 48, 49, 100}) {
+    for (size_t nb : {1, 4, 7, 8, 9, 24, 25, 48, 100}) {
+      const SparseDist a = dist(0, na);
+      SCOPED_TRACE(testing::Message() << "na=" << na << " nb=" << nb);
+      EXPECT_FALSE(dist_kernels::SharesToken(width, a.entries(), dist(1000, nb).entries()));
+      EXPECT_FALSE(dist_kernels::SharesToken(width, a.entries(), {}));
+      EXPECT_FALSE(dist_kernels::SharesToken(width, {}, a.entries()));
+      // b's tokens are 1000 + k except one, at each of b's positions,
+      // equal to a's first, middle or last token. Descending weights keep
+      // b's entries in input order.
+      for (size_t pos = 0; pos < nb; ++pos) {
+        for (const auto t : {Token{0}, static_cast<Token>(na / 2), static_cast<Token>(na - 1)}) {
+          std::vector<Token> tokens;
+          std::vector<double> weights;
+          for (size_t k = 0; k < nb; ++k) {
+            tokens.push_back(k == pos ? t : 1000 + static_cast<Token>(k));
+            weights.push_back(static_cast<double>(nb - k));
+          }
+          const SparseDist b = SparseDist::FromWeights(tokens, weights);
+          ASSERT_EQ(b.entry(pos).token, t);
+          ASSERT_TRUE(dist_kernels::SharesToken(width, a.entries(), b.entries()))
+              << "pos=" << pos << " t=" << t;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, KernelWidth, ::testing::Values(Width::kNarrow, Width::kWide),
+                         KernelWidthName);
 
 TEST(SparseDist, HeadIsPrefix) {
   const SparseDist d = MakeDist({5, 6, 7}, {0.1, 0.7, 0.2});
