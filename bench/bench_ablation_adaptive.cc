@@ -39,10 +39,8 @@ int Run(const BenchArgs& args) {
       const AdaServeConfig config = v.config;
       tasks.push_back([&setup, &args, config, rps] {
         const Experiment exp(setup);
-        const std::vector<Request> workload =
-            exp.RealTraceWorkload(SweepDurationFor(args), rps, PeakMix());
         AdaServeScheduler scheduler(config);
-        return exp.Run(scheduler, workload);
+        return exp.Run(scheduler, exp.RealTraceStream(SweepDurationFor(args), rps, PeakMix()));
       });
     }
   }

@@ -25,10 +25,9 @@ int Run(const BenchArgs& args) {
     const int budget = std::max(8, static_cast<int>(derived * mult));
     tasks.push_back([&setup, &args, budget] {
       const Experiment exp(setup);
-      const std::vector<Request> workload =
-          exp.RealTraceWorkload(SweepDurationFor(args), 4.0, PeakMix());
       AdaServeScheduler scheduler;
-      return exp.Run(scheduler, workload, {}, budget);
+      return exp.Run(scheduler, exp.RealTraceStream(SweepDurationFor(args), 4.0, PeakMix()), {},
+                     budget);
     });
   }
   const std::vector<Timed<EngineResult>> results = runner.Map(tasks);

@@ -26,10 +26,8 @@ int Run(const BenchArgs& args) {
       Setup setup = base_setup;
       setup.draft_config.fidelity = alpha;
       const Experiment exp(setup);
-      const std::vector<Request> workload =
-          exp.RealTraceWorkload(SweepDurationFor(args), 4.0, PeakMix());
       AdaServeScheduler scheduler;
-      return exp.Run(scheduler, workload);
+      return exp.Run(scheduler, exp.RealTraceStream(SweepDurationFor(args), 4.0, PeakMix()));
     });
   }
   const std::vector<Timed<EngineResult>> results = runner.Map(tasks);

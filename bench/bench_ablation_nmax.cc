@@ -22,12 +22,10 @@ int Run(const BenchArgs& args) {
   for (int n_max : n_maxes) {
     tasks.push_back([&setup, &args, n_max] {
       const Experiment exp(setup);
-      const std::vector<Request> workload =
-          exp.RealTraceWorkload(SweepDurationFor(args), 4.0, PeakMix());
       AdaServeConfig config;
       config.selection.n_max = n_max;
       AdaServeScheduler scheduler(config);
-      return exp.Run(scheduler, workload);
+      return exp.Run(scheduler, exp.RealTraceStream(SweepDurationFor(args), 4.0, PeakMix()));
     });
   }
   const std::vector<Timed<EngineResult>> results = runner.Map(tasks);

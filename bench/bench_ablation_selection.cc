@@ -23,12 +23,10 @@ void EndToEnd(const Setup& setup, const BenchArgs& args, SweepRunner& runner, Be
     for (bool slo_phase : phases) {
       tasks.push_back([&setup, &args, rps, slo_phase] {
         const Experiment exp(setup);
-        const std::vector<Request> workload =
-            exp.RealTraceWorkload(SweepDurationFor(args), rps, PeakMix());
         AdaServeConfig config;
         config.slo_phase_enabled = slo_phase;
         AdaServeScheduler scheduler(config);
-        return exp.Run(scheduler, workload);
+        return exp.Run(scheduler, exp.RealTraceStream(SweepDurationFor(args), rps, PeakMix()));
       });
     }
   }

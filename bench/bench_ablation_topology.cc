@@ -52,10 +52,8 @@ int Run(const BenchArgs& args) {
   for (const Variant& v : variants) {
     tasks.push_back([&setup, &args, &v] {
       const Experiment exp(setup);
-      const std::vector<Request> workload =
-          exp.RealTraceWorkload(SweepDurationFor(args), 4.0, PeakMix());
       auto scheduler = v.make_scheduler();
-      return exp.Run(*scheduler, workload);
+      return exp.Run(*scheduler, exp.RealTraceStream(SweepDurationFor(args), 4.0, PeakMix()));
     });
   }
   const std::vector<Timed<EngineResult>> results = runner.Map(tasks);

@@ -15,8 +15,7 @@ void RunModel(const Setup& setup, const std::vector<double>& rps_grid, const Ben
   std::cout << "\n" << setup.label << "\n";
   TablePrinter table({"System", "RPS", "SLO Attainment(%)", "Cat1(%)", "Cat2(%)", "Cat3(%)"});
   // Lazy trace consumed inline: the cell never materializes its trace.
-  // Metrics match the vector path byte-for-byte (streaming_equivalence_test).
-  const std::vector<SweepCellResult> cells = RunSetupStreamSweep(
+  const std::vector<SweepCellResult> cells = RunSetupSweep(
       runner, setup, MainComparisonSet(), GridFor(args, rps_grid),
       [&args](const Experiment& exp, double rps) {
         return exp.RealTraceStream(SweepDurationFor(args), rps, PeakMix());

@@ -21,7 +21,7 @@ void RunSeedErrorBars(const Setup& setup, const std::vector<double>& rps_grid,
   const std::vector<SeedShardCell> cells = RunSeedShardedSweep(
       runner, setup, MainComparisonSet(), GridFor(args, rps_grid), seeds,
       [&args](const Experiment& exp, double rps, uint64_t seed) {
-        return exp.RealTraceWorkload(SweepDurationFor(args), rps, PeakMix(), seed);
+        return exp.RealTraceStream(SweepDurationFor(args), rps, PeakMix(), seed);
       });
   for (const SeedShardCell& c : cells) {
     const std::string system(SystemName(c.system));
@@ -39,8 +39,7 @@ void RunModel(const Setup& setup, const std::vector<double>& rps_grid, const Ben
   std::cout << "\n" << setup.label << "\n";
   TablePrinter table({"System", "RPS", "Goodput(tok/s)", "Throughput(tok/s)"});
   // Lazy trace consumed inline: the cell never materializes its trace.
-  // Metrics match the vector path byte-for-byte (streaming_equivalence_test).
-  const std::vector<SweepCellResult> cells = RunSetupStreamSweep(
+  const std::vector<SweepCellResult> cells = RunSetupSweep(
       runner, setup, MainComparisonSet(), GridFor(args, rps_grid),
       [&args](const Experiment& exp, double rps) {
         return exp.RealTraceStream(SweepDurationFor(args), rps, PeakMix());

@@ -19,8 +19,8 @@ void RunModel(const Setup& setup, const BenchArgs& args, BenchJson& json, SweepR
       runner, setup, MainComparisonSet(), GridFor(args, {0.3, 0.5, 0.7, 0.9}),
       [&args](const Experiment& exp, double urgent) {
         const double rest = (1.0 - urgent) / 2.0;
-        return exp.RealTraceWorkload(SweepDurationFor(args), 4.0,
-                                     WorkloadConfig{.mix = {urgent, rest, rest}});
+        return exp.RealTraceStream(SweepDurationFor(args), 4.0,
+                                   WorkloadConfig{.mix = {urgent, rest, rest}});
       });
   for (const SweepCellResult& p : cells) {
     const Metrics& m = p.result.metrics;

@@ -19,10 +19,8 @@ void RunModel(const Setup& setup, const BenchArgs& args, BenchJson& json, SweepR
       runner, setup, MainComparisonSet(), GridFor(args, {1.6, 1.4, 1.2, 1.0, 0.8, 0.6}),
       [&args](const Experiment& exp, double scale) {
         const CategoryConfig cat_config{.cat1_slo_scale = scale};
-        TraceConfig trace;
-        trace.duration = SweepDurationFor(args);
-        trace.mean_rps = 4.0;
-        return BuildWorkload(exp.Categories(cat_config), RealShapedArrivals(trace), PeakMix());
+        return exp.RealTraceStream(SweepDurationFor(args), 4.0, PeakMix(), /*trace_seed=*/42,
+                                   cat_config);
       });
   for (const SweepCellResult& p : cells) {
     const Metrics& m = p.result.metrics;

@@ -19,7 +19,7 @@ void RunModel(const Setup& setup, const std::vector<double>& rps_grid, const Ben
   const std::vector<SweepCellResult> cells = RunSetupSweep(
       runner, setup, systems, GridFor(args, rps_grid),
       [&args](const Experiment& exp, double rps) {
-        return exp.RealTraceWorkload(SweepDurationFor(args), rps, PeakMix());
+        return exp.RealTraceStream(SweepDurationFor(args), rps, PeakMix());
       });
   for (const SweepCellResult& p : cells) {
     table.AddRow({std::string(SystemName(p.system)), Fmt(p.x, 1),

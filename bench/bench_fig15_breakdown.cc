@@ -12,10 +12,9 @@ namespace {
 
 void RunModel(const Setup& setup, const BenchArgs& args, BenchJson& json) {
   Experiment exp(setup);
-  const std::vector<Request> workload =
-      exp.RealTraceWorkload(SweepDurationFor(args), 4.0, PeakMix());
   AdaServeScheduler scheduler;
-  const EngineResult result = exp.Run(scheduler, workload);
+  const EngineResult result =
+      exp.Run(scheduler, exp.RealTraceStream(SweepDurationFor(args), 4.0, PeakMix()));
   const Metrics& m = result.metrics;
   const double total = m.spec_time + m.select_time + m.verify_time + m.prefill_time;
   std::cout << "\n" << setup.label << "\n";

@@ -45,7 +45,7 @@ int Run(const BenchArgs& args) {
                                                         "goodput(tok/s)", "recovery(s)"}
                              : std::vector<std::string>{"system", "finished", "attain(%)",
                                                         "goodput(tok/s)"});
-    const std::vector<SweepCellResult> cells = RunSetupStreamSweep(
+    const std::vector<SweepCellResult> cells = RunSetupSweep(
         runner, QwenSetup(), SystemsFor(scenario), {0.0},
         [scenario, duration](const Experiment& exp, double /*x*/) {
           return MakeStressStream(exp.Categories(), scenario, duration, kScenarioSeed);

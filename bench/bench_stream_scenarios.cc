@@ -3,9 +3,8 @@
 // fed lazily through the streaming engine path.
 //
 // Complements Figs. 13-14 (whose bursts are materialized per category) with
-// workload shapes the vector path cannot express at scale: modulated
-// bursts, compressed day cycles, and a category mix that inverts over the
-// run.
+// modulated bursts, compressed day cycles, and a category mix that inverts
+// over the run.
 #include <iostream>
 #include <string>
 
@@ -18,60 +17,60 @@ constexpr double kDuration = 60.0;
 
 struct Scenario {
   std::string label;
-  StreamFactory make;
+  SweepWorkloadFn make;
 };
 
-std::vector<Scenario> Scenarios(const Experiment& exp) {
-  const std::vector<CategorySpec> cats = exp.Categories();
+std::vector<Scenario> Scenarios() {
   return {
       {"bursty (MMPP 1.5/9 rps)",
-       [cats] {
+       [](const Experiment& exp, double /*x*/) {
          MmppStreamConfig config;
          config.mmpp.state_rps = {1.5, 9.0};
          config.mmpp.mean_sojourn_s = {8.0, 4.0};
          config.duration = kDuration;
          config.trace_seed = 1301;
-         return MakeMmppStream(cats, config);
+         return MakeMmppStream(exp.Categories(), config);
        }},
       {"diurnal (4 rps, amp 0.8)",
-       [cats] {
+       [](const Experiment& exp, double /*x*/) {
          DiurnalStreamConfig config;
          config.duration = kDuration;
          config.mean_rps = 4.0;
          config.diurnal.period_s = kDuration;
          config.diurnal.amplitude = 0.8;
          config.trace_seed = 1302;
-         return MakeDiurnalStream(cats, config);
+         return MakeDiurnalStream(exp.Categories(), config);
        }},
       {"churn (coding -> summ)",
-       [cats] {
+       [](const Experiment& exp, double /*x*/) {
          ChurnStreamConfig config;
          config.duration = kDuration;
          config.mean_rps = 4.0;
          config.trace_seed = 1303;
-         return MakeChurnStream(cats, config);
+         return MakeChurnStream(exp.Categories(), config);
        }},
   };
 }
 
 void Run() {
-  const Experiment exp(QwenSetup());
-  std::cout << "Streaming workload scenarios (" << exp.setup().label << ", " << kDuration
+  const Setup setup = QwenSetup();
+  std::cout << "Streaming workload scenarios (" << setup.label << ", " << kDuration
             << " s, lazy stream-fed engine)\n\n";
 
   EngineConfig engine;
   engine.retire_finished = true;
 
-  for (const Scenario& scenario : Scenarios(exp)) {
+  SweepRunner runner(/*threads=*/1);
+  for (const Scenario& scenario : Scenarios()) {
     std::cout << "== " << scenario.label << " ==\n";
     TablePrinter table({"system", "finished", "attain(%)", "goodput(tok/s)", "peak resident"});
-    for (const ComparisonPoint& point :
-         RunComparison(exp, MainComparisonSet(), scenario.make, engine)) {
-      table.AddRow({std::string(SystemName(point.kind)),
-                    std::to_string(point.result.metrics.finished),
-                    Fmt(point.result.metrics.AttainmentPct(), 1),
-                    Fmt(point.result.metrics.GoodputTps(), 1),
-                    std::to_string(point.result.peak_resident_requests)});
+    for (const SweepCellResult& cell :
+         RunSetupSweep(runner, setup, MainComparisonSet(), {0.0}, scenario.make, engine)) {
+      table.AddRow({std::string(SystemName(cell.system)),
+                    std::to_string(cell.result.metrics.finished),
+                    Fmt(cell.result.metrics.AttainmentPct(), 1),
+                    Fmt(cell.result.metrics.GoodputTps(), 1),
+                    std::to_string(cell.result.peak_resident_requests)});
     }
     table.Print(std::cout);
     std::cout << "\n";

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/workload/categories.h"
+
 namespace adaserve {
 
 IterationRecord PriorityScheduler::DrainStep(SimTime now, RequestPool& pool,
@@ -12,14 +14,14 @@ IterationRecord PriorityScheduler::DrainStep(SimTime now, RequestPool& pool,
   const std::vector<RequestId> running = RunningRequests(pool);
   std::vector<RequestId> urgent;
   for (RequestId id : running) {
-    if (pool.Get(id).category == config_.urgent_category) {
+    if (pool.Get(id).category == kCatCoding) {
       urgent.push_back(id);
     }
   }
   const std::vector<RequestId> prefilling = PrefillingRequests(pool);
   const bool urgent_prefill_pending =
       std::any_of(prefilling.begin(), prefilling.end(), [&](RequestId id) {
-        return pool.Get(id).category == config_.urgent_category;
+        return pool.Get(id).category == kCatCoding;
       });
 
   if (urgent_prefill_pending) {
@@ -46,7 +48,7 @@ IterationRecord PriorityScheduler::DecodePhase(SimTime now, RequestPool& pool,
   const std::vector<RequestId> running = RunningRequests(pool);
   std::vector<RequestId> urgent;
   for (RequestId id : running) {
-    if (pool.Get(id).category == config_.urgent_category) {
+    if (pool.Get(id).category == kCatCoding) {
       urgent.push_back(id);
     }
   }

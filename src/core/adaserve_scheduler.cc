@@ -5,14 +5,36 @@
 #include "src/core/slo_accounting.h"
 
 namespace adaserve {
+namespace {
+
+// Guaranteed prefill share of the budget, reserved ahead of the SLO phase
+// so queued prompts keep flowing into decode even under load (otherwise
+// speculation would starve admission and hide overload as queueing).
+constexpr double kPrefillReserve = 0.3;
+// Fraction of post-SLO-phase leftover budget additionally offered to
+// chunked prefill (ahead of the throughput-optimized phase).
+constexpr double kPrefillShare = 0.7;
+// When the prompt backlog exceeds kBacklogThresholdFactor x B tokens, run a
+// dedicated prefill pass of kDedicatedPrefillFactor x B tokens instead of a
+// decode iteration. Co-batched chunks alone cannot keep admission ahead of
+// bursty arrivals; the dedicated pass stalls decoding (raising A(r) for
+// running requests), which is the prefill pressure the paper observes at
+// high RPS.
+constexpr double kBacklogThresholdFactor = 60.0;
+constexpr double kDedicatedPrefillFactor = 8.0;
+// CPU cost model of the selection phase: base + per-candidate-token cost.
+constexpr double kSelectCostBase = 20e-6;
+constexpr double kSelectCostPerToken = 150e-9;
+
+}  // namespace
 
 IterationRecord AdaServeScheduler::PrefillOnlyStep(SimTime now, RequestPool& pool,
                                                    ServingContext& ctx) {
-  // Dedicated prefill pass: drain a dedicated_prefill_factor x B slice of
+  // Dedicated prefill pass: drain a kDedicatedPrefillFactor x B slice of
   // the prompt backlog in one compute-bound forward pass. Boundary mode
   // admits FIFO, so the pass takes prompts in admission order.
   const int budget =
-      std::max(static_cast<int>(ctx.verify_budget * config_.dedicated_prefill_factor), 1);
+      std::max(static_cast<int>(ctx.verify_budget * kDedicatedPrefillFactor), 1);
   const IterationRecord record = RunBudgetedPrefillPhase(now, pool, ctx, budget, /*burst=*/0);
   last_duration_ = record.duration;
   return record;
@@ -28,7 +50,7 @@ IterationRecord AdaServeScheduler::DrainStep(SimTime now, RequestPool& pool,
     backlog += req.prompt_len - req.prefill_progress;
   }
   if (running.empty() ||
-      backlog > static_cast<long>(ctx.verify_budget * config_.backlog_threshold_factor)) {
+      backlog > static_cast<long>(ctx.verify_budget * kBacklogThresholdFactor)) {
     return PrefillOnlyStep(now, pool, ctx);
   }
   return SpecIteration(now, pool, ctx, running, prefilling);
@@ -101,23 +123,23 @@ IterationRecord AdaServeScheduler::SpecIteration(SimTime now, RequestPool& pool,
     prefill_remaining += req.prompt_len - req.prefill_progress;
   }
   // Prefill-priority within a cap: queued prompts take budget off the top
-  // (bounded by prefill_reserve x B so bursts cannot starve decoding), the
+  // (bounded by kPrefillReserve x B so bursts cannot starve decoding), the
   // SLO-customized phase runs on what remains, then leftovers go to extra
   // prefill chunks and finally to throughput-optimized speculation.
   const int prefill_cap = static_cast<int>(std::min<long>(
-      {static_cast<long>(ctx.verify_budget * config_.prefill_reserve), prefill_remaining,
+      {static_cast<long>(ctx.verify_budget * kPrefillReserve), prefill_remaining,
        static_cast<long>(budget_total)}));
   int budget = budget_total - prefill_cap;
   selector_.Reset(sel_requests_);
   budget -= selector_.SloPhase(budget);
-  const int prefill_budget = prefill_cap + static_cast<int>(budget * config_.prefill_share);
+  const int prefill_budget = prefill_cap + static_cast<int>(budget * kPrefillShare);
   const PrefillPlan prefill =
       PlanPrefillChunks(pool, prefilling, prefill_budget, /*burst=*/0);
   budget = budget_total - selector_.result().total_taken - prefill.tokens;
   selector_.ThroughputPhase(budget);
   const SelectionResult& sel = selector_.result();
   const SimTime select_time =
-      config_.select_cost_base + config_.select_cost_per_token * candidate_tokens;
+      kSelectCostBase + kSelectCostPerToken * candidate_tokens;
 
   // --- Step 4: verification (one batched target pass) ---
   const int verify_tokens = n + sel.total_taken + prefill.tokens;

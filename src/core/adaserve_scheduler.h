@@ -30,24 +30,6 @@ struct AdaServeConfig {
   bool adaptive_control = true;  // false => use fixed_beam
   BeamConfig fixed_beam = {.depth = 4, .width = 2};
   bool slo_phase_enabled = true;  // false => throughput-only selection
-  // Guaranteed prefill share of the budget, reserved ahead of the SLO phase
-  // so queued prompts keep flowing into decode even under load (otherwise
-  // speculation would starve admission and hide overload as queueing).
-  double prefill_reserve = 0.3;
-  // Fraction of post-SLO-phase leftover budget additionally offered to
-  // chunked prefill (ahead of the throughput-optimized phase).
-  double prefill_share = 0.7;
-  // When the prompt backlog exceeds backlog_threshold_factor x B tokens,
-  // run a dedicated prefill pass of dedicated_prefill_factor x B tokens
-  // instead of a decode iteration. Co-batched chunks alone cannot keep
-  // admission ahead of bursty arrivals; the dedicated pass stalls decoding
-  // (raising A(r) for running requests), which is the prefill pressure the
-  // paper observes at high RPS.
-  double backlog_threshold_factor = 60.0;
-  double dedicated_prefill_factor = 8.0;
-  // CPU cost model of the selection phase: base + per-candidate-token cost.
-  double select_cost_base = 20e-6;
-  double select_cost_per_token = 150e-9;
 };
 
 class AdaServeScheduler : public Scheduler {

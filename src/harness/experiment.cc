@@ -85,23 +85,19 @@ std::vector<CategorySpec> Experiment::Categories(const CategoryConfig& config) c
 std::vector<Request> Experiment::RealTraceWorkload(double duration, double mean_rps,
                                                    const WorkloadConfig& mix, uint64_t trace_seed,
                                                    const CategoryConfig& cat) const {
-  TraceConfig trace;
-  trace.duration = duration;
-  trace.mean_rps = mean_rps;
-  trace.seed = trace_seed;
-  return BuildWorkload(Categories(cat), RealShapedArrivals(trace), mix);
+  return Materialize(*RealTraceStream(duration, mean_rps, mix, trace_seed, cat));
 }
 
 std::unique_ptr<ArrivalStream> Experiment::RealTraceStream(double duration, double mean_rps,
                                                            const WorkloadConfig& mix,
                                                            uint64_t trace_seed,
                                                            const CategoryConfig& cat) const {
-  RealTraceStreamConfig config;
-  config.trace.duration = duration;
-  config.trace.mean_rps = mean_rps;
-  config.trace.seed = trace_seed;
-  config.workload = mix;
-  return MakeRealTraceStream(Categories(cat), config);
+  TraceConfig trace;
+  trace.duration = duration;
+  trace.mean_rps = mean_rps;
+  trace.seed = trace_seed;
+  return std::make_unique<WorkloadStream>(Categories(cat), MakeRealShapedProcess(trace),
+                                          ConstantMix(mix.mix), mix.seed);
 }
 
 EngineResult Experiment::Run(Scheduler& scheduler, WorkloadSource workload,

@@ -68,23 +68,26 @@ class Experiment {
   // Table 2 resolved against this setup's baseline latency.
   std::vector<CategorySpec> Categories(const CategoryConfig& config = {}) const;
 
-  // Convenience workload builders.
-  std::vector<Request> RealTraceWorkload(double duration, double mean_rps,
-                                         const WorkloadConfig& mix = {},
-                                         uint64_t trace_seed = 42,
-                                         const CategoryConfig& cat = {}) const;
-
-  // Lazy counterpart of RealTraceWorkload: draining the stream reproduces
-  // the vector exactly, but the engine can consume it without materializing.
+  // The Fig. 7 workload: real-trace-shaped arrivals over [0, duration)
+  // at `mean_rps`, each drawing a category from `mix` and lengths from
+  // this setup's Table 2 categories. Single-pass: build one per run.
   std::unique_ptr<ArrivalStream> RealTraceStream(double duration, double mean_rps,
                                                  const WorkloadConfig& mix = {},
                                                  uint64_t trace_seed = 42,
                                                  const CategoryConfig& cat = {}) const;
 
-  // Runs one scheduler over a workload — an arrival-sorted request vector
-  // or a live ArrivalStream (single-pass; build a fresh one per run), both
-  // of which convert to WorkloadSource implicitly — and returns its
-  // metrics. The engine behavior (tick protocol included) comes entirely
+  // RealTraceStream drained into a vector, for callers that inspect or
+  // edit the requests before serving them.
+  std::vector<Request> RealTraceWorkload(double duration, double mean_rps,
+                                         const WorkloadConfig& mix = {},
+                                         uint64_t trace_seed = 42,
+                                         const CategoryConfig& cat = {}) const;
+
+  // Runs one scheduler over a workload — an owned or borrowed
+  // ArrivalStream (single-pass; build a fresh one per run) or an
+  // arrival-sorted request vector, each of which converts to
+  // WorkloadSource implicitly — and returns its metrics. The engine
+  // behavior (tick protocol included) comes entirely
   // from `engine`: EngineConfig{} is the tick-native default, and
   // BoundaryTickConfig (comparisons.h) the legacy boundary mode. Per-tick
   // records reach an EngineConfig::trace_sink, if set.

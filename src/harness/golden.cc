@@ -88,6 +88,9 @@ std::vector<GoldenCell> AllGoldenCells() {
 std::unique_ptr<ArrivalStream> MakeGoldenStream(const Experiment& exp, GoldenScenario scenario,
                                                 const GoldenConfig& config) {
   switch (scenario) {
+    case GoldenScenario::kRealTrace:
+      return exp.RealTraceStream(config.duration_s, config.mean_rps, WorkloadConfig{},
+                                 config.trace_seed);
     case GoldenScenario::kBursty: {
       // ON/OFF MMPP: quiet 1 rps baseline with ~1 s bursts at 8 rps, mean
       // rate comparable to the real-trace golden so runtimes match.
@@ -122,16 +125,9 @@ std::unique_ptr<ArrivalStream> MakeGoldenStream(const Experiment& exp, GoldenSce
     case GoldenScenario::kCorrelatedBursts:
       return MakeStressStream(exp.Categories(), StressScenario::kCorrelatedBursts,
                               config.duration_s, config.trace_seed);
-    case GoldenScenario::kRealTrace:
-      break;
   }
-  ADASERVE_CHECK(false) << "kRealTrace uses the vector path, not a stream";
+  ADASERVE_CHECK(false) << "unknown golden scenario";
   return nullptr;
-}
-
-std::vector<Request> GoldenWorkload(const Experiment& exp, const GoldenConfig& config) {
-  return exp.RealTraceWorkload(config.duration_s, config.mean_rps, WorkloadConfig{},
-                               config.trace_seed);
 }
 
 EngineConfig GoldenEngineConfig(const GoldenConfig& config, GoldenScenario scenario,
@@ -141,8 +137,9 @@ EngineConfig GoldenEngineConfig(const GoldenConfig& config, GoldenScenario scena
   EngineConfig engine = mode == GoldenMode::kBoundary ? BoundaryTickConfig() : EngineConfig{};
   engine.sampling_seed = config.sampling_seed;
   if (scenario != GoldenScenario::kRealTrace) {
-    // Streaming scenarios exercise the full lazy path: bounded arrival
-    // horizon, incremental metrics, finished-request retirement.
+    // Every scenario but the historical real trace exercises the full
+    // lazy path: bounded arrival horizon, incremental metrics,
+    // finished-request retirement.
     engine.retire_finished = true;
   }
   return engine;
@@ -151,12 +148,8 @@ EngineConfig GoldenEngineConfig(const GoldenConfig& config, GoldenScenario scena
 EngineResult RunGoldenSystem(const Experiment& exp, SystemKind kind, const GoldenConfig& config,
                              GoldenScenario scenario, GoldenMode mode) {
   auto scheduler = MakeScheduler(kind);
-  const EngineConfig engine = GoldenEngineConfig(config, scenario, mode);
-  if (scenario == GoldenScenario::kRealTrace) {
-    return exp.Run(*scheduler, GoldenWorkload(exp, config), engine);
-  }
-  auto stream = MakeGoldenStream(exp, scenario, config);
-  return exp.Run(*scheduler, *stream, engine);
+  return exp.Run(*scheduler, MakeGoldenStream(exp, scenario, config),
+                 GoldenEngineConfig(config, scenario, mode));
 }
 
 std::string GoldenMetricsText(SystemKind kind, const Metrics& metrics) {

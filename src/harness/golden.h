@@ -30,12 +30,13 @@ struct GoldenConfig {
 // tests/test_util.h TestSetup so goldens track the unit-test path).
 Setup GoldenSetup();
 
-// Workloads pinned by golden baselines. kRealTrace is the original Fig. 7
-// vector path; kBursty (MMPP stream) and kDiurnal (time-of-day stream) run
-// through the lazy streaming engine with finished-request retirement, so
-// the baselines also pin the streaming admission/metrics path.
-// The stress scenarios (workload/scenarios.h) are pinned too, tick-native
-// only.
+// Workloads pinned by golden baselines, each a fixed-seed stream.
+// kRealTrace is the Fig. 7 trace (Experiment::RealTraceStream), served
+// without retirement so the corpus keeps its historical bits; kBursty
+// (MMPP) and kDiurnal (time-of-day) run with finished-request
+// retirement, so the baselines also pin the streaming admission/metrics
+// path. The stress scenarios (workload/scenarios.h) are pinned too,
+// tick-native only.
 enum class GoldenScenario {
   kRealTrace,
   kBursty,
@@ -84,15 +85,11 @@ std::vector<GoldenCell> AllGoldenCells();
 // tick_bursty_adaserve.txt.
 std::string GoldenModePrefix(GoldenMode mode);
 
-// Builds the canonical fixed-seed stream for a streaming scenario
-// (kBursty/kDiurnal only).
+// Builds the canonical fixed-seed stream of `scenario` — what
+// RunGoldenSystem serves. Exposed so tests can serve the exact golden
+// trace under other engine configs.
 std::unique_ptr<ArrivalStream> MakeGoldenStream(const Experiment& exp, GoldenScenario scenario,
                                                 const GoldenConfig& config = {});
-
-// The canonical fixed-seed vector workload of the kRealTrace scenario —
-// what RunGoldenSystem replays. Exposed so tests can serve the exact
-// golden trace under other engine configs.
-std::vector<Request> GoldenWorkload(const Experiment& exp, const GoldenConfig& config = {});
 
 // Engine config RunGoldenSystem serves (scenario, mode) under — factored
 // out so the record/replay harness can attach a trace sink to the exact

@@ -487,11 +487,7 @@ RecordedRun RecordGoldenRun(const Experiment& exp, SystemKind kind, const Golden
   const EngineConfig engine = GoldenEngineConfig(config, scenario, mode);
   const std::string label =
       "golden/" + GoldenModePrefix(mode) + GoldenScenarioPrefix(scenario) + GoldenFileSlug(kind);
-  if (scenario == GoldenScenario::kRealTrace) {
-    return RecordRun(exp, kind, GoldenWorkload(exp, config), engine, "golden", label);
-  }
-  auto stream = MakeGoldenStream(exp, scenario, config);
-  return RecordRun(exp, kind, *stream, engine, "golden", label);
+  return RecordRun(exp, kind, MakeGoldenStream(exp, scenario, config), engine, "golden", label);
 }
 
 RecordedClusterRun RecordClusterRun(ClusterConfig config, SystemKind system,

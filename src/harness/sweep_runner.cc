@@ -50,24 +50,8 @@ std::vector<SweepCellResult> RunSetupSweep(SweepRunner& runner, const Setup& set
   return RunSystemGrid(runner, systems, xs,
                        [&setup, &make_workload, &engine](SystemKind system, double x) {
                          const Experiment exp(setup);
-                         std::vector<Request> workload = make_workload(exp, x);
                          auto scheduler = MakeScheduler(system);
-                         return exp.Run(*scheduler, std::move(workload), engine);
-                       });
-}
-
-std::vector<SweepCellResult> RunSetupStreamSweep(SweepRunner& runner, const Setup& setup,
-                                                 const std::vector<SystemKind>& systems,
-                                                 const std::vector<double>& xs,
-                                                 const SweepStreamFn& make_stream,
-                                                 const EngineConfig& engine) {
-  ADASERVE_CHECK(make_stream != nullptr) << "RunSetupStreamSweep needs a stream factory";
-  return RunSystemGrid(runner, systems, xs,
-                       [&setup, &make_stream, &engine](SystemKind system, double x) {
-                         const Experiment exp(setup);
-                         const std::unique_ptr<ArrivalStream> stream = make_stream(exp, x);
-                         auto scheduler = MakeScheduler(system);
-                         return exp.Run(*scheduler, *stream, engine);
+                         return exp.Run(*scheduler, make_workload(exp, x), engine);
                        });
 }
 
@@ -88,9 +72,8 @@ std::vector<SeedShardCell> RunSeedShardedSweep(SweepRunner& runner, const Setup&
       for (uint64_t seed : seeds) {
         tasks.push_back([&setup, &make_workload, &engine, system, x, seed] {
           const Experiment exp(setup);
-          std::vector<Request> workload = make_workload(exp, x, seed);
           auto scheduler = MakeScheduler(system);
-          return exp.Run(*scheduler, std::move(workload), engine).metrics;
+          return exp.Run(*scheduler, make_workload(exp, x, seed), engine).metrics;
         });
       }
     }

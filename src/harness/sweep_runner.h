@@ -20,7 +20,6 @@
 #include <chrono>
 #include <functional>
 #include <future>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -115,9 +114,11 @@ std::vector<SweepCellResult> RunSystemGrid(SweepRunner& runner,
                                            const std::vector<double>& xs,
                                            const SweepCellFn& run_cell);
 
-// Workload for one sweep point, built on the cell's own Experiment.
-// Called concurrently; must only read `exp` and its captures.
-using SweepWorkloadFn = std::function<std::vector<Request>(const Experiment& exp, double x)>;
+// Workload for one sweep point, built on the cell's own Experiment: a
+// fresh stream (e.g. exp.RealTraceStream(...)), served lazily in
+// O(active set) memory, or a request vector. Called concurrently; must
+// only read `exp` and its captures.
+using SweepWorkloadFn = std::function<WorkloadSource(const Experiment& exp, double x)>;
 
 // The standard bench cell: a fresh Experiment(setup), a fresh workload
 // from `make_workload`, and a fresh MakeScheduler(system) per cell, so
@@ -127,23 +128,6 @@ std::vector<SweepCellResult> RunSetupSweep(SweepRunner& runner, const Setup& set
                                            const std::vector<double>& xs,
                                            const SweepWorkloadFn& make_workload,
                                            const EngineConfig& engine = {});
-
-// Arrival stream of one sweep point, built on the cell's own Experiment.
-// Called concurrently; must only read `exp` and its captures. Streams are
-// single-pass, so the factory must build a fresh stream per call.
-using SweepStreamFn =
-    std::function<std::unique_ptr<ArrivalStream>(const Experiment& exp, double x)>;
-
-// Stream-based bench cell: RunSetupSweep without the materialized trace.
-// The cell's workload is generated lazily and consumed inline by the
-// serving loop on the cell's own thread, so resident memory stays
-// O(active set). Metrics are byte-identical to the vector path
-// (streaming_equivalence_test).
-std::vector<SweepCellResult> RunSetupStreamSweep(SweepRunner& runner, const Setup& setup,
-                                                 const std::vector<SystemKind>& systems,
-                                                 const std::vector<double>& xs,
-                                                 const SweepStreamFn& make_stream,
-                                                 const EngineConfig& engine = {});
 
 // --- per-seed sharding (variance studies) ---
 
@@ -172,10 +156,11 @@ struct SeedShardCell {
   double ThroughputErrTps() const { return throughput_tps.SampleStddev(); }
 };
 
-// Workload of one (x, seed) shard, built on the shard's own Experiment.
-// Called concurrently; must only read `exp` and its captures.
+// Workload of one (x, seed) shard, built on the shard's own Experiment
+// (a stream or a vector, as for SweepWorkloadFn). Called concurrently;
+// must only read `exp` and its captures.
 using SeedWorkloadFn =
-    std::function<std::vector<Request>(const Experiment& exp, double x, uint64_t seed)>;
+    std::function<WorkloadSource(const Experiment& exp, double x, uint64_t seed)>;
 
 // Fans the full systems × xs × seeds grid out through `runner` — every
 // shard an independent task with its own Experiment, workload, and

@@ -14,8 +14,6 @@
 // resident request count proportional to the active set, not the trace.
 // (End-of-run metrics still keep two scalar samples per finished request
 // for percentile queries — ~16 bytes each, the only per-request remnant.)
-// The classic vector overload wraps the trace in a MaterializedStream and
-// behaves exactly as before.
 #ifndef ADASERVE_SRC_SERVE_ENGINE_H_
 #define ADASERVE_SRC_SERVE_ENGINE_H_
 
@@ -110,9 +108,9 @@ class Engine {
   Engine(const SyntheticLm* target, const DraftLm* draft, const LatencyModel* target_latency,
          const LatencyModel* draft_latency, const EngineConfig& config = {});
 
-  // Serves `source` — a live ArrivalStream (pulled lazily) or an
-  // arrival-sorted request vector (adapted via MaterializedStream), both
-  // of which convert implicitly — with `scheduler` until the stream is
+  // Serves `source` — an owned or borrowed ArrivalStream (pulled lazily)
+  // or an arrival-sorted request vector (adapted via MaterializedStream),
+  // each of which converts implicitly — with `scheduler` until the stream is
   // exhausted and the pool drains. `verify_budget`/`draft_budget`
   // parameterise the ServingContext; pass 0 to derive them from the
   // roofline (DeriveTokenBudget).

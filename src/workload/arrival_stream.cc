@@ -24,6 +24,11 @@ Request MaterializedStream::Next() {
   return requests_[pos_++];
 }
 
+WorkloadSource::WorkloadSource(std::unique_ptr<ArrivalStream> stream)
+    : owned_(std::move(stream)), stream_(owned_.get()) {
+  ADASERVE_CHECK(stream_ != nullptr) << "null arrival stream";
+}
+
 std::vector<Request> Materialize(ArrivalStream& stream, size_t max_requests) {
   std::vector<Request> requests;
   while (!stream.Exhausted() && requests.size() < max_requests) {

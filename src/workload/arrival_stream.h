@@ -6,8 +6,8 @@
 // (peek the next arrival time, pull when due), so a generator-backed
 // stream never materializes its trace: a million-request run holds only
 // the active requests plus a small admission horizon in memory.
-// MaterializedStream adapts the classic pre-built vector so the legacy
-// path and every golden baseline run unchanged.
+// MaterializedStream adapts a request vector (replayed arrivals, cluster
+// partitions, hand-built test workloads) to the same interface.
 #ifndef ADASERVE_SRC_WORKLOAD_ARRIVAL_STREAM_H_
 #define ADASERVE_SRC_WORKLOAD_ARRIVAL_STREAM_H_
 
@@ -38,8 +38,8 @@ class ArrivalStream {
   virtual size_t emitted() const = 0;
 };
 
-// Adapts a pre-built, arrival-sorted request vector (BuildWorkload output)
-// to the stream interface.
+// Adapts a pre-built, arrival-sorted request vector to the stream
+// interface.
 class MaterializedStream final : public ArrivalStream {
  public:
   // `requests` must be sorted by arrival time.
@@ -57,17 +57,19 @@ class MaterializedStream final : public ArrivalStream {
   size_t pos_ = 0;
 };
 
-// A workload handed to an engine/experiment Run: either a borrowed live
-// ArrivalStream (lazy, streaming) or an owned request vector adapted via
-// MaterializedStream (the classic pre-built trace). The implicit
-// conversions unify what used to be two separate Run overloads — every
-// historical call site compiles against the one WorkloadSource signature.
+// A workload handed to an engine/experiment Run: an owned or borrowed
+// ArrivalStream. An owned request vector is adapted via
+// MaterializedStream. The implicit conversions let every call site pass
+// whichever form it holds to the one WorkloadSource signature.
 class WorkloadSource {
  public:
   // Owned trace: `requests` must be sorted by arrival time.
   WorkloadSource(std::vector<Request> requests)  // NOLINT(google-explicit-constructor)
       : owned_(std::make_unique<MaterializedStream>(std::move(requests))),
         stream_(owned_.get()) {}
+
+  // Owned live stream (a factory's fresh, single-pass stream); non-null.
+  WorkloadSource(std::unique_ptr<ArrivalStream> stream);  // NOLINT(google-explicit-constructor)
 
   // Borrowed live stream; must outlive the Run call.
   WorkloadSource(ArrivalStream& stream)  // NOLINT(google-explicit-constructor)
@@ -76,13 +78,13 @@ class WorkloadSource {
   ArrivalStream& stream() const { return *stream_; }
 
  private:
-  std::unique_ptr<MaterializedStream> owned_;
+  std::unique_ptr<ArrivalStream> owned_;
   ArrivalStream* stream_;
 };
 
-// Drains up to `max_requests` requests into a vector. Useful for tests
-// that compare a lazy stream against the legacy vector path, and for
-// feeding stream-only generators to vector-based APIs.
+// Drains up to `max_requests` requests into a vector, for callers that
+// need the whole trace at once: Experiment::RealTraceWorkload, and tests
+// that inspect or edit requests.
 std::vector<Request> Materialize(ArrivalStream& stream,
                                  size_t max_requests = static_cast<size_t>(-1));
 

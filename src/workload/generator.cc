@@ -50,25 +50,6 @@ Request MakeRequest(RequestId id, SimTime arrival, int category,
 
 }  // namespace
 
-std::vector<Request> BuildWorkload(const std::vector<CategorySpec>& categories,
-                                   const std::vector<SimTime>& arrivals,
-                                   const WorkloadConfig& config) {
-  ADASERVE_CHECK(categories.size() == kNumCategories) << "expected a full category table";
-  CheckMix(config.mix);
-
-  Rng rng(config.seed);
-  std::vector<Request> requests;
-  requests.reserve(arrivals.size());
-  RequestId next_id = 0;
-  for (SimTime arrival : arrivals) {
-    const int category = SampleCategory(config.mix, rng.Uniform());
-    requests.push_back(MakeRequest(next_id++, arrival, category, categories, rng));
-  }
-  std::sort(requests.begin(), requests.end(),
-            [](const Request& a, const Request& b) { return a.arrival < b.arrival; });
-  return requests;
-}
-
 std::vector<Request> BuildBurstyWorkload(const std::vector<CategorySpec>& categories,
                                          const std::array<BurstSpec, kNumCategories>& bursts,
                                          double duration, uint64_t seed) {
@@ -161,13 +142,6 @@ MixFunction DriftingMix(const std::array<double, kNumCategories>& start,
     }
     return mix;
   };
-}
-
-std::unique_ptr<ArrivalStream> MakeRealTraceStream(const std::vector<CategorySpec>& categories,
-                                                   const RealTraceStreamConfig& config) {
-  return std::make_unique<WorkloadStream>(categories, MakeRealShapedProcess(config.trace),
-                                          ConstantMix(config.workload.mix),
-                                          config.workload.seed, config.max_requests);
 }
 
 std::unique_ptr<ArrivalStream> MakeMmppStream(const std::vector<CategorySpec>& categories,

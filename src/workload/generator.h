@@ -1,12 +1,13 @@
 // Workload assembly: arrival times x category mix x length sampling.
 //
-// Two forms are provided. The vector builders (BuildWorkload,
-// BuildBurstyWorkload) materialize a whole trace up front — the classic
-// path used by the paper-figure benches and the golden baselines. The
-// stream factories (MakeRealTraceStream, MakeMmppStream, MakeDiurnalStream,
-// MakeChurnStream) wrap the same sampling in a lazy ArrivalStream, so the
+// Every workload is an ArrivalStream. WorkloadStream samples category and
+// lengths per request as it pulls arrivals from an ArrivalProcess, so the
 // engine can serve million-request workloads holding only the active set
-// in memory.
+// in memory; the factories below (and Experiment::RealTraceStream for the
+// Fig. 7 trace) configure it. Materialize() drains a stream into a vector
+// where the whole trace is needed at once.
+// BuildBurstyWorkload is the one vector builder: the Fig. 13 trace draws
+// lengths category by category, a different workload from any stream.
 #ifndef ADASERVE_SRC_WORKLOAD_GENERATOR_H_
 #define ADASERVE_SRC_WORKLOAD_GENERATOR_H_
 
@@ -22,18 +23,13 @@
 
 namespace adaserve {
 
+// Constant category mix and length-sampling seed of a real-trace workload
+// (Experiment::RealTraceStream).
 struct WorkloadConfig {
   // Probability of each category for an arriving request. Must sum to ~1.
   std::array<double, kNumCategories> mix = {0.6, 0.2, 0.2};
   uint64_t seed = 7;
 };
-
-// Builds requests for the given arrival times: each arrival draws a category
-// from the mix, then prompt/output lengths from that category. Requests are
-// returned sorted by arrival time with sequential ids.
-std::vector<Request> BuildWorkload(const std::vector<CategorySpec>& categories,
-                                   const std::vector<SimTime>& arrivals,
-                                   const WorkloadConfig& config);
 
 // Builds the Fig. 13 workload: one independent bursty arrival process per
 // category, merged into a single request stream.
@@ -87,16 +83,6 @@ MixFunction ConstantMix(const std::array<double, kNumCategories>& mix);
 // Both mixes must be normalised; every interpolant then is too.
 MixFunction DriftingMix(const std::array<double, kNumCategories>& start,
                         const std::array<double, kNumCategories>& end, double duration);
-
-// Lazy counterpart of RealTraceWorkload/BuildWorkload over the Fig. 7
-// envelope: draining this stream reproduces the vector path bit-for-bit.
-struct RealTraceStreamConfig {
-  TraceConfig trace;
-  WorkloadConfig workload;
-  size_t max_requests = static_cast<size_t>(-1);
-};
-std::unique_ptr<ArrivalStream> MakeRealTraceStream(const std::vector<CategorySpec>& categories,
-                                                   const RealTraceStreamConfig& config);
 
 // Bursty stream driven by a Markov-modulated Poisson process.
 struct MmppStreamConfig {

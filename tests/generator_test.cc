@@ -3,11 +3,28 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
+#include <utility>
 
 namespace adaserve {
 namespace {
 
 std::vector<CategorySpec> Cats() { return DefaultCategories(/*baseline=*/0.025); }
+
+// The whole workload a WorkloadStream draws over `process` with a fixed
+// mix and sampling seed.
+std::vector<Request> StreamWorkload(std::unique_ptr<ArrivalProcess> process,
+                                    const WorkloadConfig& config,
+                                    const std::vector<CategorySpec>& cats = Cats()) {
+  WorkloadStream stream(cats, std::move(process), ConstantMix(config.mix), config.seed);
+  return Materialize(stream);
+}
+
+std::vector<Request> PoissonWorkload(const TraceConfig& trace, const WorkloadConfig& config,
+                                     const std::vector<CategorySpec>& cats = Cats()) {
+  return StreamWorkload(MakePoissonProcess(trace.duration, trace.mean_rps, trace.seed), config,
+                        cats);
+}
 
 TEST(Categories, Table2SlosResolved) {
   const std::vector<CategorySpec> cats = Cats();
@@ -45,8 +62,7 @@ TEST(Generator, RequestsSortedWithDenseIds) {
   TraceConfig trace;
   trace.duration = 50.0;
   trace.mean_rps = 4.0;
-  const std::vector<Request> reqs =
-      BuildWorkload(Cats(), RealShapedArrivals(trace), WorkloadConfig{});
+  const std::vector<Request> reqs = StreamWorkload(MakeRealShapedProcess(trace), WorkloadConfig{});
   for (size_t i = 0; i < reqs.size(); ++i) {
     EXPECT_EQ(reqs[i].id, static_cast<RequestId>(i));
     if (i > 0) {
@@ -61,7 +77,7 @@ TEST(Generator, MixProportionsApproximatelyRespected) {
   trace.mean_rps = 4.0;
   WorkloadConfig config;
   config.mix = {0.6, 0.2, 0.2};
-  const std::vector<Request> reqs = BuildWorkload(Cats(), PoissonArrivals(trace), config);
+  const std::vector<Request> reqs = PoissonWorkload(trace, config);
   std::array<int, kNumCategories> counts = {0, 0, 0};
   for (const Request& r : reqs) {
     ++counts[static_cast<size_t>(r.category)];
@@ -78,7 +94,7 @@ TEST(Generator, DegenerateMixProducesSingleCategory) {
   trace.mean_rps = 4.0;
   WorkloadConfig config;
   config.mix = {0.0, 1.0, 0.0};
-  const std::vector<Request> reqs = BuildWorkload(Cats(), PoissonArrivals(trace), config);
+  const std::vector<Request> reqs = PoissonWorkload(trace, config);
   for (const Request& r : reqs) {
     EXPECT_EQ(r.category, kCatChat);
   }
@@ -89,8 +105,7 @@ TEST(Generator, OutputLengthAtLeastTwo) {
   TraceConfig trace;
   trace.duration = 500.0;
   trace.mean_rps = 4.0;
-  const std::vector<Request> reqs =
-      BuildWorkload(Cats(), PoissonArrivals(trace), WorkloadConfig{});
+  const std::vector<Request> reqs = PoissonWorkload(trace, WorkloadConfig{});
   for (const Request& r : reqs) {
     EXPECT_GE(r.target_output_len, 2);
     EXPECT_GE(r.prompt_len, 1);
@@ -102,8 +117,7 @@ TEST(Generator, SlosMatchCategory) {
   trace.duration = 100.0;
   trace.mean_rps = 4.0;
   const std::vector<CategorySpec> cats = Cats();
-  const std::vector<Request> reqs =
-      BuildWorkload(cats, PoissonArrivals(trace), WorkloadConfig{});
+  const std::vector<Request> reqs = PoissonWorkload(trace, WorkloadConfig{}, cats);
   for (const Request& r : reqs) {
     EXPECT_EQ(r.tpot_slo, cats[static_cast<size_t>(r.category)].tpot_slo);
   }
@@ -113,8 +127,7 @@ TEST(Generator, StreamSeedsUnique) {
   TraceConfig trace;
   trace.duration = 100.0;
   trace.mean_rps = 4.0;
-  const std::vector<Request> reqs =
-      BuildWorkload(Cats(), PoissonArrivals(trace), WorkloadConfig{});
+  const std::vector<Request> reqs = PoissonWorkload(trace, WorkloadConfig{});
   for (size_t i = 1; i < reqs.size(); ++i) {
     EXPECT_NE(reqs[i].stream_seed, reqs[i - 1].stream_seed);
   }
@@ -135,37 +148,6 @@ TEST(Generator, BurstyWorkloadCoversAllCategories) {
 }
 
 // --- streaming generation ---------------------------------------------------
-
-TEST(Stream, LazyRealTraceMatchesBatchBuilderExactly) {
-  // The stream interleaves trace-RNG and workload-RNG draws instead of
-  // consuming them phase-by-phase, but each generator's own sequence is
-  // unchanged — so the lazy stream reproduces BuildWorkload bit-for-bit.
-  RealTraceStreamConfig config;
-  config.trace.duration = 100.0;
-  config.trace.mean_rps = 4.0;
-  config.trace.seed = 42;
-  config.workload.mix = {0.5, 0.3, 0.2};
-  config.workload.seed = 11;
-  auto stream = MakeRealTraceStream(Cats(), config);
-  const std::vector<Request> lazy = Materialize(*stream);
-
-  WorkloadConfig mix;
-  mix.mix = config.workload.mix;
-  mix.seed = config.workload.seed;
-  const std::vector<Request> batch = BuildWorkload(Cats(), RealShapedArrivals(config.trace), mix);
-
-  ASSERT_EQ(lazy.size(), batch.size());
-  ASSERT_FALSE(lazy.empty());
-  for (size_t i = 0; i < lazy.size(); ++i) {
-    EXPECT_EQ(lazy[i].id, batch[i].id);
-    EXPECT_EQ(lazy[i].arrival, batch[i].arrival);
-    EXPECT_EQ(lazy[i].category, batch[i].category);
-    EXPECT_EQ(lazy[i].prompt_len, batch[i].prompt_len);
-    EXPECT_EQ(lazy[i].target_output_len, batch[i].target_output_len);
-    EXPECT_EQ(lazy[i].stream_seed, batch[i].stream_seed);
-    EXPECT_EQ(lazy[i].tpot_slo, batch[i].tpot_slo);
-  }
-}
 
 TEST(Stream, MmppStreamSortedDenseAndDeterministic) {
   MmppStreamConfig config;
@@ -292,8 +274,8 @@ TEST(Generator, DeterministicForSeed) {
   trace.mean_rps = 3.0;
   WorkloadConfig config;
   config.seed = 11;
-  const std::vector<Request> a = BuildWorkload(Cats(), PoissonArrivals(trace), config);
-  const std::vector<Request> b = BuildWorkload(Cats(), PoissonArrivals(trace), config);
+  const std::vector<Request> a = PoissonWorkload(trace, config);
+  const std::vector<Request> b = PoissonWorkload(trace, config);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].category, b[i].category);

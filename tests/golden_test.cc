@@ -72,8 +72,8 @@ std::vector<std::string> OrphanBaselines() {
 
 // Regenerates the full corpus — every AllGoldenCells() cell — fanned out
 // over a SweepRunner. Cells share the (immutable) Experiment but build
-// their own scheduler, engine, and stream, the same contract
-// RunComparison relies on. Returns false if any file write fails.
+// their own scheduler, engine, and stream, so no mutable state crosses
+// tasks. Returns false if any file write fails.
 bool RegenerateAllGoldens(const Experiment& exp, int threads) {
   struct Written {
     std::string path;

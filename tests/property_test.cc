@@ -17,15 +17,11 @@ class ServingProperties : public ::testing::TestWithParam<PropertyParams> {};
 TEST_P(ServingProperties, InvariantsHoldEndToEnd) {
   const auto [kind, seed, continuous] = GetParam();
   Experiment exp(TestSetup());
-  TraceConfig trace;
-  trace.duration = 6.0;
-  trace.mean_rps = 3.0;
-  trace.seed = seed;
   WorkloadConfig mix;
   mix.mix = {0.5, 0.3, 0.2};
   mix.seed = seed + 1;
   std::vector<Request> workload =
-      BuildWorkload(exp.Categories(), RealShapedArrivals(trace), mix);
+      exp.RealTraceWorkload(/*duration=*/6.0, /*mean_rps=*/3.0, mix, /*trace_seed=*/seed);
   if (workload.empty()) {
     GTEST_SKIP() << "empty trace realisation";
   }

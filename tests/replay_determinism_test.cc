@@ -7,6 +7,7 @@
 // detected with the correct first-divergent-tick.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -66,9 +67,10 @@ TEST_P(ReplayDeterminismTest, ClusterReplicaRecordReplayByteIdentical) {
   config.replicas.push_back({GoldenSetup(), EngineConfig{}});
   config.replicas.push_back({GoldenSetup(), EngineConfig{}});
   config.router = RouterPolicy::kJoinShortestQueue;
-  MaterializedStream stream(GoldenWorkload(*exp_));
+  const std::unique_ptr<ArrivalStream> stream =
+      MakeGoldenStream(*exp_, GoldenScenario::kRealTrace);
   const RecordedClusterRun run =
-      RecordClusterRun(config, kind, stream, {"golden", "golden"}, "cluster2");
+      RecordClusterRun(config, kind, *stream, {"golden", "golden"}, "cluster2");
   ASSERT_EQ(run.replicas.size(), 2u);
 
   // Every replica artifact replays standalone, byte-identically.

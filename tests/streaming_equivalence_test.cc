@@ -6,6 +6,7 @@
 // PR-1 determinism guarantee to the lazy admission path.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,7 +20,7 @@ namespace {
 // identical (same-seed) stream.
 struct Scenario {
   const char* name;
-  StreamFactory make;
+  std::function<std::unique_ptr<ArrivalStream>()> make;
 };
 
 std::vector<Scenario> Scenarios(const Experiment& exp) {

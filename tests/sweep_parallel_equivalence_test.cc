@@ -6,7 +6,8 @@
 // over the ThreadPool must not change a single metric byte, because each
 // cell rebuilds its full simulator state from deterministic seeds. Also
 // pins the per-cell Experiment reconstruction against the old
-// shared-Experiment serial helper, and RunComparison's parallel path
+// shared-Experiment serial helper, a vector-fed sweep against the same
+// sweep fed by owned streams, and a stream-fed sweep's parallel path
 // against its serial path.
 #include <gtest/gtest.h>
 
@@ -96,26 +97,58 @@ TEST(SweepParallelEquivalence, PerCellReconstructionMatchesSharedExperimentRefer
   }
 }
 
-TEST(SweepParallelEquivalence, RunComparisonParallelMatchesSerial) {
-  const Experiment exp(GoldenSetup());
+// A sweep fed request vectors and the same sweep fed owned streams (the
+// two forms a SweepWorkloadFn may return) serve identical workloads, so
+// every cell's metrics match byte for byte.
+TEST(SweepParallelEquivalence, VectorWorkloadsMatchStreamWorkloads) {
+  SweepRunner runner(4);
+  const std::vector<SweepCellResult> from_vectors =
+      RunSetupSweep(runner, GoldenSetup(), MainComparisonSet(), SmokeRpsGrid(),
+                    [](const Experiment& exp, double rps) {
+                      return exp.RealTraceWorkload(kDuration, rps, PeakMix());
+                    });
+  const std::vector<SweepCellResult> from_streams =
+      RunSetupSweep(runner, GoldenSetup(), MainComparisonSet(), SmokeRpsGrid(),
+                    [](const Experiment& exp, double rps) {
+                      return exp.RealTraceStream(kDuration, rps, PeakMix());
+                    });
+
+  ASSERT_EQ(from_vectors.size(), MainComparisonSet().size() * SmokeRpsGrid().size());
+  ASSERT_EQ(from_vectors.size(), from_streams.size());
+  for (size_t i = 0; i < from_vectors.size(); ++i) {
+    ASSERT_EQ(from_vectors[i].system, from_streams[i].system);
+    ASSERT_EQ(from_vectors[i].x, from_streams[i].x);
+    EXPECT_EQ(GoldenMetricsText(from_vectors[i].system, from_vectors[i].result.metrics),
+              GoldenMetricsText(from_streams[i].system, from_streams[i].result.metrics))
+        << "cell " << SystemName(from_vectors[i].system) << " @ x=" << from_vectors[i].x;
+    EXPECT_EQ(from_vectors[i].result.total_iterations, from_streams[i].result.total_iterations);
+  }
+}
+
+// A stream-fed sweep at one x (the shape of a multi-system comparison)
+// is byte-identical at threads 1 and 4.
+TEST(SweepParallelEquivalence, StreamSweepParallelMatchesSerial) {
   const GoldenConfig config;
-  const StreamFactory make_stream = [&exp, &config] {
+  const SweepWorkloadFn make_stream = [&config](const Experiment& exp, double /*x*/) {
     return MakeGoldenStream(exp, GoldenScenario::kBursty, config);
   };
   EngineConfig engine;
   engine.sampling_seed = config.sampling_seed;
   engine.retire_finished = true;
 
-  const std::vector<ComparisonPoint> serial =
-      RunComparison(exp, MainComparisonSet(), make_stream, engine, /*threads=*/1);
-  const std::vector<ComparisonPoint> parallel =
-      RunComparison(exp, MainComparisonSet(), make_stream, engine, /*threads=*/4);
+  SweepRunner serial_runner(1);
+  const std::vector<SweepCellResult> serial = RunSetupSweep(
+      serial_runner, GoldenSetup(), MainComparisonSet(), {0.0}, make_stream, engine);
+  SweepRunner parallel_runner(4);
+  const std::vector<SweepCellResult> parallel = RunSetupSweep(
+      parallel_runner, GoldenSetup(), MainComparisonSet(), {0.0}, make_stream, engine);
 
+  ASSERT_EQ(serial.size(), MainComparisonSet().size());
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_EQ(serial[i].kind, parallel[i].kind);
-    EXPECT_EQ(GoldenMetricsText(serial[i].kind, serial[i].result.metrics),
-              GoldenMetricsText(parallel[i].kind, parallel[i].result.metrics));
+    ASSERT_EQ(serial[i].system, parallel[i].system);
+    EXPECT_EQ(GoldenMetricsText(serial[i].system, serial[i].result.metrics),
+              GoldenMetricsText(parallel[i].system, parallel[i].result.metrics));
     EXPECT_GT(parallel[i].wall_clock_s, 0.0);
   }
 }
