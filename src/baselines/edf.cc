@@ -1,7 +1,5 @@
 #include "src/baselines/edf.h"
 
-#include <algorithm>
-
 namespace adaserve {
 
 std::vector<RequestId> EdfDecodeBatch(SimTime now, const RequestPool& pool,
@@ -10,13 +8,7 @@ std::vector<RequestId> EdfDecodeBatch(SimTime now, const RequestPool& pool,
   if (running.empty()) {
     return running;
   }
-  // Deadline order; ids (arrival order) break ties so the order is total
-  // and deterministic.
-  std::sort(running.begin(), running.end(), [&pool](RequestId a, RequestId b) {
-    const SimTime da = NextTokenDeadline(pool.Get(a));
-    const SimTime db = NextTokenDeadline(pool.Get(b));
-    return da != db ? da < db : a < b;
-  });
+  SortByDeadline(pool, running);
   // Largest feasible prefix: growing the batch raises everyone's iteration
   // latency, so EDF sheds the latest-deadline requests first when the full
   // batch would miss the earliest live deadline. The binding constraint of

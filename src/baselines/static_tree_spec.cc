@@ -1,5 +1,7 @@
 #include "src/baselines/static_tree_spec.h"
 
+#include <algorithm>
+
 #include "src/common/logging.h"
 #include "src/spec/beam_search.h"
 
@@ -38,16 +40,21 @@ TokenTree BuildStaticTree(const DraftLm& draft, uint64_t stream, std::span<const
 
 StaticTreeSpecScheduler::StaticTreeSpecScheduler(const StaticTreeConfig& config)
     : config_(config) {
+  ADASERVE_CHECK(!config_.branching.empty()) << "static tree needs at least one level";
   tokens_per_tree_ = 0;
   int level_width = 1;
   std::string shape;
   for (int k : config_.branching) {
+    level_widths_.push_back(level_width);
     level_width *= k;
     tokens_per_tree_ += level_width;
     if (!shape.empty()) shape += 'x';
     shape += std::to_string(k);
   }
-  name_ = "StaticTree(" + shape + ")";
+  // A chain of branching 1 at each of its k levels is vLLM-Spec(k).
+  const bool chain = std::ranges::all_of(config_.branching, [](int k) { return k == 1; });
+  name_ = chain ? "vLLM-Spec(" + std::to_string(config_.branching.size()) + ")"
+                : "StaticTree(" + shape + ")";
 }
 
 IterationRecord StaticTreeSpecScheduler::DecodePhase(SimTime now, RequestPool& pool,
@@ -58,20 +65,13 @@ IterationRecord StaticTreeSpecScheduler::DecodePhase(SimTime now, RequestPool& p
     return record;
   }
   const int n = static_cast<int>(running.size());
-  const int depth = static_cast<int>(config_.branching.size());
 
   // Draft phase: one step per level; the batch width grows with the level.
-  const long draft_context = pool.SumContextTokens(running);
-  SimTime spec_time = 0.0;
-  int level_width = 1;
-  for (int level = 0; level < depth; ++level) {
-    spec_time += ctx.draft_latency->ForwardLatency(n * level_width, draft_context,
-                                                   /*use_cuda_graph=*/true);
-    level_width *= config_.branching[static_cast<size_t>(level)];
-  }
-
+  // Verification: each request contributes its root + every tree token.
+  const long context = pool.SumContextTokens(running);
+  const SimTime spec_time = DraftTreeTime(*ctx.draft_latency, n, context, level_widths_);
   const SimTime verify_time = ctx.target_latency->ForwardLatency(
-      n * (tokens_per_tree_ + 1), pool.SumContextTokens(running), /*use_cuda_graph=*/true);
+      n * (tokens_per_tree_ + 1), context, /*use_cuda_graph=*/true);
   const SimTime latency = spec_time + verify_time;
   const SimTime end = now + latency;
 

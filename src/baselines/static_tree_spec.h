@@ -1,10 +1,16 @@
-// Static-topology tree speculation (SpecInfer/Medusa-style, §7).
+// Fixed-shape speculation: static-topology trees (SpecInfer/Medusa-style,
+// §7) and vLLM-Spec(k)'s sequence chains (§6.1).
 //
 // Early tree-based speculative decoding fixes the tree *shape* per
 // iteration — e.g. expand the top-k1 draft tokens at depth 1, top-k2 under
-// each at depth 2, and so on — independent of request SLOs or load. This
-// baseline rounds out the design space between vLLM-Spec's chains and
-// AdaServe's SLO-customized trees, and feeds the tree-topology ablation.
+// each at depth 2, and so on — independent of request SLOs or load. A
+// k-token greedy chain, the strategy of vLLM-Spec(k), is the same tree with
+// branching 1 at each of its k levels. Every decode iteration drafts one
+// tree per request and verifies all trees in one batched target pass. The
+// shape is fixed regardless of load — the rigidity AdaServe's adaptive
+// control removes. Wider shapes fill the design space between vLLM-Spec's
+// chains and AdaServe's SLO-customized trees, and feed the tree-topology
+// ablation.
 #ifndef ADASERVE_SRC_BASELINES_STATIC_TREE_SPEC_H_
 #define ADASERVE_SRC_BASELINES_STATIC_TREE_SPEC_H_
 
@@ -18,8 +24,9 @@
 namespace adaserve {
 
 struct StaticTreeConfig {
-  // Branching factor per level; the tree has branching.size() levels.
-  // Default (3, 2, 2, 1): 3 + 6 + 12 + 12 = 33 nodes... kept modest:
+  // Branching factor per level; the tree has branching.size() levels and
+  // b0 + b0*b1 + ... speculated tokens. Default (3, 2, 1): 3 + 6 + 6 = 15.
+  // All ones of length k is vLLM-Spec(k)'s k-token chain.
   std::vector<int> branching = {3, 2, 1};
 };
 
@@ -35,6 +42,8 @@ class StaticTreeSpecScheduler : public Scheduler {
  public:
   explicit StaticTreeSpecScheduler(const StaticTreeConfig& config = {});
 
+  // "vLLM-Spec(k)" for an all-ones shape of length k, else
+  // "StaticTree(AxB...)".
   std::string_view name() const override { return name_; }
 
  protected:
@@ -45,6 +54,8 @@ class StaticTreeSpecScheduler : public Scheduler {
   StaticTreeConfig config_;
   std::string name_;
   int tokens_per_tree_;
+  // Draft tokens per request at each level: 1, b0, b0*b1, ...
+  std::vector<int> level_widths_;
   // Every request's tree is built in turn into this storage.
   BuildScratch scratch_;
   TokenTree tree_{kInvalidToken};

@@ -84,14 +84,10 @@ IterationRecord AdaServeScheduler::SpecIteration(SimTime now, RequestPool& pool,
   // --- Step 1: speculation (candidate trees via beam search) ---
   // Draft cost: step 1 processes the n roots; steps 2..d process n*w
   // beam tokens each, shapes that repeat and replay from CUDA graphs.
-  const long draft_context = pool.SumContextTokens(running);
-  SimTime spec_time =
-      ctx.draft_latency->ForwardLatency(n, draft_context, /*use_cuda_graph=*/true);
-  for (int step = 1; step < beam.depth; ++step) {
-    spec_time += ctx.draft_latency->ForwardLatency(n * beam.width,
-                                                   draft_context + n * step,
-                                                   /*use_cuda_graph=*/true);
-  }
+  draft_widths_.assign(1, 1);
+  draft_widths_.resize(static_cast<size_t>(std::max(beam.depth, 1)), beam.width);
+  const SimTime spec_time = DraftTreeTime(*ctx.draft_latency, n,
+                                          pool.SumContextTokens(running), draft_widths_);
   while (candidates_.size() < running.size()) {
     candidates_.emplace_back(kInvalidToken);
   }

@@ -71,6 +71,8 @@ class AdaServeScheduler : public Scheduler {
   // running request (trees past the batch keep their capacity).
   std::vector<TokenTree> candidates_;
   BuildScratch scratch_;
+  // Draft tokens per request at each beam step: 1 (the roots), then w.
+  std::vector<int> draft_widths_;
   std::vector<SelectionRequest> sel_requests_;
   TokenSelector selector_;
 };

@@ -4,13 +4,23 @@
 #include "src/baselines/fastserve.h"
 #include "src/baselines/priority.h"
 #include "src/baselines/sarathi.h"
+#include "src/baselines/static_tree_spec.h"
 #include "src/baselines/vllm.h"
-#include "src/baselines/vllm_spec.h"
 #include "src/baselines/vtc.h"
 #include "src/common/logging.h"
 #include "src/core/adaserve_scheduler.h"
 
 namespace adaserve {
+namespace {
+
+// vLLM-Spec(k): a static tree of k levels with branching 1, the k-token
+// greedy chain.
+std::unique_ptr<Scheduler> VllmSpec(int k) {
+  return std::make_unique<StaticTreeSpecScheduler>(
+      StaticTreeConfig{.branching = std::vector<int>(static_cast<size_t>(k), 1)});
+}
+
+}  // namespace
 
 std::unique_ptr<Scheduler> MakeScheduler(SystemKind kind) {
   switch (kind) {
@@ -21,11 +31,11 @@ std::unique_ptr<Scheduler> MakeScheduler(SystemKind kind) {
     case SystemKind::kSarathi:
       return std::make_unique<SarathiScheduler>();
     case SystemKind::kVllmSpec4:
-      return std::make_unique<VllmSpecScheduler>(VllmSpecConfig{.spec_len = 4});
+      return VllmSpec(4);
     case SystemKind::kVllmSpec6:
-      return std::make_unique<VllmSpecScheduler>(VllmSpecConfig{.spec_len = 6});
+      return VllmSpec(6);
     case SystemKind::kVllmSpec8:
-      return std::make_unique<VllmSpecScheduler>(VllmSpecConfig{.spec_len = 8});
+      return VllmSpec(8);
     case SystemKind::kVllmPriority:
       return std::make_unique<PriorityScheduler>();
     case SystemKind::kFastServe:

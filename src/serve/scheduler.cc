@@ -162,6 +162,16 @@ void CommitVerifiedTree(SimTime now, SimTime end, RequestPool& pool, ServingCont
   }
 }
 
+SimTime DraftTreeTime(const LatencyModel& draft, int n, long context,
+                      std::span<const int> level_widths) {
+  SimTime time = 0.0;
+  for (size_t l = 0; l < level_widths.size(); ++l) {
+    time += draft.ForwardLatency(n * level_widths[l], context + n * static_cast<long>(l),
+                                 /*use_cuda_graph=*/true);
+  }
+  return time;
+}
+
 SimTime NextTokenDeadline(const Request& req) {
   if (req.first_token_time >= 0.0) {
     return req.first_token_time + req.committed_len * req.tpot_slo;
@@ -169,16 +179,27 @@ SimTime NextTokenDeadline(const Request& req) {
   return req.arrival + req.tpot_slo;
 }
 
+namespace {
+
+// The urgency key of an SLO-aware priority policy, smaller = more urgent:
+// the next-token deadline under kEdf, the TPOT SLO category otherwise.
+template <typename Fn>
+auto WithUrgencyKey(PriorityPolicy policy, Fn&& fn) {
+  if (policy == PriorityPolicy::kEdf) {
+    return fn([](const Request& req) { return NextTokenDeadline(req); });
+  }
+  return fn([](const Request& req) { return req.tpot_slo; });
+}
+
+}  // namespace
+
 RequestPool::AdmissionRanker PriorityRanker(PriorityPolicy policy) {
   if (policy == PriorityPolicy::kFifo) {
     return nullptr;  // The pool's null-ranker path is exact arrival order.
   }
-  if (policy == PriorityPolicy::kEdf) {
-    return [](const Request& a, const Request& b) {
-      return NextTokenDeadline(a) < NextTokenDeadline(b);
-    };
-  }
-  return [](const Request& a, const Request& b) { return a.tpot_slo < b.tpot_slo; };
+  return WithUrgencyKey(policy, [](auto key) -> RequestPool::AdmissionRanker {
+    return [key](const Request& a, const Request& b) { return key(a) < key(b); };
+  });
 }
 
 EvictionStyle PriorityEvictionStyle(PriorityPolicy policy) {
@@ -190,49 +211,36 @@ RequestPool::VictimSelector PriorityVictimSelector(PriorityPolicy policy) {
   if (policy == PriorityPolicy::kFifo) {
     return nullptr;  // Pool default: newest-admitted zero-output request.
   }
-  if (policy == PriorityPolicy::kEdf) {
-    // The EDF analogue of the SLO-aware selector: the head may only
-    // displace a prefilling zero-output request whose next-token deadline
-    // is strictly *later* than its own; latest-deadline victims first,
-    // the newest among equals (least prefill progress to redo).
-    return [](const Request& head, const RequestPool& pool) {
-      const SimTime head_deadline = NextTokenDeadline(head);
+  // The head may only displace a prefilling zero-output request whose key
+  // is strictly larger (less urgent) than its own. Newest-first scan,
+  // keeping the largest key: the least urgent prefilling request goes
+  // first, and among equals the newest loses (it has the least prefill
+  // progress to redo).
+  return WithUrgencyKey(policy, [](auto key) -> RequestPool::VictimSelector {
+    return [key](const Request& head, const RequestPool& pool) {
       RequestId victim = kInvalidRequestId;
-      SimTime victim_deadline = 0.0;
+      SimTime victim_key = key(head);  // A victim must beat the head's key.
       for (auto it = pool.active().rbegin(); it != pool.active().rend(); ++it) {
         const Request& req = pool.Get(*it);
         if (req.state != RequestState::kPrefilling || req.committed_len != 0) {
           continue;
         }
-        const SimTime deadline = NextTokenDeadline(req);
-        if (deadline <= head_deadline) {
-          continue;
-        }
-        if (victim == kInvalidRequestId || deadline > victim_deadline) {
+        if (const SimTime k = key(req); k > victim_key) {
           victim = *it;
-          victim_deadline = deadline;
+          victim_key = k;
         }
       }
       return victim;
     };
-  }
-  return [](const Request& head, const RequestPool& pool) {
-    RequestId victim = kInvalidRequestId;
-    // Newest-first scan, keeping the loosest-SLO candidate: the least
-    // urgent prefilling request is recomputed first, and among equals the
-    // newest loses (it has the least prefill progress to redo).
-    for (auto it = pool.active().rbegin(); it != pool.active().rend(); ++it) {
-      const Request& req = pool.Get(*it);
-      if (req.state != RequestState::kPrefilling || req.committed_len != 0 ||
-          req.tpot_slo <= head.tpot_slo) {
-        continue;
-      }
-      if (victim == kInvalidRequestId || req.tpot_slo > pool.Get(victim).tpot_slo) {
-        victim = *it;
-      }
-    }
-    return victim;
-  };
+  });
+}
+
+void SortByDeadline(const RequestPool& pool, std::vector<RequestId>& ids) {
+  std::sort(ids.begin(), ids.end(), [&pool](RequestId a, RequestId b) {
+    const SimTime da = NextTokenDeadline(pool.Get(a));
+    const SimTime db = NextTokenDeadline(pool.Get(b));
+    return da != db ? da < db : a < b;
+  });
 }
 
 int TickAdmitPhase(SimTime now, RequestPool& pool, ServingContext& ctx, int* evicted,
@@ -283,12 +291,8 @@ IterationRecord RunBudgetedPrefillPhase(SimTime now, RequestPool& pool, ServingC
   std::vector<RequestId> prefilling = PrefillingRequests(pool);
   if (ctx.tick.priority() == PriorityPolicy::kEdf) {
     // EDF spends its prefill budget tightest-deadline-first instead of in
-    // admission order; ids break deadline ties (ids are arrival order).
-    std::sort(prefilling.begin(), prefilling.end(), [&pool](RequestId a, RequestId b) {
-      const SimTime da = NextTokenDeadline(pool.Get(a));
-      const SimTime db = NextTokenDeadline(pool.Get(b));
-      return da != db ? da < db : a < b;
-    });
+    // admission order.
+    SortByDeadline(pool, prefilling);
   }
   const PrefillPlan plan = PlanPrefillChunks(pool, prefilling, budget, burst);
   if (plan.chunks.empty()) {

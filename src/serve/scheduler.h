@@ -23,6 +23,7 @@
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -194,6 +195,11 @@ class Scheduler {
 // the key every kEdf ranking, victim selection, and ordering decision uses.
 SimTime NextTokenDeadline(const Request& req);
 
+// Sorts `ids` earliest NextTokenDeadline first; ids (arrival order) break
+// deadline ties, so the order is total and deterministic. EDF's decode
+// batch and prefill budget both follow it.
+void SortByDeadline(const RequestPool& pool, std::vector<RequestId>& ids);
+
 // Runs a vLLM-style prefill-priority iteration if any admitted request still
 // needs prefill: full prompts are batched up to `max_prefill_tokens` and
 // processed in one pass; completing requests commit their first output
@@ -246,6 +252,15 @@ void CommitVerifiedTree(SimTime now, SimTime end, RequestPool& pool, ServingCont
                         RequestId id, const TokenTree& tree, const std::vector<char>& selected,
                         IterationRecord& record);
 
+// GPU time of the draft passes that build one speculation tree per request
+// for a batch of `n` requests holding `context` KV tokens: draft level l
+// runs n * level_widths[l] tokens over a context grown by the n tokens of
+// each earlier level (context + n * l). Every tree system prices its
+// draft phase here — a k-token chain is widths {1, ..., 1}, a static tree
+// {1, b0, b0*b1, ...}, a depth-d width-w beam {1, w, ..., w}.
+SimTime DraftTreeTime(const LatencyModel& draft, int n, long context,
+                      std::span<const int> level_widths);
+
 // Ids of active requests in kRunning state.
 std::vector<RequestId> RunningRequests(const RequestPool& pool);
 
@@ -255,16 +270,17 @@ std::vector<RequestId> PrefillingRequests(const RequestPool& pool);
 // --- tick-phase variants of the shared building blocks ---
 
 // Admission ranker of a priority policy: null for kFifo (arrival order),
-// tighter-TPOT-SLO-first for the SLO-aware policies (ties keep arrival
-// order).
+// else more urgent first — tighter TPOT SLO for the SLO-aware policies,
+// earlier NextTokenDeadline for kEdf (ties keep arrival order).
 RequestPool::AdmissionRanker PriorityRanker(PriorityPolicy policy);
 
 // Evict-for-admission victim selector of a priority policy: null for
-// kFifo (newest-admitted zero-output request, any category), SLO-aware
-// for kSloUrgentFirst/kSloUrgentPause — the head may only displace a
-// *prefilling* request whose TPOT SLO is strictly looser than its own,
-// least urgent victims first (newest-admitted breaks ties), so urgent
-// work is never displaced to admit more urgent work it cannot beat.
+// kFifo (newest-admitted zero-output request, any category), else keyed
+// on the ranker's urgency — the head may only displace a *prefilling*
+// zero-output request strictly less urgent than itself (looser TPOT SLO,
+// or later deadline under kEdf), least urgent victims first
+// (newest-admitted breaks ties), so urgent work is never displaced to
+// admit more urgent work it cannot beat.
 RequestPool::VictimSelector PriorityVictimSelector(PriorityPolicy policy);
 
 // How an SLO-aware priority policy resolves KV pressure: kSloUrgentPause

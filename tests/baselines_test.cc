@@ -37,9 +37,9 @@ TEST_F(BaselinesTest, VllmUniformPerTokenLatencyWithinBatch) {
 TEST_F(BaselinesTest, VllmSpecCommitsMoreTokensPerIteration) {
   const std::vector<Request> workload = UniformWorkload(exp_, 4, kCatChat, 0.0);
   VllmScheduler cb;
-  VllmSpecScheduler spec(VllmSpecConfig{.spec_len = 6});
+  auto spec = MakeScheduler(SystemKind::kVllmSpec6);
   const LoggedRun cb_run = RunLogged(exp_, cb, workload);
-  const LoggedRun spec_run = RunLogged(exp_, spec, workload);
+  const LoggedRun spec_run = RunLogged(exp_, *spec, workload);
   // Same tokens served, fewer iterations for the speculative system.
   EXPECT_LT(spec_run.ticks.size(), cb_run.ticks.size());
   EXPECT_GT(spec_run.result.metrics.mean_accepted, 0.0);
@@ -47,9 +47,9 @@ TEST_F(BaselinesTest, VllmSpecCommitsMoreTokensPerIteration) {
 }
 
 TEST_F(BaselinesTest, VllmSpecAcceptanceBoundedBySpecLen) {
-  VllmSpecScheduler spec(VllmSpecConfig{.spec_len = 4});
+  auto spec = MakeScheduler(SystemKind::kVllmSpec4);
   const std::vector<Request> workload = UniformWorkload(exp_, 4, kCatChat, 0.0);
-  const EngineResult result = exp_.Run(spec, workload);
+  const EngineResult result = exp_.Run(*spec, workload);
   EXPECT_LE(result.metrics.mean_accepted, 4.0);
 }
 
@@ -164,8 +164,8 @@ TEST_F(BaselinesTest, VllmPrefillPriorityStallsDecodes) {
 }
 
 TEST_F(BaselinesTest, SpecLenNamesDistinct) {
-  EXPECT_EQ(VllmSpecScheduler(VllmSpecConfig{.spec_len = 4}).name(), "vLLM-Spec(4)");
-  EXPECT_EQ(VllmSpecScheduler(VllmSpecConfig{.spec_len = 8}).name(), "vLLM-Spec(8)");
+  EXPECT_EQ(MakeScheduler(SystemKind::kVllmSpec4)->name(), "vLLM-Spec(4)");
+  EXPECT_EQ(MakeScheduler(SystemKind::kVllmSpec8)->name(), "vLLM-Spec(8)");
 }
 
 // Every SystemKind round-trips through its name (replay resolves recorded

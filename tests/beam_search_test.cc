@@ -9,12 +9,15 @@
 #include <span>
 #include <vector>
 
+#include "src/baselines/static_tree_spec.h"
 #include "src/harness/experiment.h"
-#include "src/spec/sequence_spec.h"
 #include "tests/test_util.h"
 
 namespace adaserve {
 namespace {
+
+// The branching of a k-token chain: a static tree with one child per level.
+std::vector<int> Chain(int k) { return std::vector<int>(static_cast<size_t>(k), 1); }
 
 LmConfig TestLmConfig() {
   LmConfig config;
@@ -93,7 +96,7 @@ TEST(BeamSearch, WidthOneIsGreedyChain) {
   Models m;
   const std::vector<Token> ctx = {8};
   const TokenTree beam = BuildCandidateTree(m.draft, 2, ctx, BeamConfig{.depth = 4, .width = 1});
-  const TokenTree chain = BuildChainTree(m.draft, 2, ctx, 4);
+  const TokenTree chain = BuildStaticTree(m.draft, 2, ctx, Chain(4));
   ASSERT_EQ(beam.size(), chain.size());
   for (NodeId id = 1; id < beam.size(); ++id) {
     EXPECT_EQ(beam.node(id).token, chain.node(id).token);
@@ -133,7 +136,7 @@ TEST(BeamSearch, KeptNodesDominateDiscardedSiblings) {
 TEST(ChainTree, GreedyChainFollowsDraftArgmax) {
   Models m;
   std::vector<Token> ctx = {6, 7};
-  const TokenTree chain = BuildChainTree(m.draft, 4, ctx, 3);
+  const TokenTree chain = BuildStaticTree(m.draft, 4, ctx, Chain(3));
   ASSERT_EQ(chain.size(), 4);
   NodeId cur = kRootNode;
   for (int i = 0; i < 3; ++i) {
@@ -148,7 +151,7 @@ TEST(ChainTree, GreedyChainFollowsDraftArgmax) {
 TEST(ChainTree, CondProbsMatchDraft) {
   Models m;
   const std::vector<Token> ctx = {6, 7};
-  const TokenTree chain = BuildChainTree(m.draft, 4, ctx, 1);
+  const TokenTree chain = BuildStaticTree(m.draft, 4, ctx, Chain(1));
   const SparseDist dist = m.draft.NextDist(4, ctx);
   EXPECT_NEAR(chain.node(1).cond_prob, dist.ProbOf(dist.ArgMax()), 1e-12);
 }
@@ -286,7 +289,8 @@ TEST_P(BuilderEquivalence, ChainTreeMatchesWholeDistributionChain) {
         cur = want.AddNode(cur, top.token, top.prob);
         context.push_back(top.token);
       }
-      ExpectSameTree(BuildChainTree(*draft, stream, committed, 6), want, exp_.target(), stream);
+      ExpectSameTree(BuildStaticTree(*draft, stream, committed, Chain(6)), want, exp_.target(),
+                     stream);
     }
   }
 }
@@ -313,10 +317,10 @@ TEST_P(BuilderEquivalence, RebuildIntoUsedStorageMatchesFreshBuild) {
           BuildCandidateTree(*draft, stream, committed, beam, scratch, tree);
           ExpectSameTree(tree, BuildCandidateTree(*draft, stream, committed, beam), exp_.target(),
                          stream);
-          BuildChainTree(other.draft, stream + 1, longer, 9, scratch, tree);
-          BuildChainTree(*draft, stream, committed, depth, scratch, tree);
-          ExpectSameTree(tree, BuildChainTree(*draft, stream, committed, depth), exp_.target(),
-                         stream);
+          BuildStaticTree(other.draft, stream + 1, longer, Chain(9), scratch, tree);
+          BuildStaticTree(*draft, stream, committed, Chain(depth), scratch, tree);
+          ExpectSameTree(tree, BuildStaticTree(*draft, stream, committed, Chain(depth)),
+                         exp_.target(), stream);
         }
       }
     }

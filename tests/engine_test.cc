@@ -251,12 +251,12 @@ TEST_F(EngineTest, ContinuousStreamingRunRetiresAndMatchesVectorPath) {
   // and vector-fed runs of the same trace stay bit-identical.
   EngineConfig engine;
   engine.retire_finished = true;
-  VllmSpecScheduler s1(VllmSpecConfig{.spec_len = 4});
+  auto s1 = MakeScheduler(SystemKind::kVllmSpec4);
   auto stream = exp_.RealTraceStream(8.0, 3.0, WorkloadConfig{.mix = {0.4, 0.3, 0.3}});
-  const EngineResult streamed = exp_.Run(s1, *stream, engine);
+  const EngineResult streamed = exp_.Run(*s1, *stream, engine);
 
-  VllmSpecScheduler s2(VllmSpecConfig{.spec_len = 4});
-  const EngineResult vector_fed = exp_.Run(s2, SmallMixedWorkload(exp_), EngineConfig{});
+  auto s2 = MakeScheduler(SystemKind::kVllmSpec4);
+  const EngineResult vector_fed = exp_.Run(*s2, SmallMixedWorkload(exp_), EngineConfig{});
   EXPECT_EQ(streamed.metrics.finished, vector_fed.metrics.finished);
   EXPECT_EQ(streamed.metrics.GoodputTps(), vector_fed.metrics.GoodputTps());
   EXPECT_EQ(streamed.end_time, vector_fed.end_time);

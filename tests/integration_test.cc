@@ -60,9 +60,9 @@ TEST_F(IntegrationTest, AdaServeBeatsStaticSpeculationOnUrgentHeavyMix) {
   const std::vector<Request> workload =
       exp_.RealTraceWorkload(/*duration=*/15.0, /*rps=*/4.0, WorkloadConfig{.mix = {0.9, 0.05, 0.05}});
   AdaServeScheduler adaserve;
-  VllmSpecScheduler spec(VllmSpecConfig{.spec_len = 8});
+  auto spec = MakeScheduler(SystemKind::kVllmSpec8);
   const EngineResult a = exp_.Run(adaserve, workload);
-  const EngineResult s = exp_.Run(spec, workload);
+  const EngineResult s = exp_.Run(*spec, workload);
   EXPECT_GE(a.metrics.AttainmentPct() + 1e-9, s.metrics.AttainmentPct());
 }
 

@@ -123,6 +123,45 @@ TEST_F(SchedulerHelpersTest, DecodeLatencyGrowsWithBatch) {
   EXPECT_GT(big.duration, small.duration);
 }
 
+// DraftTreeTime is the one draft-cost rule of every tree system; each case
+// must reproduce its system's historical per-step sum bit for bit.
+TEST_F(SchedulerHelpersTest, DraftTreeTimeOfChainIsThePerStepChainSum) {
+  const LatencyModel& draft = exp_.draft_latency();
+  const int n = 5;
+  const long context = 1234;
+  SimTime want = 0.0;
+  for (int step = 0; step < 4; ++step) {
+    want += draft.ForwardLatency(n, context + n * step, /*use_cuda_graph=*/true);
+  }
+  EXPECT_EQ(DraftTreeTime(draft, n, context, std::vector<int>{1, 1, 1, 1}), want);
+}
+
+TEST_F(SchedulerHelpersTest, DraftTreeTimeOfBeamIsAdaServesRootsThenBeamSteps) {
+  const LatencyModel& draft = exp_.draft_latency();
+  const int n = 7;
+  const int w = 3;
+  const long context = 4321;
+  SimTime want = draft.ForwardLatency(n, context, /*use_cuda_graph=*/true);
+  for (int step = 1; step < 3; ++step) {
+    want += draft.ForwardLatency(n * w, context + n * step, /*use_cuda_graph=*/true);
+  }
+  EXPECT_EQ(DraftTreeTime(draft, n, context, std::vector<int>{1, w, w}), want);
+}
+
+TEST_F(SchedulerHelpersTest, DraftTreeTimeGrowsTheContextOfEveryLevel) {
+  // A (3, 2) static tree drafts the n roots, then the 3n level-one nodes;
+  // the second pass sees the n tokens the first one added.
+  const LatencyModel& draft = exp_.draft_latency();
+  const int n = 64;
+  const long context = 20000;
+  const SimTime got = DraftTreeTime(draft, n, context, std::vector<int>{1, 3});
+  EXPECT_EQ(got, draft.ForwardLatency(n, context, true) +
+                     draft.ForwardLatency(3 * n, context + n, true));
+  EXPECT_GT(got, draft.ForwardLatency(n, context, true) +
+                     draft.ForwardLatency(3 * n, context, true));
+  EXPECT_EQ(DraftTreeTime(draft, n, context, {}), 0.0);
+}
+
 TEST_F(SchedulerHelpersTest, VerifiedTreeCommitStopsAtOutputLength) {
   // A request two tokens short of its output length verifies a depth-4
   // chain that greedy decoding accepts in full: exactly two path tokens

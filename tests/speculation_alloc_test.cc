@@ -16,7 +16,6 @@
 #include "src/core/selection.h"
 #include "src/harness/experiment.h"
 #include "src/spec/beam_search.h"
-#include "src/spec/sequence_spec.h"
 #include "src/spec/verifier.h"
 
 namespace {
@@ -112,13 +111,14 @@ TEST(SpeculationAllocations, RebuildSelectAndVerifyAllocateNothingOnceWarm) {
 TEST(SpeculationAllocations, BaselineTreesAllocateNothingOnceWarm) {
   const Experiment exp(LlamaSetup());
   const std::vector<std::vector<Token>> contexts = Contexts(16);
+  const std::vector<int> chain(8, 1);  // vLLM-Spec(8)'s chain.
   const std::vector<int> branching = {3, 2, 1};
   BuildScratch scratch;
   TokenTree tree(kInvalidToken);
   // vLLM-Spec and StaticTree build every request's tree in turn into one.
   const auto iteration = [&](uint64_t stream_base) {
     for (size_t i = 0; i < contexts.size(); ++i) {
-      BuildChainTree(exp.draft(), stream_base + i, contexts[i], 8, scratch, tree);
+      BuildStaticTree(exp.draft(), stream_base + i, contexts[i], chain, scratch, tree);
       BuildStaticTree(exp.draft(), stream_base + i, contexts[i], branching, scratch, tree);
     }
   };

@@ -41,6 +41,12 @@ TEST_F(StaticTreeTest, LevelOneTakesTopDraftTokens) {
 TEST_F(StaticTreeTest, SchedulerNameEncodesShape) {
   StaticTreeSpecScheduler scheduler(StaticTreeConfig{.branching = {4, 2, 1}});
   EXPECT_EQ(scheduler.name(), "StaticTree(4x2x1)");
+  // An all-ones shape is a k-token chain, vLLM-Spec(k); one wider level
+  // makes it a tree.
+  EXPECT_EQ(StaticTreeSpecScheduler(StaticTreeConfig{.branching = {1, 1, 1, 1}}).name(),
+            "vLLM-Spec(4)");
+  EXPECT_EQ(StaticTreeSpecScheduler(StaticTreeConfig{.branching = {1, 2}}).name(),
+            "StaticTree(1x2)");
 }
 
 TEST_F(StaticTreeTest, DrainsWorkloadAndAcceptsTokens) {

@@ -12,7 +12,6 @@
 #include "src/harness/experiment.h"
 #include "src/model/draft_lm.h"
 #include "src/spec/beam_search.h"
-#include "src/spec/sequence_spec.h"
 
 namespace adaserve {
 namespace {
@@ -191,13 +190,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FidelityAcceptanceSweep, ::testing::Range<uint64
 
 // --- Reuse of the target distributions the tree builders attach ---
 
-// One tree from each builder, all over the same request.
+// One tree of each kind, all over the same request: a beam candidate tree,
+// vLLM-Spec's chain (an all-ones static tree) and a static tree.
 std::vector<std::pair<const char*, TokenTree>> BuilderTrees(const DraftLm& draft, uint64_t stream,
                                                             const std::vector<Token>& ctx) {
   std::vector<std::pair<const char*, TokenTree>> trees;
   trees.emplace_back("candidate",
                      BuildCandidateTree(draft, stream, ctx, BeamConfig{.depth = 4, .width = 3}));
-  trees.emplace_back("chain", BuildChainTree(draft, stream, ctx, 4));
+  trees.emplace_back("chain", BuildStaticTree(draft, stream, ctx, {1, 1, 1, 1}));
   trees.emplace_back("static", BuildStaticTree(draft, stream, ctx, {3, 2, 1}));
   return trees;
 }
