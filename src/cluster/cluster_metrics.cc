@@ -1,38 +1,21 @@
 #include "src/cluster/cluster_metrics.h"
 
-#include <cstdio>
-#include <sstream>
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/common/text.h"
 
 namespace adaserve {
 namespace {
 
-// Fixed-precision formatting, same shape as the golden harness: the
-// simulation is deterministic, so equal runs produce byte-equal text.
-std::string FmtFixed(double v, int digits = 6) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", digits, v);
-  return buf;
-}
-
-void AppendMetricsBlock(std::ostringstream& os, const Metrics& m) {
-  os << "finished: " << m.finished << "\n";
-  os << "attained: " << m.attained << "\n";
-  os << "output_tokens: " << m.output_tokens() << "\n";
-  os << "throughput_tps: " << FmtFixed(m.ThroughputTps()) << "\n";
-  os << "slo_attainment_pct: " << FmtFixed(m.AttainmentPct()) << "\n";
-  os << "goodput_tps: " << FmtFixed(m.GoodputTps()) << "\n";
-  os << "mean_accepted: " << FmtFixed(m.mean_accepted) << "\n";
-  os << "makespan_s: " << FmtFixed(m.makespan) << "\n";
+// MetricsBlockText, then each category's p99 TPOT.
+std::string ReplicaBlockText(const Metrics& m) {
+  std::string text = MetricsBlockText(m);
   for (int c = 0; c < kNumCategories; ++c) {
-    const CategoryMetrics& cat = m.per_category[static_cast<size_t>(c)];
-    os << "cat" << (c + 1) << ".finished: " << cat.finished << "\n";
-    os << "cat" << (c + 1) << ".attainment_pct: " << FmtFixed(cat.AttainmentPct()) << "\n";
-    os << "cat" << (c + 1) << ".mean_tpot_ms: " << FmtFixed(cat.tpot_ms.Mean()) << "\n";
-    os << "cat" << (c + 1) << ".p99_tpot_ms: " << FmtFixed(cat.tpot_ms.Percentile(99)) << "\n";
+    text += "cat" + std::to_string(c + 1) + ".p99_tpot_ms: " +
+            FormatFixed(m.per_category[static_cast<size_t>(c)].tpot_ms.Percentile(99), 6) + "\n";
   }
+  return text;
 }
 
 }  // namespace
@@ -88,14 +71,13 @@ std::string ClusterMetricsText(const ClusterMetrics& metrics,
                                const std::vector<std::string>& labels) {
   ADASERVE_CHECK(labels.size() == metrics.per_replica.size())
       << "labels/replicas mismatch: " << labels.size() << " vs " << metrics.per_replica.size();
-  std::ostringstream os;
-  os << "cluster: merged (" << metrics.per_replica.size() << " replicas)\n";
-  AppendMetricsBlock(os, metrics.merged);
+  std::string text = "cluster: merged (" + std::to_string(metrics.per_replica.size()) +
+                     " replicas)\n" + ReplicaBlockText(metrics.merged);
   for (size_t i = 0; i < metrics.per_replica.size(); ++i) {
-    os << "replica[" << i << "]: " << labels[i] << "\n";
-    AppendMetricsBlock(os, metrics.per_replica[i]);
+    text += "replica[" + std::to_string(i) + "]: " + labels[i] + "\n" +
+            ReplicaBlockText(metrics.per_replica[i]);
   }
-  return os.str();
+  return text;
 }
 
 }  // namespace adaserve

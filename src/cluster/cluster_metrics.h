@@ -35,8 +35,8 @@ ClusterMetrics MakeClusterMetrics(std::vector<Metrics> per_replica);
 
 // Canonical text of a cluster run for the golden/determinism machinery:
 // the merged block first, then one block per replica (replica order),
-// each serialized with the same fixed-precision formatting
-// GoldenMetricsText uses — byte-equal text means byte-equal runs.
+// each MetricsBlockText followed by every category's p99 TPOT — byte-equal
+// text means byte-equal runs.
 // `labels` must parallel `metrics.per_replica`.
 std::string ClusterMetricsText(const ClusterMetrics& metrics,
                                const std::vector<std::string>& labels);

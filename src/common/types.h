@@ -24,9 +24,6 @@ using SimTime = double;
 // Converts seconds to milliseconds for reporting.
 inline constexpr double ToMs(SimTime seconds) { return seconds * 1e3; }
 
-// Converts milliseconds to the internal seconds representation.
-inline constexpr SimTime FromMs(double ms) { return ms * 1e-3; }
-
 }  // namespace adaserve
 
 #endif  // ADASERVE_SRC_COMMON_TYPES_H_

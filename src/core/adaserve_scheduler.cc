@@ -31,8 +31,9 @@ constexpr double kSelectCostPerToken = 150e-9;
 IterationRecord AdaServeScheduler::PrefillOnlyStep(SimTime now, RequestPool& pool,
                                                    ServingContext& ctx) {
   // Dedicated prefill pass: drain a kDedicatedPrefillFactor x B slice of
-  // the prompt backlog in one compute-bound forward pass. Boundary mode
-  // admits FIFO, so the pass takes prompts in admission order.
+  // the prompt backlog in one compute-bound forward pass, taking prompts
+  // in admission order. Boundary mode honours the scheduler's admission
+  // priority; only under BoundaryTickConfig() is that order FIFO.
   const int budget =
       std::max(static_cast<int>(ctx.verify_budget * kDedicatedPrefillFactor), 1);
   const IterationRecord record = RunBudgetedPrefillPhase(now, pool, ctx, budget, /*burst=*/0);

@@ -1,26 +1,11 @@
 #include "src/harness/golden.h"
 
 #include <cctype>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/workload/categories.h"
 
 namespace adaserve {
-namespace {
-
-// Fixed-precision float formatting so the canonical text is stable: the
-// simulation is deterministic, so equal runs produce byte-equal text.
-std::string FmtFixed(double v, int digits = 6) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", digits, v);
-  return buf;
-}
-
-}  // namespace
 
 Setup GoldenSetup() {
   Setup setup = QwenSetup();
@@ -153,23 +138,7 @@ EngineResult RunGoldenSystem(const Experiment& exp, SystemKind kind, const Golde
 }
 
 std::string GoldenMetricsText(SystemKind kind, const Metrics& metrics) {
-  std::ostringstream os;
-  os << "system: " << SystemName(kind) << "\n";
-  os << "finished: " << metrics.finished << "\n";
-  os << "attained: " << metrics.attained << "\n";
-  os << "output_tokens: " << metrics.output_tokens() << "\n";
-  os << "throughput_tps: " << FmtFixed(metrics.ThroughputTps()) << "\n";
-  os << "slo_attainment_pct: " << FmtFixed(metrics.AttainmentPct()) << "\n";
-  os << "goodput_tps: " << FmtFixed(metrics.GoodputTps()) << "\n";
-  os << "mean_accepted: " << FmtFixed(metrics.mean_accepted) << "\n";
-  os << "makespan_s: " << FmtFixed(metrics.makespan) << "\n";
-  for (int c = 0; c < kNumCategories; ++c) {
-    const CategoryMetrics& cat = metrics.per_category[static_cast<size_t>(c)];
-    os << "cat" << (c + 1) << ".finished: " << cat.finished << "\n";
-    os << "cat" << (c + 1) << ".attainment_pct: " << FmtFixed(cat.AttainmentPct()) << "\n";
-    os << "cat" << (c + 1) << ".mean_tpot_ms: " << FmtFixed(cat.tpot_ms.Mean()) << "\n";
-  }
-  return os.str();
+  return "system: " + std::string(SystemName(kind)) + "\n" + MetricsBlockText(metrics);
 }
 
 std::string GoldenFileSlug(SystemKind kind) {
@@ -183,22 +152,6 @@ std::string GoldenFileSlug(SystemKind kind) {
   }
   while (!slug.empty() && slug.back() == '_') slug.pop_back();
   return slug;
-}
-
-bool ReadGoldenFile(const std::string& path, std::string* contents) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream os;
-  os << in.rdbuf();
-  *contents = os.str();
-  return true;
-}
-
-bool WriteGoldenFile(const std::string& path, const std::string& contents) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << contents;
-  return out.good();
 }
 
 }  // namespace adaserve

@@ -104,20 +104,13 @@ EngineResult RunGoldenSystem(const Experiment& exp, SystemKind kind,
                              GoldenScenario scenario = GoldenScenario::kRealTrace,
                              GoldenMode mode = GoldenMode::kTickNative);
 
-// Serializes the regression-relevant metrics (finished count, throughput,
-// SLO attainment, goodput, acceptance rate, per-category breakdown) to a
-// canonical `key: value` text block with fixed-precision formatting.
+// The golden file text: a `system:` line, then MetricsBlockText.
 std::string GoldenMetricsText(SystemKind kind, const Metrics& metrics);
 
 // Filesystem-safe slug for a system's baseline file, e.g.
 // "vLLM-Spec(4)" -> "vllm_spec_4". The baseline lives at
 // <golden_dir>/<slug>.txt.
 std::string GoldenFileSlug(SystemKind kind);
-
-// Whole-file read/write helpers for the baselines. Read returns false if
-// the file does not exist or cannot be opened.
-bool ReadGoldenFile(const std::string& path, std::string* contents);
-bool WriteGoldenFile(const std::string& path, const std::string& contents);
 
 }  // namespace adaserve
 

@@ -1,30 +1,116 @@
 #include "src/harness/replay.h"
 
-#include <charconv>
-#include <climits>
-#include <cmath>
-#include <cstdio>
-#include <fstream>
+#include <array>
+#include <concepts>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/common/text.h"
 
 namespace adaserve {
 namespace {
 
-// %.17g semantics via std::to_chars: text that round-trips an IEEE double
-// exactly, so Serialize(Parse(x)) == x and replay diffs compare true
-// values. to_chars is locale-independent by definition (snprintf's %g
-// honors the global locale's decimal point and would corrupt artifacts
-// written under e.g. de_DE); its output is specified to match printf
-// "%.17g" in the C locale, so pre-existing artifacts compare byte-equal.
-std::string FmtDouble(double v) {
-  char buf[64];
-  const auto [ptr, ec] =
-      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17);
-  ADASERVE_CHECK(ec == std::errc()) << "double format failed";
-  return std::string(buf, ptr);
+// An arrival line ("a ...") and a tick line ("t ...") hold one column per
+// field ForEachColumn visits, in that order. The writer, the parser and
+// DiffTick all walk these, so a column is named and ordered in one place.
+constexpr std::array<const char*, 7> kArrivalColumns = {
+    "id", "category", "tpot_slo", "arrival time", "prompt_len", "target_output_len",
+    "stream_seed"};
+
+constexpr std::array<const char*, 15> kTickColumns = {
+    "index",
+    "start",
+    "record.duration",
+    "record.spec_time",
+    "record.select_time",
+    "record.verify_time",
+    "record.prefill_time",
+    "record.prefill_tokens",
+    "record.decode_requests",
+    "record.verified_tokens",
+    "record.committed_tokens",
+    "record.admitted",
+    "record.evicted",
+    "record.paused",
+    "arrivals_pulled"};
+
+const auto& ColumnNames(const Request&) { return kArrivalColumns; }
+const auto& ColumnNames(const TickTraceEvent&) { return kTickColumns; }
+
+template <typename Arrival, typename Fn>
+  requires std::same_as<std::remove_const_t<Arrival>, Request>
+bool ForEachColumn(Arrival& a, Fn&& fn) {
+  return fn(a.id) && fn(a.category) && fn(a.tpot_slo) && fn(a.arrival) && fn(a.prompt_len) &&
+         fn(a.target_output_len) && fn(a.stream_seed);
+}
+
+template <typename Tick, typename Fn>
+  requires std::same_as<std::remove_const_t<Tick>, TickTraceEvent>
+bool ForEachColumn(Tick& t, Fn&& fn) {
+  auto& r = t.record;
+  return fn(t.index) && fn(t.start) && fn(r.duration) && fn(r.spec_time) && fn(r.select_time) &&
+         fn(r.verify_time) && fn(r.prefill_time) && fn(r.prefill_tokens) &&
+         fn(r.decode_requests) && fn(r.verified_tokens) && fn(r.committed_tokens) &&
+         fn(r.admitted) && fn(r.evicted) && fn(r.paused) && fn(t.arrivals_pulled);
+}
+
+// Doubles are written exactly, so Serialize(Parse(x)) == x and equal
+// column text means equal values.
+std::string ColumnText(double v) { return FormatExact(v); }
+template <typename Integer>
+std::string ColumnText(Integer v) {
+  return std::to_string(v);
+}
+
+template <typename Row>
+std::vector<std::string> ColumnTexts(const Row& row) {
+  std::vector<std::string> texts;
+  ForEachColumn(row, [&texts](auto v) {
+    texts.push_back(ColumnText(v));
+    return true;
+  });
+  return texts;
+}
+
+template <typename Row>
+std::string DataLine(char tag, const Row& row) {
+  std::string line(1, tag);
+  for (const std::string& text : ColumnTexts(row)) {
+    line += ' ' + text;
+  }
+  return line + '\n';
+}
+
+// Splits a data line into whitespace-separated tokens.
+std::vector<std::string> SplitFields(const std::string& line) {
+  std::vector<std::string> fields;
+  std::stringstream ss(line);
+  std::string field;
+  while (ss >> field) {
+    fields.push_back(field);
+  }
+  return fields;
+}
+
+// Parses a data line written by DataLine(tag, *row) back into *row;
+// false + line-numbered *error naming the first column that fails.
+template <typename Row>
+bool ParseDataLine(const std::string& line, size_t line_no, char tag, Row* row,
+                   std::string* error) {
+  const auto& names = ColumnNames(*row);
+  const std::vector<std::string> f = SplitFields(line);
+  if (f.size() != names.size() + 1 || f[0] != std::string(1, tag)) {
+    return SetLineError(error, line_no,
+                        "bad line '" + line + "' (want '" + tag + "' and " +
+                            std::to_string(names.size()) + " fields)");
+  }
+  size_t col = 0;
+  if (!ForEachColumn(*row, [&](auto& v) { return ParseNumber(f[++col], &v); })) {
+    return SetLineError(error, line_no, "bad " + std::string(names[col - 1]) + " '" + f[col] + "'");
+  }
+  return true;
 }
 
 struct LineReader {
@@ -42,25 +128,17 @@ struct LineReader {
   }
 };
 
-void SetError(std::string* error, size_t line_no, const std::string& message) {
-  if (error != nullptr) {
-    *error = "line " + std::to_string(line_no) + ": " + message;
-  }
-}
-
 // Reads one "key: value" line with the exact expected key; the format is
 // fixed-order within a schema version, so strict keys catch truncation
 // and reordering corruption immediately.
 bool ReadKeyed(LineReader& in, const std::string& key, std::string* value, std::string* error) {
   std::string line;
   if (!in.NextLine(&line)) {
-    SetError(error, in.line_no, "unexpected end of artifact (wanted '" + key + "')");
-    return false;
+    return SetLineError(error, in.line_no, "unexpected end of artifact (wanted '" + key + "')");
   }
   const std::string prefix = key + ":";
   if (line.rfind(prefix, 0) != 0) {
-    SetError(error, in.line_no, "expected '" + key + ": ...', got '" + line + "'");
-    return false;
+    return SetLineError(error, in.line_no, "expected '" + key + ": ...', got '" + line + "'");
   }
   *value = line.substr(prefix.size());
   if (!value->empty() && value->front() == ' ') {
@@ -69,67 +147,26 @@ bool ReadKeyed(LineReader& in, const std::string& key, std::string* value, std::
   return true;
 }
 
-// std::from_chars throughout: locale-independent (std::stol/stod honor
-// the global C locale — under de_DE "0.5" stops parsing at the period and
-// the %.17g round trip breaks), non-throwing, and whole-string-strict via
-// the end-pointer check.
-bool ParseLong(const std::string& s, long* out) {
-  const char* end = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
-  return ec == std::errc() && ptr == end;
-}
-
-bool ParseU64(const std::string& s, uint64_t* out) {
-  const char* end = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
-  return ec == std::errc() && ptr == end;
-}
-
-bool ParseF64(const std::string& s, double* out) {
-  const char* end = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
-  return ec == std::errc() && ptr == end;
-}
-
-bool ReadKeyedLong(LineReader& in, const std::string& key, long* out, std::string* error) {
+// A "key: value" line whose value must parse whole as a T, in T's range.
+template <typename T>
+bool ReadKeyedNumber(LineReader& in, const std::string& key, T* out, std::string* error) {
   std::string value;
   if (!ReadKeyed(in, key, &value, error)) {
     return false;
   }
-  if (!ParseLong(value, out)) {
-    SetError(error, in.line_no, "bad integer for '" + key + "': '" + value + "'");
-    return false;
+  if (!ParseNumber(value, out)) {
+    return SetLineError(error, in.line_no, "bad number for '" + key + "': '" + value + "'");
   }
-  return true;
-}
-
-bool ReadKeyedInt(LineReader& in, const std::string& key, int* out, std::string* error) {
-  long v = 0;
-  if (!ReadKeyedLong(in, key, &v, error)) {
-    return false;
-  }
-  *out = static_cast<int>(v);
   return true;
 }
 
 bool ReadKeyedBool(LineReader& in, const std::string& key, bool* out, std::string* error) {
-  long v = 0;
-  if (!ReadKeyedLong(in, key, &v, error)) {
+  int v = 0;
+  if (!ReadKeyedNumber(in, key, &v, error)) {
     return false;
   }
   *out = v != 0;
   return true;
-}
-
-// Splits a data line ("a ..."/"t ...") into whitespace-separated tokens.
-std::vector<std::string> SplitFields(const std::string& line) {
-  std::vector<std::string> fields;
-  std::stringstream ss(line);
-  std::string field;
-  while (ss >> field) {
-    fields.push_back(field);
-  }
-  return fields;
 }
 
 }  // namespace
@@ -172,78 +209,61 @@ ReplayArtifact RunRecorder::Finish(const EngineResult& result) {
 // --- serialization -----------------------------------------------------------
 
 std::string SerializeReplayArtifact(const ReplayArtifact& artifact) {
-  std::ostringstream os;
-  os << "adaserve_replay_schema: " << artifact.schema << "\n";
-  os << "system: " << artifact.system << "\n";
-  os << "setup: " << artifact.setup_id << "\n";
-  os << "label: " << artifact.label << "\n";
+  std::string text;
+  const auto key = [&text](const char* name, const std::string& value) {
+    text += std::string(name) + ": " + value + "\n";
+  };
+  key("adaserve_replay_schema", std::to_string(artifact.schema));
+  key("system", artifact.system);
+  key("setup", artifact.setup_id);
+  key("label", artifact.label);
   const EngineConfig& e = artifact.engine;
-  os << "engine.max_iterations: " << e.max_iterations << "\n";
-  os << "engine.sampling_seed: " << e.sampling_seed << "\n";
-  os << "engine.mode: " << static_cast<int>(e.mode) << "\n";
-  os << "engine.arrival_horizon: " << e.arrival_horizon << "\n";
-  os << "engine.retire_finished: " << (e.retire_finished ? 1 : 0) << "\n";
-  os << "tick.max_active: " << e.tick.max_active << "\n";
-  os << "tick.continuous: " << (e.tick.continuous ? 1 : 0) << "\n";
-  os << "tick.prefill_burst: " << e.tick.prefill_burst << "\n";
-  os << "tick.max_evictions: " << e.tick.max_evictions << "\n";
+  key("engine.sampling_seed", std::to_string(e.sampling_seed));
+  key("engine.mode", std::to_string(static_cast<int>(e.mode)));
+  key("engine.arrival_horizon", std::to_string(e.arrival_horizon));
+  key("engine.retire_finished", e.retire_finished ? "1" : "0");
+  key("tick.max_active", std::to_string(e.tick.max_active));
+  key("tick.continuous", e.tick.continuous ? "1" : "0");
+  key("tick.prefill_burst", std::to_string(e.tick.prefill_burst));
+  key("tick.max_evictions", std::to_string(e.tick.max_evictions));
   // -1: unset (scheduler default resolves it at run time).
-  os << "tick.priority: "
-     << (e.tick.admission_priority.has_value()
-             ? static_cast<int>(*e.tick.admission_priority)
-             : -1)
-     << "\n";
-  os << "verify_budget: " << artifact.verify_budget << "\n";
-  os << "draft_budget: " << artifact.draft_budget << "\n";
+  key("tick.priority", std::to_string(e.tick.admission_priority.has_value()
+                                          ? static_cast<int>(*e.tick.admission_priority)
+                                          : -1));
+  key("verify_budget", std::to_string(artifact.verify_budget));
+  key("draft_budget", std::to_string(artifact.draft_budget));
 
-  os << "arrivals: " << artifact.arrivals.size() << "\n";
+  key("arrivals", std::to_string(artifact.arrivals.size()));
   for (const Request& a : artifact.arrivals) {
-    os << "a " << a.id << " " << a.category << " " << FmtDouble(a.tpot_slo) << " "
-       << FmtDouble(a.arrival) << " " << a.prompt_len << " " << a.target_output_len << " "
-       << a.stream_seed << "\n";
+    text += DataLine('a', a);
   }
-
-  os << "ticks: " << artifact.ticks.size() << "\n";
+  key("ticks", std::to_string(artifact.ticks.size()));
   for (const TickTraceEvent& t : artifact.ticks) {
-    const IterationRecord& r = t.record;
-    os << "t " << t.index << " " << FmtDouble(t.start) << " " << FmtDouble(r.duration) << " "
-       << FmtDouble(r.spec_time) << " " << FmtDouble(r.select_time) << " "
-       << FmtDouble(r.verify_time) << " " << FmtDouble(r.prefill_time) << " " << r.prefill_tokens
-       << " " << r.decode_requests << " " << r.verified_tokens << " " << r.committed_tokens << " "
-       << r.admitted << " " << r.evicted << " " << r.paused << " " << t.arrivals_pulled << "\n";
+    text += DataLine('t', t);
   }
 
   // The metrics block is recorded verbatim (line count + raw lines), so
   // the fingerprint survives any future punctuation in metric names.
-  std::vector<std::string> metric_lines;
+  std::string metrics;
+  size_t metric_lines = 0;
   std::stringstream ms(artifact.metrics_text);
-  std::string line;
-  while (std::getline(ms, line)) {
-    metric_lines.push_back(line);
+  for (std::string line; std::getline(ms, line); ++metric_lines) {
+    metrics += line + "\n";
   }
-  os << "metrics: " << metric_lines.size() << "\n";
-  for (const std::string& ml : metric_lines) {
-    os << ml << "\n";
-  }
-  os << "end\n";
-  return os.str();
+  key("metrics", std::to_string(metric_lines));
+  return text + metrics + "end\n";
 }
 
 bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std::string* error) {
   LineReader in(text);
   ReplayArtifact out;
 
-  long schema = 0;
-  if (!ReadKeyedLong(in, "adaserve_replay_schema", &schema, error)) {
-    return false;
+  if (!ReadKeyedNumber(in, "adaserve_replay_schema", &out.schema, error)) return false;
+  if (out.schema != kReplaySchemaVersion) {
+    return SetLineError(error, in.line_no,
+                        "unsupported replay schema " + std::to_string(out.schema) +
+                            " (this binary speaks " + std::to_string(kReplaySchemaVersion) + ")");
   }
-  if (schema != kReplaySchemaVersion) {
-    SetError(error, in.line_no,
-             "unsupported replay schema " + std::to_string(schema) + " (this binary speaks " +
-                 std::to_string(kReplaySchemaVersion) + ")");
-    return false;
-  }
-  out.schema = static_cast<int>(schema);
 
   if (!ReadKeyed(in, "system", &out.system, error) ||
       !ReadKeyed(in, "setup", &out.setup_id, error) ||
@@ -254,160 +274,79 @@ bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std:
   EngineConfig& e = out.engine;
   int mode = 0;
   int priority = -1;
-  uint64_t sampling_seed = 0;
-  std::string seed_text;
-  if (!ReadKeyedLong(in, "engine.max_iterations", &e.max_iterations, error)) return false;
-  if (!ReadKeyed(in, "engine.sampling_seed", &seed_text, error)) return false;
-  if (!ParseU64(seed_text, &sampling_seed)) {
-    SetError(error, in.line_no, "bad engine.sampling_seed '" + seed_text + "'");
-    return false;
-  }
-  e.sampling_seed = sampling_seed;
-  if (!ReadKeyedInt(in, "engine.mode", &mode, error)) return false;
+  if (!ReadKeyedNumber(in, "engine.sampling_seed", &e.sampling_seed, error)) return false;
+  if (!ReadKeyedNumber(in, "engine.mode", &mode, error)) return false;
   if (mode != static_cast<int>(DecodeMode::kGreedy) &&
       mode != static_cast<int>(DecodeMode::kStochastic)) {
-    SetError(error, in.line_no, "bad engine.mode " + std::to_string(mode));
-    return false;
+    return SetLineError(error, in.line_no, "bad engine.mode " + std::to_string(mode));
   }
   e.mode = static_cast<DecodeMode>(mode);
-  if (!ReadKeyedInt(in, "engine.arrival_horizon", &e.arrival_horizon, error)) return false;
+  if (!ReadKeyedNumber(in, "engine.arrival_horizon", &e.arrival_horizon, error)) return false;
   if (!ReadKeyedBool(in, "engine.retire_finished", &e.retire_finished, error)) return false;
-  if (!ReadKeyedInt(in, "tick.max_active", &e.tick.max_active, error)) return false;
+  if (!ReadKeyedNumber(in, "tick.max_active", &e.tick.max_active, error)) return false;
   if (!ReadKeyedBool(in, "tick.continuous", &e.tick.continuous, error)) return false;
-  if (!ReadKeyedInt(in, "tick.prefill_burst", &e.tick.prefill_burst, error)) return false;
-  if (!ReadKeyedInt(in, "tick.max_evictions", &e.tick.max_evictions, error)) return false;
-  if (!ReadKeyedInt(in, "tick.priority", &priority, error)) return false;
+  if (!ReadKeyedNumber(in, "tick.prefill_burst", &e.tick.prefill_burst, error)) return false;
+  if (!ReadKeyedNumber(in, "tick.max_evictions", &e.tick.max_evictions, error)) return false;
+  if (!ReadKeyedNumber(in, "tick.priority", &priority, error)) return false;
   if (priority < -1 || priority > static_cast<int>(PriorityPolicy::kEdf)) {
-    SetError(error, in.line_no, "bad tick.priority " + std::to_string(priority));
-    return false;
+    return SetLineError(error, in.line_no, "bad tick.priority " + std::to_string(priority));
   }
   e.tick.admission_priority =
       priority < 0 ? std::nullopt : std::optional<PriorityPolicy>(static_cast<PriorityPolicy>(priority));
-  if (!ReadKeyedInt(in, "verify_budget", &out.verify_budget, error)) return false;
-  if (!ReadKeyedInt(in, "draft_budget", &out.draft_budget, error)) return false;
+  if (!ReadKeyedNumber(in, "verify_budget", &out.verify_budget, error)) return false;
+  if (!ReadKeyedNumber(in, "draft_budget", &out.draft_budget, error)) return false;
 
-  long arrival_count = 0;
-  if (!ReadKeyedLong(in, "arrivals", &arrival_count, error)) return false;
-  if (arrival_count < 0) {
-    SetError(error, in.line_no, "negative arrival count");
-    return false;
-  }
-  out.arrivals.reserve(static_cast<size_t>(arrival_count));
+  // Section counts are unsigned, so a negative count does not parse. The
+  // sections grow line by line rather than reserving a count the text
+  // may not hold.
+  size_t arrival_count = 0;
+  if (!ReadKeyedNumber(in, "arrivals", &arrival_count, error)) return false;
   std::string line;
-  for (long i = 0; i < arrival_count; ++i) {
+  for (size_t i = 0; i < arrival_count; ++i) {
     if (!in.NextLine(&line)) {
-      SetError(error, in.line_no, "truncated arrival section");
-      return false;
-    }
-    const std::vector<std::string> f = SplitFields(line);
-    if (f.size() != 8 || f[0] != "a") {
-      SetError(error, in.line_no, "bad arrival line '" + line + "'");
-      return false;
+      return SetLineError(error, in.line_no, "truncated arrival section");
     }
     Request a;
-    long id = 0;
-    long prompt = 0;
-    long target = 0;
-    long category = 0;
-    uint64_t seed = 0;
-    if (!ParseLong(f[1], &id) || !ParseLong(f[2], &category) || !ParseF64(f[3], &a.tpot_slo) ||
-        !ParseF64(f[4], &a.arrival) || !ParseLong(f[5], &prompt) || !ParseLong(f[6], &target) ||
-        !ParseU64(f[7], &seed)) {
-      SetError(error, in.line_no, "bad arrival field in '" + line + "'");
-      return false;
+    if (!ParseDataLine(line, in.line_no, 'a', &a, error)) return false;
+    // The engine's dense-id precondition, and the rules every arrival row
+    // passes, checked here so a malformed artifact is a parse error
+    // instead of an abort deep inside ReplayRun.
+    if (a.id != static_cast<RequestId>(i)) {
+      return SetLineError(error, in.line_no,
+                          "non-dense id " + std::to_string(a.id) + " (expected " +
+                              std::to_string(i) + ")");
     }
-    // The engine's own preconditions (dense ids, nondecreasing arrivals)
-    // and the trace CSV's row rules, checked here so a malformed artifact
-    // is a parse error instead of an abort deep inside ReplayRun.
-    std::string bad;
-    if (id != i) {
-      bad = "non-dense id " + f[1] + " (expected " + std::to_string(i) + ")";
-    } else if (category < 0 || category >= kNumCategories) {
-      bad = "bad category " + f[2];
-    } else if (!std::isfinite(a.tpot_slo) || a.tpot_slo <= 0.0) {
-      bad = "bad tpot_slo " + f[3];
-    } else if (!std::isfinite(a.arrival) || a.arrival < 0.0) {
-      bad = "bad arrival time " + f[4];
-    } else if (!out.arrivals.empty() && a.arrival < out.arrivals.back().arrival) {
-      bad = "out-of-order arrival time " + f[4] + " (arrivals must be nondecreasing)";
-    } else if (prompt < 1 || prompt > INT_MAX) {
-      bad = "bad prompt_len " + f[5];
-    } else if (target < 1 || target > INT_MAX) {
-      bad = "bad target_output_len " + f[6];
-    }
+    const std::string bad =
+        ArrivalRowError(a, out.arrivals.empty() ? 0.0 : out.arrivals.back().arrival);
     if (!bad.empty()) {
-      SetError(error, in.line_no, bad);
-      return false;
+      return SetLineError(error, in.line_no, bad);
     }
-    a.id = static_cast<RequestId>(id);
-    a.category = static_cast<int>(category);
-    a.prompt_len = static_cast<int>(prompt);
-    a.target_output_len = static_cast<int>(target);
-    a.stream_seed = seed;
     out.arrivals.push_back(a);
   }
 
-  long tick_count = 0;
-  if (!ReadKeyedLong(in, "ticks", &tick_count, error)) return false;
-  if (tick_count < 0) {
-    SetError(error, in.line_no, "negative tick count");
-    return false;
-  }
-  out.ticks.reserve(static_cast<size_t>(tick_count));
-  for (long i = 0; i < tick_count; ++i) {
+  size_t tick_count = 0;
+  if (!ReadKeyedNumber(in, "ticks", &tick_count, error)) return false;
+  for (size_t i = 0; i < tick_count; ++i) {
     if (!in.NextLine(&line)) {
-      SetError(error, in.line_no, "truncated tick section");
-      return false;
-    }
-    const std::vector<std::string> f = SplitFields(line);
-    if (f.size() != 16 || f[0] != "t") {
-      SetError(error, in.line_no, "bad tick line '" + line + "'");
-      return false;
+      return SetLineError(error, in.line_no, "truncated tick section");
     }
     TickTraceEvent t;
-    IterationRecord& r = t.record;
-    long prefill_tokens = 0, decode_requests = 0, verified = 0, committed = 0;
-    long admitted = 0, evicted = 0, paused = 0, pulled = 0;
-    if (!ParseLong(f[1], &t.index) || !ParseF64(f[2], &t.start) || !ParseF64(f[3], &r.duration) ||
-        !ParseF64(f[4], &r.spec_time) || !ParseF64(f[5], &r.select_time) ||
-        !ParseF64(f[6], &r.verify_time) || !ParseF64(f[7], &r.prefill_time) ||
-        !ParseLong(f[8], &prefill_tokens) || !ParseLong(f[9], &decode_requests) ||
-        !ParseLong(f[10], &verified) || !ParseLong(f[11], &committed) ||
-        !ParseLong(f[12], &admitted) || !ParseLong(f[13], &evicted) ||
-        !ParseLong(f[14], &paused) || !ParseLong(f[15], &pulled)) {
-      SetError(error, in.line_no, "bad tick field in '" + line + "'");
-      return false;
-    }
-    r.prefill_tokens = static_cast<int>(prefill_tokens);
-    r.decode_requests = static_cast<int>(decode_requests);
-    r.verified_tokens = static_cast<int>(verified);
-    r.committed_tokens = static_cast<int>(committed);
-    r.admitted = static_cast<int>(admitted);
-    r.evicted = static_cast<int>(evicted);
-    r.paused = static_cast<int>(paused);
-    t.arrivals_pulled = static_cast<int>(pulled);
+    if (!ParseDataLine(line, in.line_no, 't', &t, error)) return false;
     out.ticks.push_back(t);
   }
 
-  long metric_lines = 0;
-  if (!ReadKeyedLong(in, "metrics", &metric_lines, error)) return false;
-  if (metric_lines < 0) {
-    SetError(error, in.line_no, "negative metrics line count");
-    return false;
-  }
-  out.metrics_text.clear();
-  for (long i = 0; i < metric_lines; ++i) {
+  size_t metric_lines = 0;
+  if (!ReadKeyedNumber(in, "metrics", &metric_lines, error)) return false;
+  for (size_t i = 0; i < metric_lines; ++i) {
     if (!in.NextLine(&line)) {
-      SetError(error, in.line_no, "truncated metrics section");
-      return false;
+      return SetLineError(error, in.line_no, "truncated metrics section");
     }
     out.metrics_text += line;
     out.metrics_text += "\n";
   }
 
   if (!in.NextLine(&line) || line != "end") {
-    SetError(error, in.line_no, "missing 'end' sentinel");
-    return false;
+    return SetLineError(error, in.line_no, "missing 'end' sentinel");
   }
 
   *artifact = std::move(out);
@@ -419,35 +358,12 @@ bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std:
 
 bool WriteReplayArtifact(const std::string& path, const ReplayArtifact& artifact,
                          std::string* error) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    if (error != nullptr) {
-      *error = "cannot open '" + path + "' for writing";
-    }
-    return false;
-  }
-  out << SerializeReplayArtifact(artifact);
-  out.flush();
-  if (!out) {
-    if (error != nullptr) {
-      *error = "write to '" + path + "' failed";
-    }
-    return false;
-  }
-  return true;
+  return WriteTextFile(path, SerializeReplayArtifact(artifact), error);
 }
 
 bool ReadReplayArtifact(const std::string& path, ReplayArtifact* artifact, std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (error != nullptr) {
-      *error = "cannot open '" + path + "'";
-    }
-    return false;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return ParseReplayArtifact(buffer.str(), artifact, error);
+  std::string text;
+  return ReadTextFile(path, &text, error) && ParseReplayArtifact(text, artifact, error);
 }
 
 // --- setup registry ----------------------------------------------------------
@@ -550,46 +466,17 @@ ReplayDivergence Diverge(long tick, std::string field, std::string expected, std
   return d;
 }
 
-// Compares one recorded tick against its replayed counterpart, field by
-// field; doubles compare exactly (the simulation is deterministic, and
-// the artifact stores them round-trip exactly).
+// Compares one recorded tick against its replayed counterpart as the
+// artifact writes them, column by column: doubles are written exactly, so
+// equal text is equal value (the simulation is deterministic).
 std::optional<ReplayDivergence> DiffTick(const TickTraceEvent& want, const TickTraceEvent& got) {
-  const long i = want.index;
-  auto check_long = [&](const char* field, long w, long g) -> std::optional<ReplayDivergence> {
-    if (w != g) {
-      return Diverge(i, field, std::to_string(w), std::to_string(g));
+  const std::vector<std::string> w = ColumnTexts(want);
+  const std::vector<std::string> g = ColumnTexts(got);
+  for (size_t c = 0; c < kTickColumns.size(); ++c) {
+    if (w[c] != g[c]) {
+      return Diverge(want.index, kTickColumns[c], w[c], g[c]);
     }
-    return std::nullopt;
-  };
-  auto check_f64 = [&](const char* field, double w, double g) -> std::optional<ReplayDivergence> {
-    if (w != g) {
-      return Diverge(i, field, FmtDouble(w), FmtDouble(g));
-    }
-    return std::nullopt;
-  };
-  if (auto d = check_long("index", want.index, got.index)) return d;
-  if (auto d = check_f64("start", want.start, got.start)) return d;
-  const IterationRecord& w = want.record;
-  const IterationRecord& g = got.record;
-  if (auto d = check_f64("record.duration", w.duration, g.duration)) return d;
-  if (auto d = check_f64("record.spec_time", w.spec_time, g.spec_time)) return d;
-  if (auto d = check_f64("record.select_time", w.select_time, g.select_time)) return d;
-  if (auto d = check_f64("record.verify_time", w.verify_time, g.verify_time)) return d;
-  if (auto d = check_f64("record.prefill_time", w.prefill_time, g.prefill_time)) return d;
-  if (auto d = check_long("record.prefill_tokens", w.prefill_tokens, g.prefill_tokens)) return d;
-  if (auto d = check_long("record.decode_requests", w.decode_requests, g.decode_requests)) {
-    return d;
   }
-  if (auto d = check_long("record.verified_tokens", w.verified_tokens, g.verified_tokens)) {
-    return d;
-  }
-  if (auto d = check_long("record.committed_tokens", w.committed_tokens, g.committed_tokens)) {
-    return d;
-  }
-  if (auto d = check_long("record.admitted", w.admitted, g.admitted)) return d;
-  if (auto d = check_long("record.evicted", w.evicted, g.evicted)) return d;
-  if (auto d = check_long("record.paused", w.paused, g.paused)) return d;
-  if (auto d = check_long("arrivals_pulled", want.arrivals_pulled, got.arrivals_pulled)) return d;
   return std::nullopt;
 }
 

@@ -41,7 +41,8 @@ namespace adaserve {
 // v4: drops the tick.event_driven key (next-event skip is always on).
 // v5: drops the tick lines' rejected/degraded counters.
 // v6: drops the engine's per-tick-log switch (the engine keeps no log).
-inline constexpr int kReplaySchemaVersion = 6;
+// v7: drops the engine.max_iterations key (the budget is a constant).
+inline constexpr int kReplaySchemaVersion = 7;
 
 // A recorded run, self-contained up to the setup registry: everything
 // needed to re-execute and everything needed to check the re-execution.
@@ -88,10 +89,9 @@ class RunRecorder final : public TickTraceSink {
 
 std::string SerializeReplayArtifact(const ReplayArtifact& artifact);
 // Strict parse; false + line-numbered *error on malformed or
-// version-mismatched input. Arrival lines are validated like trace CSV
-// rows (trace_file.h): category in [0, kNumCategories), finite positive
-// tpot_slo, prompt/output lengths in [1, INT_MAX], dense ids in pull
-// order, and finite nonnegative nondecreasing arrival times — so a bad
+// version-mismatched input. Every number must parse whole and fit its
+// field. Arrival lines must carry dense ids in pull order and pass the
+// same ArrivalRowError check as trace CSV rows (request.h), so a bad
 // artifact fails here rather than aborting ReplayRun. Round trip is exact:
 // Serialize(Parse(Serialize(a))) == Serialize(a).
 bool ParseReplayArtifact(const std::string& text, ReplayArtifact* artifact, std::string* error);

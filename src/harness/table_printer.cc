@@ -1,7 +1,8 @@
 #include "src/harness/table_printer.h"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "src/common/text.h"
 
 namespace adaserve {
 
@@ -41,11 +42,7 @@ void TablePrinter::Print(std::ostream& os) const {
   }
 }
 
-std::string Fmt(double value, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
-  return buf;
-}
+std::string Fmt(double value, int precision) { return FormatFixed(value, precision); }
 
 std::string FmtPct(double value) { return Fmt(value, 1); }
 

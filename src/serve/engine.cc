@@ -6,6 +6,12 @@
 #include "src/common/logging.h"
 
 namespace adaserve {
+namespace {
+
+// Safety valve: abort if a run exceeds this many iterations.
+constexpr long kMaxIterations = 50'000'000;
+
+}  // namespace
 
 Engine::Engine(const SyntheticLm* target, const DraftLm* draft, const LatencyModel* target_latency,
                const LatencyModel* draft_latency, const EngineConfig& config)
@@ -84,7 +90,7 @@ EngineResult Engine::Run(Scheduler& scheduler, WorkloadSource source, int verify
   long iterations = 0;
   long traced_ticks = 0;
   while (!stream.Exhausted() || pool.HasWork()) {
-    ADASERVE_CHECK(++iterations <= config_.max_iterations) << "iteration budget exhausted";
+    ADASERVE_CHECK(++iterations <= kMaxIterations) << "iteration budget exhausted";
     pull_arrivals(now);
     if (!pool.HasWork()) {
       // Next-event skip: with nothing queued and nothing active a tick

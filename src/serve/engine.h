@@ -58,8 +58,6 @@ class TickTraceSink {
 };
 
 struct EngineConfig {
-  // Safety valve: abort if an experiment exceeds this many iterations.
-  long max_iterations = 50'000'000;
   uint64_t sampling_seed = 1234;
   DecodeMode mode = DecodeMode::kStochastic;
   // Queued arrivals pulled from the stream beyond what admission can

@@ -1,6 +1,7 @@
 #include "src/serve/metrics.h"
 
 #include "src/common/logging.h"
+#include "src/common/text.h"
 #include "src/common/types.h"
 
 namespace adaserve {
@@ -102,6 +103,30 @@ Metrics ComputeMetricsImpl(const RequestContainer& requests,
 }
 
 }  // namespace
+
+std::string MetricsBlockText(const Metrics& m) {
+  std::string text;
+  const auto line = [&text](const std::string& key, const std::string& value) {
+    text += key + ": " + value + "\n";
+  };
+  const auto fixed = [](double v) { return FormatFixed(v, 6); };
+  line("finished", std::to_string(m.finished));
+  line("attained", std::to_string(m.attained));
+  line("output_tokens", std::to_string(m.output_tokens()));
+  line("throughput_tps", fixed(m.ThroughputTps()));
+  line("slo_attainment_pct", fixed(m.AttainmentPct()));
+  line("goodput_tps", fixed(m.GoodputTps()));
+  line("mean_accepted", fixed(m.mean_accepted));
+  line("makespan_s", fixed(m.makespan));
+  for (int c = 0; c < kNumCategories; ++c) {
+    const CategoryMetrics& cat = m.per_category[static_cast<size_t>(c)];
+    const std::string prefix = "cat" + std::to_string(c + 1) + ".";
+    line(prefix + "finished", std::to_string(cat.finished));
+    line(prefix + "attainment_pct", fixed(cat.AttainmentPct()));
+    line(prefix + "mean_tpot_ms", fixed(cat.tpot_ms.Mean()));
+  }
+  return text;
+}
 
 Metrics ComputeMetrics(std::span<const Request> requests,
                        std::span<const IterationRecord> iterations, SimTime makespan) {

@@ -6,6 +6,7 @@
 #include <array>
 #include <deque>
 #include <span>
+#include <string>
 
 #include "src/common/stats.h"
 #include "src/serve/scheduler.h"
@@ -95,6 +96,14 @@ class MetricsAccumulator {
   double accepted_sum_ = 0.0;
   int spec_requests_ = 0;
 };
+
+// The canonical `key: value` text of the regression-relevant metrics:
+// finished and attained counts, output tokens, throughput, SLO
+// attainment, goodput, acceptance, makespan and the per-category
+// finished / attainment / mean TPOT, doubles in fixed 6-decimal form.
+// Equal runs give byte-equal text (the simulation is deterministic);
+// golden files and cluster fingerprints are built from it.
+std::string MetricsBlockText(const Metrics& m);
 
 // Computes metrics over finished requests and the iteration log.
 Metrics ComputeMetrics(std::span<const Request> requests,

@@ -2,6 +2,7 @@
 #ifndef ADASERVE_SRC_WORKLOAD_REQUEST_H_
 #define ADASERVE_SRC_WORKLOAD_REQUEST_H_
 
+#include <string>
 #include <vector>
 
 #include "src/common/types.h"
@@ -82,6 +83,15 @@ struct Request {
   // Mean accepted speculated tokens per verification step.
   double MeanAccepted() const;
 };
+
+// The one check on an arrival row read from outside the program (a trace
+// CSV row or a replay artifact's arrival line). A row passes when its
+// arrival is finite, at least 0 and not before `previous_arrival`; its
+// prompt has at least 1 token; its output has at least 2 (AvgTpot needs
+// a decode step); its category is in [0, kNumCategories); and its
+// tpot_slo is finite and positive. Returns "" for a passing row, else a
+// message naming the first failing field and its value.
+std::string ArrivalRowError(const Request& row, SimTime previous_arrival);
 
 }  // namespace adaserve
 

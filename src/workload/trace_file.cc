@@ -2,76 +2,38 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
-#include <climits>
-#include <fstream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "src/common/logging.h"
 #include "src/common/rng.h"
+#include "src/common/text.h"
 
 namespace adaserve {
 namespace {
 
-// Splits one CSV line on commas; no quoting (token counts and numbers
-// never contain commas in this format).
-std::vector<std::string> SplitCsvLine(const std::string& line) {
-  std::vector<std::string> cells;
-  std::string cell;
-  std::stringstream ss(line);
-  while (std::getline(ss, cell, ',')) {
-    cells.push_back(cell);
+std::string_view Trim(std::string_view s) {
+  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
+    s.remove_prefix(1);
   }
-  if (!line.empty() && line.back() == ',') {
-    cells.emplace_back();
+  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) {
+    s.remove_suffix(1);
   }
-  return cells;
+  return s;
 }
 
-std::string Trim(const std::string& s) {
-  size_t begin = 0;
-  size_t end = s.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(s[begin]))) {
-    ++begin;
-  }
-  while (end > begin && std::isspace(static_cast<unsigned char>(s[end - 1]))) {
-    --end;
-  }
-  return s.substr(begin, end - begin);
-}
-
-// std::from_chars, not std::stod: stod honors the global C locale, so a
-// host set to a comma-decimal locale (de_DE et al.) would misparse "0.5"
-// as 0 — from_chars always reads the "C"-locale format the writer emits.
-bool ParseDouble(const std::string& cell, double* out) {
-  const std::string t = Trim(cell);
-  if (t.empty()) {
-    return false;
-  }
-  const char* end = t.data() + t.size();
-  const auto [ptr, ec] = std::from_chars(t.data(), end, *out);
-  return ec == std::errc() && ptr == end;
-}
-
-bool ParseInt(const std::string& cell, int* out) {
-  const std::string t = Trim(cell);
-  if (t.empty()) {
-    return false;
-  }
-  long value = 0;
-  const char* end = t.data() + t.size();
-  const auto [ptr, ec] = std::from_chars(t.data(), end, value);
-  if (ec != std::errc() || ptr != end || value < INT_MIN || value > INT_MAX) {
-    return false;
-  }
-  *out = static_cast<int>(value);
-  return true;
-}
-
-void SetError(std::string* error, size_t line_no, const std::string& message) {
-  if (error != nullptr) {
-    *error = "line " + std::to_string(line_no) + ": " + message;
+// Splits one CSV line on commas and trims each cell; no quoting (token
+// counts and numbers never contain commas in this format).
+std::vector<std::string_view> SplitCsvLine(std::string_view line) {
+  std::vector<std::string_view> cells;
+  while (true) {
+    const size_t comma = line.find(',');
+    cells.push_back(Trim(line.substr(0, comma)));
+    if (comma == std::string_view::npos) {
+      return cells;
+    }
+    line.remove_prefix(comma + 1);
   }
 }
 
@@ -91,76 +53,62 @@ std::unique_ptr<TraceFileArrivalStream> TraceFileArrivalStream::FromString(
   bool saw_content = false;
   while (std::getline(ss, line)) {
     ++line_no;
-    if (!line.empty() && line.back() == '\r') {
-      line.pop_back();
-    }
-    const std::string trimmed = Trim(line);
+    const std::string_view trimmed = Trim(line);
     if (trimmed.empty() || trimmed[0] == '#') {
       continue;
     }
-    const std::vector<std::string> cells = SplitCsvLine(trimmed);
+    const std::vector<std::string_view> cells = SplitCsvLine(trimmed);
     // An optional header ("timestamp,prompt_tokens,..."): recognized only
     // when NO cell is numeric, so a data row with one bad field still
     // reports its error instead of being skipped as a header.
     if (!saw_content) {
       saw_content = true;
-      bool any_numeric = false;
-      for (const std::string& cell : cells) {
-        double probe = 0.0;
-        if (ParseDouble(cell, &probe)) {
-          any_numeric = true;
-          break;
-        }
-      }
-      if (!any_numeric) {
+      double probe = 0.0;
+      if (std::none_of(cells.begin(), cells.end(),
+                       [&probe](std::string_view cell) { return ParseNumber(cell, &probe); })) {
         continue;
       }
     }
 
     if (cells.size() < 4 || cells.size() > 5) {
-      SetError(error, line_no,
-               "expected 4-5 columns (timestamp,prompt_tokens,output_tokens,category[,tpot_slo]), "
-               "got " +
-                   std::to_string(cells.size()));
+      SetLineError(error, line_no,
+                   "expected 4-5 columns (timestamp,prompt_tokens,output_tokens,category"
+                   "[,tpot_slo]), got " +
+                       std::to_string(cells.size()));
       return nullptr;
     }
-
-    TraceFileRow row;
-    if (!ParseDouble(cells[0], &row.timestamp)) {
-      SetError(error, line_no, "bad timestamp '" + Trim(cells[0]) + "'");
+    // A cell that does not parse is named by its CSV column; a parsed row
+    // that breaks a rule is named by ArrivalRowError.
+    const auto bad_cell = [&](const char* column, std::string_view cell) {
+      SetLineError(error, line_no, std::string("bad ") + column + " '" + std::string(cell) + "'");
+      return nullptr;
+    };
+    Request req;
+    if (!ParseNumber(cells[0], &req.arrival)) return bad_cell("timestamp", cells[0]);
+    if (!ParseNumber(cells[1], &req.prompt_len)) return bad_cell("prompt_tokens", cells[1]);
+    if (!ParseNumber(cells[2], &req.target_output_len)) return bad_cell("output_tokens", cells[2]);
+    if (!ParseNumber(cells[3], &req.category)) return bad_cell("category", cells[3]);
+    const bool explicit_slo = cells.size() == 5 && !cells[4].empty();
+    if (explicit_slo && !ParseNumber(cells[4], &req.tpot_slo)) {
+      return bad_cell("tpot_slo", cells[4]);
+    }
+    // One output token becomes two, as in the generators: the TPOT
+    // denominator needs a decode step.
+    if (req.target_output_len == 1) {
+      req.target_output_len = 2;
+    }
+    // An omitted tpot_slo takes the category's; the row check rejects an
+    // out-of-range category before it reads tpot_slo.
+    if (!explicit_slo && req.category >= 0 && req.category < kNumCategories) {
+      req.tpot_slo = categories[static_cast<size_t>(req.category)].tpot_slo;
+    }
+    const std::string bad = ArrivalRowError(req, rows.empty() ? 0.0 : rows.back().timestamp);
+    if (!bad.empty()) {
+      SetLineError(error, line_no, bad);
       return nullptr;
     }
-    if (row.timestamp < 0.0) {
-      SetError(error, line_no, "negative timestamp");
-      return nullptr;
-    }
-    if (!rows.empty() && row.timestamp < rows.back().timestamp) {
-      SetError(error, line_no, "out-of-order timestamp (arrivals must be nondecreasing)");
-      return nullptr;
-    }
-    if (!ParseInt(cells[1], &row.prompt_tokens) || row.prompt_tokens < 1) {
-      SetError(error, line_no, "bad prompt_tokens '" + Trim(cells[1]) + "'");
-      return nullptr;
-    }
-    if (!ParseInt(cells[2], &row.output_tokens) || row.output_tokens < 1) {
-      SetError(error, line_no, "bad output_tokens '" + Trim(cells[2]) + "'");
-      return nullptr;
-    }
-    // Minimum 2 output tokens so the TPOT denominator is well defined
-    // (the generators clamp identically).
-    row.output_tokens = std::max(2, row.output_tokens);
-    if (!ParseInt(cells[3], &row.category) || row.category < 0 ||
-        row.category >= kNumCategories) {
-      SetError(error, line_no, "bad category '" + Trim(cells[3]) + "'");
-      return nullptr;
-    }
-    if (cells.size() == 5 && !Trim(cells[4]).empty()) {
-      if (!ParseDouble(cells[4], &row.tpot_slo) || row.tpot_slo <= 0.0) {
-        SetError(error, line_no, "bad tpot_slo '" + Trim(cells[4]) + "'");
-        return nullptr;
-      }
-    }
-    rows.push_back(row);
+    rows.push_back({req.arrival, req.prompt_len, req.target_output_len, req.category,
+                    req.tpot_slo});
   }
 
   if (rows.empty()) {
@@ -169,31 +117,21 @@ std::unique_ptr<TraceFileArrivalStream> TraceFileArrivalStream::FromString(
     }
     return nullptr;
   }
-  return std::unique_ptr<TraceFileArrivalStream>(
-      new TraceFileArrivalStream(categories, std::move(rows)));
+  return std::unique_ptr<TraceFileArrivalStream>(new TraceFileArrivalStream(std::move(rows)));
 }
 
 std::unique_ptr<TraceFileArrivalStream> TraceFileArrivalStream::Open(
     const std::vector<CategorySpec>& categories, const std::string& path, std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    if (error != nullptr) {
-      *error = "cannot open trace file '" + path + "'";
-    }
-    return nullptr;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return FromString(categories, buffer.str(), error);
+  std::string csv;
+  return ReadTextFile(path, &csv, error) ? FromString(categories, csv, error) : nullptr;
 }
 
 Request TraceFileArrivalStream::BuildRequest(size_t index) const {
   const TraceFileRow& row = rows_[index];
-  const CategorySpec& spec = categories_[static_cast<size_t>(row.category)];
   Request req;
   req.id = static_cast<RequestId>(index);
   req.category = row.category;
-  req.tpot_slo = row.tpot_slo > 0.0 ? row.tpot_slo : spec.tpot_slo;
+  req.tpot_slo = row.tpot_slo;
   req.arrival = row.timestamp;
   req.prompt_len = row.prompt_tokens;
   req.target_output_len = row.output_tokens;
@@ -216,56 +154,19 @@ Request TraceFileArrivalStream::Next() {
   return BuildRequest(next_++);
 }
 
-namespace {
-
-// Locale-independent %.17g: snprintf writes the global locale's decimal
-// point, which would break the CSV round trip on comma-decimal hosts;
-// to_chars is specified to emit the C-locale format with the same
-// precision semantics, so pre-existing traces stay byte-identical.
-void AppendDouble(std::string* out, double v) {
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17);
-  ADASERVE_CHECK(res.ec == std::errc()) << "to_chars failed";
-  out->append(buf, res.ptr);
-}
-
-}  // namespace
-
 std::string TraceCsvFromRequests(std::span<const Request> requests) {
   std::string csv = "timestamp,prompt_tokens,output_tokens,category,tpot_slo\n";
   for (const Request& req : requests) {
-    AppendDouble(&csv, req.arrival);
-    csv += ',';
-    csv += std::to_string(req.prompt_len);
-    csv += ',';
-    csv += std::to_string(req.target_output_len);
-    csv += ',';
-    csv += std::to_string(req.category);
-    csv += ',';
-    AppendDouble(&csv, req.tpot_slo);
-    csv += '\n';
+    csv += FormatExact(req.arrival) + ',' + std::to_string(req.prompt_len) + ',' +
+           std::to_string(req.target_output_len) + ',' + std::to_string(req.category) + ',' +
+           FormatExact(req.tpot_slo) + '\n';
   }
   return csv;
 }
 
 bool WriteTraceCsv(const std::string& path, std::span<const Request> requests,
                    std::string* error) {
-  std::ofstream out(path);
-  if (!out) {
-    if (error != nullptr) {
-      *error = "cannot open '" + path + "' for writing";
-    }
-    return false;
-  }
-  out << TraceCsvFromRequests(requests);
-  out.flush();
-  if (!out) {
-    if (error != nullptr) {
-      *error = "write to '" + path + "' failed";
-    }
-    return false;
-  }
-  return true;
+  return WriteTextFile(path, TraceCsvFromRequests(requests), error);
 }
 
 }  // namespace adaserve

@@ -5,12 +5,16 @@
 //
 //   timestamp,prompt_tokens,output_tokens,category[,tpot_slo]
 //
-//   - timestamp: arrival time in seconds (nondecreasing down the file)
-//   - prompt_tokens / output_tokens: positive token counts (output is
-//     clamped to >= 2 so the TPOT denominator stays well defined)
+//   - timestamp: arrival time in seconds (finite, nondecreasing down the
+//     file)
+//   - prompt_tokens / output_tokens: positive token counts (an output of
+//     1 becomes 2 so the TPOT denominator stays well defined)
 //   - category: index into the workload's category table (Table 2)
-//   - tpot_slo: optional per-request SLO override in seconds; omitted or
-//     empty falls back to the category's SLO
+//   - tpot_slo: optional finite positive per-request SLO override in
+//     seconds; omitted or empty falls back to the category's SLO
+//
+// Every parsed row passes ArrivalRowError (request.h), the check replay
+// artifacts' arrival lines pass too.
 //
 // An optional header line (no numeric cell), blank lines, and
 // '#'-comment lines are skipped. Parsing is a strict validation pass up
@@ -37,8 +41,8 @@ struct TraceFileRow {
   int prompt_tokens = 0;
   int output_tokens = 0;
   int category = 0;
-  // Negative: use the category default.
-  double tpot_slo = -1.0;
+  // The row's own tpot_slo, or its category's when the row omits it.
+  double tpot_slo = 0.0;
 };
 
 class TraceFileArrivalStream final : public ArrivalStream {
@@ -61,12 +65,10 @@ class TraceFileArrivalStream final : public ArrivalStream {
   size_t size() const { return rows_.size(); }
 
  private:
-  TraceFileArrivalStream(std::vector<CategorySpec> categories, std::vector<TraceFileRow> rows)
-      : categories_(std::move(categories)), rows_(std::move(rows)) {}
+  explicit TraceFileArrivalStream(std::vector<TraceFileRow> rows) : rows_(std::move(rows)) {}
 
   Request BuildRequest(size_t index) const;
 
-  std::vector<CategorySpec> categories_;
   std::vector<TraceFileRow> rows_;
   size_t next_ = 0;
   Request peeked_;

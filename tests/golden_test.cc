@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "src/common/logging.h"
+#include "src/common/text.h"
 #include "src/harness/golden.h"
 #include "src/harness/replay.h"
 #include "src/harness/sweep_runner.h"
@@ -89,8 +90,9 @@ bool RegenerateAllGoldens(const Experiment& exp, int threads) {
   SweepRunner runner(threads);
   bool ok = true;
   for (const Timed<Written>& cell : runner.Map(tasks)) {
-    if (!WriteGoldenFile(cell.value.path, cell.value.text)) {
-      ADASERVE_LOG(Error) << "cannot write " << cell.value.path;
+    std::string error;
+    if (!WriteTextFile(cell.value.path, cell.value.text, &error)) {
+      ADASERVE_LOG(Error) << error;
       ok = false;
     }
   }
@@ -122,8 +124,9 @@ void CheckAgainstBaseline(const Experiment& exp, const GoldenCell& cell) {
   const std::string path = GoldenPath(cell);
 
   std::string expected;
-  ASSERT_TRUE(ReadGoldenFile(path, &expected))
-      << "missing baseline " << path << "; run `golden_test --update_golden` to create it";
+  std::string error;
+  ASSERT_TRUE(ReadTextFile(path, &expected, &error))
+      << error << "; run `golden_test --update_golden` to create the baseline";
   EXPECT_EQ(expected, actual)
       << "golden metrics changed for " << SystemName(cell.kind)
       << "; if intentional, regenerate with `golden_test --update_golden`";
@@ -196,8 +199,8 @@ TEST(GoldenRegenerationTest, ParallelRecomputationMatchesBaselines) {
   SweepRunner runner(4);
   for (const Timed<Cell>& cell : runner.Map(tasks)) {
     std::string expected;
-    ASSERT_TRUE(ReadGoldenFile(GoldenPath(cell.value.cell), &expected))
-        << "missing baseline " << GoldenPath(cell.value.cell);
+    std::string error;
+    ASSERT_TRUE(ReadTextFile(GoldenPath(cell.value.cell), &expected, &error)) << error;
     EXPECT_EQ(expected, cell.value.text)
         << "parallel recomputation diverged for " << SystemName(cell.value.cell.kind);
   }

@@ -5,10 +5,12 @@
 // al.), "0.5" parsed as 0 with a trailing-garbage error, so every trace
 // file and replay artifact written on a period-decimal machine failed to
 // load — and snprintf("%.17g") on the write side emitted commas that no
-// machine could re-read. The parsers now use std::from_chars and the
-// writers std::to_chars, both locale-independent by specification. These
-// tests flip the process into a comma-decimal locale and exercise the
-// full parse/serialize round trips; they fail on the std::stod code.
+// machine could re-read. Every number now goes through the text codec
+// (src/common/text.h): std::from_chars and std::to_chars, both
+// locale-independent by specification. These tests flip the process into
+// a comma-decimal locale and exercise the full parse/serialize round
+// trips and the golden metrics text; they fail on the std::stod and
+// snprintf code.
 //
 // The comma-decimal locale must be installed on the host; when none of
 // the candidates is (minimal containers often ship only C/POSIX), the
@@ -19,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "src/harness/golden.h"
 #include "src/harness/replay.h"
 #include "src/workload/trace_file.h"
 #include "tests/test_util.h"
@@ -147,6 +150,19 @@ TEST(LocaleParsing, ReplayArtifactRoundTripsUnderCommaDecimalLocale) {
   EXPECT_DOUBLE_EQ(parsed.arrivals.at(0).tpot_slo, 0.0625);
   EXPECT_DOUBLE_EQ(parsed.ticks.at(0).record.duration, 0.125);
   EXPECT_EQ(SerializeReplayArtifact(parsed), text);
+}
+
+// GoldenMetricsText's fixed-decimal doubles once came from
+// snprintf("%.*f"), which honours LC_NUMERIC: under a comma-decimal
+// locale every golden comparison failed on "0,500000".
+TEST(LocaleParsing, GoldenMetricsTextIsLocaleIndependent) {
+  const Experiment exp(GoldenSetup());
+  const EngineResult result = RunGoldenSystem(exp, SystemKind::kVllm);
+  const std::string in_c_locale = GoldenMetricsText(SystemKind::kVllm, result.metrics);
+  ASSERT_NE(in_c_locale.find("."), std::string::npos) << in_c_locale;
+  CommaDecimalLocale locale;
+  REQUIRE_COMMA_LOCALE(locale);
+  EXPECT_EQ(GoldenMetricsText(SystemKind::kVllm, result.metrics), in_c_locale);
 }
 
 }  // namespace

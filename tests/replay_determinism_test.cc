@@ -2,11 +2,13 @@
 // recorded artifact of a run must re-execute byte-identically
 // (GoldenMetricsText) in tick-native mode, on the streaming path, and for
 // every replica of a 2-replica cluster run; artifact serialization
-// round-trips exactly; malformed arrival lines and foreign schema
-// versions are parse errors; and an injected single-bit corruption is
-// detected with the correct first-divergent-tick.
+// round-trips exactly, in memory and through a file; malformed arrival
+// lines, out-of-range config integers and foreign schema versions are
+// parse errors; and an injected single-bit corruption is detected with
+// the correct first-divergent-tick.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -136,9 +138,10 @@ TEST(ReplayArtifactTest, TruncationAndVersionMismatchAreParseErrors) {
   EXPECT_NE(error.find("unsupported replay schema"), std::string::npos) << error;
 
   // Schema 2 carried the planner fields, schema 3 the tick.event_driven
-  // key, schema 4 the tick lines' rejected/degraded counters and schema 5
-  // the engine's per-tick-log switch, none of which this binary reads.
-  for (const char* old_schema : {"2", "3", "4", "5"}) {
+  // key, schema 4 the tick lines' rejected/degraded counters, schema 5
+  // the engine's per-tick-log switch and schema 6 engine.max_iterations,
+  // none of which this binary reads.
+  for (const char* old_schema : {"2", "3", "4", "5", "6"}) {
     std::string old_text = text;
     old_text.replace(0, header.size(), std::string("adaserve_replay_schema: ") + old_schema);
     EXPECT_FALSE(ParseReplayArtifact(old_text, &parsed, &error));
@@ -210,6 +213,8 @@ TEST(ReplayArtifactTest, MalformedArrivalLinesAreParseErrors) {
       {"empty prompt", 0, 5, "0", "bad prompt_len"},
       {"prompt above INT_MAX", 0, 5, "2147483648", "bad prompt_len"},
       {"empty output", 0, 6, "0", "bad target_output_len"},
+      // One output token has no decode step: Request::AvgTpot would abort.
+      {"one-token output", 0, 6, "1", "bad target_output_len 1"},
       {"output above INT_MAX", 0, 6, "2147483648", "bad target_output_len"},
       {"non-dense id", 1, 1, "5", "non-dense id 5"},
       {"negative arrival time", 0, 4, "-1", "bad arrival time"},
@@ -225,6 +230,52 @@ TEST(ReplayArtifactTest, MalformedArrivalLinesAreParseErrors) {
     EXPECT_EQ(error.rfind("line " + std::to_string(edited.line_no) + ": ", 0), 0u) << error;
     EXPECT_NE(error.find(c.message), std::string::npos) << error;
   }
+}
+
+// A config integer outside its field's range is a parse error on its own
+// line, not a value silently truncated to fit (2^32 + 1 would read as 1).
+TEST(ReplayArtifactTest, OutOfRangeConfigIntegerIsAParseError) {
+  const Experiment exp(GoldenSetup());
+  const RecordedRun run = RecordGoldenRun(exp, SystemKind::kVllm);
+  std::stringstream in(SerializeReplayArtifact(run.artifact));
+  std::string edited;
+  size_t edited_line = 0;
+  size_t line_no = 0;
+  for (std::string line; std::getline(in, line);) {
+    ++line_no;
+    if (line.rfind("tick.max_active: ", 0) == 0) {
+      line = "tick.max_active: 4294967297";
+      edited_line = line_no;
+    }
+    edited += line + "\n";
+  }
+  ASSERT_GT(edited_line, 0u);
+  ReplayArtifact parsed;
+  std::string error;
+  EXPECT_FALSE(ParseReplayArtifact(edited, &parsed, &error));
+  EXPECT_EQ(error.rfind("line " + std::to_string(edited_line) + ": ", 0), 0u) << error;
+  EXPECT_NE(error.find("tick.max_active"), std::string::npos) << error;
+}
+
+// The file path CI failure uploads take: an artifact written to disk
+// reads back to one that serializes to the same text.
+TEST(ReplayArtifactTest, DiskRoundTripIsExact) {
+  const Experiment exp(GoldenSetup());
+  const RecordedRun run = RecordGoldenRun(exp, SystemKind::kAdaServe);
+  const std::string path = testing::TempDir() + "/adaserve_replay_roundtrip.replay";
+  std::string error;
+  ASSERT_TRUE(WriteReplayArtifact(path, run.artifact, &error)) << error;
+  ReplayArtifact read;
+  ASSERT_TRUE(ReadReplayArtifact(path, &read, &error)) << error;
+  EXPECT_EQ(SerializeReplayArtifact(read), SerializeReplayArtifact(run.artifact));
+  std::remove(path.c_str());
+}
+
+TEST(ReplayArtifactTest, ReadingAMissingArtifactFails) {
+  ReplayArtifact artifact;
+  std::string error;
+  EXPECT_FALSE(ReadReplayArtifact("/nonexistent/artifact.replay", &artifact, &error));
+  EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
 }
 
 // A single flipped bit in a recorded tick is caught, and the divergence

@@ -102,14 +102,21 @@ TEST(TraceFileTest, MalformedLinesFailWithLineNumbers) {
       {"too few columns", "0.0,10,5\n", "line 1"},
       {"too many columns", "0.0,10,5,0,0.1,9\n", "line 1"},
       {"bad timestamp", "zero,10,5,0\n", "bad timestamp"},
-      {"negative timestamp", "-1.0,10,5,0\n", "negative timestamp"},
+      {"negative timestamp", "-1.0,10,5,0\n", "line 1: bad arrival time -1"},
       {"bad prompt", "0.0,ten,5,0\n", "bad prompt_tokens"},
-      {"zero prompt", "0.0,0,5,0\n", "bad prompt_tokens"},
-      {"bad output", "0.0,10,-3,0\n", "bad output_tokens"},
+      {"zero prompt", "0.0,0,5,0\n", "line 1: bad prompt_len 0"},
+      {"bad output", "0.0,10,-3,0\n", "line 1: bad target_output_len -3"},
       {"bad category", "0.0,10,5,7\n", "bad category"},
       {"bad slo", "0.0,10,5,0,-0.5\n", "bad tpot_slo"},
-      {"out of order", "1.0,10,5,0\n0.5,10,5,0\n", "out-of-order timestamp"},
+      {"out of order", "1.0,10,5,0\n0.5,10,5,0\n", "line 2: out-of-order arrival time 0.5"},
       {"error on line 2", "0.5,10,5,0\nnope,10,5,0\n", "line 2"},
+      // from_chars reads "nan" and "inf"; the row check must refuse them
+      // (a nan arrival never becomes due and exhausts the engine's budget).
+      {"nan timestamp", "nan,10,5,0\n", "line 1: bad arrival time nan"},
+      {"inf timestamp", "inf,10,5,0\n", "line 1: bad arrival time inf"},
+      {"nan slo", "0.0,10,5,0,nan\n", "line 1: bad tpot_slo nan"},
+      {"inf slo", "0.0,10,5,0,inf\n", "line 1: bad tpot_slo inf"},
+      {"nan timestamp on line 2", "0.5,10,5,0\nnan,10,5,0\n", "line 2: bad arrival time nan"},
   };
   for (const Case& c : cases) {
     std::string error;
