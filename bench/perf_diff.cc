@@ -19,14 +19,15 @@
 // The parser handles exactly the flat document BenchJson emits — an
 // object with a "rows" array of one-line objects — so no JSON library is
 // needed.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "src/common/text.h"
 
 namespace {
 
@@ -50,25 +51,29 @@ std::string StringField(const std::string& object, const std::string& key) {
   return end == std::string::npos ? "" : object.substr(start, end - start);
 }
 
-// Extracts the numeric value of `"key": N` within `object`.
+// Extracts the numeric value of `"key": N` within `object`: the text up to
+// the next ',' or '}' must parse whole as a number.
 bool NumberField(const std::string& object, const std::string& key, double* out) {
   const std::string needle = "\"" + key + "\": ";
   const size_t at = object.find(needle);
   if (at == std::string::npos) {
     return false;
   }
-  return std::sscanf(object.c_str() + at + needle.size(), "%lf", out) == 1;
+  const size_t start = at + needle.size();
+  const size_t end = object.find_first_of(",}", start);
+  if (end == std::string::npos) {
+    return false;
+  }
+  return adaserve::ParseNumber(std::string_view(object).substr(start, end - start), out);
 }
 
 bool ParseRows(const std::string& path, std::vector<Row>* rows) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::cerr << "perf_diff: cannot open " << path << "\n";
+  std::string text;
+  std::string error;
+  if (!adaserve::ReadTextFile(path, &text, &error)) {
+    std::cerr << "perf_diff: " << error << "\n";
     return false;
   }
-  std::ostringstream os;
-  os << in.rdbuf();
-  const std::string text = os.str();
   const size_t rows_at = text.find("\"rows\"");
   if (rows_at == std::string::npos) {
     std::cerr << "perf_diff: no \"rows\" array in " << path << "\n";
@@ -96,9 +101,8 @@ bool ParseRows(const std::string& path, std::vector<Row>* rows) {
 }
 
 std::string RowKey(const Row& row) {
-  char x[32];
-  std::snprintf(x, sizeof(x), "%.6f", row.x);
-  return row.model + " / " + row.system + " / " + row.metric + " @ x=" + x;
+  return row.model + " / " + row.system + " / " + row.metric +
+         " @ x=" + adaserve::FormatFixed(row.x, 6);
 }
 
 const Row* FindMatch(const std::vector<Row>& rows, const Row& want) {
@@ -121,14 +125,16 @@ int main(int argc, char** argv) {
   double time_abs_tol = 5.0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--rel_tol" && i + 1 < argc) {
-      rel_tol = std::atof(argv[++i]);
-    } else if (arg == "--abs_tol" && i + 1 < argc) {
-      abs_tol = std::atof(argv[++i]);
-    } else if (arg == "--time_rel_tol" && i + 1 < argc) {
-      time_rel_tol = std::atof(argv[++i]);
-    } else if (arg == "--time_abs_tol" && i + 1 < argc) {
-      time_abs_tol = std::atof(argv[++i]);
+    double* tol = arg == "--rel_tol"        ? &rel_tol
+                  : arg == "--abs_tol"      ? &abs_tol
+                  : arg == "--time_rel_tol" ? &time_rel_tol
+                  : arg == "--time_abs_tol" ? &time_abs_tol
+                                            : nullptr;
+    if (tol != nullptr && i + 1 < argc) {
+      if (!adaserve::ParseNumber(std::string_view(argv[++i]), tol)) {
+        std::cerr << "perf_diff: bad number for " << arg << ": '" << argv[i] << "'\n";
+        return 2;
+      }
     } else {
       paths.push_back(arg);
     }

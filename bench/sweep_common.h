@@ -8,9 +8,7 @@
 #ifndef ADASERVE_BENCH_SWEEP_COMMON_H_
 #define ADASERVE_BENCH_SWEEP_COMMON_H_
 
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -150,27 +148,22 @@ class BenchJson {
     os << "{\n  \"bench\": \"" << bench_ << "\",\n";
     if (threads_ > 0) {
       os << "  \"threads\": " << threads_ << ",\n";
-      os << "  \"wall_clock_s\": " << FmtJsonNumber(total_wall_clock_s_) << ",\n";
+      os << "  \"wall_clock_s\": " << FormatFixed(total_wall_clock_s_, 6) << ",\n";
     }
     os << "  \"rows\": [\n";
     for (size_t i = 0; i < rows_.size(); ++i) {
       const Row& r = rows_[i];
       os << "    {\"model\": \"" << r.model << "\", \"system\": \"" << r.system
-         << "\", \"metric\": \"" << r.metric << "\", \"x\": " << FmtJsonNumber(r.x)
-         << ", \"value\": " << FmtJsonNumber(r.value) << "}" << (i + 1 < rows_.size() ? "," : "")
+         << "\", \"metric\": \"" << r.metric << "\", \"x\": " << FormatFixed(r.x, 6)
+         << ", \"value\": " << FormatFixed(r.value, 6) << "}" << (i + 1 < rows_.size() ? "," : "")
          << "\n";
     }
     os << "  ]\n}\n";
     return os.str();
   }
 
-  bool WriteTo(const std::string& path) const {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return false;
-    }
-    out << ToString();
-    return out.good();
+  bool WriteTo(const std::string& path, std::string* error) const {
+    return WriteTextFile(path, ToString(), error);
   }
 
  private:
@@ -181,12 +174,6 @@ class BenchJson {
     double x;
     double value;
   };
-
-  static std::string FmtJsonNumber(double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6f", v);
-    return buf;
-  }
 
   std::string bench_;
   int threads_ = 0;
@@ -207,8 +194,9 @@ inline int FinishBench(const BenchArgs& args, const BenchJson& json) {
   if (args.json_path.empty()) {
     return 0;
   }
-  if (!json.WriteTo(args.json_path)) {
-    std::cerr << "error: could not write " << args.json_path << "\n";
+  std::string error;
+  if (!json.WriteTo(args.json_path, &error)) {
+    std::cerr << "error: could not write " << args.json_path << ": " << error << "\n";
     return 1;
   }
   std::cout << "\nwrote " << args.json_path << "\n";

@@ -22,7 +22,7 @@ std::vector<RequestId> EdfDecodeBatch(SimTime now, const RequestPool& pool,
   for (size_t i = 0; i < running.size(); ++i) {
     context += pool.Get(running[i]).KvTokens();
     if (!have_binding) {
-      const SimTime deadline = NextTokenDeadline(pool.Get(running[i]));
+      const SimTime deadline = pool.Get(running[i]).NextTokenDeadline();
       if (deadline > now) {
         binding_deadline = deadline;
         have_binding = true;

@@ -2,7 +2,7 @@
 //
 // The classic real-time answer to the problem AdaServe attacks with
 // SLO-customized speculation: every request carries a *next token
-// deadline* (NextTokenDeadline — first_token_time + committed_len *
+// deadline* (Request::NextTokenDeadline — first_token_time + committed_len *
 // tpot_slo once decoding started), and the scheduler orders every
 // decision by it. Admission ranks earliest-deadline-first
 // (PriorityPolicy::kEdf, so the TickPolicy pause/evict machinery composes
@@ -19,7 +19,7 @@
 namespace adaserve {
 
 // Picks the EDF decode batch at `now`: the running requests sorted by
-// (NextTokenDeadline, id), truncated to the largest prefix whose batched
+// (Request::NextTokenDeadline, id), truncated to the largest prefix whose batched
 // forward latency still meets the prefix's earliest not-yet-overdue
 // deadline. Overdue deadlines impose no constraint (the tardiness is
 // already sunk; EDF keeps serving them by order), and the prefix never

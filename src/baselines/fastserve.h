@@ -29,10 +29,6 @@ class FastServeScheduler : public Scheduler {
 
   std::string_view name() const override { return "FastServe"; }
 
-  // MLFQ prioritizes by service received, not SLO; admission stays FIFO
-  // (the skip-join queue assignment happens after admission).
-  PriorityPolicy AdmissionPriority() const override { return PriorityPolicy::kFifo; }
-
  protected:
   // Tick-native decode phase: the MLFQ-prioritized decode batch.
   IterationRecord DecodePhase(SimTime now, RequestPool& pool, ServingContext& ctx) override;

@@ -21,6 +21,9 @@ class PriorityScheduler : public Scheduler {
   PriorityPolicy AdmissionPriority() const override { return PriorityPolicy::kSloUrgentFirst; }
 
  protected:
+  // Boundary-mode step: urgent-only decode when an urgent request is
+  // running and no urgent prompt is waiting, else the base
+  // prefill-priority step.
   IterationRecord DrainStep(SimTime now, RequestPool& pool, ServingContext& ctx) override;
   // Tick-native decode phase: urgent-only decode whenever any urgent
   // request is running, otherwise the full running batch.

@@ -22,9 +22,6 @@ class SarathiScheduler : public Scheduler {
 
   std::string_view name() const override { return "Sarathi-Serve"; }
 
-  // Chunked prefill changes iteration shape, not admission order: FIFO.
-  PriorityPolicy AdmissionPriority() const override { return PriorityPolicy::kFifo; }
-
  protected:
   IterationRecord DrainStep(SimTime now, RequestPool& pool, ServingContext& ctx) override;
   // Tick-native decode phase: the decode half of the chunk budget. Prompt

@@ -17,10 +17,6 @@ class VllmScheduler : public Scheduler {
  public:
   std::string_view name() const override { return "vLLM"; }
 
-  // vLLM admits strictly FIFO; SLO-blindness at admission is part of the
-  // baseline the paper compares against.
-  PriorityPolicy AdmissionPriority() const override { return PriorityPolicy::kFifo; }
-
  protected:
   IterationRecord DecodePhase(SimTime now, RequestPool& pool, ServingContext& ctx) override;
 };

@@ -28,10 +28,6 @@ class VtcScheduler : public Scheduler {
 
   std::string_view name() const override { return "VTC"; }
 
-  // Fairness across services is the point: admission must not favor a
-  // category, so VTC keeps FIFO admission.
-  PriorityPolicy AdmissionPriority() const override { return PriorityPolicy::kFifo; }
-
  protected:
   // Tick-native decode phase: the counter-ordered fair decode batch.
   IterationRecord DecodePhase(SimTime now, RequestPool& pool, ServingContext& ctx) override;

@@ -76,7 +76,7 @@ std::vector<std::vector<Request>> Cluster::Partition(ArrivalStream& stream) cons
     // estimated service time (single-server drain model).
     ReplicaRouterState& state = states[idx];
     const double est_service =
-        (static_cast<double>(req.prompt_len) * config_.prefill_token_weight +
+        (static_cast<double>(req.prompt_len) * kPrefillTokenWeight +
          static_cast<double>(req.target_output_len)) /
         state.service_tps;
     state.backlog_until = std::max(state.backlog_until, static_cast<double>(req.arrival)) +

@@ -42,6 +42,11 @@ struct ReplicaSpec {
   EngineConfig engine;
 };
 
+// Router backlog model: cost of one prompt token relative to one decode
+// token in the service-time estimate (prefill is compute-bound and
+// batched, so a prompt token is much cheaper than a decode token).
+inline constexpr double kPrefillTokenWeight = 0.15;
+
 struct ClusterConfig {
   std::vector<ReplicaSpec> replicas;
   RouterPolicy router = RouterPolicy::kRoundRobin;
@@ -49,10 +54,6 @@ struct ClusterConfig {
   // Replica-level parallelism: 0 resolves to hardware_concurrency, 1 runs
   // replicas serially. Metrics are identical either way.
   int threads = 1;
-  // Router backlog model: cost of one prompt token relative to one decode
-  // token in the service-time estimate (prefill is compute-bound and
-  // batched, so a prompt token is much cheaper than a decode token).
-  double prefill_token_weight = 0.15;
 };
 
 struct ReplicaRunResult {

@@ -4,36 +4,6 @@
 #include <cstdlib>
 
 namespace adaserve {
-namespace {
-
-LogLevel g_level = LogLevel::kWarning;
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarning:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-  }
-  return "?";
-}
-
-}  // namespace
-
-void SetLogLevel(LogLevel level) { g_level = level; }
-
-LogLevel GetLogLevel() { return g_level; }
-
-void LogMessage(LogLevel level, const char* file, int line, const std::string& message) {
-  if (static_cast<int>(level) < static_cast<int>(g_level)) {
-    return;
-  }
-  std::fprintf(stderr, "[%s %s:%d] %s\n", LevelName(level), file, line, message.c_str());
-}
 
 void CheckFailure(const char* file, int line, const char* expr, const std::string& message) {
   std::fprintf(stderr, "[CHECK %s:%d] %s failed. %s\n", file, line, expr, message.c_str());

@@ -1,8 +1,5 @@
-// Minimal leveled logging and check macros.
-//
-// The simulator is a library first; logging defaults to warnings-and-above so
-// that benches print clean tables. CHECK failures abort with a message — they
-// guard internal invariants, not user input.
+// Check macro: ADASERVE_CHECK(expr) << message aborts with the message when
+// `expr` is false. Checks guard internal invariants, not user input.
 #ifndef ADASERVE_SRC_COMMON_LOGGING_H_
 #define ADASERVE_SRC_COMMON_LOGGING_H_
 
@@ -11,46 +8,13 @@
 
 namespace adaserve {
 
-enum class LogLevel : int {
-  kDebug = 0,
-  kInfo = 1,
-  kWarning = 2,
-  kError = 3,
-};
-
-// Sets the minimum level that will be emitted. Thread-compatible: call once
-// at startup.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
-// Emits one log line to stderr if `level` is at or above the threshold.
-void LogMessage(LogLevel level, const char* file, int line, const std::string& message);
-
 // Aborts the process after printing the message. Used by ADASERVE_CHECK.
 [[noreturn]] void CheckFailure(const char* file, int line, const char* expr,
                                const std::string& message);
 
 namespace internal {
 
-// Stream collector backing the macros below.
-class LogStream {
- public:
-  LogStream(LogLevel level, const char* file, int line) : level_(level), file_(file), line_(line) {}
-  ~LogStream() { LogMessage(level_, file_, line_, stream_.str()); }
-
-  template <typename T>
-  LogStream& operator<<(const T& value) {
-    stream_ << value;
-    return *this;
-  }
-
- private:
-  LogLevel level_;
-  const char* file_;
-  int line_;
-  std::ostringstream stream_;
-};
-
+// Stream collector backing ADASERVE_CHECK.
 class CheckStream {
  public:
   CheckStream(const char* file, int line, const char* expr)
@@ -72,9 +36,6 @@ class CheckStream {
 
 }  // namespace internal
 }  // namespace adaserve
-
-#define ADASERVE_LOG(level) \
-  ::adaserve::internal::LogStream(::adaserve::LogLevel::k##level, __FILE__, __LINE__)
 
 #define ADASERVE_CHECK(expr)                                          \
   if (expr) {                                                         \

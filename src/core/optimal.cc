@@ -25,11 +25,9 @@ struct Frontier {
 
 class LazyInfiniteTree {
  public:
-  LazyInfiniteTree(const SyntheticLm& oracle, const OracleRequest& request,
-                   const OptimalConfig& config)
+  LazyInfiniteTree(const SyntheticLm& oracle, const OracleRequest& request)
       : oracle_(oracle),
         request_(request),
-        config_(config),
         tree_(request.committed.empty() ? kInvalidToken : request.committed.back()) {
     Expand(kRootNode);
   }
@@ -44,7 +42,7 @@ class LazyInfiniteTree {
     const Frontier top = frontier_.top();
     frontier_.pop();
     const NodeId id = tree_.AddNode(top.parent, top.token, top.cond_prob);
-    if (top.depth < config_.max_depth) {
+    if (top.depth < kMaxOracleDepth) {
       Expand(id);
     }
     return top.path_prob;
@@ -67,7 +65,6 @@ class LazyInfiniteTree {
 
   const SyntheticLm& oracle_;
   const OracleRequest& request_;
-  const OptimalConfig& config_;
   TokenTree tree_;
   std::priority_queue<Frontier> frontier_;
 };
@@ -79,13 +76,13 @@ double OptimalOutput::TotalExpected() const {
 }
 
 OptimalOutput OptimalConstruct(const SyntheticLm& oracle, std::span<const OracleRequest> requests,
-                               int budget, const OptimalConfig& config) {
+                               int budget) {
   OptimalOutput out;
   const size_t n = requests.size();
   std::vector<LazyInfiniteTree> lazy;
   lazy.reserve(n);
   for (const OracleRequest& req : requests) {
-    lazy.emplace_back(oracle, req, config);
+    lazy.emplace_back(oracle, req);
   }
   out.expected.assign(n, 1.0);
 

@@ -32,10 +32,8 @@ struct OracleRequest {
   double a_req = 1.0;
 };
 
-struct OptimalConfig {
-  // Safety bound on tree depth during lazy expansion.
-  int max_depth = 64;
-};
+// Safety bound on tree depth during lazy expansion.
+inline constexpr int kMaxOracleDepth = 64;
 
 struct OptimalOutput {
   // False iff Algorithm 1 returned INVALID: the budget cannot satisfy all
@@ -57,7 +55,7 @@ struct OptimalOutput {
 // Runs Algorithm 1 with `budget` speculated tokens (roots are free, matching
 // Algorithm 1's accounting where only added nodes decrement B).
 OptimalOutput OptimalConstruct(const SyntheticLm& oracle, std::span<const OracleRequest> requests,
-                               int budget, const OptimalConfig& config = {});
+                               int budget);
 
 }  // namespace adaserve
 

@@ -67,6 +67,11 @@ std::vector<GoldenCell> AllGoldenCells() {
   // VTC under the adversarial flood: the fair-queuing baseline the flood
   // scenario exists to stress.
   cells.push_back({SystemKind::kVtc, GoldenScenario::kTenantFlood, GoldenMode::kTickNative});
+  // vLLM+Priority on the real trace in both modes: pins its urgent-first
+  // admission and its boundary-mode DrainStep.
+  for (GoldenMode mode : {GoldenMode::kTickNative, GoldenMode::kBoundary}) {
+    cells.push_back({SystemKind::kVllmPriority, GoldenScenario::kRealTrace, mode});
+  }
   return cells;
 }
 

@@ -77,7 +77,8 @@ struct GoldenCell {
 // scan accepts. MainComparisonSet x {real-trace, bursty, diurnal} x
 // {tick-native, boundary} (the historical corpus), plus MainComparisonSet
 // x the four stress scenarios tick-native, plus VTC under the tenant
-// flood (the fair-queuing baseline the flood exists to stress).
+// flood (the fair-queuing baseline the flood exists to stress), plus
+// vLLM+Priority on the real trace in both modes.
 std::vector<GoldenCell> AllGoldenCells();
 
 // Baseline filename mode prefix: "tick_" for kTickNative, "" for

@@ -1,5 +1,6 @@
 #include "src/harness/report.h"
 
+#include "src/common/text.h"
 #include "src/common/types.h"
 
 namespace adaserve {
@@ -8,10 +9,12 @@ void WriteRequestCsv(std::ostream& os, std::span<const Request> requests) {
   os << "id,category,arrival_s,prompt_len,output_len,tpot_slo_ms,avg_tpot_ms,ttft_ms,attained,"
         "verifications,accepted_tokens,verified_tokens\n";
   for (const Request& req : requests) {
-    os << req.id << ',' << req.category << ',' << req.arrival << ',' << req.prompt_len << ','
-       << req.output_len() << ',' << ToMs(req.tpot_slo) << ',' << ToMs(req.AvgTpot()) << ','
-       << ToMs(req.first_token_time - req.arrival) << ',' << (req.Attained() ? 1 : 0) << ','
-       << req.verifications << ',' << req.accepted_tokens << ',' << req.verified_tokens << '\n';
+    os << req.id << ',' << req.category << ',' << FormatExact(req.arrival) << ','
+       << req.prompt_len << ',' << req.output_len() << ',' << FormatExact(ToMs(req.tpot_slo))
+       << ',' << FormatExact(ToMs(req.AvgTpot())) << ','
+       << FormatExact(ToMs(req.first_token_time - req.arrival)) << ','
+       << (req.Attained() ? 1 : 0) << ',' << req.verifications << ',' << req.accepted_tokens
+       << ',' << req.verified_tokens << '\n';
   }
 }
 
@@ -22,10 +25,10 @@ IterationCsvSink::IterationCsvSink(std::ostream& os) : os_(os) {
 
 void IterationCsvSink::OnTick(const TickTraceEvent& event) {
   const IterationRecord& rec = event.record;
-  os_ << ToMs(rec.duration) << ',' << ToMs(rec.spec_time) << ',' << ToMs(rec.select_time) << ','
-      << ToMs(rec.verify_time) << ',' << ToMs(rec.prefill_time) << ',' << rec.prefill_tokens
-      << ',' << rec.decode_requests << ',' << rec.verified_tokens << ',' << rec.committed_tokens
-      << '\n';
+  os_ << FormatExact(ToMs(rec.duration)) << ',' << FormatExact(ToMs(rec.spec_time)) << ','
+      << FormatExact(ToMs(rec.select_time)) << ',' << FormatExact(ToMs(rec.verify_time)) << ','
+      << FormatExact(ToMs(rec.prefill_time)) << ',' << rec.prefill_tokens << ','
+      << rec.decode_requests << ',' << rec.verified_tokens << ',' << rec.committed_tokens << '\n';
   ++rows_;
 }
 

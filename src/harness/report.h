@@ -1,6 +1,7 @@
 // Machine-readable experiment output: CSV writers for per-request records
 // and the per-tick breakdown, so runs can be post-processed/plotted
-// outside the binaries.
+// outside the binaries. Times are written with FormatExact (text.h), so
+// every field parses back to the exact double.
 #ifndef ADASERVE_SRC_HARNESS_REPORT_H_
 #define ADASERVE_SRC_HARNESS_REPORT_H_
 

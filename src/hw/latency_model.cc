@@ -6,21 +6,20 @@
 
 namespace adaserve {
 
-LatencyModel::LatencyModel(const ModelProfile& model, const GpuSpec& gpu, int tensor_parallel,
-                           const LatencyModelConfig& config)
-    : model_(model), gpu_(gpu), tp_(tensor_parallel), config_(config) {
+LatencyModel::LatencyModel(const ModelProfile& model, const GpuSpec& gpu, int tensor_parallel)
+    : model_(model), gpu_(gpu), tp_(tensor_parallel) {
   ADASERVE_CHECK(tp_ >= 1) << "tensor parallel degree must be >= 1";
   ADASERVE_CHECK(model_.WeightBytes() / tp_ < gpu_.mem_bytes)
       << model_.name << " does not fit on " << gpu_.name << " with TP=" << tp_;
 }
 
 SimTime LatencyModel::WeightLoadTime() const {
-  const double effective_bw = gpu_.mem_bw_bytes_per_s * config_.mem_efficiency * tp_;
+  const double effective_bw = gpu_.mem_bw_bytes_per_s * kMemEfficiency * tp_;
   return model_.WeightBytes() / effective_bw;
 }
 
 SimTime LatencyModel::ComputeTimePerToken() const {
-  const double effective_flops = gpu_.fp16_flops_per_s * config_.compute_efficiency * tp_;
+  const double effective_flops = gpu_.fp16_flops_per_s * kComputeEfficiency * tp_;
   return model_.FlopsPerToken() / effective_flops;
 }
 
@@ -31,13 +30,13 @@ SimTime LatencyModel::ForwardLatency(int batch_tokens, long sum_context_tokens,
   if (batch_tokens == 0) {
     return 0.0;
   }
-  const double effective_bw = gpu_.mem_bw_bytes_per_s * config_.mem_efficiency * tp_;
+  const double effective_bw = gpu_.mem_bw_bytes_per_s * kMemEfficiency * tp_;
   const SimTime roofline = std::max(WeightLoadTime(), batch_tokens * ComputeTimePerToken());
   const SimTime kv_read =
       static_cast<double>(sum_context_tokens) * model_.KvBytesPerToken() / effective_bw;
-  SimTime launch = config_.launch_overhead_per_layer * model_.num_layers;
+  SimTime launch = kLaunchOverheadPerLayer * model_.num_layers;
   if (use_cuda_graph) {
-    launch *= config_.cuda_graph_discount;
+    launch *= kCudaGraphDiscount;
   }
   return roofline + kv_read + launch;
 }

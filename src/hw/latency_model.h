@@ -21,23 +21,21 @@
 
 namespace adaserve {
 
-struct LatencyModelConfig {
-  // Fraction of peak memory bandwidth achieved by weight/KV streaming.
-  double mem_efficiency = 0.70;
-  // Fraction of peak FLOPs achieved at serving batch sizes. Deliberately
-  // below large-GEMM MFU: decode/verification batches are short and tree
-  // attention is mask-irregular, so sustained FLOPs sit near 30% of peak.
-  double compute_efficiency = 0.30;
-  // Kernel launch overhead per layer without CUDA graphs, seconds.
-  double launch_overhead_per_layer = 4e-6;
-  // Multiplier on launch overhead when a captured CUDA graph is replayed.
-  double cuda_graph_discount = 0.25;
-};
+// Calibration of the roofline. Fraction of peak memory bandwidth achieved
+// by weight/KV streaming.
+inline constexpr double kMemEfficiency = 0.70;
+// Fraction of peak FLOPs achieved at serving batch sizes. Deliberately
+// below large-GEMM MFU: decode/verification batches are short and tree
+// attention is mask-irregular, so sustained FLOPs sit near 30% of peak.
+inline constexpr double kComputeEfficiency = 0.30;
+// Kernel launch overhead per layer without CUDA graphs, seconds.
+inline constexpr double kLaunchOverheadPerLayer = 4e-6;
+// Multiplier on launch overhead when a captured CUDA graph is replayed.
+inline constexpr double kCudaGraphDiscount = 0.25;
 
 class LatencyModel {
  public:
-  LatencyModel(const ModelProfile& model, const GpuSpec& gpu, int tensor_parallel,
-               const LatencyModelConfig& config = {});
+  LatencyModel(const ModelProfile& model, const GpuSpec& gpu, int tensor_parallel);
 
   const ModelProfile& model() const { return model_; }
   const GpuSpec& gpu() const { return gpu_; }
@@ -74,7 +72,6 @@ class LatencyModel {
   ModelProfile model_;
   GpuSpec gpu_;
   int tp_;
-  LatencyModelConfig config_;
 };
 
 }  // namespace adaserve

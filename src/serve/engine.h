@@ -65,7 +65,7 @@ struct EngineConfig {
   // identical scheduling (admission can admit at most tick.max_active
   // per iteration) and the horizon only bounds how much of a due burst
   // is resident at once. Under a priority admission policy it
-  // additionally bounds how deep into a due burst the ranker can see: an
+  // additionally bounds how deep into a due burst the ranking can see: an
   // urgent arrival beyond the horizon cannot jump the queue until the
   // backlog ahead of it is pulled.
   int arrival_horizon = 256;

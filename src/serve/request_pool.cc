@@ -39,22 +39,61 @@ const Request& RequestPool::Get(RequestId id) const {
   return requests_[static_cast<size_t>(id - base_id_)];
 }
 
-std::deque<RequestId>::iterator RequestPool::RankedHead(const AdmissionRanker& rank) {
+namespace {
+
+// The urgency key of a ranked policy, smaller = more urgent.
+SimTime UrgencyKey(const Request& req, PriorityPolicy policy) {
+  return policy == PriorityPolicy::kEdf ? req.NextTokenDeadline() : req.tpot_slo;
+}
+
+}  // namespace
+
+std::deque<RequestId>::iterator RequestPool::RankedHead(PriorityPolicy policy) {
   auto head = queued_.begin();
-  if (!rank) {
+  if (policy == PriorityPolicy::kFifo) {
     return head;
   }
-  // Stable min under the ranker: only a strictly better-ranked request
-  // displaces the current head, so ties keep queue (arrival) order.
+  // Stable min: only a strictly more urgent request displaces the current
+  // head, so ties keep queue (arrival) order.
+  SimTime head_key = UrgencyKey(Get(*head), policy);
   for (auto it = std::next(head); it != queued_.end(); ++it) {
-    if (rank(Get(*it), Get(*head))) {
+    if (const SimTime key = UrgencyKey(Get(*it), policy); key < head_key) {
       head = it;
+      head_key = key;
     }
   }
   return head;
 }
 
-RequestId RequestPool::TryAdmitAt(std::deque<RequestId>::iterator head) {
+RequestId RequestPool::Victim(const Request& head, PriorityPolicy policy) const {
+  if (policy == PriorityPolicy::kFifo) {
+    // The newest-admitted zero-output request, any category.
+    for (auto it = active_.rbegin(); it != active_.rend(); ++it) {
+      if (Get(*it).committed_len == 0) {
+        return *it;
+      }
+    }
+    return kInvalidRequestId;
+  }
+  // Only a prefilling zero-output request strictly less urgent than the
+  // head. Newest-first scan keeping the largest key: the least urgent goes
+  // first, and among equals the newest (least prefill progress to redo).
+  RequestId victim = kInvalidRequestId;
+  SimTime victim_key = UrgencyKey(head, policy);
+  for (auto it = active_.rbegin(); it != active_.rend(); ++it) {
+    const Request& req = Get(*it);
+    if (req.state != RequestState::kPrefilling || req.committed_len != 0) {
+      continue;
+    }
+    if (const SimTime key = UrgencyKey(req, policy); key > victim_key) {
+      victim = *it;
+      victim_key = key;
+    }
+  }
+  return victim;
+}
+
+RequestId RequestPool::AdmitAt(std::deque<RequestId>::iterator head) {
   const RequestId id = *head;
   Request& req = Get(id);
   // Worst-case footprint: full prompt + full output. Reserving up front
@@ -73,74 +112,54 @@ RequestId RequestPool::TryAdmitAt(std::deque<RequestId>::iterator head) {
   return id;
 }
 
-RequestId RequestPool::TryAdmit(int max_active, const AdmissionRanker& rank) {
-  if (queued_.empty() || static_cast<int>(active_.size()) >= max_active) {
-    return kInvalidRequestId;
-  }
-  return TryAdmitAt(RankedHead(rank));
-}
-
-int RequestPool::AdmitUpTo(int max_active, const AdmissionRanker& rank) {
+int RequestPool::Admit(int max_active, PriorityPolicy policy, int max_evictions, int* evicted,
+                       int* paused) {
+  const bool pause = policy == PriorityPolicy::kSloUrgentPause;
+  int* displaced = pause ? paused : evicted;
   int admitted = 0;
-  while (TryAdmit(max_active, rank) != kInvalidRequestId) {
+  while (!queued_.empty() && static_cast<int>(active_.size()) < max_active) {
+    const auto head_it = RankedHead(policy);
+    if (AdmitAt(head_it) != kInvalidRequestId) {
+      ++admitted;
+      continue;
+    }
+    if (max_evictions <= 0) {
+      break;  // Blocked on KV with no eviction budget left.
+    }
+    // Set the head aside so victims queue behind it, then displace victims
+    // until its worst-case footprint fits or the budget runs out.
+    const RequestId head = *head_it;
+    queued_.erase(head_it);
+    const long footprint = Get(head).prompt_len + Get(head).target_output_len;
+    int displaced_now = 0;
+    while (max_evictions > 0 && !kv_->CanReserve(footprint)) {
+      const RequestId victim = Victim(Get(head), policy);
+      if (victim == kInvalidRequestId) {
+        break;  // Nothing (more) the policy is willing to displace.
+      }
+      // Each push_front reverses displacement order: newest-first FIFO
+      // victims end up queued in arrival order, loosest-first SLO-aware
+      // victims tighter-SLO first.
+      if (pause) {
+        Pause(victim);
+      } else {
+        Evict(victim);
+      }
+      --max_evictions;
+      ++displaced_now;
+    }
+    queued_.push_front(head);
+    if (displaced != nullptr) {
+      *displaced += displaced_now;
+    }
+    // Admit the head the room was made for, not a re-ranked one: victims
+    // rank no better than it, and the front slot is where it sits.
+    if (AdmitAt(queued_.begin()) == kInvalidRequestId) {
+      break;
+    }
     ++admitted;
   }
   return admitted;
-}
-
-RequestId RequestPool::AdmitWithEviction(int max_active, int max_evictions, int* evicted,
-                                         const AdmissionRanker& rank,
-                                         const VictimSelector& select_victim,
-                                         EvictionStyle style) {
-  if (queued_.empty() || static_cast<int>(active_.size()) >= max_active) {
-    return kInvalidRequestId;  // Blocked on slots, not KV.
-  }
-  // One ranked-head scan serves both the plain attempt and the eviction
-  // path (the ranker rescan would be O(queue) on the per-tick hot path).
-  const auto head_it = RankedHead(rank);
-  const RequestId admitted = TryAdmitAt(head_it);
-  if (admitted != kInvalidRequestId) {
-    return admitted;
-  }
-  // The head is blocked on KV. Set it aside so evicted requests queue
-  // behind it, then evict victims until its worst-case footprint fits.
-  const RequestId head = *head_it;
-  queued_.erase(head_it);
-  const long footprint = Get(head).prompt_len + Get(head).target_output_len;
-  int evictions = 0;
-  while (evictions < max_evictions && !kv_->CanReserve(footprint)) {
-    RequestId victim = kInvalidRequestId;
-    if (select_victim) {
-      victim = select_victim(Get(head), *this);
-    } else {
-      for (auto it = active_.rbegin(); it != active_.rend(); ++it) {
-        if (Get(*it).committed_len == 0) {
-          victim = *it;
-          break;
-        }
-      }
-    }
-    if (victim == kInvalidRequestId) {
-      break;  // Nothing (more) the policy is willing to evict.
-    }
-    // Each push_front reverses eviction order: the default newest-first
-    // selector leaves victims queued in ascending (arrival) order, the
-    // SLO-aware loosest-first selector leaves tighter-SLO victims first.
-    if (style == EvictionStyle::kPause) {
-      Pause(victim);
-    } else {
-      Evict(victim);
-    }
-    ++evictions;
-  }
-  queued_.push_front(head);
-  if (evicted != nullptr) {
-    *evicted += evictions;
-  }
-  // Admit the head we evicted for, not a ranker rescan: the room was
-  // made for this specific request (victims rank no better than it
-  // under the paired policies), and the front slot is where it sits.
-  return TryAdmitAt(queued_.begin());
 }
 
 void RequestPool::Evict(RequestId id) {

@@ -2,7 +2,10 @@
 //
 // Requests move kQueued -> kPrefilling -> kRunning -> kFinished. The pool
 // owns request state; schedulers mutate it through the pool so that state
-// transitions stay consistent with KV accounting.
+// transitions stay consistent with KV accounting. Admit is the one
+// admission entry point: it ranks the queue by a PriorityPolicy, admits,
+// and displaces victims under an eviction budget, so each admission policy
+// lives here and nowhere else.
 //
 // Storage is a deque indexed by (id - retired prefix): streaming runs
 // retire finished requests from the front in id order, so resident memory
@@ -21,30 +24,28 @@
 
 namespace adaserve {
 
-// How an eviction-for-admission victim is displaced. kRecompute releases
-// its KV and resets prefill progress (the historical style: prompt work is
-// redone from scratch). kPause releases the KV but keeps the prefill
-// progress — modeling swap-out to host memory — so the victim resumes
-// where it left off when re-admitted.
-enum class EvictionStyle {
-  kRecompute,
-  kPause,
+// Admission policy of the pool's one admission call, Admit. kFifo admits
+// in arrival order. kSloUrgentFirst is the paper's SLO-customized
+// admission: requests from tighter-TPOT-SLO categories jump the queue, and
+// under an eviction budget an urgent head may recompute-evict a strictly
+// less urgent *prefilling* request to make room. kSloUrgentPause ranks
+// identically but *pauses* its victims (prefill progress preserved,
+// resume-where-left-off) instead — modeling KV swap-out rather than
+// recomputation.
+enum class PriorityPolicy {
+  kFifo,
+  kSloUrgentFirst,
+  kSloUrgentPause,
+  // Earliest-deadline-first: ranks by each request's *next token deadline*
+  // (Request::NextTokenDeadline) instead of the static SLO category, so a
+  // relaxed request that has fallen behind can outrank a fresh urgent one
+  // — the classic real-time answer to the same problem the SLO-aware
+  // policies attack with category heuristics.
+  kEdf,
 };
 
 class RequestPool {
  public:
-  // Admission-order ranker: returns true when `a` should be admitted
-  // before `b`. Selection is stable — ties keep queue (arrival) order —
-  // and a null ranker means plain FIFO, the historical behavior.
-  using AdmissionRanker = std::function<bool(const Request&, const Request&)>;
-
-  // Picks the next eviction victim to make room for `head` from the
-  // pool's active requests, or kInvalidRequestId when nothing (more)
-  // should be evicted. Implementations must only return requests with no
-  // committed output (Evict checks); a null selector falls back to the
-  // newest-admitted zero-output request.
-  using VictimSelector = std::function<RequestId(const Request& head, const RequestPool&)>;
-
   explicit RequestPool(KvCache* kv);
 
   // Adds an arriving request to the back of the admission queue. Ids must
@@ -62,37 +63,27 @@ class RequestPool {
   Request& Get(RequestId id);
   const Request& Get(RequestId id) const;
 
-  // Admits the head queued request — the queue front, or the best-ranked
-  // queued request under `rank` — if its worst-case KV footprint fits and
-  // the active count is below `max_active`. Head-of-line semantics are
-  // preserved under ranking: when the ranked head is blocked on KV,
-  // admission stops rather than skipping to a worse-ranked request.
-  // Returns the admitted id or kInvalidRequestId.
-  RequestId TryAdmit(int max_active, const AdmissionRanker& rank = nullptr);
-
-  // Admits (FIFO or ranked) until blocked; returns number admitted.
-  int AdmitUpTo(int max_active, const AdmissionRanker& rank = nullptr);
-
-  // Admission under KV pressure (the boundary admission phase of a
-  // tick-native tick uses this): tries to admit the head (queue front or
-  // ranked-best), and when it is blocked on KV alone, evicts victims
-  // chosen by `select_victim` — newest-admitted zero-output requests when
-  // null — recompute-style (KV released, prefill progress reset) until
-  // the head fits, at most `max_evictions` of them. Evicted requests
-  // re-enter the queue immediately behind the head in reverse eviction
-  // order, so they are retried before older queued work: with the null
-  // (newest-first) selector that is their original arrival order, and
-  // with the SLO-aware selector (loosest-SLO-first eviction)
-  // tighter-SLO victims queue first; equal-rank victims always keep
-  // arrival order. `*evicted` (when non-null) is incremented per
-  // eviction. Returns the admitted id or kInvalidRequestId (evictions
-  // already performed are kept either way). `style` picks how victims are
-  // displaced: kRecompute (Evict) or kPause (Pause, progress-preserving);
-  // the one counter covers both since a call uses one style throughout.
-  RequestId AdmitWithEviction(int max_active, int max_evictions, int* evicted = nullptr,
-                              const AdmissionRanker& rank = nullptr,
-                              const VictimSelector& select_victim = nullptr,
-                              EvictionStyle style = EvictionStyle::kRecompute);
+  // The pool's one admission call: admits queued requests in `policy`
+  // order until the active count reaches `max_active` or the head is
+  // blocked on KV, and returns how many it admitted.
+  //   - The head is the queue front under kFifo, else the stable minimum of
+  //     the policy's urgency key (tpot_slo, or NextTokenDeadline under
+  //     kEdf): ties keep queue order. A head blocked on KV stops admission
+  //     rather than letting a worse-ranked request skip ahead.
+  //   - With `max_evictions` > 0, a head blocked on KV displaces victims
+  //     until it fits, at most `max_evictions` of them per call. Under kFifo
+  //     a victim is the newest-admitted zero-output request; under the
+  //     other policies it is the least urgent *prefilling* zero-output
+  //     request strictly less urgent than the head (newest first among
+  //     equals). Victims are paused under kSloUrgentPause and
+  //     recompute-evicted otherwise, and counted into *paused or *evicted
+  //     (when non-null).
+  //   - Victims re-enter the queue right behind the head in reverse
+  //     displacement order — arrival order under kFifo, tighter-SLO first
+  //     under the SLO-aware policies — and the head the room was made for
+  //     is admitted next, not a re-ranked one. Admission then continues.
+  int Admit(int max_active, PriorityPolicy policy, int max_evictions = 0, int* evicted = nullptr,
+            int* paused = nullptr);
 
   // Eviction hook (recompute-style): releases the request's KV, resets
   // its prefill progress, and returns it to the front of the admission
@@ -154,14 +145,18 @@ class RequestPool {
   size_t RetireFinishedPrefix(const std::function<void(const Request&)>& sink);
 
  private:
-  // Queue position of the next request to admit: the front, or the stable
-  // minimum under `rank`. Requires a non-empty queue.
-  std::deque<RequestId>::iterator RankedHead(const AdmissionRanker& rank);
+  // Queue position of the next request to admit under `policy`. Requires
+  // a non-empty queue.
+  std::deque<RequestId>::iterator RankedHead(PriorityPolicy policy);
+
+  // The active request `head` would displace under `policy`, or
+  // kInvalidRequestId when the policy offers none.
+  RequestId Victim(const Request& head, PriorityPolicy policy) const;
 
   // Admits the queued request at `head` if its worst-case KV footprint
   // fits (no slot check — callers guarantee a free slot). On KV failure
   // the queue is left untouched.
-  RequestId TryAdmitAt(std::deque<RequestId>::iterator head);
+  RequestId AdmitAt(std::deque<RequestId>::iterator head);
 
   void Finish(RequestId id, SimTime now);
 

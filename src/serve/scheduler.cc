@@ -172,73 +172,10 @@ SimTime DraftTreeTime(const LatencyModel& draft, int n, long context,
   return time;
 }
 
-SimTime NextTokenDeadline(const Request& req) {
-  if (req.first_token_time >= 0.0) {
-    return req.first_token_time + req.committed_len * req.tpot_slo;
-  }
-  return req.arrival + req.tpot_slo;
-}
-
-namespace {
-
-// The urgency key of an SLO-aware priority policy, smaller = more urgent:
-// the next-token deadline under kEdf, the TPOT SLO category otherwise.
-template <typename Fn>
-auto WithUrgencyKey(PriorityPolicy policy, Fn&& fn) {
-  if (policy == PriorityPolicy::kEdf) {
-    return fn([](const Request& req) { return NextTokenDeadline(req); });
-  }
-  return fn([](const Request& req) { return req.tpot_slo; });
-}
-
-}  // namespace
-
-RequestPool::AdmissionRanker PriorityRanker(PriorityPolicy policy) {
-  if (policy == PriorityPolicy::kFifo) {
-    return nullptr;  // The pool's null-ranker path is exact arrival order.
-  }
-  return WithUrgencyKey(policy, [](auto key) -> RequestPool::AdmissionRanker {
-    return [key](const Request& a, const Request& b) { return key(a) < key(b); };
-  });
-}
-
-EvictionStyle PriorityEvictionStyle(PriorityPolicy policy) {
-  return policy == PriorityPolicy::kSloUrgentPause ? EvictionStyle::kPause
-                                                   : EvictionStyle::kRecompute;
-}
-
-RequestPool::VictimSelector PriorityVictimSelector(PriorityPolicy policy) {
-  if (policy == PriorityPolicy::kFifo) {
-    return nullptr;  // Pool default: newest-admitted zero-output request.
-  }
-  // The head may only displace a prefilling zero-output request whose key
-  // is strictly larger (less urgent) than its own. Newest-first scan,
-  // keeping the largest key: the least urgent prefilling request goes
-  // first, and among equals the newest loses (it has the least prefill
-  // progress to redo).
-  return WithUrgencyKey(policy, [](auto key) -> RequestPool::VictimSelector {
-    return [key](const Request& head, const RequestPool& pool) {
-      RequestId victim = kInvalidRequestId;
-      SimTime victim_key = key(head);  // A victim must beat the head's key.
-      for (auto it = pool.active().rbegin(); it != pool.active().rend(); ++it) {
-        const Request& req = pool.Get(*it);
-        if (req.state != RequestState::kPrefilling || req.committed_len != 0) {
-          continue;
-        }
-        if (const SimTime k = key(req); k > victim_key) {
-          victim = *it;
-          victim_key = k;
-        }
-      }
-      return victim;
-    };
-  });
-}
-
 void SortByDeadline(const RequestPool& pool, std::vector<RequestId>& ids) {
   std::sort(ids.begin(), ids.end(), [&pool](RequestId a, RequestId b) {
-    const SimTime da = NextTokenDeadline(pool.Get(a));
-    const SimTime db = NextTokenDeadline(pool.Get(b));
+    const SimTime da = pool.Get(a).NextTokenDeadline();
+    const SimTime db = pool.Get(b).NextTokenDeadline();
     return da != db ? da < db : a < b;
   });
 }
@@ -251,38 +188,14 @@ int TickAdmitPhase(SimTime now, RequestPool& pool, ServingContext& ctx, int* evi
     ctx.pull_arrivals(now);
   }
   const TickPolicy& opts = ctx.tick;
-  const PriorityPolicy policy = opts.priority();
-  const RequestPool::AdmissionRanker rank = PriorityRanker(policy);
-  int admitted = pool.AdmitUpTo(opts.max_active, rank);
-  if (opts.max_evictions > 0) {
-    const RequestPool::VictimSelector select_victim = PriorityVictimSelector(policy);
-    const EvictionStyle style = PriorityEvictionStyle(policy);
-    int* displaced = style == EvictionStyle::kPause ? paused : evicted;
-    int evictions_left = opts.max_evictions;
-    while (evictions_left > 0 && !pool.queued().empty()) {
-      int displaced_now = 0;
-      const RequestId id = pool.AdmitWithEviction(opts.max_active, evictions_left, &displaced_now,
-                                                  rank, select_victim, style);
-      evictions_left -= displaced_now;
-      if (displaced != nullptr) {
-        *displaced += displaced_now;
-      }
-      if (id == kInvalidRequestId) {
-        break;
-      }
-      ++admitted;
-      // The freed headroom may unblock plain admission too.
-      admitted += pool.AdmitUpTo(opts.max_active, rank);
-    }
-  }
-  return admitted;
+  return pool.Admit(opts.max_active, opts.priority(), opts.max_evictions, evicted, paused);
 }
 
 int MidTickAdmitPhase(SimTime now, RequestPool& pool, ServingContext& ctx) {
   if (ctx.pull_arrivals) {
     ctx.pull_arrivals(now);
   }
-  return pool.AdmitUpTo(ctx.tick.max_active, PriorityRanker(ctx.tick.priority()));
+  return pool.Admit(ctx.tick.max_active, ctx.tick.priority());
 }
 
 IterationRecord RunBudgetedPrefillPhase(SimTime now, RequestPool& pool, ServingContext& ctx,

@@ -9,6 +9,11 @@
 // only at drain boundaries; the engine (engine.h) stays policy-free and
 // only feeds arrivals and advances the clock.
 //
+// Both admission phases (TickAdmitPhase, MidTickAdmitPhase) are an
+// arrival pull plus one RequestPool::Admit call, the one admission entry
+// point: a scheduler only chooses its PriorityPolicy (AdmissionPriority),
+// and the ranking, evict-for-admission and victim rules live in the pool.
+//
 // Schedulers implement phase hooks rather than a monolithic step:
 //   - DecodePhase: phase A of a tick-native tick — advance running
 //                  requests only; the shared tick machinery then handles
@@ -47,28 +52,6 @@ inline constexpr int kBurst = 512;
 // Token cap of one whole-prompt prefill iteration of the default
 // prefill-priority DrainStep (vLLM's max_num_batched_tokens).
 inline constexpr int kMaxPrefillTokens = 4096;
-
-// Admission-ordering policy of the tick's admission phases (boundary and
-// mid-tick). kFifo admits in arrival order — the historical behavior.
-// kSloUrgentFirst is the paper's SLO-customized admission: requests from
-// tighter-TPOT-SLO categories jump the queue at both admission points, and
-// the evict-for-admission phase may recompute-evict a strictly less urgent
-// *prefilling* request to make room for an urgent head. kSloUrgentPause
-// ranks identically but resolves KV pressure preemptively: the urgent head
-// *pauses* its victim (prefill progress preserved, resume-where-left-off)
-// instead of recompute-evicting it — modeling KV swap-out rather than
-// recomputation.
-enum class PriorityPolicy {
-  kFifo,
-  kSloUrgentFirst,
-  kSloUrgentPause,
-  // Earliest-deadline-first: ranks by each request's *next token deadline*
-  // (NextTokenDeadline) instead of the static SLO category, so a relaxed
-  // request that has fallen behind can outrank a fresh urgent one — the
-  // classic real-time answer to the same problem the SLO-aware policies
-  // attack with category heuristics.
-  kEdf,
-};
 
 // The unified tick policy: every tick-shaped serving knob in one struct,
 // owned by EngineConfig and handed to the scheduler through ServingContext
@@ -168,7 +151,8 @@ class Scheduler {
   TickResult Tick(SimTime now, RequestPool& pool, ServingContext& ctx);
 
   // The scheduler's default admission-priority policy;
-  // TickPolicy::admission_priority overrides it. Base default: FIFO.
+  // TickPolicy::admission_priority overrides it. Base default: FIFO; only
+  // AdaServe, vLLM+Priority and EDF declare another.
   virtual PriorityPolicy AdmissionPriority() const { return PriorityPolicy::kFifo; }
 
  protected:
@@ -187,15 +171,7 @@ class Scheduler {
 
 // --- shared building blocks used by multiple schedulers ---
 
-// The deadline by which a request's next output token must commit to keep
-// its TPOT SLO: first_token_time + committed_len * tpot_slo once decoding
-// has started, arrival + tpot_slo before the first token exists (the first
-// token's deadline proxy — TTFT is not the gated metric, but a request
-// that has not even produced token one is at least this urgent). This is
-// the key every kEdf ranking, victim selection, and ordering decision uses.
-SimTime NextTokenDeadline(const Request& req);
-
-// Sorts `ids` earliest NextTokenDeadline first; ids (arrival order) break
+// Sorts `ids` earliest Request::NextTokenDeadline first; ids (arrival order) break
 // deadline ties, so the order is total and deterministic. EDF's decode
 // batch and prefill budget both follow it.
 void SortByDeadline(const RequestPool& pool, std::vector<RequestId>& ids);
@@ -269,41 +245,20 @@ std::vector<RequestId> PrefillingRequests(const RequestPool& pool);
 
 // --- tick-phase variants of the shared building blocks ---
 
-// Admission ranker of a priority policy: null for kFifo (arrival order),
-// else more urgent first — tighter TPOT SLO for the SLO-aware policies,
-// earlier NextTokenDeadline for kEdf (ties keep arrival order).
-RequestPool::AdmissionRanker PriorityRanker(PriorityPolicy policy);
-
-// Evict-for-admission victim selector of a priority policy: null for
-// kFifo (newest-admitted zero-output request, any category), else keyed
-// on the ranker's urgency — the head may only displace a *prefilling*
-// zero-output request strictly less urgent than itself (looser TPOT SLO,
-// or later deadline under kEdf), least urgent victims first
-// (newest-admitted breaks ties), so urgent work is never displaced to
-// admit more urgent work it cannot beat.
-RequestPool::VictimSelector PriorityVictimSelector(PriorityPolicy policy);
-
-// How an SLO-aware priority policy resolves KV pressure: kSloUrgentPause
-// pauses its victims (progress preserved), everything else recomputes.
-EvictionStyle PriorityEvictionStyle(PriorityPolicy policy);
-
 // Boundary admission phase: pulls arrivals due by `now` (via
-// ctx.pull_arrivals, when set — idempotent after the engine's own pull)
-// and admits in ctx.tick.priority() order up to the slot cap. With
-// ctx.tick.max_evictions > 0, a queue head blocked on KV may displace
-// victims chosen by the policy — recompute-evicting under
-// kSloUrgentFirst/kFifo, pausing under kSloUrgentPause; the counts are
-// accumulated into *evicted / *paused when non-null.
+// ctx.pull_arrivals, when set — idempotent after the engine's own pull),
+// then one RequestPool::Admit under ctx.tick's slot cap, priority and
+// eviction budget; displacements are accumulated into *evicted / *paused
+// when non-null.
 int TickAdmitPhase(SimTime now, RequestPool& pool, ServingContext& ctx, int* evicted = nullptr,
                    int* paused = nullptr);
 
 // Mid-tick admission phase: pulls arrivals due by `now` (via
-// ctx.pull_arrivals, when set) and admits in ctx.tick.priority() order.
-// Requests arriving while the decode phase occupied the GPU join this
-// tick's prefill phase instead of waiting for the next boundary — the
-// admission latency the drain loop could not avoid; under the SLO-aware
-// policies an urgent arrival additionally jumps every queued non-urgent
-// request.
+// ctx.pull_arrivals, when set), then one RequestPool::Admit in
+// ctx.tick.priority() order without evictions. Requests arriving while
+// the decode phase occupied the GPU join this tick's prefill phase instead
+// of waiting for the next boundary; under the SLO-aware policies an urgent
+// arrival additionally jumps every queued non-urgent request.
 int MidTickAdmitPhase(SimTime now, RequestPool& pool, ServingContext& ctx);
 
 // Budgeted prefill phase: one chunked-prefill pass over prefilling

@@ -65,6 +65,16 @@ struct Request {
   bool DecodeDone() const { return output_len() >= target_output_len; }
   // Tokens of KV cache this request occupies.
   long KvTokens() const { return prefill_progress + output_len(); }
+  // The deadline by which the next output token must commit to keep the
+  // TPOT SLO: first_token_time + committed_len * tpot_slo once decoding
+  // has started, arrival + tpot_slo before the first token exists (the
+  // first token's deadline proxy — TTFT is not the gated metric, but a
+  // request that has not even produced token one is at least this
+  // urgent). The key of every kEdf ranking, victim and ordering decision.
+  SimTime NextTokenDeadline() const {
+    return first_token_time >= 0.0 ? first_token_time + committed_len * tpot_slo
+                                   : arrival + tpot_slo;
+  }
 
   // Frees the per-token payload (output tokens, commit timestamps) of a
   // finished request, keeping every metrics-relevant scalar. Streaming runs

@@ -34,11 +34,11 @@ class DeadlineBaselinesTest : public ::testing::Test {
   }
 
   // Admits `req` and drives it to kRunning with its first token committed
-  // at `first_token_time`, so NextTokenDeadline = first_token_time +
+  // at `first_token_time`, so its NextTokenDeadline = first_token_time +
   // committed_len * tpot_slo.
   void AddRunning(const Request& req, SimTime first_token_time) {
     pool_.AddArrival(req);
-    ASSERT_EQ(pool_.TryAdmit(/*max_active=*/256), req.id);
+    ASSERT_EQ(pool_.Admit(/*max_active=*/256, PriorityPolicy::kFifo), 1);
     pool_.AdvancePrefill(req.id, req.prompt_len);
     ASSERT_EQ(pool_.Get(req.id).state, RequestState::kRunning);
     pool_.CommitToken(req.id, /*token=*/1, first_token_time);
@@ -92,7 +92,7 @@ TEST_F(DeadlineBaselinesTest, ShedsLatestDeadlinesWhenBindingDeadlineIsUnmeetabl
   // Admitted last but carries the earliest deadline once computed below.
   Request tight = SloRequest(3, 1.0);
   pool_.AddArrival(tight);
-  ASSERT_EQ(pool_.TryAdmit(256), 3);
+  ASSERT_EQ(pool_.Admit(256, PriorityPolicy::kFifo), 1);
   pool_.AdvancePrefill(3, tight.prompt_len);
   const long ctx_tight = pool_.Get(3).KvTokens() + 1;
   const long ctx_all = pool_.SumContextTokens({0, 1, 2, 3}) + 1;
@@ -135,22 +135,22 @@ TEST_F(DeadlineBaselinesTest, EdfAdmitPhasePrefersEarliestDeadlineNotArrival) {
 TEST_F(DeadlineBaselinesTest, DeadlineIsRecomputedAcrossPauseResumeAndProgress) {
   Request req = SloRequest(0, /*tpot_slo=*/0.1, /*arrival=*/2.0);
   pool_.AddArrival(req);
-  EXPECT_DOUBLE_EQ(NextTokenDeadline(pool_.Get(0)), 2.1) << "queued: arrival + slo";
+  EXPECT_DOUBLE_EQ(pool_.Get(0).NextTokenDeadline(), 2.1) << "queued: arrival + slo";
 
-  ASSERT_EQ(pool_.TryAdmit(256), 0);
+  ASSERT_EQ(pool_.Admit(256, PriorityPolicy::kFifo), 1);
   pool_.AdvancePrefill(0, req.prompt_len / 2);
   pool_.Pause(0);
   EXPECT_EQ(pool_.Get(0).state, RequestState::kPaused);
-  EXPECT_DOUBLE_EQ(NextTokenDeadline(pool_.Get(0)), 2.1)
+  EXPECT_DOUBLE_EQ(pool_.Get(0).NextTokenDeadline(), 2.1)
       << "pausing preserves progress but not a stale deadline";
 
-  ASSERT_EQ(pool_.TryAdmit(256), 0);
+  ASSERT_EQ(pool_.Admit(256, PriorityPolicy::kFifo), 1);
   pool_.AdvancePrefill(0, req.prompt_len - req.prompt_len / 2);
   pool_.CommitToken(0, 1, /*now=*/5.0);
-  EXPECT_DOUBLE_EQ(NextTokenDeadline(pool_.Get(0)), 5.0 + 0.1)
+  EXPECT_DOUBLE_EQ(pool_.Get(0).NextTokenDeadline(), 5.0 + 0.1)
       << "after the first token the deadline tracks actual progress";
   pool_.CommitToken(0, 1, 5.05);
-  EXPECT_DOUBLE_EQ(NextTokenDeadline(pool_.Get(0)), 5.0 + 2 * 0.1);
+  EXPECT_DOUBLE_EQ(pool_.Get(0).NextTokenDeadline(), 5.0 + 2 * 0.1);
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // MainComparisonSet systems across the real-trace/bursty/diurnal corpus
 // (both serving modes) and the stress-scenario corpus (flash crowd,
 // tenant flood, long-prompt poisoning, correlated bursts; tick-native),
-// plus VTC under the tenant flood — runs its canonical fixed-seed
+// plus VTC under the tenant flood and vLLM+Priority on the real trace in
+// both modes — runs its canonical fixed-seed
 // workload, and its key metrics must byte-match the checked-in baseline
 // under tests/golden/.
 //
@@ -27,12 +28,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <iostream>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "src/common/logging.h"
 #include "src/common/text.h"
 #include "src/harness/golden.h"
 #include "src/harness/replay.h"
@@ -92,7 +93,7 @@ bool RegenerateAllGoldens(const Experiment& exp, int threads) {
   for (const Timed<Written>& cell : runner.Map(tasks)) {
     std::string error;
     if (!WriteTextFile(cell.value.path, cell.value.text, &error)) {
-      ADASERVE_LOG(Error) << error;
+      std::cerr << error << "\n";
       ok = false;
     }
   }
@@ -110,10 +111,10 @@ void DumpReplayArtifact(const Experiment& exp, const GoldenCell& cell) {
   const std::string path = dir + "/" + cell.Filename() + ".replay";
   std::string error;
   if (WriteReplayArtifact(path, run.artifact, &error)) {
-    ADASERVE_LOG(Error) << "replay artifact of failing cell dumped to " << path
-                        << " (re-execute with ReplayRun)";
+    std::cerr << "replay artifact of failing cell dumped to " << path
+              << " (re-execute with ReplayRun)\n";
   } else {
-    ADASERVE_LOG(Error) << "could not dump replay artifact: " << error;
+    std::cerr << "could not dump replay artifact: " << error << "\n";
   }
 }
 
@@ -228,10 +229,10 @@ int main(int argc, char** argv) {
     // Fail loudly on stale baselines instead of leaving orphans behind.
     const std::vector<std::string> orphans = adaserve::OrphanBaselines();
     if (!orphans.empty()) {
-      ADASERVE_LOG(Error) << "--update_golden regenerated every cell, but these baselines "
-                             "correspond to no cell (delete them):";
+      std::cerr << "--update_golden regenerated every cell, but these baselines "
+                   "correspond to no cell (delete them):\n";
       for (const std::string& orphan : orphans) {
-        ADASERVE_LOG(Error) << "  tests/golden/" << orphan;
+        std::cerr << "  tests/golden/" << orphan << "\n";
       }
       return 1;
     }

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
+#include "src/common/text.h"
 #include "tests/test_util.h"
 
 namespace adaserve {
@@ -52,6 +54,20 @@ TEST_F(ReportTest, IterationCsvSinkWritesOneRowPerTick) {
   const LoggedRun run = RunLogged(exp_, twin, UniformWorkload(exp_, 3, kCatChat, 0.1));
   ASSERT_FALSE(run.ticks.empty());
   EXPECT_EQ(static_cast<size_t>(sink.rows()), run.ticks.size());
+}
+
+TEST_F(ReportTest, IterationCsvSinkWritesExactTimes) {
+  std::ostringstream os;
+  IterationCsvSink sink(os);
+  TickTraceEvent event;
+  event.record.duration = 1.23456789;
+  sink.OnTick(event);
+  const std::string text = os.str();
+  const size_t row = text.find('\n') + 1;
+  const std::string field = text.substr(row, text.find(',', row) - row);
+  double duration_ms = 0.0;
+  ASSERT_TRUE(ParseNumber(field, &duration_ms)) << field;
+  EXPECT_EQ(duration_ms, ToMs(event.record.duration)) << field;
 }
 
 TEST_F(ReportTest, EngineResultCarriesFinishedRequests) {

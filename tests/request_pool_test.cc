@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace adaserve {
 namespace {
 
@@ -33,7 +35,7 @@ TEST_F(RequestPoolTest, ArrivalGoesToQueue) {
 
 TEST_F(RequestPoolTest, AdmissionReservesKv) {
   pool_.AddArrival(MakeRequest(0, /*prompt_len=*/20, /*output_len=*/4));
-  EXPECT_EQ(pool_.TryAdmit(10), 0);
+  EXPECT_EQ(pool_.Admit(10, PriorityPolicy::kFifo), 1);
   EXPECT_EQ(pool_.Get(0).state, RequestState::kPrefilling);
   EXPECT_EQ(kv_.HeldBy(0), kv_.RoundToBlocks(24));
 }
@@ -41,7 +43,7 @@ TEST_F(RequestPoolTest, AdmissionReservesKv) {
 TEST_F(RequestPoolTest, AdmissionRespectsMaxActive) {
   pool_.AddArrival(MakeRequest(0));
   pool_.AddArrival(MakeRequest(1));
-  EXPECT_EQ(pool_.AdmitUpTo(1), 1);
+  EXPECT_EQ(pool_.Admit(1, PriorityPolicy::kFifo), 1);
   EXPECT_EQ(pool_.queued().size(), 1u);
 }
 
@@ -50,13 +52,13 @@ TEST_F(RequestPoolTest, AdmissionBlockedByKv) {
   RequestPool pool(&tiny);
   pool.AddArrival(MakeRequest(0, 20, 4));   // 24 -> 32 tokens, fits exactly
   pool.AddArrival(MakeRequest(1, 20, 4));
-  EXPECT_EQ(pool.AdmitUpTo(10), 1);
+  EXPECT_EQ(pool.Admit(10, PriorityPolicy::kFifo), 1);
   EXPECT_EQ(pool.queued().size(), 1u);
 }
 
 TEST_F(RequestPoolTest, PrefillProgressAndTransition) {
   pool_.AddArrival(MakeRequest(0, 20, 4));
-  pool_.AdmitUpTo(10);
+  pool_.Admit(10, PriorityPolicy::kFifo);
   pool_.AdvancePrefill(0, 12);
   EXPECT_EQ(pool_.Get(0).state, RequestState::kPrefilling);
   EXPECT_EQ(pool_.Get(0).prefill_progress, 12);
@@ -67,14 +69,14 @@ TEST_F(RequestPoolTest, PrefillProgressAndTransition) {
 
 TEST_F(RequestPoolTest, PrefillOverflowClamps) {
   pool_.AddArrival(MakeRequest(0, 20, 4));
-  pool_.AdmitUpTo(10);
+  pool_.Admit(10, PriorityPolicy::kFifo);
   pool_.AdvancePrefill(0, 100);
   EXPECT_EQ(pool_.Get(0).prefill_progress, 20);
 }
 
 TEST_F(RequestPoolTest, CommitTokensAndFinish) {
   pool_.AddArrival(MakeRequest(0, 20, 3));
-  pool_.AdmitUpTo(10);
+  pool_.Admit(10, PriorityPolicy::kFifo);
   pool_.AdvancePrefill(0, 20);
   pool_.CommitToken(0, 5, 1.0);
   EXPECT_EQ(pool_.Get(0).first_token_time, 1.0);
@@ -90,7 +92,7 @@ TEST_F(RequestPoolTest, CommitTokensAndFinish) {
 
 TEST_F(RequestPoolTest, AvgTpotFromTimestamps) {
   pool_.AddArrival(MakeRequest(0, 20, 3));
-  pool_.AdmitUpTo(10);
+  pool_.Admit(10, PriorityPolicy::kFifo);
   pool_.AdvancePrefill(0, 20);
   pool_.CommitToken(0, 5, 1.0);
   pool_.CommitToken(0, 6, 1.1);
@@ -102,7 +104,7 @@ TEST_F(RequestPoolTest, AvgTpotFromTimestamps) {
 TEST_F(RequestPoolTest, SumContextTokens) {
   pool_.AddArrival(MakeRequest(0, 10, 4));
   pool_.AddArrival(MakeRequest(1, 30, 4));
-  pool_.AdmitUpTo(10);
+  pool_.Admit(10, PriorityPolicy::kFifo);
   pool_.AdvancePrefill(0, 10);
   pool_.AdvancePrefill(1, 30);
   pool_.CommitToken(0, 5, 1.0);
@@ -113,7 +115,7 @@ TEST_F(RequestPoolTest, HasWorkReflectsState) {
   EXPECT_FALSE(pool_.HasWork());
   pool_.AddArrival(MakeRequest(0, 4, 2));
   EXPECT_TRUE(pool_.HasWork());
-  pool_.AdmitUpTo(10);
+  pool_.Admit(10, PriorityPolicy::kFifo);
   EXPECT_TRUE(pool_.HasWork());
   pool_.AdvancePrefill(0, 4);
   pool_.CommitToken(0, 1, 0.1);
@@ -124,7 +126,7 @@ TEST_F(RequestPoolTest, HasWorkReflectsState) {
 TEST_F(RequestPoolTest, EvictReleasesKvResetsPrefillAndRequeuesFront) {
   pool_.AddArrival(MakeRequest(0, 20, 4));
   pool_.AddArrival(MakeRequest(1, 20, 4));
-  pool_.AdmitUpTo(1);  // r0 active, r1 still queued
+  pool_.Admit(1, PriorityPolicy::kFifo);  // r0 active, r1 still queued
   pool_.AdvancePrefill(0, 12);
   pool_.Evict(0);
   EXPECT_EQ(pool_.Get(0).state, RequestState::kQueued);
@@ -137,16 +139,16 @@ TEST_F(RequestPoolTest, EvictReleasesKvResetsPrefillAndRequeuesFront) {
   EXPECT_EQ(pool_.queued()[1], 1);
 }
 
-TEST_F(RequestPoolTest, AdmitWithEvictionMakesRoomForBlockedHead) {
+TEST_F(RequestPoolTest, AdmitEvictsToMakeRoomForBlockedHead) {
   // Capacity 64 tokens: two 20+4 requests (32 blocks each) fill it.
   KvCache tiny(64.0, 1.0, 16);
   RequestPool pool(&tiny);
   pool.AddArrival(MakeRequest(0, 20, 4));
   pool.AddArrival(MakeRequest(1, 20, 4));
   pool.AddArrival(MakeRequest(2, 20, 4));
-  EXPECT_EQ(pool.AdmitUpTo(10), 2);
+  EXPECT_EQ(pool.Admit(10, PriorityPolicy::kFifo), 2);
   int evicted = 0;
-  EXPECT_EQ(pool.AdmitWithEviction(10, /*max_evictions=*/2, &evicted), 2);
+  EXPECT_EQ(pool.Admit(10, PriorityPolicy::kFifo, /*max_evictions=*/1, &evicted), 1);
   EXPECT_EQ(evicted, 1);
   // The newest-admitted zero-output request (r1) was evicted; the head
   // (r2) is now active alongside r0.
@@ -156,7 +158,7 @@ TEST_F(RequestPoolTest, AdmitWithEvictionMakesRoomForBlockedHead) {
   EXPECT_EQ(pool.queued().front(), 1);
 }
 
-TEST_F(RequestPoolTest, AdmitWithEvictionPreservesArrivalOrderOfVictims) {
+TEST_F(RequestPoolTest, AdmitRequeuesVictimsInArrivalOrder) {
   // Head r2 needs 48 tokens; evicting both r0 and r1 (32 each) is the
   // only way to fit it in a 64-token cache.
   KvCache tiny(64.0, 1.0, 16);
@@ -164,10 +166,11 @@ TEST_F(RequestPoolTest, AdmitWithEvictionPreservesArrivalOrderOfVictims) {
   pool.AddArrival(MakeRequest(0, 20, 4));
   pool.AddArrival(MakeRequest(1, 20, 4));
   pool.AddArrival(MakeRequest(2, 40, 8));
-  EXPECT_EQ(pool.AdmitUpTo(10), 2);
+  EXPECT_EQ(pool.Admit(10, PriorityPolicy::kFifo), 2);
   int evicted = 0;
-  EXPECT_EQ(pool.AdmitWithEviction(10, /*max_evictions=*/4, &evicted), 2);
+  EXPECT_EQ(pool.Admit(10, PriorityPolicy::kFifo, /*max_evictions=*/2, &evicted), 1);
   EXPECT_EQ(evicted, 2);
+  EXPECT_EQ(pool.Get(2).state, RequestState::kPrefilling);
   // Victims are picked newest-first (r1 then r0) but re-enter the queue
   // in their original arrival order, preserving FIFO on re-admission.
   ASSERT_EQ(pool.queued().size(), 2u);
@@ -175,21 +178,22 @@ TEST_F(RequestPoolTest, AdmitWithEvictionPreservesArrivalOrderOfVictims) {
   EXPECT_EQ(pool.queued()[1], 1);
 }
 
-TEST_F(RequestPoolTest, AdmitWithEvictionSparesRequestsWithCommittedOutput) {
+TEST_F(RequestPoolTest, AdmitSparesRequestsWithCommittedOutput) {
   KvCache tiny(64.0, 1.0, 16);
   RequestPool pool(&tiny);
   pool.AddArrival(MakeRequest(0, 20, 4));
   pool.AddArrival(MakeRequest(1, 20, 4));
   pool.AddArrival(MakeRequest(2, 20, 4));
-  EXPECT_EQ(pool.AdmitUpTo(10), 2);
+  EXPECT_EQ(pool.Admit(10, PriorityPolicy::kFifo), 2);
   // r1 has committed output: evicting it would discard generated tokens,
   // so the only candidate is r0.
   pool.AdvancePrefill(1, 20);
   pool.CommitToken(1, 5, 0.5);
   int evicted = 0;
-  EXPECT_EQ(pool.AdmitWithEviction(10, /*max_evictions=*/4, &evicted), 2);
+  EXPECT_EQ(pool.Admit(10, PriorityPolicy::kFifo, /*max_evictions=*/1, &evicted), 1);
   EXPECT_EQ(evicted, 1);
   EXPECT_EQ(pool.Get(0).state, RequestState::kQueued);
+  EXPECT_EQ(pool.Get(2).state, RequestState::kPrefilling);
   EXPECT_EQ(pool.Get(1).state, RequestState::kRunning);
 }
 
@@ -199,18 +203,13 @@ Request SloRequest(RequestId id, double tpot_slo, int prompt_len = 20, int outpu
   return req;
 }
 
-// Lower-tpot_slo-first ranker used by the ranked-admission tests (the
-// same shape PriorityRanker(kSloUrgentFirst) produces).
-bool UrgentFirst(const Request& a, const Request& b) { return a.tpot_slo < b.tpot_slo; }
-
 TEST_F(RequestPoolTest, RankedAdmissionPicksBestRankedNotFront) {
   pool_.AddArrival(SloRequest(0, 0.15));
   pool_.AddArrival(SloRequest(1, 0.02));
   pool_.AddArrival(SloRequest(2, 0.05));
-  EXPECT_EQ(pool_.TryAdmit(10, UrgentFirst), 1);
-  EXPECT_EQ(pool_.TryAdmit(10, UrgentFirst), 2);
-  EXPECT_EQ(pool_.TryAdmit(10, UrgentFirst), 0);
+  EXPECT_EQ(pool_.Admit(10, PriorityPolicy::kSloUrgentFirst), 3);
   EXPECT_TRUE(pool_.queued().empty());
+  EXPECT_EQ(pool_.active(), (std::vector<RequestId>{1, 2, 0}));
 }
 
 TEST_F(RequestPoolTest, RankedAdmissionKeepsHeadOfLineBlockingOnKv) {
@@ -222,48 +221,46 @@ TEST_F(RequestPoolTest, RankedAdmissionKeepsHeadOfLineBlockingOnKv) {
   pool.AddArrival(SloRequest(0, 0.15));  // 32 blocks, admitted below
   pool.AddArrival(SloRequest(1, 0.02, /*prompt_len=*/40, /*output_len=*/8));  // 48: blocked
   pool.AddArrival(SloRequest(2, 0.15));  // 32: would fit, must not skip ahead
-  ASSERT_EQ(pool.TryAdmit(10), 0);
-  EXPECT_EQ(pool.AdmitUpTo(10, UrgentFirst), 0);
+  ASSERT_EQ(pool.Admit(1, PriorityPolicy::kFifo), 1);
+  EXPECT_EQ(pool.Admit(10, PriorityPolicy::kSloUrgentFirst), 0);
   EXPECT_EQ(pool.queued().size(), 2u);
 }
 
-TEST_F(RequestPoolTest, NullRankerIsExactFifo) {
+TEST_F(RequestPoolTest, FifoPolicyIsExactArrivalOrder) {
   pool_.AddArrival(SloRequest(0, 0.15));
   pool_.AddArrival(SloRequest(1, 0.02));
-  EXPECT_EQ(pool_.TryAdmit(10, nullptr), 0);
-  EXPECT_EQ(pool_.TryAdmit(10, nullptr), 1);
+  EXPECT_EQ(pool_.Admit(10, PriorityPolicy::kFifo), 2);
+  EXPECT_EQ(pool_.active(), (std::vector<RequestId>{0, 1}));
 }
 
-TEST_F(RequestPoolTest, AdmitWithEvictionCustomVictimSelector) {
-  // A selector that refuses everything: the head stays blocked and no
-  // eviction happens even though the default policy would have evicted.
+TEST_F(RequestPoolTest, EdfPolicyRanksByNextTokenDeadline) {
+  // r0 is relaxed but arrived long ago, so its first-token deadline
+  // (arrival + tpot_slo) is the earliest; r2 is urgent but arrived last.
+  Request late_relaxed = SloRequest(0, 0.15);
+  Request fresh_relaxed = SloRequest(1, 0.15);
+  fresh_relaxed.arrival = 1.0;
+  Request fresh_urgent = SloRequest(2, 0.02);
+  fresh_urgent.arrival = 1.0;
+  pool_.AddArrival(late_relaxed);
+  pool_.AddArrival(fresh_relaxed);
+  pool_.AddArrival(fresh_urgent);
+  EXPECT_EQ(pool_.Admit(10, PriorityPolicy::kEdf), 3);
+  EXPECT_EQ(pool_.active(), (std::vector<RequestId>{0, 2, 1}));
+}
+
+TEST_F(RequestPoolTest, AdmitGivesUpWhenNothingEvictable) {
   KvCache tiny(64.0, 1.0, 16);
   RequestPool pool(&tiny);
   pool.AddArrival(MakeRequest(0, 20, 4));
   pool.AddArrival(MakeRequest(1, 20, 4));
   pool.AddArrival(MakeRequest(2, 20, 4));
-  EXPECT_EQ(pool.AdmitUpTo(10), 2);
-  int evicted = 0;
-  const auto refuse_all = [](const Request&, const RequestPool&) { return kInvalidRequestId; };
-  EXPECT_EQ(pool.AdmitWithEviction(10, /*max_evictions=*/4, &evicted, nullptr, refuse_all),
-            kInvalidRequestId);
-  EXPECT_EQ(evicted, 0);
-  EXPECT_EQ(pool.queued().front(), 2);  // Head back where it was.
-}
-
-TEST_F(RequestPoolTest, AdmitWithEvictionGivesUpWhenNothingEvictable) {
-  KvCache tiny(64.0, 1.0, 16);
-  RequestPool pool(&tiny);
-  pool.AddArrival(MakeRequest(0, 20, 4));
-  pool.AddArrival(MakeRequest(1, 20, 4));
-  pool.AddArrival(MakeRequest(2, 20, 4));
-  EXPECT_EQ(pool.AdmitUpTo(10), 2);
+  EXPECT_EQ(pool.Admit(10, PriorityPolicy::kFifo), 2);
   for (RequestId id : {RequestId{0}, RequestId{1}}) {
     pool.AdvancePrefill(id, 20);
     pool.CommitToken(id, 5, 0.5);
   }
   int evicted = 0;
-  EXPECT_EQ(pool.AdmitWithEviction(10, /*max_evictions=*/4, &evicted), kInvalidRequestId);
+  EXPECT_EQ(pool.Admit(10, PriorityPolicy::kFifo, /*max_evictions=*/4, &evicted), 0);
   EXPECT_EQ(evicted, 0);
   EXPECT_EQ(pool.queued().front(), 2);  // head back where it was
 }
@@ -272,7 +269,7 @@ TEST_F(RequestPoolTest, RetiringPoolRecyclesPayloadBuffers) {
   pool_.set_release_payload_on_finish(true);
   // First request: finish it so its payload capacity is parked.
   pool_.AddArrival(MakeRequest(0, 20, 2));
-  pool_.AdmitUpTo(10);
+  pool_.Admit(10, PriorityPolicy::kFifo);
   pool_.AdvancePrefill(0, 20);
   pool_.CommitToken(0, 5, 0.1);
   pool_.CommitToken(0, 6, 0.2);  // Finishes (output_len 2) and releases.
@@ -284,7 +281,7 @@ TEST_F(RequestPoolTest, RetiringPoolRecyclesPayloadBuffers) {
   pool_.AddArrival(MakeRequest(1, 20, 2));
   EXPECT_EQ(pool_.payload_reuses(), 1u);
   EXPECT_GT(pool_.Get(1).output.capacity(), 0u);
-  pool_.AdmitUpTo(10);
+  pool_.Admit(10, PriorityPolicy::kFifo);
   pool_.AdvancePrefill(1, 20);
   pool_.CommitToken(1, 7, 0.3);
   pool_.CommitToken(1, 8, 0.4);
@@ -293,7 +290,7 @@ TEST_F(RequestPoolTest, RetiringPoolRecyclesPayloadBuffers) {
 
 TEST_F(RequestPoolTest, NonRetiringPoolKeepsPayloads) {
   pool_.AddArrival(MakeRequest(0, 20, 1));
-  pool_.AdmitUpTo(10);
+  pool_.Admit(10, PriorityPolicy::kFifo);
   pool_.AdvancePrefill(0, 20);
   pool_.CommitToken(0, 5, 0.1);
   EXPECT_EQ(pool_.Get(0).state, RequestState::kFinished);
@@ -305,7 +302,7 @@ TEST_F(RequestPoolTest, NonRetiringPoolKeepsPayloads) {
 TEST_F(RequestPoolTest, MeanAcceptedBookkeeping) {
   Request req = MakeRequest(0);
   pool_.AddArrival(req);
-  pool_.AdmitUpTo(10);
+  pool_.Admit(10, PriorityPolicy::kFifo);
   Request& r = pool_.Get(0);
   r.verifications = 4;
   r.accepted_tokens = 10;

@@ -30,7 +30,7 @@ class SchedulerHelpersTest : public ::testing::Test {
     for (const Request& r : reqs) {
       pool_.AddArrival(r);
     }
-    pool_.AdmitUpTo(100);
+    pool_.Admit(100, PriorityPolicy::kFifo);
   }
 
   Experiment exp_;
@@ -280,7 +280,7 @@ TEST_F(SchedulerHelpersTest, ContinuousTickAdmitsMidTickAndPrefillsSameTick) {
   std::vector<Request> reqs = UniformWorkload(exp_, 2, kCatChat, 0.0, /*prompt_len=*/64);
   reqs[1].arrival = 1e-6;
   pool_.AddArrival(reqs[0]);
-  pool_.AdmitUpTo(100);
+  pool_.Admit(100, PriorityPolicy::kFifo);
   pool_.AdvancePrefill(0, 64);
   pool_.CommitToken(0, 1, 0.0);
   size_t next = 1;

@@ -106,13 +106,11 @@ TEST(SloAwareEviction, UrgentHeadEvictsLeastUrgentPrefillingVictim) {
   pool.AddArrival(CategorizedRequest(0, kCatChat, 0.05));
   pool.AddArrival(CategorizedRequest(1, kCatSummarization, kRelaxedSlo));
   pool.AddArrival(CategorizedRequest(2, kCatCoding, kUrgentSlo));
-  ASSERT_EQ(pool.AdmitUpTo(10), 2);
+  ASSERT_EQ(pool.Admit(10, PriorityPolicy::kFifo), 2);
 
   int evicted = 0;
-  const RequestId id = pool.AdmitWithEviction(
-      10, /*max_evictions=*/2, &evicted, PriorityRanker(PriorityPolicy::kSloUrgentFirst),
-      PriorityVictimSelector(PriorityPolicy::kSloUrgentFirst));
-  EXPECT_EQ(id, 2);
+  EXPECT_EQ(pool.Admit(10, PriorityPolicy::kSloUrgentFirst, /*max_evictions=*/2, &evicted), 1);
+  EXPECT_EQ(pool.Get(2).state, RequestState::kPrefilling);
   EXPECT_EQ(evicted, 1);
   // The loosest-SLO prefilling request lost, not the tighter chat one.
   EXPECT_EQ(pool.Get(1).state, RequestState::kQueued);
@@ -126,14 +124,12 @@ TEST(SloAwareEviction, NonUrgentHeadCannotEvict) {
   pool.AddArrival(CategorizedRequest(0, kCatChat, 0.05));
   pool.AddArrival(CategorizedRequest(1, kCatChat, 0.05));
   pool.AddArrival(CategorizedRequest(2, kCatSummarization, kRelaxedSlo));
-  ASSERT_EQ(pool.AdmitUpTo(10), 2);
+  ASSERT_EQ(pool.Admit(10, PriorityPolicy::kFifo), 2);
 
   int evicted = 0;
-  const RequestId id = pool.AdmitWithEviction(
-      10, /*max_evictions=*/4, &evicted, PriorityRanker(PriorityPolicy::kSloUrgentFirst),
-      PriorityVictimSelector(PriorityPolicy::kSloUrgentFirst));
-  EXPECT_EQ(id, kInvalidRequestId);
+  EXPECT_EQ(pool.Admit(10, PriorityPolicy::kSloUrgentFirst, /*max_evictions=*/4, &evicted), 0);
   EXPECT_EQ(evicted, 0) << "a relaxed head must not recompute tighter-SLO prefills";
+  EXPECT_EQ(pool.queued().front(), 2) << "head back where it was";
   EXPECT_EQ(pool.Get(0).state, RequestState::kPrefilling);
   EXPECT_EQ(pool.Get(1).state, RequestState::kPrefilling);
 }
@@ -147,17 +143,14 @@ TEST(SloAwareEviction, RunningRequestsAreNeverVictims) {
   pool.AddArrival(CategorizedRequest(1, kCatSummarization, kRelaxedSlo));
   pool.AddArrival(CategorizedRequest(2, kCatCoding, kUrgentSlo, /*prompt_len=*/40,
                                      /*output_len=*/8));
-  ASSERT_EQ(pool.AdmitUpTo(10), 2);
+  ASSERT_EQ(pool.Admit(10, PriorityPolicy::kFifo), 2);
   pool.AdvancePrefill(0, 20);
   pool.CommitToken(0, 1, 0.1);  // r0 is running with committed output.
 
   int evicted = 0;
-  const RequestId id = pool.AdmitWithEviction(
-      10, /*max_evictions=*/4, &evicted, PriorityRanker(PriorityPolicy::kSloUrgentFirst),
-      PriorityVictimSelector(PriorityPolicy::kSloUrgentFirst));
   // Evicting r1 frees 32 of the 48 the head needs — not enough, and r0 is
   // untouchable, so the head stays queued but the one legal eviction ran.
-  EXPECT_EQ(id, kInvalidRequestId);
+  EXPECT_EQ(pool.Admit(10, PriorityPolicy::kSloUrgentFirst, /*max_evictions=*/4, &evicted), 0);
   EXPECT_EQ(evicted, 1);
   EXPECT_EQ(pool.Get(0).state, RequestState::kRunning);
   EXPECT_EQ(pool.Get(1).state, RequestState::kQueued);
@@ -173,7 +166,7 @@ TEST(SloAwareEviction, EvictionBudgetSmallerThanVictimSetStopsEarly) {
   // evicting BOTH of them, but the tick's budget allows one eviction.
   pool.AddArrival(CategorizedRequest(0, kCatSummarization, kRelaxedSlo));
   pool.AddArrival(CategorizedRequest(1, kCatSummarization, kRelaxedSlo));
-  ASSERT_EQ(pool.AdmitUpTo(10), 2);
+  ASSERT_EQ(pool.Admit(10, PriorityPolicy::kFifo), 2);
   pool.AddArrival(CategorizedRequest(2, kCatCoding, kUrgentSlo, /*prompt_len=*/40,
                                      /*output_len=*/8));
 
@@ -205,7 +198,7 @@ TEST(SloAwareEviction, VictimsReadmitInArrivalOrderBehindUrgentHead) {
   pool.AddArrival(CategorizedRequest(1, kCatSummarization, kRelaxedSlo));
   pool.AddArrival(CategorizedRequest(2, kCatCoding, kUrgentSlo, /*prompt_len=*/60,
                                      /*output_len=*/20));  // 80 tokens: needs both slots
-  ASSERT_EQ(pool.AdmitUpTo(10), 2);
+  ASSERT_EQ(pool.Admit(10, PriorityPolicy::kFifo), 2);
 
   ServingContext ctx = AdmitContext(/*max_active=*/10, PriorityPolicy::kSloUrgentFirst,
                                     /*max_evictions=*/4);
@@ -224,7 +217,7 @@ TEST(SloAwareEviction, VictimsReadmitInArrivalOrderBehindUrgentHead) {
     pool.CommitToken(2, 1, 0.5 + 0.01 * i);
   }
   ASSERT_EQ(pool.Get(2).state, RequestState::kFinished);
-  EXPECT_EQ(pool.AdmitUpTo(10, PriorityRanker(PriorityPolicy::kSloUrgentFirst)), 2);
+  EXPECT_EQ(pool.Admit(10, PriorityPolicy::kSloUrgentFirst), 2);
   ASSERT_EQ(pool.active().size(), 2u);
   EXPECT_EQ(pool.active()[0], 0) << "victims re-admit in arrival order";
   EXPECT_EQ(pool.active()[1], 1);
@@ -236,7 +229,7 @@ TEST(PreemptivePause, PauseKeepsPrefillProgressAndResumesWhereItLeftOff) {
   KvCache kv(64.0, 1.0, 16);
   RequestPool pool(&kv);
   pool.AddArrival(CategorizedRequest(0, kCatSummarization, kRelaxedSlo));
-  ASSERT_EQ(pool.AdmitUpTo(10), 1);
+  ASSERT_EQ(pool.Admit(10, PriorityPolicy::kFifo), 1);
   pool.AdvancePrefill(0, 12);  // Mid-prefill: 12 of 20 prompt tokens done.
   ASSERT_GT(kv.used_tokens(), 0);
 
@@ -248,7 +241,7 @@ TEST(PreemptivePause, PauseKeepsPrefillProgressAndResumesWhereItLeftOff) {
 
   // Re-admission resumes prefilling from token 12 — recompute would have
   // restarted from 0.
-  EXPECT_EQ(pool.TryAdmit(10), 0);
+  EXPECT_EQ(pool.Admit(10, PriorityPolicy::kFifo), 1);
   EXPECT_EQ(pool.Get(0).state, RequestState::kPrefilling);
   EXPECT_EQ(pool.Get(0).prefill_progress, 12) << "resume where it left off";
   pool.AdvancePrefill(0, 8);
@@ -263,7 +256,7 @@ TEST(PreemptivePause, UrgentHeadPausesLeastUrgentVictimUnderPausePolicy) {
   RequestPool pool(&kv);
   pool.AddArrival(CategorizedRequest(0, kCatChat, 0.05));
   pool.AddArrival(CategorizedRequest(1, kCatSummarization, kRelaxedSlo));
-  ASSERT_EQ(pool.AdmitUpTo(10), 2);
+  ASSERT_EQ(pool.Admit(10, PriorityPolicy::kFifo), 2);
   pool.AdvancePrefill(1, 8);  // The future victim has partial prompt work.
   pool.AddArrival(CategorizedRequest(2, kCatCoding, kUrgentSlo));
 
@@ -289,7 +282,7 @@ TEST(PreemptivePause, PauseBudgetCapsLikeEvictionsAndVictimsResume) {
   RequestPool pool(&kv);
   pool.AddArrival(CategorizedRequest(0, kCatSummarization, kRelaxedSlo));
   pool.AddArrival(CategorizedRequest(1, kCatSummarization, kRelaxedSlo));
-  ASSERT_EQ(pool.AdmitUpTo(10), 2);
+  ASSERT_EQ(pool.Admit(10, PriorityPolicy::kFifo), 2);
   pool.AdvancePrefill(0, 6);
   pool.AdvancePrefill(1, 10);
   pool.AddArrival(CategorizedRequest(2, kCatCoding, kUrgentSlo, /*prompt_len=*/40,
@@ -320,7 +313,7 @@ TEST(PreemptivePause, PauseBudgetCapsLikeEvictionsAndVictimsResume) {
     pool.CommitToken(2, 1, 0.5 + 0.01 * i);
   }
   ASSERT_EQ(pool.Get(2).state, RequestState::kFinished);
-  EXPECT_EQ(pool.AdmitUpTo(10, PriorityRanker(PriorityPolicy::kSloUrgentPause)), 2);
+  EXPECT_EQ(pool.Admit(10, PriorityPolicy::kSloUrgentPause), 2);
   EXPECT_EQ(pool.Get(0).state, RequestState::kPrefilling);
   EXPECT_EQ(pool.Get(0).prefill_progress, 6);
   pool.AdvancePrefill(0, 14);  // 6 + 14 == 20: only the remainder is owed.
@@ -392,7 +385,7 @@ TEST_F(TickEdgeCaseTest, PrefillBurstZeroMeansUncappedPerRequest) {
   // still bounds the pass, and the floor falls back to kBurst.
   std::vector<Request> reqs = {CategorizedRequest(0, kCatChat, 0.05, /*prompt_len=*/300)};
   pool_.AddArrival(reqs[0]);
-  pool_.AdmitUpTo(100);
+  pool_.Admit(100, PriorityPolicy::kFifo);
   ctx_.tick.prefill_burst = 0;
   ctx_.verify_budget = 64;
   const TickResult tick = RunContinuousTick(
@@ -530,7 +523,7 @@ TEST_F(PriorityPolicyEngineTest, BoundaryModeHonoursTickPolicy) {
   RequestPool pool(&kv);
   pool.AddArrival(CategorizedRequest(0, kCatChat, 0.05));
   pool.AddArrival(CategorizedRequest(1, kCatSummarization, kRelaxedSlo));
-  ASSERT_EQ(pool.AdmitUpTo(10), 2);
+  ASSERT_EQ(pool.Admit(10, PriorityPolicy::kFifo), 2);
   pool.AdvancePrefill(1, 8);
   pool.AddArrival(CategorizedRequest(2, kCatCoding, kUrgentSlo));
   Rng rng(7);
