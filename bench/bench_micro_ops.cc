@@ -288,6 +288,26 @@ void BM_Mix(benchmark::State& state) {
 }
 BENCHMARK(BM_Mix);
 
+// The draft head a tree builder reads, built on the node's target
+// distribution: the Llama noise model's support draw ranked only at the
+// slots that can reach the head, mixed with the target's. About 3% of the
+// inputs repeat a noise token or share one with the target and mix the
+// whole noise distribution. head:1 is a static level of one, head:5 a
+// width-4 beam step's cut.
+void BM_DraftNextHead(benchmark::State& state, size_t head) {
+  const Experiment& exp = GetExperiment();
+  const std::vector<StreamContext>& contexts = Contexts();
+  const std::vector<DraftPair>& pairs = DraftPairs();
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        exp.draft().NextHead(contexts[i].stream, contexts[i].context, pairs[i].target, head));
+    i = (i + 1) % kInputs;
+  }
+}
+BENCHMARK_CAPTURE(BM_DraftNextHead, head:1, size_t{1});
+BENCHMARK_CAPTURE(BM_DraftNextHead, head:5, size_t{5});
+
 // Target-model next-token distribution: hash the context window, draw 24
 // support tokens with jittered Zipf weights from the hash stream, then
 // FromWeights, all on SmallVector scratch (no heap allocation).

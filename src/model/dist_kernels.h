@@ -1,5 +1,5 @@
-// Vector kernels behind SparseDist::FromWeights, Mix and
-// SyntheticLm::NextDist, at two widths. Internal: the library picks a width
+// Vector kernels behind SparseDist::FromWeights, Mix,
+// SyntheticLm::NextDist and SyntheticLm::DrawHead, at two widths. Internal: the library picks a width
 // once per process; tests and micro benchmarks call each width directly.
 //
 // Each kernel has one body, a template over its lane count written with
@@ -70,9 +70,19 @@ using WeightScratch = SmallVector<double, SparseDist::kInlineSupport>;
 bool RankInto(Width width, std::span<const Token> tokens, std::span<const double> weights,
               EntryScratch& out);
 
+// The entries of FromWeights(tokens, weights) at `slots` (distinct indices
+// into tokens), in FromWeights' order and with its bits: each slot's weight
+// over the total of every weight, summed in input order. Takes the inputs
+// RankInto takes; for those it appends the entries to the empty `out` and
+// returns true, and for any other it returns false, leaving `out` empty.
+// Ranks only the slots, so a head of a few entries skips the full rank.
+bool RankSlots(Width width, std::span<const Token> tokens, std::span<const double> weights,
+               std::span<const uint32_t> slots, EntryScratch& out);
+
 // True if some token of `b` is also a token of `a`.
 bool SharesToken(Width width, std::span<const SparseDist::Entry> a,
                  std::span<const SparseDist::Entry> b);
+bool SharesToken(Width width, std::span<const SparseDist::Entry> a, std::span<const Token> b);
 
 // SyntheticLm::NextDist's support draw from the context hash `h`. Slot i
 // (of zipf.size()) takes SplitMix64 outputs 2i + 1 and 2i + 2 from state

@@ -133,12 +133,20 @@ template <typename V>
   }
 }
 
+// Tokens i.. of `tokens`, one per lane (the last token repeated past the
+// end).
+template <typename V>
+[[gnu::always_inline]] inline void TokensAt(std::span<const Token> tokens, size_t i, V& lanes) {
+  LoadPadded(tokens, i, [&](size_t /*i*/) { return tokens.back(); }, lanes);
+}
+
 // SharesToken at kTokenLanes lanes. Exact and branch-free: every group of
 // `b` tokens is compared with every group of `a` tokens, a's groups held in
-// registers a block of kInlineSupport entries at a time.
-template <size_t kTokenLanes>
+// registers a block of kInlineSupport entries at a time. `b` holds entries
+// or bare tokens.
+template <size_t kTokenLanes, typename B>
 [[gnu::always_inline]] inline bool SharesTokenBody(std::span<const SparseDist::Entry> a,
-                                                   std::span<const SparseDist::Entry> b) {
+                                                   std::span<const B> b) {
   using TokenLanes = Lanes<Token, kTokenLanes>;
   constexpr size_t kBlock = SparseDist::kInlineSupport;
   TokenLanes hits = {};
@@ -162,29 +170,25 @@ template <size_t kTokenLanes>
   return AnyLane(hits);
 }
 
-// RankInto at kProbLanes double lanes and kTokenLanes token lanes. With
-// distinct tokens and probabilities, an entry's sorted position is the
-// number of probabilities above its own, counted without a branch over
-// fixed-width lanes, where a sort mispredicts on every fresh support. Pad
-// lanes hold prob 0.0, which exceeds no real prob, and a distinct negative
-// token; a real token equal to one only sends the input to the scan.
-template <size_t kProbLanes, size_t kTokenLanes>
-[[gnu::always_inline]] inline bool RankBody(std::span<const Token> tokens,
-                                            std::span<const double> weights, EntryScratch& out) {
-  using ProbLanes = Lanes<double, kProbLanes>;
-  using TokenLanes = Lanes<Token, kTokenLanes>;
-  static_assert(kRankWidth % kProbLanes == 0 && kRankWidth % kTokenLanes == 0);
-  const size_t n = tokens.size();
-  // Summed in input order and divided once per entry, as the scan does.
-  double total = 0.0;
-  bool positive = n > 0 && n <= kRankWidth;
-  for (size_t i = 0; positive && i < n; ++i) {
+// The total of `weights`, summed in input order as the scan sums it, into
+// `total`. False unless there are 1..kRankWidth weights, all positive, with
+// a finite total.
+[[gnu::always_inline]] inline bool RankableTotal(std::span<const double> weights, double& total) {
+  total = 0.0;
+  bool positive = !weights.empty() && weights.size() <= kRankWidth;
+  for (size_t i = 0; positive && i < weights.size(); ++i) {
     positive = weights[i] > 0.0;
     total += weights[i];
   }
-  if (!positive || !std::isfinite(total)) {
-    return false;
-  }
+  return positive && std::isfinite(total);
+}
+
+// True if a token of `tokens` (at most kRankWidth) repeats, or equals the
+// pad token of a lane past the end: INT32_MIN + i for lane i.
+template <size_t kTokenLanes>
+[[gnu::always_inline]] inline bool RepeatsBody(std::span<const Token> tokens) {
+  using TokenLanes = Lanes<Token, kTokenLanes>;
+  static_assert(kRankWidth % kTokenLanes == 0);
   const auto pad_token = [](size_t i) {
     return std::numeric_limits<Token>::min() + static_cast<Token>(i);
   };
@@ -200,7 +204,24 @@ template <size_t kProbLanes, size_t kTokenLanes>
       OtherLaneMatches(groups[g], groups[h], repeats);
     }
   }
-  if (AnyLane(repeats)) {
+  return AnyLane(repeats);
+}
+
+// RankInto at kProbLanes double lanes and kTokenLanes token lanes. With
+// distinct tokens and probabilities, an entry's sorted position is the
+// number of probabilities above its own, counted without a branch over
+// fixed-width lanes, where a sort mispredicts on every fresh support. Pad
+// lanes hold prob 0.0, which exceeds no real prob, and a distinct negative
+// token; a real token equal to one only sends the input to the scan.
+template <size_t kProbLanes, size_t kTokenLanes>
+[[gnu::always_inline]] inline bool RankBody(std::span<const Token> tokens,
+                                            std::span<const double> weights, EntryScratch& out) {
+  using ProbLanes = Lanes<double, kProbLanes>;
+  static_assert(kRankWidth % kProbLanes == 0);
+  const size_t n = tokens.size();
+  // Summed in input order and divided once per entry, as the scan does.
+  double total = 0.0;
+  if (!RankableTotal(weights, total) || RepeatsBody<kTokenLanes>(tokens)) {
     return false;
   }
   ProbLanes totals = {};
@@ -244,6 +265,24 @@ template <size_t kProbLanes, size_t kTokenLanes>
   return true;
 }
 
+// RankSlots at kTokenLanes token lanes. Only the repeat test is vector
+// work: the few slots a head reads are divided and sorted one by one.
+template <size_t kTokenLanes>
+[[gnu::always_inline]] inline bool RankSlotsBody(std::span<const Token> tokens,
+                                                 std::span<const double> weights,
+                                                 std::span<const uint32_t> slots,
+                                                 EntryScratch& out) {
+  double total = 0.0;
+  if (!RankableTotal(weights, total) || RepeatsBody<kTokenLanes>(tokens)) {
+    return false;
+  }
+  for (const uint32_t s : slots) {
+    out.push_back({tokens[s], weights[s] / total});
+  }
+  SortEntries({out.data(), out.size()});
+  return true;
+}
+
 #if ADASERVE_WIDE_KERNELS
 [[gnu::target("arch=x86-64-v4")]] bool RankIntoWide(std::span<const Token> tokens,
                                                     std::span<const double> weights,
@@ -251,8 +290,20 @@ template <size_t kProbLanes, size_t kTokenLanes>
   return RankBody<8, 8>(tokens, weights, out);
 }
 
+[[gnu::target("arch=x86-64-v4")]] bool RankSlotsWide(std::span<const Token> tokens,
+                                                     std::span<const double> weights,
+                                                     std::span<const uint32_t> slots,
+                                                     EntryScratch& out) {
+  return RankSlotsBody<8>(tokens, weights, slots, out);
+}
+
 [[gnu::target("arch=x86-64-v4")]] bool SharesTokenWide(std::span<const SparseDist::Entry> a,
                                                        std::span<const SparseDist::Entry> b) {
+  return SharesTokenBody<8>(a, b);
+}
+
+[[gnu::target("arch=x86-64-v4")]] bool SharesTokenWide(std::span<const SparseDist::Entry> a,
+                                                       std::span<const Token> b) {
   return SharesTokenBody<8>(a, b);
 }
 #endif
@@ -284,8 +335,29 @@ bool RankInto([[maybe_unused]] Width width, std::span<const Token> tokens,
   return RankBody<2, 4>(tokens, weights, out);
 }
 
+bool RankSlots([[maybe_unused]] Width width, std::span<const Token> tokens,
+               std::span<const double> weights, std::span<const uint32_t> slots,
+               EntryScratch& out) {
+#if ADASERVE_WIDE_KERNELS
+  if (width == Width::kWide) {
+    return RankSlotsWide(tokens, weights, slots, out);
+  }
+#endif
+  return RankSlotsBody<4>(tokens, weights, slots, out);
+}
+
 bool SharesToken([[maybe_unused]] Width width, std::span<const SparseDist::Entry> a,
                  std::span<const SparseDist::Entry> b) {
+#if ADASERVE_WIDE_KERNELS
+  if (width == Width::kWide) {
+    return SharesTokenWide(a, b);
+  }
+#endif
+  return SharesTokenBody<4>(a, b);
+}
+
+bool SharesToken([[maybe_unused]] Width width, std::span<const SparseDist::Entry> a,
+                 std::span<const Token> b) {
 #if ADASERVE_WIDE_KERNELS
   if (width == Width::kWide) {
     return SharesTokenWide(a, b);
@@ -383,65 +455,41 @@ double SparseDist::TotalMass() const {
 
 namespace {
 
-// Appends the first `n` entries of Mix(a, b, weight) to the empty `out`;
-// all of them for n = kWholeDist. The one merge loop behind Mix and
-// MixHead.
+// Appends the first `n` entries of the mixture of `a` and `b`, runs of
+// distributions that share no token, to the empty `out`: each entry of a
+// scaled by `weight`, each of b by 1 - weight, and sorted; all of them for
+// n = kWholeDist.
 template <typename Entries>
-void MixInto(const SparseDist& a, const SparseDist& b, double weight, size_t n, Entries& out) {
-  ADASERVE_CHECK(weight >= 0.0 && weight <= 1.0) << "mix weight out of range: " << weight;
-  if (dist_kernels::SharesToken(dist_kernels::Chosen(), a.entries(), b.entries())) {
-    // A shared token must be coalesced, which only FromWeights does.
-    SmallVector<Token, SparseDist::kInlineSupport> tokens;
-    SmallVector<double, SparseDist::kInlineSupport> weights;
-    for (const auto& e : a.entries()) {
-      tokens.push_back(e.token);
-      weights.push_back(weight * e.prob);
-    }
-    for (const auto& e : b.entries()) {
-      tokens.push_back(e.token);
-      weights.push_back((1.0 - weight) * e.prob);
-    }
-    const SparseDist mixed = SparseDist::FromWeights({tokens.data(), tokens.size()},
-                                                     {weights.data(), weights.size()});
-    for (const auto& e : mixed.entries().first(std::min(n, mixed.size()))) {
-      out.push_back(e);
-    }
-    return;
-  }
-  // Disjoint supports: FromWeights would coalesce nothing, so each entry
-  // would be its scaled weight over the total, sorted. Scaling keeps each
-  // run in descending order, so the zero weights FromWeights skips are a
-  // suffix of each run. Accumulate the total over both runs whatever the
-  // head length, in its input order (a, then b), so every double matches
-  // it bit for bit.
+void MergeInto(std::span<const SparseDist::Entry> a, std::span<const SparseDist::Entry> b,
+               double weight, size_t n, Entries& out) {
+  // Scaling keeps each run in descending order, so the zero products
+  // FromWeights would skip are a suffix of each run.
   const double weight_b = 1.0 - weight;
-  double total = 0.0;
-  const auto positive_prefix = [&total](std::span<const SparseDist::Entry> run, double w) {
+  const auto positive_prefix = [](std::span<const SparseDist::Entry> run, double w) {
     size_t k = 0;
-    for (; k < run.size() && w * run[k].prob > 0.0; ++k) {
-      total += w * run[k].prob;
+    while (k < run.size() && w * run[k].prob > 0.0) {
+      ++k;
     }
     return run.first(k);
   };
-  const std::span<const SparseDist::Entry> xs = positive_prefix(a.entries(), weight);
-  const std::span<const SparseDist::Entry> ys = positive_prefix(b.entries(), weight_b);
-  ADASERVE_CHECK(total > 0.0) << "distribution has no mass";
-  // Merge by scaled weight, dividing each entry once. Dividing by the
-  // total is monotone, so the merged probabilities descend too, but
-  // rounding can tie entries whose token order the merge does not know;
-  // the closing insertion pass (one comparison per entry unless a tie is
-  // out of order) settles those. Sorting only reorders such a tie group,
-  // so once `n` entries are out, the first entry with a strictly lower
-  // probability and everything after it lie past the head: the merge
-  // stops there, keeping the whole tie group the cut falls in.
+  const std::span<const SparseDist::Entry> xs = positive_prefix(a, weight);
+  const std::span<const SparseDist::Entry> ys = positive_prefix(b, weight_b);
+  ADASERVE_CHECK(!xs.empty() || !ys.empty()) << "distribution has no mass";
+  // Merge by scaled probability, so the merged probabilities descend, but
+  // an equal pair, one from each run or two that scaling rounded together,
+  // is a tie whose token order the merge does not know; the closing
+  // insertion pass (one comparison per entry unless a tie is out of order)
+  // settles those. Sorting only reorders such a tie group, so once `n`
+  // entries are out, the first entry with a strictly lower probability and
+  // everything after it lie past the head: the merge stops there, keeping
+  // the whole tie group the cut falls in.
   size_t i = 0;
   size_t j = 0;
   while (i < xs.size() || j < ys.size()) {
     const bool from_a =
         j == ys.size() || (i < xs.size() && weight * xs[i].prob >= weight_b * ys[j].prob);
-    const SparseDist::Entry e = from_a
-                                    ? SparseDist::Entry{xs[i].token, weight * xs[i].prob / total}
-                                    : SparseDist::Entry{ys[j].token, weight_b * ys[j].prob / total};
+    const SparseDist::Entry e = from_a ? SparseDist::Entry{xs[i].token, weight * xs[i].prob}
+                                       : SparseDist::Entry{ys[j].token, weight_b * ys[j].prob};
     if (from_a) {
       ++i;
     } else {
@@ -456,6 +504,33 @@ void MixInto(const SparseDist& a, const SparseDist& b, double weight, size_t n, 
   out.truncate(n);
 }
 
+// Appends the first `n` entries of Mix(a, b, weight) to the empty `out`;
+// all of them for n = kWholeDist. The one body of Mix and MixHead.
+template <typename Entries>
+void MixInto(const SparseDist& a, const SparseDist& b, double weight, size_t n, Entries& out) {
+  ADASERVE_CHECK(weight >= 0.0 && weight <= 1.0) << "mix weight out of range: " << weight;
+  if (!dist_kernels::SharesToken(dist_kernels::Chosen(), a.entries(), b.entries())) {
+    MergeInto(a.entries(), b.entries(), weight, n, out);
+    return;
+  }
+  // A shared token must be coalesced, which only FromWeights does.
+  SmallVector<Token, SparseDist::kInlineSupport> tokens;
+  SmallVector<double, SparseDist::kInlineSupport> weights;
+  for (const auto& e : a.entries()) {
+    tokens.push_back(e.token);
+    weights.push_back(weight * e.prob);
+  }
+  for (const auto& e : b.entries()) {
+    tokens.push_back(e.token);
+    weights.push_back((1.0 - weight) * e.prob);
+  }
+  const SparseDist mixed =
+      SparseDist::FromWeights({tokens.data(), tokens.size()}, {weights.data(), weights.size()});
+  for (const auto& e : mixed.entries().first(std::min(n, mixed.size()))) {
+    out.push_back(e);
+  }
+}
+
 }  // namespace
 
 SparseDist Mix(const SparseDist& a, const SparseDist& b, double weight) {
@@ -468,6 +543,15 @@ DistHead MixHead(const SparseDist& a, const SparseDist& b, double weight, size_t
   ADASERVE_CHECK(n >= 1) << "a head needs at least one entry";
   DistHead head;
   MixInto(a, b, weight, n, head);
+  return head;
+}
+
+DistHead MixDisjointHead(std::span<const SparseDist::Entry> a,
+                         std::span<const SparseDist::Entry> b, double weight, size_t n) {
+  ADASERVE_CHECK(weight >= 0.0 && weight <= 1.0) << "mix weight out of range: " << weight;
+  ADASERVE_CHECK(n >= 1) << "a head needs at least one entry";
+  DistHead head;
+  MergeInto(a, b, weight, n, head);
   return head;
 }
 

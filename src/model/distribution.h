@@ -79,17 +79,29 @@ using DistHead = SmallVector<SparseDist::Entry, 8>;
 // Head length that asks for every entry.
 inline constexpr size_t kWholeDist = std::numeric_limits<size_t>::max();
 
-// Mixes two distributions: result = weight * a + (1 - weight) * b over the
-// union support, renormalised. Used to derive the draft model from the
-// target plus noise. Bit-identical to FromWeights over a's scaled entries
-// followed by b's; when the supports are disjoint it merges the two sorted
-// runs instead of re-sorting them.
+// Mixes two distributions: weight * a + (1 - weight) * b over the union
+// support, weight in [0, 1]. Used to derive the draft model from the target
+// plus noise.
+//   - Disjoint supports (about 98% of draft mixtures): each entry is
+//     weight * p_a or (1 - weight) * p_b, not divided by the mixed total.
+//     Both inputs are normalised, so that total is 1 to within a few ulps.
+//     The two sorted runs are merged, not re-sorted.
+//   - A shared token: FromWeights over a's scaled entries followed by b's,
+//     which coalesces the token and divides by the mixed total.
 SparseDist Mix(const SparseDist& a, const SparseDist& b, double weight);
 
 // The first `n` entries of Mix(a, b, weight), bit for bit; n >= 1. On
-// disjoint supports the merge stops dividing and sorting entries once the
-// head is complete.
+// disjoint supports the merge stops once the head is complete.
 DistHead MixHead(const SparseDist& a, const SparseDist& b, double weight, size_t n);
+
+// MixHead for supports known to share no token, over runs of their leading
+// entries: `a` and `b` hold, in their distribution's order, every entry of
+// it that can be among the mixture's first `n`. An entry left out must
+// rank below at least n kept entries of its own run once scaled, by a
+// strictly lower product. Whole distributions qualify; DraftLm passes the
+// noise model's bounded head (SyntheticLm::DrawHead).
+DistHead MixDisjointHead(std::span<const SparseDist::Entry> a,
+                         std::span<const SparseDist::Entry> b, double weight, size_t n);
 
 }  // namespace adaserve
 

@@ -1,6 +1,7 @@
 #include "src/model/draft_lm.h"
 
 #include "src/common/logging.h"
+#include "src/model/dist_kernels.h"
 
 namespace adaserve {
 namespace {
@@ -34,6 +35,18 @@ DistHead DraftLm::NextHead(uint64_t stream, std::span<const Token> context,
   if (config_.fidelity >= 1.0) {
     return target_dist.Head(n);
   }
+  if (n != kWholeDist) {
+    const dist_kernels::Width width = dist_kernels::Chosen();
+    HeadDraw noise;
+    if (noise_.DrawHead(width, stream, context, n, noise) &&
+        !dist_kernels::SharesToken(width, target_dist.entries(),
+                                   {noise.tokens.data(), noise.tokens.size()})) {
+      return MixDisjointHead(target_dist.entries(), {noise.head.data(), noise.head.size()},
+                             config_.fidelity, n);
+    }
+  }
+  // A repeated noise token, a token shared with the target, or the whole
+  // mixture.
   return MixHead(target_dist, noise_.NextDist(stream, context), config_.fidelity, n);
 }
 

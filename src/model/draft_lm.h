@@ -44,8 +44,11 @@ class DraftLm {
   // on `target_dist`, which must be target().NextDist(stream, context). The
   // tree builders build the target distribution once (they keep it for
   // verification), pass it here, and ask only for as many draft entries as
-  // they can keep: the chain's argmax, a static level's top k, a beam
-  // step's top w plus one.
+  // they can keep: a static level's top k, a beam step's top w plus one.
+  // The noise distribution is drawn in full but ranked only at the slots
+  // that can reach the head (SyntheticLm::DrawHead). A repeated noise token,
+  // a noise token shared with the target, and n = kWholeDist build the
+  // whole noise distribution and mix it (MixHead).
   DistHead NextHead(uint64_t stream, std::span<const Token> context,
                     const SparseDist& target_dist, size_t n) const;
 

@@ -86,29 +86,97 @@ SyntheticLm::SyntheticLm(const LmConfig& config) : config_(config) {
   ADASERVE_CHECK(config_.context_order >= 1) << "context order must be >= 1";
   ADASERVE_CHECK(config_.weight_jitter >= 0.0 && config_.weight_jitter < 1.0)
       << "jitter must be in [0, 1)";
-  zipf_.reserve(static_cast<size_t>(config_.support));
-  for (int i = 0; i < config_.support; ++i) {
+  const auto support = static_cast<size_t>(config_.support);
+  zipf_.reserve(support);
+  for (size_t i = 0; i < support; ++i) {
     zipf_.push_back(std::pow(static_cast<double>(i + 1), -config_.zipf_exponent));
+  }
+
+  // Which slots can reach a head. Slot i's drawn weight is
+  // zipf[i] * f(u), f(u) = 1 + jitter * (2u - 1) for u in [0, 1 - 2^-53]
+  // (DrawSupport). Each rounded step of f and of the product is monotone in
+  // u, so every drawn weight of slot i lies in [lo_i, hi_i], the rounded
+  // weights at u = 0 and u = 1 - 2^-53. Slot t outweighs slot s on every
+  // draw when lo_t > hi_s * (1 + kMargin) and lo_s >= total * 2^-900, with
+  // `total` the largest total weight. Then, for any draw:
+  //   - w_t > w_s * (1 + kMargin) * (1 - 2^-53), and
+  //   - NextDist's prob w / T and the draft mixture's (1 - fidelity) * w / T
+  //     (a factor of at least 2^-53 when positive) are two more roundings of
+  //     each weight, each within a relative 2^-53, since the floor on lo_s
+  //     keeps every value normal. kMargin outlasts all of them, so slot t's
+  //     mixed entry has a strictly higher prob than slot s's.
+  // So if n slots outweigh slot s, n entries of the sorted mixture come
+  // before s's entry, and the n-th entry's prob, at least the lowest of
+  // theirs, is strictly above s's: s can neither enter the first n nor tie
+  // the n-th, whose tie group ExpandNode reads past the cut
+  // (ExtensionCut). Leaving such slots out keeps the first n entries and
+  // their order: a head entry's position counts only the entries before
+  // it, all of them in the head. The Zipf table is not assumed monotone:
+  // outweighing is counted over every pair.
+  constexpr double kMargin = 1e-9;
+  const double jitter = config_.weight_jitter;
+  const double f_lo = 1.0 + jitter * (2.0 * 0.0 - 1.0);
+  const double f_hi = 1.0 + jitter * (2.0 * (1.0 - 0x1.0p-53) - 1.0);
+  std::vector<double> lows;
+  double total = 0.0;
+  for (const double z : zipf_) {
+    lows.push_back(z * f_lo);
+    total += z * f_hi;
+  }
+  std::vector<double> sorted_lows = lows;
+  std::sort(sorted_lows.begin(), sorted_lows.end());
+  std::vector<size_t> outweighed_by(support, 0);
+  for (size_t s = 0; s < support; ++s) {
+    if (lows[s] >= total * 0x1.0p-900) {
+      const double bar = zipf_[s] * f_hi * (1.0 + kMargin);
+      outweighed_by[s] = static_cast<size_t>(
+          sorted_lows.end() - std::upper_bound(sorted_lows.begin(), sorted_lows.end(), bar));
+    }
+    head_slots_.push_back(static_cast<uint32_t>(s));
+  }
+  std::stable_sort(head_slots_.begin(), head_slots_.end(),
+                   [&](uint32_t x, uint32_t y) { return outweighed_by[x] < outweighed_by[y]; });
+  // Fewer than n slots outweigh each slot of HeadSlots(n). At most
+  // support - 1 slots outweigh any slot, so n = support keeps them all.
+  for (size_t n = 0; n <= support; ++n) {
+    head_reach_.push_back(static_cast<size_t>(
+        std::count_if(outweighed_by.begin(), outweighed_by.end(), [n](size_t k) { return k < n; })));
   }
 }
 
-SparseDist SyntheticLm::NextDist(uint64_t stream, std::span<const Token> context) const {
+uint64_t SyntheticLm::DrawHash(uint64_t stream, std::span<const Token> context) const {
   // Key the distribution on the trailing window only; this bounds hashing
   // cost and mimics the short effective memory of n-gram statistics.
   const size_t order = static_cast<size_t>(config_.context_order);
   const size_t start = context.size() > order ? context.size() - order : 0;
-  uint64_t h = HashCombine(Mix64(config_.seed), stream);
-  h = HashCombine(h, HashTokens(config_.seed, context.subspan(start)));
+  const uint64_t h = HashCombine(Mix64(config_.seed), stream);
+  return HashCombine(h, HashTokens(config_.seed, context.subspan(start)));
+}
 
+SparseDist SyntheticLm::NextDist(uint64_t stream, std::span<const Token> context) const {
   // Inline scratch: the support is a few dozen tokens, so building the
   // weight list must not hit the heap on this per-token hot path.
   dist_kernels::TokenScratch tokens;
   dist_kernels::WeightScratch weights;
-  dist_kernels::DrawSupport(dist_kernels::Chosen(), h,
+  dist_kernels::DrawSupport(dist_kernels::Chosen(), DrawHash(stream, context),
                             static_cast<uint64_t>(config_.vocab_size), config_.weight_jitter,
                             zipf_, tokens, weights);
   return SparseDist::FromWeights({tokens.data(), tokens.size()},
                                  {weights.data(), weights.size()});
+}
+
+std::span<const uint32_t> SyntheticLm::HeadSlots(size_t n) const {
+  return std::span<const uint32_t>(head_slots_).first(head_reach_[std::min(n, zipf_.size())]);
+}
+
+bool SyntheticLm::DrawHead(dist_kernels::Width width, uint64_t stream,
+                           std::span<const Token> context, size_t n, HeadDraw& draw) const {
+  dist_kernels::WeightScratch weights;
+  dist_kernels::DrawSupport(width, DrawHash(stream, context),
+                            static_cast<uint64_t>(config_.vocab_size), config_.weight_jitter,
+                            zipf_, draw.tokens, weights);
+  return dist_kernels::RankSlots(width, {draw.tokens.data(), draw.tokens.size()},
+                                 {weights.data(), weights.size()}, HeadSlots(n), draw.head);
 }
 
 SparseDist SyntheticLm::NextDist(uint64_t stream, std::span<const Token> context,

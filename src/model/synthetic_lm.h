@@ -14,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "src/model/dist_kernels.h"
 #include "src/model/distribution.h"
 
 namespace adaserve {
@@ -34,6 +35,15 @@ struct LmConfig {
   uint64_t seed = 1;
 };
 
+// A support draw ranked only as far as a head reads it: SyntheticLm::DrawHead.
+struct HeadDraw {
+  // Every slot's token, in slot order: NextDist's whole support.
+  dist_kernels::TokenScratch tokens;
+  // The entries of NextDist that can be among its first n, in its order
+  // and bit for bit.
+  dist_kernels::EntryScratch head;
+};
+
 class SyntheticLm {
  public:
   explicit SyntheticLm(const LmConfig& config);
@@ -50,11 +60,35 @@ class SyntheticLm {
   SparseDist NextDist(uint64_t stream, std::span<const Token> context,
                       std::span<const Token> suffix) const;
 
+  // The support slots whose entry can be among the first `n` of a NextDist
+  // (all of them for n >= support): every slot but those that at least n
+  // other slots outweigh on every draw, by a margin that keeps them ahead
+  // through NextDist's division and a draft mixture's scaling. Worked out
+  // once per model from the Zipf table and the jitter; at exponent 3 and
+  // jitter 0.4 it is slots 0..5 for n <= 5. Exponent 0 gives every slot,
+  // and jitter 0 the first n.
+  std::span<const uint32_t> HeadSlots(size_t n) const;
+
+  // NextDist(stream, context) drawn in full but ranked only at
+  // HeadSlots(n), at kernel width `width`, into the empty `draw`. Returns
+  // false, `draw.head` left empty, where NextDist would not rank the draw:
+  // a repeated token (which NextDist coalesces), or a support wider than
+  // dist_kernels::kRankWidth. The draft model's bounded head.
+  bool DrawHead(dist_kernels::Width width, uint64_t stream, std::span<const Token> context,
+                size_t n, HeadDraw& draw) const;
+
  private:
+  // The hash NextDist seeds its support draw with.
+  uint64_t DrawHash(uint64_t stream, std::span<const Token> context) const;
+
   LmConfig config_;
   // zipf_[i] = (i + 1)^-zipf_exponent: the un-jittered weight of the
   // (i+1)-th support slot, computed once per model so NextDist calls no pow.
   std::vector<double> zipf_;
+  // Every slot, ordered by how many slots outweigh it on every draw, then
+  // by index; HeadSlots(n) is its first head_reach_[min(n, support)].
+  std::vector<uint32_t> head_slots_;
+  std::vector<size_t> head_reach_;
 };
 
 }  // namespace adaserve

@@ -14,6 +14,7 @@
 
 #include "src/harness/experiment.h"
 #include "src/model/dist_kernels.h"
+#include "src/model/draft_lm.h"
 #include "src/model/synthetic_lm.h"
 
 namespace adaserve {
@@ -435,8 +436,15 @@ TEST_P(KernelWidth, RankPathExits) {
   }
 }
 
-// Mix as FromWeights over a's scaled entries followed by b's, through the
-// reference algorithm.
+bool Disjoint(const SparseDist& a, const SparseDist& b) {
+  return std::none_of(a.entries().begin(), a.entries().end(),
+                      [&](const SparseDist::Entry& e) { return b.ProbOf(e.token) > 0.0; });
+}
+
+// Mix by its definition. Disjoint supports: every positive scaled entry,
+// weight * p_a or (1 - weight) * p_b, undivided, sorted as SparseDist
+// sorts. A shared token: FromWeights over a's scaled entries followed by
+// b's, through the reference algorithm.
 std::vector<SparseDist::Entry> ReferenceMix(const SparseDist& a, const SparseDist& b,
                                             double weight) {
   std::vector<Token> tokens;
@@ -449,16 +457,26 @@ std::vector<SparseDist::Entry> ReferenceMix(const SparseDist& a, const SparseDis
     tokens.push_back(e.token);
     weights.push_back((1.0 - weight) * e.prob);
   }
-  return ReferenceFromWeights(tokens, weights);
-}
-
-bool Disjoint(const SparseDist& a, const SparseDist& b) {
-  return std::none_of(a.entries().begin(), a.entries().end(),
-                      [&](const SparseDist::Entry& e) { return b.ProbOf(e.token) > 0.0; });
+  if (!Disjoint(a, b)) {
+    return ReferenceFromWeights(tokens, weights);
+  }
+  std::vector<SparseDist::Entry> entries;
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    if (weights[i] > 0.0) {
+      entries.push_back({tokens[i], weights[i]});
+    }
+  }
+  std::sort(entries.begin(), entries.end(), [](const auto& x, const auto& y) {
+    if (x.prob != y.prob) {
+      return x.prob > y.prob;
+    }
+    return x.token < y.token;
+  });
+  return entries;
 }
 
 // Mix of real synthetic-LM outputs: the 24+24-token shape a draft model
-// hands FromWeights on every tree node.
+// mixes on every tree node.
 TEST(FromWeightsEquivalence, MixOfSyntheticLmOutputs) {
   const SyntheticLm target(LmConfig{});
   const SyntheticLm noise(LmConfig{.seed = 0x5eedbeef});
@@ -481,7 +499,7 @@ TEST(FromWeightsEquivalence, MixOfSyntheticLmOutputs) {
 // every fidelity a setup uses plus both extremes. The TP8 and draft-offload
 // Llama setups share Llama's configs and differ only in fidelity (0.93).
 // About 2% of these inputs share a token and take the coalescing path; the
-// rest take the merge.
+// rest take the merge, which does not divide by the mixed total.
 TEST(MixEquivalence, SetupDraftMixtures) {
   constexpr double kFidelities[] = {0.0, 0.82, 0.85, 0.93, 1.0};
   for (const adaserve::Setup& setup : {LlamaSetup(), QwenSetup()}) {
@@ -627,6 +645,338 @@ TEST(MixHeadEquivalence, TiesMadeByScalingAtTheCut) {
   ExpectHeadsArePrefixes(a, b, kWeight);
 }
 
+// The head lengths the bounded draft head is checked at: every n from one
+// entry to past the 24-slot support, and the whole distribution.
+std::vector<size_t> HeadLengths() {
+  std::vector<size_t> lengths;
+  for (size_t n = 1; n <= 25; ++n) {
+    lengths.push_back(n);
+  }
+  lengths.push_back(kWholeDist);
+  return lengths;
+}
+
+template <typename Got>
+void ExpectEntries(const Got& got, std::span<const SparseDist::Entry> want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].token, want[i].token) << "entry " << i;
+    EXPECT_EQ(std::memcmp(&got[i].prob, &want[i].prob, sizeof(double)), 0)
+        << "entry " << i << ": " << got[i].prob << " vs " << want[i].prob;
+  }
+}
+
+// The first `n` entries of `full` (all of them for n past its end).
+std::span<const SparseDist::Entry> Prefix(const std::vector<SparseDist::Entry>& full, size_t n) {
+  return std::span<const SparseDist::Entry>(full).first(std::min(n, full.size()));
+}
+
+// The entries of `full` whose tokens are those of `tokens` at `slots`, in
+// full's order.
+std::vector<SparseDist::Entry> AtSlots(std::span<const SparseDist::Entry> full,
+                                       std::span<const Token> tokens,
+                                       std::span<const uint32_t> slots) {
+  std::set<Token> kept;
+  for (const uint32_t s : slots) {
+    kept.insert(tokens[s]);
+  }
+  std::vector<SparseDist::Entry> entries;
+  for (const SparseDist::Entry& e : full) {
+    if (kept.count(e.token) != 0) {
+      entries.push_back(e);
+    }
+  }
+  return entries;
+}
+
+// SyntheticLm::DrawHead at `width` and every head length, against the whole
+// noise distribution: it draws the whole support, declines exactly the
+// draws that repeat a token, and otherwise returns NextDist's entries at
+// HeadSlots(n), in NextDist's order and bit for bit. On a target support
+// `target_dist` shares no token with, MixDisjointHead over those entries is
+// the first n entries of Mix(target_dist, NextDist) at every weight. Counts
+// the draws that repeat a token and those sharing one with the target.
+void ExpectHeadDrawsMatch(Width width, const SyntheticLm& noise, uint64_t stream,
+                          std::span<const Token> context, const SparseDist& target_dist,
+                          std::span<const double> weights, int& repeats, int& shared) {
+  const SparseDist full = noise.NextDist(stream, context);
+  std::vector<Token> tokens;
+  std::vector<double> drawn;
+  DrawSupport(noise.config(), stream, context, tokens, drawn);
+  const bool repeated = RepeatsToken(tokens);
+  const bool disjoint = Disjoint(target_dist, full);
+  repeats += repeated ? 1 : 0;
+  shared += disjoint ? 0 : 1;
+  std::vector<std::vector<SparseDist::Entry>> mixtures;
+  for (const double weight : weights) {
+    mixtures.push_back(ReferenceMix(target_dist, full, weight));
+  }
+  for (const size_t n : HeadLengths()) {
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    HeadDraw draw;
+    const bool ranked = noise.DrawHead(width, stream, context, n, draw);
+    ASSERT_EQ(std::vector<Token>(draw.tokens.begin(), draw.tokens.end()), tokens);
+    ASSERT_EQ(ranked, !repeated);
+    if (!ranked) {
+      EXPECT_TRUE(draw.head.empty());
+      continue;
+    }
+    ExpectEntries(draw.head, AtSlots(full.entries(), tokens, noise.HeadSlots(n)));
+    if (!disjoint) {
+      continue;
+    }
+    for (size_t w = 0; w < weights.size(); ++w) {
+      SCOPED_TRACE(testing::Message() << "weight=" << weights[w]);
+      ExpectEntries(MixDisjointHead(target_dist.entries(),
+                                    {draw.head.data(), draw.head.size()}, weights[w], n),
+                    Prefix(mixtures[w], n));
+    }
+  }
+}
+
+// The noise model of a setup's draft: the target config under the noise
+// seed and support.
+LmConfig NoiseConfig(const adaserve::Setup& setup) {
+  LmConfig noise_config = setup.lm_config;
+  noise_config.seed = setup.draft_config.noise_seed;
+  noise_config.support = setup.draft_config.noise_support;
+  return noise_config;
+}
+
+// The setup draft mixtures of MixEquivalence.SetupDraftMixtures through the
+// bounded head: about 1% of the noise draws repeat a token and 2% share one
+// with the target; both are counted so the sweep is known to reach them.
+TEST_P(KernelWidth, HeadDrawsOfSetupDraftMixtures) {
+  constexpr double kFidelities[] = {0.0, 0.82, 0.85, 0.93, 1.0};
+  for (const adaserve::Setup& setup : {LlamaSetup(), QwenSetup()}) {
+    SCOPED_TRACE(setup.label);
+    const SyntheticLm target(setup.lm_config);
+    const SyntheticLm noise(NoiseConfig(setup));
+    Rng rng(setup.lm_config.seed);
+    std::vector<Token> context;
+    int repeats = 0;
+    int shared = 0;
+    for (int i = 0; i < 600; ++i) {
+      context.push_back(static_cast<Token>(rng.UniformInt(32000)));
+      const auto stream = static_cast<uint64_t>(i % 13);
+      SCOPED_TRACE(testing::Message() << "i=" << i);
+      ExpectHeadDrawsMatch(GetParam(), noise, stream, context, target.NextDist(stream, context),
+                           kFidelities, repeats, shared);
+    }
+    EXPECT_GT(repeats, 0);
+    EXPECT_GT(shared, 0);
+  }
+}
+
+// DraftLm::NextHead, bounded head and fallbacks alike, against the
+// reference mixture at every head length over the setup draft mixtures. At
+// fidelity 1 the draft is the target itself.
+TEST(DraftNextHead, MatchesTheMixturesPrefix) {
+  for (const adaserve::Setup& setup : {LlamaSetup(), QwenSetup()}) {
+    SCOPED_TRACE(setup.label);
+    const SyntheticLm target(setup.lm_config);
+    const SyntheticLm noise(NoiseConfig(setup));
+    std::vector<DraftLm> drafts;
+    for (const double fidelity : {0.0, 0.82, 0.85, 0.93, 1.0}) {
+      DraftConfig config = setup.draft_config;
+      config.fidelity = fidelity;
+      drafts.emplace_back(&target, config);
+    }
+    Rng rng(setup.lm_config.seed + 1);
+    std::vector<Token> context;
+    for (int i = 0; i < 600; ++i) {
+      context.push_back(static_cast<Token>(rng.UniformInt(32000)));
+      const auto stream = static_cast<uint64_t>(i % 13);
+      const SparseDist a = target.NextDist(stream, context);
+      const SparseDist b = noise.NextDist(stream, context);
+      for (const DraftLm& draft : drafts) {
+        const std::vector<SparseDist::Entry> mixture =
+            draft.config().fidelity == 1.0
+                ? std::vector<SparseDist::Entry>(a.entries().begin(), a.entries().end())
+                : ReferenceMix(a, b, draft.config().fidelity);
+        for (const size_t n : HeadLengths()) {
+          SCOPED_TRACE(testing::Message() << "i=" << i << " fidelity=" << draft.config().fidelity
+                                          << " n=" << n);
+          ExpectEntries(draft.NextHead(stream, context, a, n), Prefix(mixture, n));
+        }
+      }
+    }
+  }
+}
+
+// A target sharing only the noise draw's last slot's token, which no
+// bounded head ranks: the head must still be the coalesced mixture's.
+TEST(DraftNextHead, TokenSharedOutsideTheHeadSlots) {
+  const adaserve::Setup setup = LlamaSetup();
+  const SyntheticLm target(setup.lm_config);
+  const SyntheticLm noise(NoiseConfig(setup));
+  const DraftLm draft(&target, setup.draft_config);
+  const std::vector<Token> context = {5, 6, 7};
+  std::vector<Token> tokens;
+  std::vector<double> drawn;
+  DrawSupport(noise.config(), 3, context, tokens, drawn);
+  ASSERT_FALSE(RepeatsToken(tokens));
+  ASSERT_EQ(std::count(noise.HeadSlots(5).begin(), noise.HeadSlots(5).end(), 23), 0);
+  std::vector<Token> target_tokens;
+  for (Token t = 0; t < 23; ++t) {
+    if (std::count(tokens.begin(), tokens.end(), t) == 0) {
+      target_tokens.push_back(t);
+    }
+  }
+  target_tokens.push_back(tokens[23]);
+  const SparseDist a =
+      SparseDist::FromWeights(target_tokens, std::vector<double>(target_tokens.size(), 1.0));
+  const SparseDist b = noise.NextDist(3, context);
+  ASSERT_FALSE(Disjoint(a, b));
+  const std::vector<SparseDist::Entry> mixture = ReferenceMix(a, b, setup.draft_config.fidelity);
+  for (const size_t n : HeadLengths()) {
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    ExpectEntries(draft.NextHead(3, context, a, n), Prefix(mixture, n));
+  }
+}
+
+// The slots the bound keeps where it is tight: the setups' table (exponent
+// 3, jitter 0.4), exponent 0 (every weight alike: every slot, and every
+// entry tied), jitter 0 (the table's own order: the first n). Head draws of
+// each, and of the default config, against the whole distribution.
+TEST_P(KernelWidth, HeadSlotsWhereTheBoundIsTight) {
+  const auto slots = [](const SyntheticLm& lm, size_t n) {
+    return std::vector<uint32_t>(lm.HeadSlots(n).begin(), lm.HeadSlots(n).end());
+  };
+  const auto first = [](uint32_t n) {
+    std::vector<uint32_t> v;
+    for (uint32_t s = 0; s < n; ++s) {
+      v.push_back(s);
+    }
+    return v;
+  };
+  const SyntheticLm setup_table(LlamaSetup().lm_config);
+  EXPECT_EQ(slots(setup_table, 1), first(1));
+  EXPECT_EQ(slots(setup_table, 2), first(2));
+  EXPECT_EQ(slots(setup_table, 3), first(3));
+  EXPECT_EQ(slots(setup_table, 4), first(5));
+  EXPECT_EQ(slots(setup_table, 5), first(6));
+  EXPECT_EQ(slots(setup_table, 24), first(24));
+  EXPECT_EQ(slots(setup_table, kWholeDist), first(24));
+  const SyntheticLm flat(LmConfig{.zipf_exponent = 0.0});
+  const SyntheticLm flat_exact(LmConfig{.zipf_exponent = 0.0, .weight_jitter = 0.0});
+  const SyntheticLm exact(LmConfig{.zipf_exponent = 3.0, .weight_jitter = 0.0});
+  for (size_t n = 1; n <= 25; ++n) {
+    EXPECT_EQ(slots(flat, n), first(24)) << "n=" << n;
+    EXPECT_EQ(slots(flat_exact, n), first(24)) << "n=" << n;
+    EXPECT_EQ(slots(exact, n), first(static_cast<uint32_t>(std::min<size_t>(n, 24))))
+        << "n=" << n;
+  }
+  constexpr double kWeights[] = {0.0, 0.5, 0.85, 1.0};
+  for (const LmConfig& config : {LmConfig{}, LlamaSetup().lm_config, flat.config(),
+                                 flat_exact.config(), exact.config()}) {
+    SCOPED_TRACE(testing::Message() << "exponent=" << config.zipf_exponent
+                                    << " jitter=" << config.weight_jitter);
+    LmConfig noise_config = config;
+    noise_config.seed = 0x5eedbeef;
+    const SyntheticLm target(config);
+    const SyntheticLm noise(noise_config);
+    Rng rng(17);
+    std::vector<Token> context;
+    int repeats = 0;
+    int shared = 0;
+    for (int i = 0; i < 200; ++i) {
+      context.push_back(static_cast<Token>(rng.UniformInt(32000)));
+      SCOPED_TRACE(testing::Message() << "i=" << i);
+      ExpectHeadDrawsMatch(GetParam(), noise, 1, context, target.NextDist(1, context), kWeights,
+                           repeats, shared);
+    }
+  }
+}
+
+// Every slot's weight at an end of its jitter range: one slot as heavy as
+// a draw makes it and the rest as light (the bound's worst case for that
+// slot), or the reverse. RankSlots over HeadSlots(n) then mixes to the
+// whole draw's head, against a target of the same weights on other tokens,
+// so that at weight 0.5 every entry ties one of the other run at the cut.
+TEST_P(KernelWidth, HeadSlotsAtPinnedWeights) {
+  const Width width = GetParam();
+  for (const LmConfig& config :
+       {LlamaSetup().lm_config, LmConfig{}, LmConfig{.zipf_exponent = 3.0, .weight_jitter = 0.9},
+        LmConfig{.zipf_exponent = 0.5, .weight_jitter = 0.05}}) {
+    SCOPED_TRACE(testing::Message() << "exponent=" << config.zipf_exponent
+                                    << " jitter=" << config.weight_jitter);
+    const SyntheticLm lm(config);
+    const auto support = static_cast<size_t>(config.support);
+    std::vector<double> low;
+    std::vector<double> high;
+    for (size_t i = 0; i < support; ++i) {
+      const double zipf = std::pow(static_cast<double>(i + 1), -config.zipf_exponent);
+      low.push_back(zipf * (1.0 + config.weight_jitter * (2.0 * 0.0 - 1.0)));
+      high.push_back(zipf * (1.0 + config.weight_jitter * (2.0 * (1.0 - 0x1.0p-53) - 1.0)));
+    }
+    std::vector<Token> tokens;
+    std::vector<Token> target_tokens;
+    for (size_t i = 0; i < support; ++i) {
+      tokens.push_back(static_cast<Token>(1000 + 7 * ((i * 5) % support)));
+      target_tokens.push_back(static_cast<Token>(2000 + i));
+    }
+    for (size_t pinned = 0; pinned < support; ++pinned) {
+      for (const bool heavy : {true, false}) {
+        std::vector<double> weights = heavy ? low : high;
+        weights[pinned] = heavy ? high[pinned] : low[pinned];
+        SCOPED_TRACE(testing::Message() << "slot " << pinned << (heavy ? " heavy" : " light"));
+        const SparseDist full = SparseDist::FromWeights(tokens, weights);
+        const SparseDist target = SparseDist::FromWeights(target_tokens, weights);
+        for (const size_t n : HeadLengths()) {
+          SCOPED_TRACE(testing::Message() << "n=" << n);
+          dist_kernels::EntryScratch head;
+          ASSERT_TRUE(dist_kernels::RankSlots(width, tokens, weights, lm.HeadSlots(n), head));
+          ExpectEntries(head, AtSlots(full.entries(), tokens, lm.HeadSlots(n)));
+          for (const double weight : {0.5, 0.85}) {
+            ExpectEntries(MixDisjointHead(target.entries(), {head.data(), head.size()}, weight, n),
+                          Prefix(ReferenceMix(target, full, weight), n));
+          }
+        }
+      }
+    }
+  }
+}
+
+// RankSlots declines what RankInto declines, leaving `out` empty, and over
+// every slot ranks as RankInto does.
+TEST_P(KernelWidth, RankSlotsTakesWhatRankIntoTakes) {
+  const Width width = GetParam();
+  const std::vector<uint32_t> all = {0, 1, 2};
+  const auto declines = [&](const std::vector<Token>& tokens, const std::vector<double>& weights) {
+    dist_kernels::EntryScratch out;
+    const bool ranked = dist_kernels::RankSlots(width, tokens, weights, all, out);
+    EXPECT_TRUE(out.empty());
+    return !ranked;
+  };
+  EXPECT_TRUE(declines({4, 7, 4}, {0.5, 0.3, 0.2}));
+  EXPECT_TRUE(declines({4, 7, 5}, {0.5, 0.0, 0.2}));
+  EXPECT_TRUE(declines({4, std::numeric_limits<Token>::min() + 5, 5}, {0.5, 0.3, 0.2}));
+  EXPECT_TRUE(declines({4, 7, 5}, {0.5, std::numeric_limits<double>::infinity(), 0.2}));
+  std::vector<Token> wide(dist_kernels::kRankWidth + 1);
+  for (size_t i = 0; i < wide.size(); ++i) {
+    wide[i] = static_cast<Token>(i);
+  }
+  EXPECT_TRUE(declines(wide, std::vector<double>(wide.size(), 1.0)));
+  Rng rng(31);
+  for (size_t n = 1; n <= dist_kernels::kRankWidth; ++n) {
+    std::vector<Token> tokens;
+    std::vector<double> weights;
+    std::vector<uint32_t> slots;
+    for (size_t i = 0; i < n; ++i) {
+      tokens.push_back(static_cast<Token>(rng.UniformInt(32000)));
+      weights.push_back(0.125 * static_cast<double>(1 + rng.UniformInt(4)));
+      slots.push_back(static_cast<uint32_t>(n - 1 - i));
+    }
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    dist_kernels::EntryScratch ranked;
+    dist_kernels::EntryScratch sliced;
+    ASSERT_EQ(dist_kernels::RankInto(width, tokens, weights, ranked),
+              dist_kernels::RankSlots(width, tokens, weights, slots, sliced));
+    ExpectEntries(sliced, {ranked.data(), ranked.size()});
+  }
+}
+
 // The shared-token kernel against a set intersection: the setup draft
 // mixtures' target and noise supports, then supports of 1..100 entries
 // (past the 48-entry block a's groups are held in) sharing one token at
@@ -635,6 +985,18 @@ TEST_P(KernelWidth, SharesTokenMatchesSetIntersection) {
   const Width width = GetParam();
   const auto shares = [](const SparseDist& a, const SparseDist& b) {
     return !Disjoint(a, b);
+  };
+  // The kernel over b's entries, checked to agree with it over b's bare
+  // tokens.
+  const auto kernel_shares = [width](std::span<const SparseDist::Entry> a,
+                                     std::span<const SparseDist::Entry> b) {
+    std::vector<Token> b_tokens;
+    for (const SparseDist::Entry& e : b) {
+      b_tokens.push_back(e.token);
+    }
+    const bool entries = dist_kernels::SharesToken(width, a, b);
+    EXPECT_EQ(dist_kernels::SharesToken(width, a, std::span<const Token>(b_tokens)), entries);
+    return entries;
   };
   for (const adaserve::Setup& setup : {LlamaSetup(), QwenSetup()}) {
     const SyntheticLm target(setup.lm_config);
@@ -650,7 +1012,7 @@ TEST_P(KernelWidth, SharesTokenMatchesSetIntersection) {
       const SparseDist a = target.NextDist(static_cast<uint64_t>(i % 13), context);
       const SparseDist b = noise.NextDist(static_cast<uint64_t>(i % 13), context);
       shared += shares(a, b) ? 1 : 0;
-      ASSERT_EQ(dist_kernels::SharesToken(width, a.entries(), b.entries()), shares(a, b))
+      ASSERT_EQ(kernel_shares(a.entries(), b.entries()), shares(a, b))
           << setup.label << " i=" << i;
     }
     EXPECT_GT(shared, 0);
@@ -666,9 +1028,9 @@ TEST_P(KernelWidth, SharesTokenMatchesSetIntersection) {
     for (size_t nb : {1, 4, 7, 8, 9, 24, 25, 48, 100}) {
       const SparseDist a = dist(0, na);
       SCOPED_TRACE(testing::Message() << "na=" << na << " nb=" << nb);
-      EXPECT_FALSE(dist_kernels::SharesToken(width, a.entries(), dist(1000, nb).entries()));
-      EXPECT_FALSE(dist_kernels::SharesToken(width, a.entries(), {}));
-      EXPECT_FALSE(dist_kernels::SharesToken(width, {}, a.entries()));
+      EXPECT_FALSE(kernel_shares(a.entries(), dist(1000, nb).entries()));
+      EXPECT_FALSE(kernel_shares(a.entries(), {}));
+      EXPECT_FALSE(kernel_shares({}, a.entries()));
       // b's tokens are 1000 + k except one, at each of b's positions,
       // equal to a's first, middle or last token. Descending weights keep
       // b's entries in input order.
@@ -682,8 +1044,7 @@ TEST_P(KernelWidth, SharesTokenMatchesSetIntersection) {
           }
           const SparseDist b = SparseDist::FromWeights(tokens, weights);
           ASSERT_EQ(b.entry(pos).token, t);
-          ASSERT_TRUE(dist_kernels::SharesToken(width, a.entries(), b.entries()))
-              << "pos=" << pos << " t=" << t;
+          ASSERT_TRUE(kernel_shares(a.entries(), b.entries())) << "pos=" << pos << " t=" << t;
         }
       }
     }
