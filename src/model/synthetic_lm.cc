@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "src/common/arena.h"
 #include "src/common/logging.h"
@@ -134,8 +135,9 @@ SyntheticLm::SyntheticLm(const LmConfig& config) : config_(config) {
     }
     head_slots_.push_back(static_cast<uint32_t>(s));
   }
-  std::stable_sort(head_slots_.begin(), head_slots_.end(),
-                   [&](uint32_t x, uint32_t y) { return outweighed_by[x] < outweighed_by[y]; });
+  std::sort(head_slots_.begin(), head_slots_.end(), [&](uint32_t x, uint32_t y) {
+    return std::pair(outweighed_by[x], x) < std::pair(outweighed_by[y], y);
+  });
   // Fewer than n slots outweigh each slot of HeadSlots(n). At most
   // support - 1 slots outweigh any slot, so n = support keeps them all.
   for (size_t n = 0; n <= support; ++n) {
