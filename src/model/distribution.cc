@@ -416,7 +416,7 @@ Token SparseDist::ArgMax() const {
 
 Token SparseDist::Sample(Rng& rng) const {
   ADASERVE_CHECK(!entries_.empty()) << "Sample from empty distribution";
-  const double u = rng.Uniform() * TotalMass();
+  const double u = rng.Uniform();
   double cum = 0.0;
   for (const Entry& e : entries_) {
     cum += e.prob;

@@ -46,7 +46,9 @@ class SparseDist {
   // greedy decoding is deterministic. Requires a non-empty distribution.
   Token ArgMax() const;
 
-  // Samples a token using inverse-CDF over the sorted support.
+  // Samples a token using inverse-CDF over the sorted support, with a
+  // uniform draw in [0, 1); a draw past the accumulated mass (which is 1
+  // only to within rounding) takes the last entry.
   Token Sample(Rng& rng) const;
 
   // Shannon entropy in nats (diagnostics).
