@@ -67,9 +67,12 @@ std::deque<RequestId>::iterator RequestPool::RankedHead(PriorityPolicy policy) {
 
 RequestId RequestPool::Victim(const Request& head, PriorityPolicy policy) const {
   if (policy == PriorityPolicy::kFifo) {
-    // The newest-admitted zero-output request, any category.
+    // The newest-admitted zero-output request, any category, that FIFO
+    // ranks below the head: one that arrived after it (ids are dense in
+    // arrival order). An earlier arrival, once requeued in front of the
+    // head, would evict it straight back.
     for (auto it = active_.rbegin(); it != active_.rend(); ++it) {
-      if (Get(*it).committed_len == 0) {
+      if (*it > head.id && Get(*it).committed_len == 0) {
         return *it;
       }
     }

@@ -71,11 +71,12 @@ class RequestPool {
   //     kEdf): ties keep queue order. A head blocked on KV stops admission
   //     rather than letting a worse-ranked request skip ahead.
   //   - With `max_evictions` > 0, a head blocked on KV displaces victims
-  //     until it fits, at most `max_evictions` of them per call. Under kFifo
-  //     a victim is the newest-admitted zero-output request; under the
-  //     other policies it is the least urgent *prefilling* zero-output
-  //     request strictly less urgent than the head (newest first among
-  //     equals). Victims are paused under kSloUrgentPause and
+  //     until it fits, at most `max_evictions` of them per call. Every
+  //     victim ranks strictly below the head. Under kFifo it is the
+  //     newest-admitted zero-output request that arrived after the head;
+  //     under the other policies it is the least urgent *prefilling*
+  //     zero-output request strictly less urgent than the head (newest
+  //     first among equals). Victims are paused under kSloUrgentPause and
   //     recompute-evicted otherwise, and counted into *paused or *evicted
   //     (when non-null).
   //   - Victims re-enter the queue right behind the head in reverse

@@ -139,68 +139,70 @@ TEST_F(RequestPoolTest, EvictReleasesKvResetsPrefillAndRequeuesFront) {
   EXPECT_EQ(pool_.queued()[1], 1);
 }
 
+Request SloRequest(RequestId id, double tpot_slo, int prompt_len = 20, int output_len = 4) {
+  Request req = MakeRequest(id, prompt_len, output_len);
+  req.tpot_slo = tpot_slo;
+  return req;
+}
+
+// Ranked admission takes the urgent later arrivals r1 and r2 ahead of the
+// relaxed r0, which waits blocked at the queue front in a 64-token cache:
+// a FIFO head with later arrivals active, which it ranks above.
+void AdmitUrgentLaterArrivals(RequestPool& pool, int r0_prompt_len = 20, int r0_output_len = 4) {
+  pool.AddArrival(SloRequest(0, 0.15, r0_prompt_len, r0_output_len));
+  pool.AddArrival(SloRequest(1, 0.02));
+  pool.AddArrival(SloRequest(2, 0.02));
+  ASSERT_EQ(pool.Admit(10, PriorityPolicy::kSloUrgentFirst), 2);
+  ASSERT_EQ(pool.active(), (std::vector<RequestId>{1, 2}));
+}
+
 TEST_F(RequestPoolTest, AdmitEvictsToMakeRoomForBlockedHead) {
   // Capacity 64 tokens: two 20+4 requests (32 blocks each) fill it.
   KvCache tiny(64.0, 1.0, 16);
   RequestPool pool(&tiny);
-  pool.AddArrival(MakeRequest(0, 20, 4));
-  pool.AddArrival(MakeRequest(1, 20, 4));
-  pool.AddArrival(MakeRequest(2, 20, 4));
-  EXPECT_EQ(pool.Admit(10, PriorityPolicy::kFifo), 2);
+  AdmitUrgentLaterArrivals(pool);
   int evicted = 0;
   EXPECT_EQ(pool.Admit(10, PriorityPolicy::kFifo, /*max_evictions=*/1, &evicted), 1);
   EXPECT_EQ(evicted, 1);
-  // The newest-admitted zero-output request (r1) was evicted; the head
-  // (r2) is now active alongside r0.
-  EXPECT_EQ(pool.Get(1).state, RequestState::kQueued);
-  EXPECT_EQ(pool.Get(2).state, RequestState::kPrefilling);
+  // The newest-admitted zero-output request (r2) was evicted; the head
+  // (r0) is now active alongside r1.
+  EXPECT_EQ(pool.Get(2).state, RequestState::kQueued);
+  EXPECT_EQ(pool.Get(0).state, RequestState::kPrefilling);
   ASSERT_EQ(pool.queued().size(), 1u);
-  EXPECT_EQ(pool.queued().front(), 1);
+  EXPECT_EQ(pool.queued().front(), 2);
 }
 
 TEST_F(RequestPoolTest, AdmitRequeuesVictimsInArrivalOrder) {
-  // Head r2 needs 48 tokens; evicting both r0 and r1 (32 each) is the
+  // Head r0 needs 48 tokens; evicting both r1 and r2 (32 each) is the
   // only way to fit it in a 64-token cache.
   KvCache tiny(64.0, 1.0, 16);
   RequestPool pool(&tiny);
-  pool.AddArrival(MakeRequest(0, 20, 4));
-  pool.AddArrival(MakeRequest(1, 20, 4));
-  pool.AddArrival(MakeRequest(2, 40, 8));
-  EXPECT_EQ(pool.Admit(10, PriorityPolicy::kFifo), 2);
+  AdmitUrgentLaterArrivals(pool, 40, 8);
   int evicted = 0;
   EXPECT_EQ(pool.Admit(10, PriorityPolicy::kFifo, /*max_evictions=*/2, &evicted), 1);
   EXPECT_EQ(evicted, 2);
-  EXPECT_EQ(pool.Get(2).state, RequestState::kPrefilling);
-  // Victims are picked newest-first (r1 then r0) but re-enter the queue
+  EXPECT_EQ(pool.Get(0).state, RequestState::kPrefilling);
+  // Victims are picked newest-first (r2 then r1) but re-enter the queue
   // in their original arrival order, preserving FIFO on re-admission.
   ASSERT_EQ(pool.queued().size(), 2u);
-  EXPECT_EQ(pool.queued()[0], 0);
-  EXPECT_EQ(pool.queued()[1], 1);
+  EXPECT_EQ(pool.queued()[0], 1);
+  EXPECT_EQ(pool.queued()[1], 2);
 }
 
 TEST_F(RequestPoolTest, AdmitSparesRequestsWithCommittedOutput) {
   KvCache tiny(64.0, 1.0, 16);
   RequestPool pool(&tiny);
-  pool.AddArrival(MakeRequest(0, 20, 4));
-  pool.AddArrival(MakeRequest(1, 20, 4));
-  pool.AddArrival(MakeRequest(2, 20, 4));
-  EXPECT_EQ(pool.Admit(10, PriorityPolicy::kFifo), 2);
-  // r1 has committed output: evicting it would discard generated tokens,
-  // so the only candidate is r0.
-  pool.AdvancePrefill(1, 20);
-  pool.CommitToken(1, 5, 0.5);
+  AdmitUrgentLaterArrivals(pool);
+  // r2 has committed output: evicting it would discard generated tokens,
+  // so the only candidate is r1.
+  pool.AdvancePrefill(2, 20);
+  pool.CommitToken(2, 5, 0.5);
   int evicted = 0;
   EXPECT_EQ(pool.Admit(10, PriorityPolicy::kFifo, /*max_evictions=*/1, &evicted), 1);
   EXPECT_EQ(evicted, 1);
-  EXPECT_EQ(pool.Get(0).state, RequestState::kQueued);
-  EXPECT_EQ(pool.Get(2).state, RequestState::kPrefilling);
-  EXPECT_EQ(pool.Get(1).state, RequestState::kRunning);
-}
-
-Request SloRequest(RequestId id, double tpot_slo, int prompt_len = 20, int output_len = 4) {
-  Request req = MakeRequest(id, prompt_len, output_len);
-  req.tpot_slo = tpot_slo;
-  return req;
+  EXPECT_EQ(pool.Get(1).state, RequestState::kQueued);
+  EXPECT_EQ(pool.Get(0).state, RequestState::kPrefilling);
+  EXPECT_EQ(pool.Get(2).state, RequestState::kRunning);
 }
 
 TEST_F(RequestPoolTest, RankedAdmissionPicksBestRankedNotFront) {
@@ -248,21 +250,39 @@ TEST_F(RequestPoolTest, EdfPolicyRanksByNextTokenDeadline) {
   EXPECT_EQ(pool_.active(), (std::vector<RequestId>{0, 2, 1}));
 }
 
-TEST_F(RequestPoolTest, AdmitGivesUpWhenNothingEvictable) {
+TEST_F(RequestPoolTest, FifoHeadDoesNotEvictEarlierArrivals) {
+  // r2 arrived after both active requests, so FIFO ranks it below them:
+  // it waits instead of evicting r1, which would requeue r1 at the front
+  // to evict r2 in turn, four times over, throwing r1's prefill away.
   KvCache tiny(64.0, 1.0, 16);
   RequestPool pool(&tiny);
   pool.AddArrival(MakeRequest(0, 20, 4));
   pool.AddArrival(MakeRequest(1, 20, 4));
   pool.AddArrival(MakeRequest(2, 20, 4));
-  EXPECT_EQ(pool.Admit(10, PriorityPolicy::kFifo), 2);
-  for (RequestId id : {RequestId{0}, RequestId{1}}) {
+  ASSERT_EQ(pool.Admit(10, PriorityPolicy::kFifo), 2);
+  pool.AdvancePrefill(1, 12);
+  int evicted = 0;
+  EXPECT_EQ(pool.Admit(10, PriorityPolicy::kFifo, /*max_evictions=*/4, &evicted), 0);
+  EXPECT_EQ(evicted, 0);
+  EXPECT_EQ(pool.active(), (std::vector<RequestId>{0, 1}));
+  EXPECT_EQ(pool.Get(1).prefill_progress, 12);
+  EXPECT_EQ(pool.queued().size(), 1u);
+  EXPECT_EQ(pool.queued().front(), 2);
+}
+
+TEST_F(RequestPoolTest, AdmitGivesUpWhenNothingEvictable) {
+  // The later arrivals rank below the head but have committed output.
+  KvCache tiny(64.0, 1.0, 16);
+  RequestPool pool(&tiny);
+  AdmitUrgentLaterArrivals(pool);
+  for (RequestId id : {RequestId{1}, RequestId{2}}) {
     pool.AdvancePrefill(id, 20);
     pool.CommitToken(id, 5, 0.5);
   }
   int evicted = 0;
   EXPECT_EQ(pool.Admit(10, PriorityPolicy::kFifo, /*max_evictions=*/4, &evicted), 0);
   EXPECT_EQ(evicted, 0);
-  EXPECT_EQ(pool.queued().front(), 2);  // head back where it was
+  EXPECT_EQ(pool.queued().front(), 0);  // head back where it was
 }
 
 TEST_F(RequestPoolTest, RetiringPoolRecyclesPayloadBuffers) {
