@@ -65,8 +65,8 @@ class SyntheticLm {
   // other slots outweigh on every draw, by a margin that keeps them ahead
   // through NextDist's division and a draft mixture's scaling. Worked out
   // once per model from the Zipf table and the jitter; at exponent 3 and
-  // jitter 0.4 it is slots 0..5 for n <= 5. Exponent 0 gives every slot,
-  // and jitter 0 the first n.
+  // jitter 0.4 it is at most slots 0..5 for n <= 5. Exponent 0 gives
+  // every slot, and jitter 0 the first n.
   std::span<const uint32_t> HeadSlots(size_t n) const;
 
   // NextDist(stream, context) drawn in full but ranked only at

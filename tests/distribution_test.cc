@@ -261,6 +261,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FromWeightsEquivalenceSweep,
                                   std::to_string(std::get<0>(info.param));
                          });
 
+// The noise model of a setup's draft: the target config under the noise
+// seed and support.
+LmConfig NoiseConfig(const adaserve::Setup& setup) {
+  LmConfig noise_config = setup.lm_config;
+  noise_config.seed = setup.draft_config.noise_seed;
+  noise_config.support = setup.draft_config.noise_support;
+  return noise_config;
+}
+
 // The (token, weight) draw SyntheticLm::NextDist hands FromWeights, rebuilt
 // here at the baseline ISA so the kernels can be checked against it.
 void DrawSupport(const LmConfig& config, uint64_t stream, std::span<const Token> context,
@@ -321,10 +330,7 @@ TEST_P(KernelWidth, SetupNextDistDraws) {
   constexpr int kSupports[] = {1, 7, 8, 9, 23, 24, 25, 48, 49, 64};
   for (const adaserve::Setup& setup : {LlamaSetup(), QwenSetup()}) {
     SCOPED_TRACE(setup.label);
-    LmConfig noise_config = setup.lm_config;
-    noise_config.seed = setup.draft_config.noise_seed;
-    noise_config.support = setup.draft_config.noise_support;
-    for (const LmConfig& setup_config : {setup.lm_config, noise_config}) {
+    for (const LmConfig& setup_config : {setup.lm_config, NoiseConfig(setup)}) {
       for (int support : kSupports) {
         LmConfig config = setup_config;
         config.support = support;
@@ -505,10 +511,7 @@ TEST(MixEquivalence, SetupDraftMixtures) {
   for (const adaserve::Setup& setup : {LlamaSetup(), QwenSetup()}) {
     SCOPED_TRACE(setup.label);
     const SyntheticLm target(setup.lm_config);
-    LmConfig noise_config = setup.lm_config;
-    noise_config.seed = setup.draft_config.noise_seed;
-    noise_config.support = setup.draft_config.noise_support;
-    const SyntheticLm noise(noise_config);
+    const SyntheticLm noise(NoiseConfig(setup));
     Rng rng(setup.lm_config.seed);
     std::vector<Token> context;
     int shared = 0;
@@ -594,10 +597,7 @@ TEST(MixHeadEquivalence, SetupDraftMixtures) {
   for (const adaserve::Setup& setup : {LlamaSetup(), QwenSetup()}) {
     SCOPED_TRACE(setup.label);
     const SyntheticLm target(setup.lm_config);
-    LmConfig noise_config = setup.lm_config;
-    noise_config.seed = setup.draft_config.noise_seed;
-    noise_config.support = setup.draft_config.noise_support;
-    const SyntheticLm noise(noise_config);
+    const SyntheticLm noise(NoiseConfig(setup));
     Rng rng(setup.lm_config.seed);
     std::vector<Token> context;
     int shared = 0;
@@ -732,15 +732,6 @@ void ExpectHeadDrawsMatch(Width width, const SyntheticLm& noise, uint64_t stream
                     Prefix(mixtures[w], n));
     }
   }
-}
-
-// The noise model of a setup's draft: the target config under the noise
-// seed and support.
-LmConfig NoiseConfig(const adaserve::Setup& setup) {
-  LmConfig noise_config = setup.lm_config;
-  noise_config.seed = setup.draft_config.noise_seed;
-  noise_config.support = setup.draft_config.noise_support;
-  return noise_config;
 }
 
 // The setup draft mixtures of MixEquivalence.SetupDraftMixtures through the
@@ -1000,10 +991,7 @@ TEST_P(KernelWidth, SharesTokenMatchesSetIntersection) {
   };
   for (const adaserve::Setup& setup : {LlamaSetup(), QwenSetup()}) {
     const SyntheticLm target(setup.lm_config);
-    LmConfig noise_config = setup.lm_config;
-    noise_config.seed = setup.draft_config.noise_seed;
-    noise_config.support = setup.draft_config.noise_support;
-    const SyntheticLm noise(noise_config);
+    const SyntheticLm noise(NoiseConfig(setup));
     Rng rng(setup.lm_config.seed);
     std::vector<Token> context;
     int shared = 0;
