@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <utility>
 
 #include "src/common/arena.h"
@@ -138,12 +139,13 @@ SyntheticLm::SyntheticLm(const LmConfig& config) : config_(config) {
   std::sort(head_slots_.begin(), head_slots_.end(), [&](uint32_t x, uint32_t y) {
     return std::pair(outweighed_by[x], x) < std::pair(outweighed_by[y], y);
   });
-  // Fewer than n slots outweigh each slot of HeadSlots(n). At most
+  // head_reach_[n] counts the slots fewer than n slots outweigh. At most
   // support - 1 slots outweigh any slot, so n = support keeps them all.
-  for (size_t n = 0; n <= support; ++n) {
-    head_reach_.push_back(static_cast<size_t>(
-        std::count_if(outweighed_by.begin(), outweighed_by.end(), [n](size_t k) { return k < n; })));
+  head_reach_.assign(support + 1, 0);
+  for (const size_t k : outweighed_by) {
+    ++head_reach_[k + 1];
   }
+  std::partial_sum(head_reach_.begin(), head_reach_.end(), head_reach_.begin());
 }
 
 uint64_t SyntheticLm::DrawHash(uint64_t stream, std::span<const Token> context) const {

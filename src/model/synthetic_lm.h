@@ -71,9 +71,10 @@ class SyntheticLm {
 
   // NextDist(stream, context) drawn in full but ranked only at
   // HeadSlots(n), at kernel width `width`, into the empty `draw`. Returns
-  // false, `draw.head` left empty, where NextDist would not rank the draw:
-  // a repeated token (which NextDist coalesces), or a support wider than
-  // dist_kernels::kRankWidth. The draft model's bounded head.
+  // false, `draw.head` left empty, for a draw dist_kernels::RankInto would
+  // not take: a repeated token (which NextDist coalesces), a support wider
+  // than dist_kernels::kRankWidth, or a weight that underflows to zero.
+  // The draft model's bounded head.
   bool DrawHead(dist_kernels::Width width, uint64_t stream, std::span<const Token> context,
                 size_t n, HeadDraw& draw) const;
 
