@@ -86,9 +86,9 @@ void BM_BuildCandidateTree(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildCandidateTree)->ArgNames({"depth", "reuse"})->ArgsProduct({{2, 4, 8}, {0, 1}});
 
-// Expanding one tree node: its target distribution (attached to the node)
-// plus the draft head a builder reads. head:1 is the chain's argmax,
-// head:5 a width-4 beam step's cut, head:all the whole mixture.
+// Expanding one tree node: its target draw (attached to the node, ranked
+// at its head) plus the draft head a builder reads. head:1 is the chain's
+// argmax, head:5 a width-4 beam step's cut, head:all the whole mixture.
 void BM_ExpandNode(benchmark::State& state, size_t head) {
   const Experiment& exp = GetExperiment();
   std::vector<StreamContext> inputs = Contexts();
@@ -137,15 +137,15 @@ void BM_SelectTokens(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectTokens)->ArgNames({"batch", "reuse"})->ArgsProduct({{8, 32, 64}, {0, 1}});
 
-// Verifying a beam tree. The builder attaches the target distribution of
-// every node it expanded, so verification builds one only past the last
-// layer; reuse:0 verifies a copy without them, which rebuilds every one.
+// Verifying a beam tree. The builder attaches the ranked target draw of
+// every node it expanded, so verification draws one only past the last
+// layer; reuse:0 verifies a copy without them, which draws every one.
 void BM_VerifyTree(benchmark::State& state) {
   const Experiment& exp = GetExperiment();
   const std::vector<Token> ctx = MakeContext(3, 32);
   TokenTree tree = BuildCandidateTree(exp.draft(), 7, ctx, BeamConfig{.depth = 6, .width = 4});
   if (state.range(0) == 0) {
-    tree.ClearTargetDists();
+    tree.ClearTargetDraws();
   }
   Rng rng(5);
   for (auto _ : state) {
@@ -288,20 +288,27 @@ void BM_Mix(benchmark::State& state) {
 }
 BENCHMARK(BM_Mix);
 
-// The draft head a tree builder reads, built on the node's target
-// distribution: the Llama noise model's support draw ranked only at the
-// slots that can reach the head, mixed with the target's. About 3% of the
-// inputs repeat a noise token or share one with the target and mix the
-// whole noise distribution. head:1 is a static level of one, head:5 a
-// width-4 beam step's cut.
+// The draft head a tree builder reads, built on the node's target draw:
+// the Llama target's and noise model's support draws, each ranked only at
+// the slots that can reach the head, mixed. About 4% of the inputs repeat
+// a token or share one between the supports and mix the whole
+// distributions. head:1 is a static level of one, head:5 a width-4 beam
+// step's cut. Each call takes its target draw unranked, as a fresh node's
+// is.
 void BM_DraftNextHead(benchmark::State& state, size_t head) {
   const Experiment& exp = GetExperiment();
   const std::vector<StreamContext>& contexts = Contexts();
-  const std::vector<DraftPair>& pairs = DraftPairs();
+  std::vector<SupportDraw> draws(kInputs);
+  for (size_t i = 0; i < kInputs; ++i) {
+    exp.target().Draw(contexts[i].stream, contexts[i].context, draws[i]);
+  }
   size_t i = 0;
   for (auto _ : state) {
+    SupportDraw& draw = draws[i];
+    draw.head.clear();
+    draw.reach = 0;
     benchmark::DoNotOptimize(
-        exp.draft().NextHead(contexts[i].stream, contexts[i].context, pairs[i].target, head));
+        exp.draft().NextHead(contexts[i].stream, contexts[i].context, draw, head));
     i = (i + 1) % kInputs;
   }
 }
@@ -321,6 +328,21 @@ void BM_TargetNextDist(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TargetNextDist);
+
+// A baseline's plain decode step: one stochastic token from the Llama
+// target, drawn in full and ranked only at the sampler's head.
+void BM_DecodeOneToken(benchmark::State& state) {
+  const Experiment& exp = GetExperiment();
+  const std::vector<StreamContext>& contexts = Contexts();
+  Rng rng(8);
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(DecodeOneToken(exp.target(), contexts[i].stream, contexts[i].context,
+                                            DecodeMode::kStochastic, rng));
+    i = (i + 1) % kInputs;
+  }
+}
+BENCHMARK(BM_DecodeOneToken);
 
 // The vector kernels under FromWeights and NextDist at each width, on the
 // Llama target's draws (the inputs of FromWeights/24 and TargetNextDist).

@@ -1,6 +1,7 @@
-// Vector kernels behind SparseDist::FromWeights, Mix,
-// SyntheticLm::NextDist and SyntheticLm::DrawHead, at two widths. Internal: the library picks a width
-// once per process; tests and micro benchmarks call each width directly.
+// Vector kernels behind SparseDist::FromWeights, Mix, SyntheticLm::Draw and
+// SyntheticLm::RankHead, at two widths. Internal: the library picks a
+// width once per process; tests and micro benchmarks call each width
+// directly.
 //
 // Each kernel has one body, a template over its lane count written with
 // GCC/Clang vector extensions, instantiated twice:
@@ -59,8 +60,8 @@ inline constexpr size_t kRankWidth = 24;
 
 // Inline scratch the kernels append to: a setup's supports never spill.
 using EntryScratch = SmallVector<SparseDist::Entry, SparseDist::kInlineSupport>;
-using TokenScratch = SmallVector<Token, SparseDist::kInlineSupport>;
-using WeightScratch = SmallVector<double, SparseDist::kInlineSupport>;
+using TokenScratch = SmallVector<Token, kRankWidth>;
+using WeightScratch = SmallVector<double, kRankWidth>;
 
 // FromWeights for the shape nearly every call has: n = 1..kRankWidth
 // entries, every weight positive, no token twice and none equal to a pad
@@ -77,14 +78,14 @@ bool RankInto(Width width, std::span<const Token> tokens, std::span<const double
 // returns true, and for any other it returns false, leaving `out` empty.
 // Ranks only the slots, so a head of a few entries skips the full rank.
 bool RankSlots(Width width, std::span<const Token> tokens, std::span<const double> weights,
-               std::span<const uint32_t> slots, EntryScratch& out);
+               std::span<const uint32_t> slots, DistHead& out);
 
 // True if some token of `b` is also a token of `a`.
 bool SharesToken(Width width, std::span<const SparseDist::Entry> a,
                  std::span<const SparseDist::Entry> b);
-bool SharesToken(Width width, std::span<const SparseDist::Entry> a, std::span<const Token> b);
+bool SharesToken(Width width, std::span<const Token> a, std::span<const Token> b);
 
-// SyntheticLm::NextDist's support draw from the context hash `h`. Slot i
+// SyntheticLm::Draw's support draw from the context hash `h`. Slot i
 // (of zipf.size()) takes SplitMix64 outputs 2i + 1 and 2i + 2 from state
 // `h`, r1 and r2: token r1 % vocab_size, weight
 // zipf[i] * (1 + jitter * (2u - 1)) for u the top 53 bits of r2 over 2^53.

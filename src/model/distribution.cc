@@ -142,17 +142,15 @@ template <typename V>
 
 // SharesToken at kTokenLanes lanes. Exact and branch-free: every group of
 // `b` tokens is compared with every group of `a` tokens, a's groups held in
-// registers a block of kInlineSupport entries at a time. `b` holds entries
-// or bare tokens.
-template <size_t kTokenLanes, typename B>
-[[gnu::always_inline]] inline bool SharesTokenBody(std::span<const SparseDist::Entry> a,
-                                                   std::span<const B> b) {
+// registers a block of kInlineSupport entries at a time. `a` and `b` both
+// hold entries or both bare tokens.
+template <size_t kTokenLanes, typename T>
+[[gnu::always_inline]] inline bool SharesTokenBody(std::span<const T> a, std::span<const T> b) {
   using TokenLanes = Lanes<Token, kTokenLanes>;
   constexpr size_t kBlock = SparseDist::kInlineSupport;
   TokenLanes hits = {};
   for (size_t start = 0; start < a.size(); start += kBlock) {
-    const std::span<const SparseDist::Entry> block =
-        a.subspan(start, std::min(kBlock, a.size() - start));
+    const std::span<const T> block = a.subspan(start, std::min(kBlock, a.size() - start));
     std::array<TokenLanes, (kBlock + kTokenLanes - 1) / kTokenLanes> groups = {};
     const size_t num_groups = (block.size() + kTokenLanes - 1) / kTokenLanes;
     for (size_t g = 0; g < num_groups; ++g) {
@@ -271,7 +269,7 @@ template <size_t kTokenLanes>
 [[gnu::always_inline]] inline bool RankSlotsBody(std::span<const Token> tokens,
                                                  std::span<const double> weights,
                                                  std::span<const uint32_t> slots,
-                                                 EntryScratch& out) {
+                                                 DistHead& out) {
   double total = 0.0;
   if (!RankableTotal(weights, total) || RepeatsBody<kTokenLanes>(tokens)) {
     return false;
@@ -293,7 +291,7 @@ template <size_t kTokenLanes>
 [[gnu::target("arch=x86-64-v4")]] bool RankSlotsWide(std::span<const Token> tokens,
                                                      std::span<const double> weights,
                                                      std::span<const uint32_t> slots,
-                                                     EntryScratch& out) {
+                                                     DistHead& out) {
   return RankSlotsBody<8>(tokens, weights, slots, out);
 }
 
@@ -302,7 +300,7 @@ template <size_t kTokenLanes>
   return SharesTokenBody<8>(a, b);
 }
 
-[[gnu::target("arch=x86-64-v4")]] bool SharesTokenWide(std::span<const SparseDist::Entry> a,
+[[gnu::target("arch=x86-64-v4")]] bool SharesTokenWide(std::span<const Token> a,
                                                        std::span<const Token> b) {
   return SharesTokenBody<8>(a, b);
 }
@@ -337,7 +335,7 @@ bool RankInto([[maybe_unused]] Width width, std::span<const Token> tokens,
 
 bool RankSlots([[maybe_unused]] Width width, std::span<const Token> tokens,
                std::span<const double> weights, std::span<const uint32_t> slots,
-               EntryScratch& out) {
+               DistHead& out) {
 #if ADASERVE_WIDE_KERNELS
   if (width == Width::kWide) {
     return RankSlotsWide(tokens, weights, slots, out);
@@ -356,7 +354,7 @@ bool SharesToken([[maybe_unused]] Width width, std::span<const SparseDist::Entry
   return SharesTokenBody<4>(a, b);
 }
 
-bool SharesToken([[maybe_unused]] Width width, std::span<const SparseDist::Entry> a,
+bool SharesToken([[maybe_unused]] Width width, std::span<const Token> a,
                  std::span<const Token> b) {
 #if ADASERVE_WIDE_KERNELS
   if (width == Width::kWide) {

@@ -101,7 +101,7 @@ DistHead MixHead(const SparseDist& a, const SparseDist& b, double weight, size_t
 // it that can be among the mixture's first `n`. An entry left out must
 // rank below at least n kept entries of its own run once scaled, by a
 // strictly lower product. Whole distributions qualify; DraftLm passes the
-// noise model's bounded head (SyntheticLm::DrawHead).
+// target's and the noise model's bounded heads (SyntheticLm::RankHead).
 DistHead MixDisjointHead(std::span<const SparseDist::Entry> a,
                          std::span<const SparseDist::Entry> b, double weight, size_t n);
 

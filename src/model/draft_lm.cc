@@ -31,23 +31,28 @@ SparseDist DraftLm::NextDist(uint64_t stream, std::span<const Token> context) co
 }
 
 DistHead DraftLm::NextHead(uint64_t stream, std::span<const Token> context,
-                           const SparseDist& target_dist, size_t n) const {
-  if (config_.fidelity >= 1.0) {
-    return target_dist.Head(n);
-  }
-  if (n != kWholeDist) {
-    const dist_kernels::Width width = dist_kernels::Chosen();
-    HeadDraw noise;
-    if (noise_.DrawHead(width, stream, context, n, noise) &&
-        !dist_kernels::SharesToken(width, target_dist.entries(),
-                                   {noise.tokens.data(), noise.tokens.size()})) {
-      return MixDisjointHead(target_dist.entries(), {noise.head.data(), noise.head.size()},
-                             config_.fidelity, n);
+                           SupportDraw& target_draw, size_t n) const {
+  const double fidelity = config_.fidelity;
+  // Both heads are runs MixDisjointHead takes: the bound behind HeadSlots
+  // holds for each run's factor, fidelity and 1 - fidelity, once both are
+  // at least 2^-53.
+  if (n != kWholeDist && fidelity >= 0x1.0p-53 && fidelity < 1.0 &&
+      target_->RankHead(target_draw, n)) {
+    SupportDraw noise;
+    noise_.Draw(stream, context, noise);
+    if (noise_.RankHead(noise, n) &&
+        !dist_kernels::SharesToken(dist_kernels::Chosen(),
+                                   std::span<const Token>(target_draw.tokens), noise.tokens)) {
+      return MixDisjointHead(target_draw.head, noise.head, fidelity, n);
     }
   }
-  // A repeated noise token, a token shared with the target, or the whole
-  // mixture.
-  return MixHead(target_dist, noise_.NextDist(stream, context), config_.fidelity, n);
+  // A repeated token, a shared token, a fidelity outside [2^-53, 1) or the
+  // whole mixture.
+  const SparseDist target_dist = SparseDist::FromWeights(target_draw.tokens, target_draw.weights);
+  if (fidelity >= 1.0) {
+    return target_dist.Head(n);
+  }
+  return MixHead(target_dist, noise_.NextDist(stream, context), fidelity, n);
 }
 
 }  // namespace adaserve

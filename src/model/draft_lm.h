@@ -41,16 +41,19 @@ class DraftLm {
   SparseDist NextDist(uint64_t stream, std::span<const Token> context) const;
 
   // The first `n` entries of NextDist(stream, context), bit for bit, built
-  // on `target_dist`, which must be target().NextDist(stream, context). The
-  // tree builders build the target distribution once (they keep it for
+  // on `target_draw`, which must be target().Draw(stream, context). The
+  // tree builders draw the target once (they keep the draw for
   // verification), pass it here, and ask only for as many draft entries as
   // they can keep: a static level's top k, a beam step's top w plus one.
-  // The noise distribution is drawn in full but ranked only at the slots
-  // that can reach the head (SyntheticLm::DrawHead). A repeated noise token,
-  // a noise token shared with the target, and n = kWholeDist build the
-  // whole noise distribution and mix it (MixHead).
-  DistHead NextHead(uint64_t stream, std::span<const Token> context,
-                    const SparseDist& target_dist, size_t n) const;
+  // Both models are drawn in full but ranked only at the slots that can
+  // reach the head (SyntheticLm::RankHead); the target's rank is kept in
+  // `target_draw`, so a draw ranked that far is not ranked again. A
+  // repeated token in either draw, a token the two supports share, a
+  // fidelity below 2^-53 and n = kWholeDist build the whole distributions
+  // and mix them (MixHead); at fidelity 1 the head is the whole target
+  // distribution's.
+  DistHead NextHead(uint64_t stream, std::span<const Token> context, SupportDraw& target_draw,
+                    size_t n) const;
 
  private:
   const SyntheticLm* target_;

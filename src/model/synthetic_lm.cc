@@ -102,11 +102,15 @@ SyntheticLm::SyntheticLm(const LmConfig& config) : config_(config) {
   // draw when lo_t > hi_s * (1 + kMargin) and lo_s >= total * 2^-900, with
   // `total` the largest total weight. Then, for any draw:
   //   - w_t > w_s * (1 + kMargin) * (1 - 2^-53), and
-  //   - NextDist's prob w / T and the draft mixture's (1 - fidelity) * w / T
-  //     (a factor of at least 2^-53 when positive) are two more roundings of
-  //     each weight, each within a relative 2^-53, since the floor on lo_s
+  //   - NextDist's prob w / T, and a draft mixture's c * w / T for any
+  //     factor c in [2^-53, 1], are two more roundings of each weight, each
+  //     within a relative 2^-53, since the floor on lo_s (and c >= 2^-53)
   //     keeps every value normal. kMargin outlasts all of them, so slot t's
-  //     mixed entry has a strictly higher prob than slot s's.
+  //     scaled entry has a strictly higher prob than slot s's. The mixture
+  //     scales the noise by c = 1 - fidelity (at least 2^-53 when
+  //     positive) and the target by c = fidelity (DraftLm::NextHead takes
+  //     the bounded path only for fidelity >= 2^-53); c = 1 is the target
+  //     distribution itself.
   // So if n slots outweigh slot s, n entries of the sorted mixture come
   // before s's entry, and the n-th entry's prob, at least the lowest of
   // theirs, is strictly above s's: s can neither enter the first n nor tie
@@ -157,34 +161,25 @@ uint64_t SyntheticLm::DrawHash(uint64_t stream, std::span<const Token> context) 
   return HashCombine(h, HashTokens(config_.seed, context.subspan(start)));
 }
 
-SparseDist SyntheticLm::NextDist(uint64_t stream, std::span<const Token> context) const {
-  // Inline scratch: the support is a few dozen tokens, so building the
-  // weight list must not hit the heap on this per-token hot path.
-  dist_kernels::TokenScratch tokens;
-  dist_kernels::WeightScratch weights;
+std::span<const SparseDist::Entry> SupportDraw::Ranked() const {
+  const std::span<const SparseDist::Entry> all(head.data(), head.size());
+  return all.size() == tokens.size() ? all : all.first(std::min(reach, all.size()));
+}
+
+void SyntheticLm::Draw(uint64_t stream, std::span<const Token> context, SupportDraw& draw) const {
+  // Inline scratch: a setup's support never spills, so a draw does not hit
+  // the heap on this per-token hot path.
+  draw.tokens.clear();
+  draw.weights.clear();
+  draw.head.clear();
+  draw.reach = 0;
   dist_kernels::DrawSupport(dist_kernels::Chosen(), DrawHash(stream, context),
                             static_cast<uint64_t>(config_.vocab_size), config_.weight_jitter,
-                            zipf_, tokens, weights);
-  return SparseDist::FromWeights({tokens.data(), tokens.size()},
-                                 {weights.data(), weights.size()});
+                            zipf_, draw.tokens, draw.weights);
 }
 
-std::span<const uint32_t> SyntheticLm::HeadSlots(size_t n) const {
-  return std::span<const uint32_t>(head_slots_).first(head_reach_[std::min(n, zipf_.size())]);
-}
-
-bool SyntheticLm::DrawHead(dist_kernels::Width width, uint64_t stream,
-                           std::span<const Token> context, size_t n, HeadDraw& draw) const {
-  dist_kernels::WeightScratch weights;
-  dist_kernels::DrawSupport(width, DrawHash(stream, context),
-                            static_cast<uint64_t>(config_.vocab_size), config_.weight_jitter,
-                            zipf_, draw.tokens, weights);
-  return dist_kernels::RankSlots(width, {draw.tokens.data(), draw.tokens.size()},
-                                 {weights.data(), weights.size()}, HeadSlots(n), draw.head);
-}
-
-SparseDist SyntheticLm::NextDist(uint64_t stream, std::span<const Token> context,
-                                 std::span<const Token> suffix) const {
+void SyntheticLm::Draw(uint64_t stream, std::span<const Token> context,
+                       std::span<const Token> suffix, SupportDraw& draw) const {
   const size_t order = static_cast<size_t>(config_.context_order);
   const std::span<const Token> from_suffix = suffix.last(std::min(order, suffix.size()));
   const std::span<const Token> from_context =
@@ -196,7 +191,36 @@ SparseDist SyntheticLm::NextDist(uint64_t stream, std::span<const Token> context
   for (Token t : from_suffix) {
     window.push_back(t);
   }
-  return NextDist(stream, {window.data(), window.size()});
+  Draw(stream, {window.data(), window.size()}, draw);
+}
+
+SparseDist SyntheticLm::NextDist(uint64_t stream, std::span<const Token> context) const {
+  SupportDraw draw;
+  Draw(stream, context, draw);
+  return SparseDist::FromWeights(draw.tokens, draw.weights);
+}
+
+SparseDist SyntheticLm::NextDist(uint64_t stream, std::span<const Token> context,
+                                 std::span<const Token> suffix) const {
+  SupportDraw draw;
+  Draw(stream, context, suffix, draw);
+  return SparseDist::FromWeights(draw.tokens, draw.weights);
+}
+
+std::span<const uint32_t> SyntheticLm::HeadSlots(size_t n) const {
+  return std::span<const uint32_t>(head_slots_).first(head_reach_[std::min(n, zipf_.size())]);
+}
+
+bool SyntheticLm::RankHead(SupportDraw& draw, size_t n) const {
+  ADASERVE_CHECK(n >= 1) << "a head needs at least one entry";
+  const bool declined = draw.reach > 0 && draw.head.empty();
+  if (draw.reach >= n || declined) {
+    return !declined;
+  }
+  draw.head.clear();
+  draw.reach = n;
+  return dist_kernels::RankSlots(dist_kernels::Chosen(), draw.tokens, draw.weights, HeadSlots(n),
+                                 draw.head);
 }
 
 }  // namespace adaserve

@@ -7,9 +7,14 @@
 // distribution is a pure function of the hash, the "model" is consistent —
 // re-querying the same context yields the same distribution — which is all
 // speculative decoding requires of a target model.
+//
+// A distribution is drawn before it is ranked (SupportDraw), and most
+// readers rank only its head: the draft mixture's first entries, a greedy
+// argmax or a sampled token that nearly always lies among the first few.
 #ifndef ADASERVE_SRC_MODEL_SYNTHETIC_LM_H_
 #define ADASERVE_SRC_MODEL_SYNTHETIC_LM_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -35,13 +40,23 @@ struct LmConfig {
   uint64_t seed = 1;
 };
 
-// A support draw ranked only as far as a head reads it: SyntheticLm::DrawHead.
-struct HeadDraw {
-  // Every slot's token, in slot order: NextDist's whole support.
+// One support draw of a SyntheticLm (SyntheticLm::Draw): every slot's
+// token and weight, in slot order. FromWeights(tokens, weights) is the
+// model's NextDist; SyntheticLm::RankHead ranks its head.
+struct SupportDraw {
   dist_kernels::TokenScratch tokens;
-  // The entries of NextDist that can be among its first n, in its order
-  // and bit for bit.
-  dist_kernels::EntryScratch head;
+  dist_kernels::WeightScratch weights;
+  // The entries of FromWeights(tokens, weights) at the model's
+  // HeadSlots(reach), in its order and bit for bit. Empty while unranked
+  // and for a draw RankHead declined.
+  DistHead head;
+  // The head length `head` was ranked for; 0 while unranked.
+  size_t reach = 0;
+
+  // The leading entries of FromWeights(tokens, weights) that `head` holds:
+  // its first `reach`, or all of it where every slot was ranked. Empty
+  // while unranked and for a declined draw.
+  std::span<const SparseDist::Entry> Ranked() const;
 };
 
 class SyntheticLm {
@@ -50,13 +65,19 @@ class SyntheticLm {
 
   const LmConfig& config() const { return config_; }
 
-  // Next-token distribution for request stream `stream` given the committed
-  // token sequence `context`. Only the last `context_order` tokens matter;
+  // The support draw of the next-token distribution for request stream
+  // `stream` given the committed token sequence `context`, into `draw`,
+  // replacing what it held. Only the last `context_order` tokens matter;
   // shorter contexts are implicitly left-padded with the stream hash.
-  SparseDist NextDist(uint64_t stream, std::span<const Token> context) const;
+  void Draw(uint64_t stream, std::span<const Token> context, SupportDraw& draw) const;
 
-  // NextDist(stream, context followed by suffix), without building the
+  // Draw(stream, context followed by suffix), without building the
   // concatenation: only its trailing window is copied, onto the stack.
+  void Draw(uint64_t stream, std::span<const Token> context, std::span<const Token> suffix,
+            SupportDraw& draw) const;
+
+  // The next-token distribution: FromWeights over Draw(stream, context).
+  SparseDist NextDist(uint64_t stream, std::span<const Token> context) const;
   SparseDist NextDist(uint64_t stream, std::span<const Token> context,
                       std::span<const Token> suffix) const;
 
@@ -69,17 +90,17 @@ class SyntheticLm {
   // every slot, and jitter 0 the first n.
   std::span<const uint32_t> HeadSlots(size_t n) const;
 
-  // NextDist(stream, context) drawn in full but ranked only at
-  // HeadSlots(n), at kernel width `width`, into the empty `draw`. Returns
-  // false, `draw.head` left empty, for a draw dist_kernels::RankInto would
-  // not take: a repeated token (which NextDist coalesces), a support wider
-  // than dist_kernels::kRankWidth, or a weight that underflows to zero.
-  // The draft model's bounded head.
-  bool DrawHead(dist_kernels::Width width, uint64_t stream, std::span<const Token> context,
-                size_t n, HeadDraw& draw) const;
+  // Ranks `draw`, a Draw of this model, at HeadSlots(n), n >= 1, unless it
+  // is ranked at least that far: the full draw stays, and only the slots
+  // that can reach the first n entries are divided and sorted. Returns
+  // false, leaving the head empty, for a draw dist_kernels::RankSlots
+  // declines: a repeated token (which NextDist coalesces), a support wider
+  // than dist_kernels::kRankWidth, or a weight that underflows to zero. A
+  // declined draw is not tested again.
+  bool RankHead(SupportDraw& draw, size_t n) const;
 
  private:
-  // The hash NextDist seeds its support draw with.
+  // The hash Draw seeds its support draw with.
   uint64_t DrawHash(uint64_t stream, std::span<const Token> context) const;
 
   LmConfig config_;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/common/logging.h"
+#include "src/model/sampler.h"
 
 namespace adaserve {
 
@@ -16,12 +17,16 @@ DistHead ExpandNode(const DraftLm& draft, uint64_t stream, NodeId node, size_t n
     context.push_back(tree.node(cur).token);
   }
   std::reverse(context.begin() + static_cast<std::ptrdiff_t>(committed), context.end());
-  const SparseDist* target_dist = tree.TargetDist(node, draft.target(), stream);
-  if (target_dist == nullptr) {
-    tree.AttachTargetDist(node, draft.target(), stream, draft.target().NextDist(stream, context));
-    target_dist = tree.TargetDist(node, draft.target(), stream);
+  const SyntheticLm& target = draft.target();
+  SupportDraw* target_draw = tree.TargetDraw(node, target, stream);
+  if (target_draw == nullptr) {
+    target_draw = &tree.AttachTargetDraw(node, target, stream);
+    target.Draw(stream, context, *target_draw);
+    // Ranked once, as far as both this head and the verifier's sampler
+    // read; a whole-distribution expansion ranks only the sampler's head.
+    target.RankHead(*target_draw, n == kWholeDist ? kSampleHead : std::max(n, kSampleHead));
   }
-  DistHead head = draft.NextHead(stream, context, *target_dist, n);
+  DistHead head = draft.NextHead(stream, context, *target_draw, n);
   context.resize(committed);
   return head;
 }
@@ -44,7 +49,7 @@ void BuildCandidateTree(const DraftLm& draft, uint64_t stream, std::span<const T
   ADASERVE_CHECK(config.width >= 1) << "beam width must be >= 1";
   tree.Reset(committed.empty() ? kInvalidToken : committed.back());
   // Each step keeps at most `width` nodes, and all but the last step's are
-  // expanded (and so carry a target distribution).
+  // expanded (and so carry a target draw).
   tree.Reserve(1 + config.depth * config.width, 1 + (config.depth - 1) * config.width);
 
   const auto width = static_cast<size_t>(config.width);

@@ -5,8 +5,8 @@
 // (Theorem 4.1 guarantees that a depth-D_opt beam of width B covers the
 // optimal tree). The resulting candidate tree has 1 + w*d nodes, depth <= d,
 // and every layer after the root holds exactly w nodes. Every node the beam
-// expanded carries the target distribution its draft distribution was
-// built on, for the verifier to reuse.
+// expanded carries the target draw its draft distribution was built on,
+// ranked at its head, for the verifier to reuse.
 //
 // A step keeps at most w children of any one node, so it reads only the
 // head of each frontier node's draft distribution: its top w + 1 entries,
@@ -57,10 +57,11 @@ struct BuildScratch {
 // Expands `node` of a tree built on a committed sequence for `stream`:
 // returns the first `n` entries (kWholeDist: all) of the draft
 // distribution at committed + the node's path, and attaches to the node
-// the target distribution it was built on. Expanding a node again reuses
-// the attached distribution. `context` must hold exactly the committed
-// sequence, and does again on return. All tree builders expand nodes
-// through this.
+// the target draw it was built on, ranked at HeadSlots(max(n,
+// kSampleHead)) (kSampleHead for kWholeDist) so the verifier's sampler
+// reads the rank as it is. Expanding a node again reuses the attached
+// draw. `context` must hold exactly the committed sequence, and does again
+// on return. All tree builders expand nodes through this.
 DistHead ExpandNode(const DraftLm& draft, uint64_t stream, NodeId node, size_t n,
                     std::vector<Token>& context, TokenTree& tree);
 

@@ -14,9 +14,9 @@ void TokenTree::Reset(Token root_token) {
   Node root;
   root.token = root_token;
   nodes_.push_back(root);
-  target_dists_.clear();
-  dist_model_ = nullptr;
-  dist_stream_ = 0;
+  target_draws_.clear();
+  draw_model_ = nullptr;
+  draw_stream_ = 0;
 }
 
 NodeId TokenTree::AddNode(NodeId parent, Token token, double cond_prob) {
@@ -37,7 +37,7 @@ NodeId TokenTree::AddNode(NodeId parent, Token token, double cond_prob) {
 
 void TokenTree::Reserve(int nodes, int expanded) {
   nodes_.reserve(static_cast<size_t>(nodes));
-  target_dists_.reserve(static_cast<size_t>(expanded));
+  target_draws_.reserve(static_cast<size_t>(expanded));
 }
 
 int TokenTree::MaxDepth() const {
@@ -102,36 +102,39 @@ bool TokenTree::IsConnectedSelection(const std::vector<char>& selected) const {
   return true;
 }
 
-void TokenTree::AttachTargetDist(NodeId id, const SyntheticLm& model, uint64_t stream,
-                                 SparseDist dist) {
+SupportDraw& TokenTree::AttachTargetDraw(NodeId id, const SyntheticLm& model, uint64_t stream) {
   ADASERVE_CHECK(id >= 0 && id < size()) << "bad node " << id;
-  if (target_dists_.empty()) {
-    dist_model_ = &model;
-    dist_stream_ = stream;
+  if (target_draws_.empty()) {
+    draw_model_ = &model;
+    draw_stream_ = stream;
   }
-  ADASERVE_CHECK(dist_model_ == &model && dist_stream_ == stream)
-      << "a tree's target distributions must share one model and stream";
+  ADASERVE_CHECK(draw_model_ == &model && draw_stream_ == stream)
+      << "a tree's target draws must share one model and stream";
   Node& n = nodes_[static_cast<size_t>(id)];
-  ADASERVE_CHECK(n.target_dist < 0) << "node " << id << " already has a target distribution";
-  n.target_dist = static_cast<int>(target_dists_.size());
-  target_dists_.push_back(std::move(dist));
+  ADASERVE_CHECK(n.target_draw < 0) << "node " << id << " already has a target draw";
+  n.target_draw = static_cast<int>(target_draws_.size());
+  return target_draws_.emplace_back();
 }
 
-const SparseDist* TokenTree::TargetDist(NodeId id, const SyntheticLm& model,
-                                        uint64_t stream) const {
-  const int index = nodes_[static_cast<size_t>(id)].target_dist;
-  if (index < 0 || dist_model_ != &model || dist_stream_ != stream) {
+const SupportDraw* TokenTree::TargetDraw(NodeId id, const SyntheticLm& model,
+                                         uint64_t stream) const {
+  const int index = nodes_[static_cast<size_t>(id)].target_draw;
+  if (index < 0 || draw_model_ != &model || draw_stream_ != stream) {
     return nullptr;
   }
-  return &target_dists_[static_cast<size_t>(index)];
+  return &target_draws_[static_cast<size_t>(index)];
 }
 
-void TokenTree::ClearTargetDists() {
+SupportDraw* TokenTree::TargetDraw(NodeId id, const SyntheticLm& model, uint64_t stream) {
+  return const_cast<SupportDraw*>(std::as_const(*this).TargetDraw(id, model, stream));
+}
+
+void TokenTree::ClearTargetDraws() {
   for (Node& n : nodes_) {
-    n.target_dist = -1;
+    n.target_draw = -1;
   }
-  target_dists_.clear();
-  dist_model_ = nullptr;
+  target_draws_.clear();
+  draw_model_ = nullptr;
 }
 
 }  // namespace adaserve

@@ -7,15 +7,16 @@
 //
 // Expanding a node asks the draft model for the head of its next-token
 // distribution: only the top entries the builder can keep as children,
-// mixed from the target model's distribution at the same context. That
-// target distribution is built whole and attached to the node, so the
-// verifier samples from it instead of building it a second time.
+// mixed from the target model's distribution at the same context. The
+// target's support draw, ranked only at its head (SupportDraw), is
+// attached to the node, so the verifier samples from it instead of
+// drawing and ranking it a second time.
 //
 // A tree is rebuilt in place: Reset drops the nodes and the attached
-// distributions but keeps their storage, so a caller that rebuilds the
-// same tree every iteration stops allocating once it has held the largest
-// tree. The retained capacity (nodes plus ~800-byte distribution slots)
-// lives as long as the tree.
+// draws but keeps their storage, so a caller that rebuilds the same tree
+// every iteration stops allocating once it has held the largest tree. The
+// retained capacity (nodes plus ~520-byte draw slots) lives as long as the
+// tree.
 #ifndef ADASERVE_SRC_SPEC_TOKEN_TREE_H_
 #define ADASERVE_SRC_SPEC_TOKEN_TREE_H_
 
@@ -25,11 +26,9 @@
 
 #include "src/common/arena.h"
 #include "src/common/types.h"
-#include "src/model/distribution.h"
+#include "src/model/synthetic_lm.h"
 
 namespace adaserve {
-
-class SyntheticLm;
 
 using NodeId = int;
 inline constexpr NodeId kRootNode = 0;
@@ -45,8 +44,8 @@ class TokenTree {
     // Approximated path probability f(v): product of conditionals. 1.0 for root.
     double path_prob = 1.0;
     int depth = 0;
-    // Index of this node's attached target distribution; -1 if none.
-    int target_dist = -1;
+    // Index of this node's attached target draw; -1 if none.
+    int target_draw = -1;
     // Inline up to the typical beam width: building a tree allocates no
     // per-node child lists unless a node fans out unusually wide.
     SmallVector<NodeId, 4> children;
@@ -57,8 +56,8 @@ class TokenTree {
   explicit TokenTree(Token root_token);
 
   // Makes this a tree containing only a root on `root_token`, as a fresh
-  // TokenTree(root_token) would be: every node and attached target
-  // distribution is dropped, their storage kept for the next build.
+  // TokenTree(root_token) would be: every node and attached target draw is
+  // dropped, their storage kept for the next build.
   void Reset(Token root_token);
 
   // Adds a speculated token under `parent`. Requires parent to exist and
@@ -66,7 +65,7 @@ class TokenTree {
   NodeId AddNode(NodeId parent, Token token, double cond_prob);
 
   // Reserves room for `nodes` nodes, `expanded` of them with an attached
-  // target distribution.
+  // target draw.
   void Reserve(int nodes, int expanded);
 
   int size() const { return static_cast<int>(nodes_.size()); }
@@ -92,25 +91,27 @@ class TokenTree {
   // connected subtree containing the root.
   bool IsConnectedSelection(const std::vector<char>& selected) const;
 
-  // Attaches `dist` = model.NextDist(stream, committed + PathTokens(id)) to
-  // node `id`, where `committed` is the sequence the tree was built on. A
-  // node takes at most one, and all of a tree's come from one model and
-  // stream.
-  void AttachTargetDist(NodeId id, const SyntheticLm& model, uint64_t stream, SparseDist dist);
+  // Attaches an empty draw to node `id` and returns it, for the caller to
+  // fill with model.Draw(stream, committed + PathTokens(id)), where
+  // `committed` is the sequence the tree was built on, and rank as far as
+  // it likes. A node takes at most one, and all of a tree's come from one
+  // model and stream.
+  SupportDraw& AttachTargetDraw(NodeId id, const SyntheticLm& model, uint64_t stream);
 
-  // The distribution attached to `id` if `model` built it for `stream`;
-  // nullptr if none is attached or it came from another model or stream.
-  const SparseDist* TargetDist(NodeId id, const SyntheticLm& model, uint64_t stream) const;
+  // The draw attached to `id` if `model` drew it for `stream`; nullptr if
+  // none is attached or it came from another model or stream.
+  const SupportDraw* TargetDraw(NodeId id, const SyntheticLm& model, uint64_t stream) const;
+  SupportDraw* TargetDraw(NodeId id, const SyntheticLm& model, uint64_t stream);
 
-  // Detaches every target distribution.
-  void ClearTargetDists();
+  // Detaches every target draw.
+  void ClearTargetDraws();
 
  private:
   std::vector<Node> nodes_;
-  std::vector<SparseDist> target_dists_;
-  // The model and stream the attached distributions were built with.
-  const SyntheticLm* dist_model_ = nullptr;
-  uint64_t dist_stream_ = 0;
+  std::vector<SupportDraw> target_draws_;
+  // The model and stream the attached draws came from.
+  const SyntheticLm* draw_model_ = nullptr;
+  uint64_t draw_stream_ = 0;
 };
 
 }  // namespace adaserve

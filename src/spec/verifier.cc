@@ -22,19 +22,21 @@ VerifyResult VerifyTree(const SyntheticLm& target, uint64_t stream,
     result.tokens_verified = tree.size() - 1;
   }
 
-  SparseDist computed;
+  SupportDraw computed;
   NodeId cur = kRootNode;
   while (true) {
-    // The builders attached the target distribution of every node they
-    // expanded; only the others (the last layer, hand-built trees) need
-    // it built here, at committed + the accepted path.
-    const SparseDist* dist = tree.TargetDist(cur, target, stream);
-    if (dist == nullptr) {
-      computed = target.NextDist(stream, committed,
-                                 {result.accepted.data(), result.accepted.size()});
-      dist = &computed;
+    // The builders attached the target draw of every node they expanded,
+    // ranked as far as the sampler reads; only the others (the last layer,
+    // hand-built trees) need it drawn here, at committed + the accepted
+    // path.
+    const SupportDraw* draw = tree.TargetDraw(cur, target, stream);
+    Token drawn = kInvalidToken;
+    if (draw != nullptr) {
+      drawn = SampleRanked(*draw, mode, rng);
+    } else {
+      target.Draw(stream, committed, {result.accepted.data(), result.accepted.size()}, computed);
+      drawn = SampleToken(target, computed, mode, rng);
     }
-    const Token drawn = SampleToken(*dist, mode, rng);
     NodeId match = kInvalidNode;
     for (NodeId child : tree.node(cur).children) {
       const bool is_selected = select_all || selected[static_cast<size_t>(child)] != 0;
@@ -55,8 +57,9 @@ VerifyResult VerifyTree(const SyntheticLm& target, uint64_t stream,
 
 Token DecodeOneToken(const SyntheticLm& target, uint64_t stream, std::span<const Token> committed,
                      DecodeMode mode, Rng& rng) {
-  const SparseDist dist = target.NextDist(stream, committed);
-  return SampleToken(dist, mode, rng);
+  SupportDraw draw;
+  target.Draw(stream, committed, draw);
+  return SampleToken(target, draw, mode, rng);
 }
 
 }  // namespace adaserve

@@ -41,15 +41,18 @@ struct VerifyResult {
 // Verifies the subtree of `tree` marked by `selected` (indexed by NodeId;
 // the root is implicitly selected; pass an empty vector to select the whole
 // tree). `committed` is the request's committed sequence, the one the tree
-// was built on. Nodes carrying a target distribution built by `target` for
-// `stream` (see TokenTree::AttachTargetDist) sample from it; the others
-// call target.NextDist. Either way the draws are the same.
+// was built on. Nodes carrying a target draw `target` made for `stream`
+// (see TokenTree::AttachTargetDraw) sample from it as it is ranked
+// (SampleRanked); the others call target.Draw and rank its head
+// (SampleToken). Either way the drawn tokens and the Rng state are those
+// of sampling target.NextDist.
 VerifyResult VerifyTree(const SyntheticLm& target, uint64_t stream,
                         std::span<const Token> committed, const TokenTree& tree,
                         const std::vector<char>& selected, DecodeMode mode, Rng& rng);
 
 // Plain auto-regressive decoding of one token (what continuous-batching
-// baselines do each iteration).
+// baselines do each iteration): one target draw, ranked only at the
+// sampler's head (SampleToken).
 Token DecodeOneToken(const SyntheticLm& target, uint64_t stream, std::span<const Token> committed,
                      DecodeMode mode, Rng& rng);
 

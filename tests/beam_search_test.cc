@@ -184,7 +184,7 @@ TEST_P(BeamNestingSweep, NarrowBeamNodesAppearInWiderBeam) {
 INSTANTIATE_TEST_SUITE_P(Contexts, BeamNestingSweep, ::testing::Range(0, 8));
 
 // The reference beam: every frontier node extends its whole draft
-// distribution (and carries its target distribution), and each step keeps
+// distribution (and carries its target draw), and each step keeps
 // the top `width` under the builder's order. BuildCandidateTree, which
 // reads only draft heads, must build the same tree.
 TokenTree ReferenceBuildCandidateTree(const DraftLm& draft, uint64_t stream,
@@ -204,8 +204,7 @@ TokenTree ReferenceBuildCandidateTree(const DraftLm& draft, uint64_t stream,
       std::vector<Token> context(committed.begin(), committed.end());
       const std::vector<Token> path = tree.PathTokens(node);
       context.insert(context.end(), path.begin(), path.end());
-      tree.AttachTargetDist(node, draft.target(), stream,
-                            draft.target().NextDist(stream, context));
+      draft.target().Draw(stream, context, tree.AttachTargetDraw(node, draft.target(), stream));
       const SparseDist dist = draft.NextDist(stream, context);
       for (const auto& e : dist.entries()) {
         extensions.push_back({node, e.token, e.prob, tree.node(node).path_prob * e.prob});
@@ -284,7 +283,7 @@ TEST_P(BuilderEquivalence, ChainTreeMatchesWholeDistributionChain) {
       TokenTree want(committed.back());
       std::vector<Token> context(committed);
       for (NodeId cur = kRootNode; cur < 6;) {
-        want.AttachTargetDist(cur, exp_.target(), stream, exp_.target().NextDist(stream, context));
+        exp_.target().Draw(stream, context, want.AttachTargetDraw(cur, exp_.target(), stream));
         const SparseDist::Entry top = draft->NextDist(stream, context).entry(0);
         cur = want.AddNode(cur, top.token, top.prob);
         context.push_back(top.token);
@@ -297,7 +296,7 @@ TEST_P(BuilderEquivalence, ChainTreeMatchesWholeDistributionChain) {
 
 // Rebuilding into a tree and scratch last used for a larger tree, on a
 // longer context, for another stream and another model gives the fresh
-// build node for node, attached target distributions included.
+// build node for node, attached target draws included.
 TEST_P(BuilderEquivalence, RebuildIntoUsedStorageMatchesFreshBuild) {
   const Models other;
   const std::vector<Token> longer(64, 3);
@@ -389,9 +388,9 @@ TEST(ExtensionCut, PathProductTieAtTheCutExtendsIt) {
   EXPECT_EQ(ExtensionCut(head, 1.0, 1), 1u);
 }
 
-// Expanding a node twice reuses its attached target distribution, and
+// Expanding a node twice reuses its attached target draw, and
 // each head is the prefix of the draft's whole distribution.
-TEST(ExpandNode, ReexpansionReusesTargetDistribution) {
+TEST(ExpandNode, ReexpansionReusesTargetDraw) {
   Models m;
   const std::vector<Token> committed = {4, 9};
   std::vector<Token> context(committed);
@@ -410,9 +409,13 @@ TEST(ExpandNode, ReexpansionReusesTargetDistribution) {
       EXPECT_TRUE(SameBits(two[i].prob, whole.entry(i).prob));
     }
   }
-  const SparseDist* attached = tree.TargetDist(kRootNode, m.target, 3);
+  // Drawn and ranked once, for the first head and the verifier's sampler.
+  const SupportDraw* attached = tree.TargetDraw(kRootNode, m.target, 3);
   ASSERT_NE(attached, nullptr);
-  EXPECT_EQ(attached->size(), m.target.NextDist(3, committed).size());
+  EXPECT_EQ(attached->reach, kSampleHead);
+  SupportDraw want;
+  m.target.Draw(3, committed, want);
+  EXPECT_TRUE(std::ranges::equal(attached->tokens, want.tokens));
 }
 
 }  // namespace

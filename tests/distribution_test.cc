@@ -10,11 +10,14 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/harness/experiment.h"
+#include "src/harness/golden.h"
 #include "src/model/dist_kernels.h"
 #include "src/model/draft_lm.h"
+#include "src/model/sampler.h"
 #include "src/model/synthetic_lm.h"
 
 namespace adaserve {
@@ -666,6 +669,16 @@ void ExpectEntries(const Got& got, std::span<const SparseDist::Entry> want) {
   }
 }
 
+// Equal doubles, bit for bit.
+template <typename Got>
+void ExpectSameBits(const Got& got, const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&got[i], &want[i], sizeof(double)), 0)
+        << "slot " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
 // The first `n` entries of `full` (all of them for n past its end).
 std::span<const SparseDist::Entry> Prefix(const std::vector<SparseDist::Entry>& full, size_t n) {
   return std::span<const SparseDist::Entry>(full).first(std::min(n, full.size()));
@@ -689,10 +702,11 @@ std::vector<SparseDist::Entry> AtSlots(std::span<const SparseDist::Entry> full,
   return entries;
 }
 
-// SyntheticLm::DrawHead at `width` and every head length, against the whole
-// noise distribution: it draws the whole support, declines exactly the
-// draws that repeat a token, and otherwise returns NextDist's entries at
-// HeadSlots(n), in NextDist's order and bit for bit. On a target support
+// A noise draw ranked at `width` and every head length, against the whole
+// noise distribution: SyntheticLm::Draw draws the whole support, and
+// RankSlots at HeadSlots(n) declines exactly the draws that repeat a token
+// and otherwise returns NextDist's entries at HeadSlots(n), in NextDist's
+// order and bit for bit, as SyntheticLm::RankHead does. On a target support
 // `target_dist` shares no token with, MixDisjointHead over those entries is
 // the first n entries of Mix(target_dist, NextDist) at every weight. Counts
 // the draws that repeat a token and those sharing one with the target.
@@ -711,24 +725,31 @@ void ExpectHeadDrawsMatch(Width width, const SyntheticLm& noise, uint64_t stream
   for (const double weight : weights) {
     mixtures.push_back(ReferenceMix(target_dist, full, weight));
   }
+  SupportDraw draw;
+  noise.Draw(stream, context, draw);
+  ASSERT_EQ(std::vector<Token>(draw.tokens.begin(), draw.tokens.end()), tokens);
+  ExpectSameBits(draw.weights, drawn);
   for (const size_t n : HeadLengths()) {
     SCOPED_TRACE(testing::Message() << "n=" << n);
-    HeadDraw draw;
-    const bool ranked = noise.DrawHead(width, stream, context, n, draw);
-    ASSERT_EQ(std::vector<Token>(draw.tokens.begin(), draw.tokens.end()), tokens);
+    DistHead head;
+    const bool ranked = dist_kernels::RankSlots(width, draw.tokens, draw.weights,
+                                                noise.HeadSlots(n), head);
+    SupportDraw library = draw;
+    ASSERT_EQ(noise.RankHead(library, n), ranked);
+    ExpectEntries(library.head, {head.data(), head.size()});
     ASSERT_EQ(ranked, !repeated);
     if (!ranked) {
-      EXPECT_TRUE(draw.head.empty());
+      EXPECT_TRUE(head.empty());
       continue;
     }
-    ExpectEntries(draw.head, AtSlots(full.entries(), tokens, noise.HeadSlots(n)));
+    ExpectEntries(head, AtSlots(full.entries(), tokens, noise.HeadSlots(n)));
     if (!disjoint) {
       continue;
     }
     for (size_t w = 0; w < weights.size(); ++w) {
       SCOPED_TRACE(testing::Message() << "weight=" << weights[w]);
-      ExpectEntries(MixDisjointHead(target_dist.entries(),
-                                    {draw.head.data(), draw.head.size()}, weights[w], n),
+      ExpectEntries(MixDisjointHead(target_dist.entries(), {head.data(), head.size()},
+                                    weights[w], n),
                     Prefix(mixtures[w], n));
     }
   }
@@ -759,27 +780,50 @@ TEST_P(KernelWidth, HeadDrawsOfSetupDraftMixtures) {
   }
 }
 
+// A draw of `tokens` and `weights`, unranked, as SyntheticLm::Draw leaves
+// one.
+SupportDraw MakeDraw(std::span<const Token> tokens, std::span<const double> weights) {
+  SupportDraw draw;
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    draw.tokens.push_back(tokens[i]);
+    draw.weights.push_back(weights[i]);
+  }
+  return draw;
+}
+
 // DraftLm::NextHead, bounded head and fallbacks alike, against the
-// reference mixture at every head length over the setup draft mixtures. At
-// fidelity 1 the draft is the target itself.
+// reference mixture at every head length over the setup draft mixtures,
+// on the target's draw both fresh and as a beam node carries it (ranked
+// for n = 5, so a shorter head mixes a longer target run). At fidelity 1
+// the draft is the target itself; below 2^-53 it takes the whole path.
+// Target draws that repeat a token and supports that share one are
+// counted, so the sweep is known to reach both fallbacks.
 TEST(DraftNextHead, MatchesTheMixturesPrefix) {
   for (const adaserve::Setup& setup : {LlamaSetup(), QwenSetup()}) {
     SCOPED_TRACE(setup.label);
     const SyntheticLm target(setup.lm_config);
     const SyntheticLm noise(NoiseConfig(setup));
     std::vector<DraftLm> drafts;
-    for (const double fidelity : {0.0, 0.82, 0.85, 0.93, 1.0}) {
+    for (const double fidelity : {0.0, 0x1.0p-60, 0x1.0p-53, 0.82, 0.85, 0.93, 1.0}) {
       DraftConfig config = setup.draft_config;
       config.fidelity = fidelity;
       drafts.emplace_back(&target, config);
     }
     Rng rng(setup.lm_config.seed + 1);
     std::vector<Token> context;
+    int repeats = 0;
+    int shared = 0;
     for (int i = 0; i < 600; ++i) {
       context.push_back(static_cast<Token>(rng.UniformInt(32000)));
       const auto stream = static_cast<uint64_t>(i % 13);
       const SparseDist a = target.NextDist(stream, context);
       const SparseDist b = noise.NextDist(stream, context);
+      SupportDraw fresh;
+      target.Draw(stream, context, fresh);
+      SupportDraw node = fresh;
+      target.RankHead(node, 5);
+      repeats += node.head.empty() ? 1 : 0;
+      shared += Disjoint(a, b) ? 0 : 1;
       for (const DraftLm& draft : drafts) {
         const std::vector<SparseDist::Entry> mixture =
             draft.config().fidelity == 1.0
@@ -788,16 +832,24 @@ TEST(DraftNextHead, MatchesTheMixturesPrefix) {
         for (const size_t n : HeadLengths()) {
           SCOPED_TRACE(testing::Message() << "i=" << i << " fidelity=" << draft.config().fidelity
                                           << " n=" << n);
-          ExpectEntries(draft.NextHead(stream, context, a, n), Prefix(mixture, n));
+          for (const SupportDraw& target_draw : {fresh, node}) {
+            SupportDraw draw = target_draw;
+            ExpectEntries(draft.NextHead(stream, context, draw, n), Prefix(mixture, n));
+          }
         }
       }
     }
+    EXPECT_GT(repeats, 0);
+    EXPECT_GT(shared, 0);
   }
 }
 
-// A target sharing only the noise draw's last slot's token, which no
-// bounded head ranks: the head must still be the coalesced mixture's.
-TEST(DraftNextHead, TokenSharedOutsideTheHeadSlots) {
+// The Llama draft's head on a target draw whose slot `target_slot` holds
+// the token of the noise draw's slot `noise_slot`, and whose other tokens
+// the noise draw lacks: the head must be the coalesced mixture's. The
+// target's weights are its Zipf table's own (a jitter draw of u = 1/2), so
+// its head slots bound it as they bound the model's draws.
+void ExpectSharedTokenHead(size_t target_slot, size_t noise_slot) {
   const adaserve::Setup setup = LlamaSetup();
   const SyntheticLm target(setup.lm_config);
   const SyntheticLm noise(NoiseConfig(setup));
@@ -807,22 +859,148 @@ TEST(DraftNextHead, TokenSharedOutsideTheHeadSlots) {
   std::vector<double> drawn;
   DrawSupport(noise.config(), 3, context, tokens, drawn);
   ASSERT_FALSE(RepeatsToken(tokens));
-  ASSERT_EQ(std::count(noise.HeadSlots(5).begin(), noise.HeadSlots(5).end(), 23), 0);
   std::vector<Token> target_tokens;
-  for (Token t = 0; t < 23; ++t) {
+  std::vector<double> target_weights;
+  for (Token t = 0; target_tokens.size() < 24; ++t) {
     if (std::count(tokens.begin(), tokens.end(), t) == 0) {
       target_tokens.push_back(t);
+      target_weights.push_back(
+          std::pow(static_cast<double>(target_tokens.size()), -setup.lm_config.zipf_exponent));
     }
   }
-  target_tokens.push_back(tokens[23]);
-  const SparseDist a =
-      SparseDist::FromWeights(target_tokens, std::vector<double>(target_tokens.size(), 1.0));
+  target_tokens[target_slot] = tokens[noise_slot];
+  const SparseDist a = SparseDist::FromWeights(target_tokens, target_weights);
   const SparseDist b = noise.NextDist(3, context);
   ASSERT_FALSE(Disjoint(a, b));
   const std::vector<SparseDist::Entry> mixture = ReferenceMix(a, b, setup.draft_config.fidelity);
   for (const size_t n : HeadLengths()) {
     SCOPED_TRACE(testing::Message() << "n=" << n);
-    ExpectEntries(draft.NextHead(3, context, a, n), Prefix(mixture, n));
+    SupportDraw draw = MakeDraw(target_tokens, target_weights);
+    ExpectEntries(draft.NextHead(3, context, draw, n), Prefix(mixture, n));
+  }
+}
+
+// A token shared in the last slot of either draw or both, which no bounded
+// head ranks: only the test over both whole supports finds it.
+TEST(DraftNextHead, TokenSharedOutsideTheHeadSlots) {
+  const SyntheticLm noise(NoiseConfig(LlamaSetup()));
+  ASSERT_EQ(std::count(noise.HeadSlots(5).begin(), noise.HeadSlots(5).end(), 23), 0);
+  for (const auto& [target_slot, noise_slot] :
+       {std::pair<size_t, size_t>{23, 23}, {23, 0}, {0, 23}}) {
+    SCOPED_TRACE(testing::Message() << "target slot " << target_slot << ", noise slot "
+                                    << noise_slot);
+    ExpectSharedTokenHead(target_slot, noise_slot);
+  }
+}
+
+// The two argmax tokens are one token: the heads share it.
+TEST(DraftNextHead, TokenSharedAtBothArgmaxes) { ExpectSharedTokenHead(0, 0); }
+
+// What a sweep of lazy samples reached.
+struct LazySampleCounts {
+  // Stochastic draws that landed past the ranked head.
+  int past_head = 0;
+  // Draws that repeat a token, which the sampler samples by the scan.
+  int repeats = 0;
+};
+
+// The lazy sampler on `lm`'s draw against SampleToken over FromWeights of
+// it: the same token, and the Rng left in the same state, in both modes.
+// SampleToken on the fresh draw ranks its own head; SampleRanked reads the
+// draw unranked and ranked as tree nodes carry it, at 1, kSampleHead, 5
+// and every slot.
+void ExpectLazySamplesMatch(const SyntheticLm& lm, uint64_t stream,
+                            std::span<const Token> context, uint64_t seed,
+                            LazySampleCounts& counts) {
+  SupportDraw fresh;
+  lm.Draw(stream, context, fresh);
+  const std::vector<Token> tokens(fresh.tokens.begin(), fresh.tokens.end());
+  const std::vector<double> weights(fresh.weights.begin(), fresh.weights.end());
+  const SparseDist dist = SparseDist::FromWeights(tokens, weights);
+  counts.repeats += RepeatsToken(tokens) ? 1 : 0;
+  for (const DecodeMode mode : {DecodeMode::kGreedy, DecodeMode::kStochastic}) {
+    SCOPED_TRACE(testing::Message() << "mode=" << static_cast<int>(mode));
+    Rng want_rng(seed);
+    const Token want = SampleToken(dist, mode, want_rng);
+    const uint64_t want_next = want_rng.NextU64();
+    SupportDraw draw = fresh;
+    Rng rng(seed);
+    ASSERT_EQ(SampleToken(lm, draw, mode, rng), want);
+    ASSERT_EQ(rng.NextU64(), want_next);
+    EXPECT_EQ(draw.reach, kSampleHead);
+    const std::span<const SparseDist::Entry> head = draw.Ranked();
+    if (mode == DecodeMode::kStochastic && !head.empty() && head.size() < tokens.size()) {
+      const size_t at = static_cast<size_t>(
+          std::find_if(dist.entries().begin(), dist.entries().end(),
+                       [&](const SparseDist::Entry& e) { return e.token == want; }) -
+          dist.entries().begin());
+      counts.past_head += at >= head.size() ? 1 : 0;
+    }
+    for (const size_t reach : {size_t{0}, size_t{1}, kSampleHead, size_t{5}, kWholeDist}) {
+      SCOPED_TRACE(testing::Message() << "reach=" << reach);
+      SupportDraw ranked = fresh;
+      if (reach > 0) {
+        lm.RankHead(ranked, reach);
+      }
+      Rng ranked_rng(seed);
+      ASSERT_EQ(SampleRanked(ranked, mode, ranked_rng), want);
+      ASSERT_EQ(ranked_rng.NextU64(), want_next);
+    }
+  }
+}
+
+// Every setup's target over 10k draws each: the draws past the head and
+// the ~1% that repeat a token are counted, so the sweep is known to take
+// both branches.
+TEST(LazySampler, SetupTargetsMatchTheWholeDistribution) {
+  for (const adaserve::Setup& setup : {LlamaSetup(), QwenSetup(), GoldenSetup()}) {
+    SCOPED_TRACE(setup.label);
+    const SyntheticLm target(setup.lm_config);
+    Rng rng(setup.lm_config.seed + 2);
+    std::vector<Token> context;
+    LazySampleCounts counts;
+    for (int i = 0; i < 10000; ++i) {
+      context.push_back(static_cast<Token>(rng.UniformInt(32000)));
+      SCOPED_TRACE(testing::Message() << "i=" << i);
+      ExpectLazySamplesMatch(target, static_cast<uint64_t>(i % 13), context,
+                             static_cast<uint64_t>(i), counts);
+    }
+    EXPECT_GT(counts.past_head, 0);
+    EXPECT_GT(counts.repeats, 0);
+  }
+}
+
+// Where the head is not the setups': a support shorter than the head
+// (every slot ranked), exponent 0 (every slot a head slot, all of it
+// ranked), jitter 0 (the first slots in table order), and a vocabulary so
+// small that nearly every draw repeats a token (the scan path).
+TEST(LazySampler, HeadShapesMatchTheWholeDistribution) {
+  const LmConfig setup = LlamaSetup().lm_config;
+  for (const LmConfig& config :
+       {LmConfig{.support = 1}, LmConfig{.support = 2}, LmConfig{.zipf_exponent = 0.0},
+        LmConfig{.zipf_exponent = 0.0, .weight_jitter = 0.0},
+        LmConfig{.zipf_exponent = 3.0, .weight_jitter = 0.0},
+        LmConfig{.vocab_size = 40, .support = setup.support,
+                 .zipf_exponent = setup.zipf_exponent}}) {
+    SCOPED_TRACE(testing::Message() << "support=" << config.support
+                                    << " exponent=" << config.zipf_exponent
+                                    << " jitter=" << config.weight_jitter
+                                    << " vocab=" << config.vocab_size);
+    const SyntheticLm lm(config);
+    Rng rng(23);
+    std::vector<Token> context;
+    LazySampleCounts counts;
+    for (int i = 0; i < 1000; ++i) {
+      context.push_back(static_cast<Token>(rng.UniformInt(32000)));
+      SCOPED_TRACE(testing::Message() << "i=" << i);
+      ExpectLazySamplesMatch(lm, 1, context, static_cast<uint64_t>(i), counts);
+    }
+    if (config.vocab_size == 40) {
+      EXPECT_GT(counts.repeats, 900);
+    }
+    if (config.weight_jitter == 0.0 && config.zipf_exponent == 3.0) {
+      EXPECT_GT(counts.past_head, 0);
+    }
   }
 }
 
@@ -916,7 +1094,7 @@ TEST_P(KernelWidth, HeadSlotsAtPinnedWeights) {
         const SparseDist target = SparseDist::FromWeights(target_tokens, weights);
         for (const size_t n : HeadLengths()) {
           SCOPED_TRACE(testing::Message() << "n=" << n);
-          dist_kernels::EntryScratch head;
+          DistHead head;
           ASSERT_TRUE(dist_kernels::RankSlots(width, tokens, weights, lm.HeadSlots(n), head));
           ExpectEntries(head, AtSlots(full.entries(), tokens, lm.HeadSlots(n)));
           for (const double weight : {0.5, 0.85}) {
@@ -935,7 +1113,7 @@ TEST_P(KernelWidth, RankSlotsTakesWhatRankIntoTakes) {
   const Width width = GetParam();
   const std::vector<uint32_t> all = {0, 1, 2};
   const auto declines = [&](const std::vector<Token>& tokens, const std::vector<double>& weights) {
-    dist_kernels::EntryScratch out;
+    DistHead out;
     const bool ranked = dist_kernels::RankSlots(width, tokens, weights, all, out);
     EXPECT_TRUE(out.empty());
     return !ranked;
@@ -961,7 +1139,7 @@ TEST_P(KernelWidth, RankSlotsTakesWhatRankIntoTakes) {
     }
     SCOPED_TRACE(testing::Message() << "n=" << n);
     dist_kernels::EntryScratch ranked;
-    dist_kernels::EntryScratch sliced;
+    DistHead sliced;
     ASSERT_EQ(dist_kernels::RankInto(width, tokens, weights, ranked),
               dist_kernels::RankSlots(width, tokens, weights, slots, sliced));
     ExpectEntries(sliced, {ranked.data(), ranked.size()});
@@ -977,16 +1155,21 @@ TEST_P(KernelWidth, SharesTokenMatchesSetIntersection) {
   const auto shares = [](const SparseDist& a, const SparseDist& b) {
     return !Disjoint(a, b);
   };
-  // The kernel over b's entries, checked to agree with it over b's bare
+  // The kernel over the entries, checked to agree with it over their bare
   // tokens.
   const auto kernel_shares = [width](std::span<const SparseDist::Entry> a,
                                      std::span<const SparseDist::Entry> b) {
-    std::vector<Token> b_tokens;
-    for (const SparseDist::Entry& e : b) {
-      b_tokens.push_back(e.token);
-    }
+    const auto tokens_of = [](std::span<const SparseDist::Entry> entries) {
+      std::vector<Token> tokens;
+      for (const SparseDist::Entry& e : entries) {
+        tokens.push_back(e.token);
+      }
+      return tokens;
+    };
     const bool entries = dist_kernels::SharesToken(width, a, b);
-    EXPECT_EQ(dist_kernels::SharesToken(width, a, std::span<const Token>(b_tokens)), entries);
+    EXPECT_EQ(dist_kernels::SharesToken(width, std::span<const Token>(tokens_of(a)),
+                                        std::span<const Token>(tokens_of(b))),
+              entries);
     return entries;
   };
   for (const adaserve::Setup& setup : {LlamaSetup(), QwenSetup()}) {

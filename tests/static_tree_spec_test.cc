@@ -97,8 +97,7 @@ TokenTree ReferenceBuildStaticTree(const DraftLm& draft, uint64_t stream,
       std::vector<Token> context(committed);
       const std::vector<Token> path = tree.PathTokens(node);
       context.insert(context.end(), path.begin(), path.end());
-      tree.AttachTargetDist(node, draft.target(), stream,
-                            draft.target().NextDist(stream, context));
+      draft.target().Draw(stream, context, tree.AttachTargetDraw(node, draft.target(), stream));
       const SparseDist dist = draft.NextDist(stream, context);
       for (size_t i = 0; i < std::min(static_cast<size_t>(k), dist.size()); ++i) {
         next.push_back(tree.AddNode(node, dist.entry(i).token, dist.entry(i).prob));

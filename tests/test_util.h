@@ -75,7 +75,8 @@ inline LoggedRun RunLogged(const Experiment& exp, Scheduler& scheduler, Workload
 inline bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
 
 // Node for node: token, parent, both probabilities bit for bit, and the
-// target distribution `target` built for `stream` attached to each node.
+// target draw `target` made for `stream` attached to each node, its tokens
+// and weight bits.
 inline void ExpectSameTree(const TokenTree& got, const TokenTree& want, const SyntheticLm& target,
                            uint64_t stream) {
   ASSERT_EQ(got.size(), want.size());
@@ -85,16 +86,19 @@ inline void ExpectSameTree(const TokenTree& got, const TokenTree& want, const Sy
     EXPECT_EQ(got.node(id).parent, want.node(id).parent);
     EXPECT_TRUE(SameBits(got.node(id).cond_prob, want.node(id).cond_prob));
     EXPECT_TRUE(SameBits(got.node(id).path_prob, want.node(id).path_prob));
-    const SparseDist* got_dist = got.TargetDist(id, target, stream);
-    const SparseDist* want_dist = want.TargetDist(id, target, stream);
-    ASSERT_EQ(got_dist == nullptr, want_dist == nullptr);
-    if (want_dist == nullptr) {
+    const SupportDraw* got_draw = got.TargetDraw(id, target, stream);
+    const SupportDraw* want_draw = want.TargetDraw(id, target, stream);
+    ASSERT_EQ(got_draw == nullptr, want_draw == nullptr);
+    if (want_draw == nullptr) {
       continue;
     }
-    ASSERT_EQ(got_dist->size(), want_dist->size());
-    for (size_t i = 0; i < want_dist->size(); ++i) {
-      EXPECT_EQ(got_dist->entry(i).token, want_dist->entry(i).token);
-      EXPECT_TRUE(SameBits(got_dist->entry(i).prob, want_dist->entry(i).prob));
+    ASSERT_EQ(got_draw->tokens.size(), want_draw->tokens.size());
+    ASSERT_EQ(got_draw->weights.size(), want_draw->weights.size());
+    for (size_t i = 0; i < want_draw->tokens.size(); ++i) {
+      EXPECT_EQ(got_draw->tokens[i], want_draw->tokens[i]);
+    }
+    for (size_t i = 0; i < want_draw->weights.size(); ++i) {
+      EXPECT_TRUE(SameBits(got_draw->weights[i], want_draw->weights[i]));
     }
   }
 }

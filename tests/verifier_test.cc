@@ -188,7 +188,7 @@ TEST_P(FidelityAcceptanceSweep, HigherFidelityAcceptsMore) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FidelityAcceptanceSweep, ::testing::Range<uint64_t>(0, 6));
 
-// --- Reuse of the target distributions the tree builders attach ---
+// --- Reuse of the target draws the tree builders attach ---
 
 // One tree of each kind, all over the same request: a beam candidate tree,
 // vLLM-Spec's chain (an all-ones static tree) and a static tree.
@@ -202,9 +202,9 @@ std::vector<std::pair<const char*, TokenTree>> BuilderTrees(const DraftLm& draft
   return trees;
 }
 
-TokenTree WithoutTargetDists(const TokenTree& tree) {
+TokenTree WithoutTargetDraws(const TokenTree& tree) {
   TokenTree bare = tree;
-  bare.ClearTargetDists();
+  bare.ClearTargetDraws();
   return bare;
 }
 
@@ -212,7 +212,7 @@ TokenTree WithoutTargetDists(const TokenTree& tree) {
 // and expects equal verdicts every time and equal Rng states at the end.
 void ExpectSameVerdicts(const SyntheticLm& target, uint64_t stream, const std::vector<Token>& ctx,
                         const TokenTree& tree, DecodeMode mode, int trials) {
-  const TokenTree bare = WithoutTargetDists(tree);
+  const TokenTree bare = WithoutTargetDraws(tree);
   // Whole tree, and the top half by path probability.
   std::vector<char> half(static_cast<size_t>(tree.size()), 0);
   std::vector<NodeId> order;
@@ -242,6 +242,9 @@ std::vector<std::pair<SyntheticLm, DraftConfig>> ReuseModels() {
           {SyntheticLm(llama.lm_config), llama.draft_config}};
 }
 
+// Every attached draw is the target's at its node, and the builder ranked
+// it as far as the verifier's sampler reads, so verification ranks no
+// node again.
 TEST(VerifierReuse, AttachedDistributionsAreTheTargets) {
   for (const auto& [target, draft_config] : ReuseModels()) {
     const DraftLm draft(&target, draft_config);
@@ -249,7 +252,7 @@ TEST(VerifierReuse, AttachedDistributionsAreTheTargets) {
     for (const auto& [builder, tree] : BuilderTrees(draft, 8, ctx)) {
       SCOPED_TRACE(builder);
       for (NodeId id = 0; id < tree.size(); ++id) {
-        const SparseDist* attached = tree.TargetDist(id, target, 8);
+        const SupportDraw* attached = tree.TargetDraw(id, target, 8);
         // Every expanded node carries one; the last layer was never expanded.
         if (!tree.node(id).children.empty()) {
           ASSERT_NE(attached, nullptr) << "node " << id;
@@ -264,11 +267,13 @@ TEST(VerifierReuse, AttachedDistributionsAreTheTargets) {
         for (Token t : tree.PathTokens(id)) {
           context.push_back(t);
         }
+        EXPECT_GE(attached->reach, kSampleHead) << "node " << id;
         const SparseDist want = target.NextDist(8, context);
-        ASSERT_EQ(attached->size(), want.size()) << "node " << id;
+        const SparseDist got = SparseDist::FromWeights(attached->tokens, attached->weights);
+        ASSERT_EQ(got.size(), want.size()) << "node " << id;
         for (size_t i = 0; i < want.size(); ++i) {
-          EXPECT_EQ(attached->entry(i).token, want.entry(i).token);
-          EXPECT_EQ(std::memcmp(&attached->entry(i).prob, &want.entry(i).prob, sizeof(double)), 0);
+          EXPECT_EQ(got.entry(i).token, want.entry(i).token);
+          EXPECT_EQ(std::memcmp(&got.entry(i).prob, &want.entry(i).prob, sizeof(double)), 0);
         }
       }
     }
@@ -298,10 +303,10 @@ TEST(VerifierReuse, OtherModelOrStreamIsRecomputed) {
   const std::vector<Token> ctx = {5, 6};
   for (const auto& [builder, tree] : BuilderTrees(m.draft, 3, ctx)) {
     SCOPED_TRACE(builder);
-    ASSERT_NE(tree.TargetDist(kRootNode, m.target, 3), nullptr);
+    ASSERT_NE(tree.TargetDraw(kRootNode, m.target, 3), nullptr);
     for (NodeId id = 0; id < tree.size(); ++id) {
-      EXPECT_EQ(tree.TargetDist(id, other, 3), nullptr);
-      EXPECT_EQ(tree.TargetDist(id, m.target, 4), nullptr);
+      EXPECT_EQ(tree.TargetDraw(id, other, 3), nullptr);
+      EXPECT_EQ(tree.TargetDraw(id, m.target, 4), nullptr);
     }
     // Verifying against another model (or stream) must draw from that
     // model, exactly as a tree without attached distributions does.
