@@ -86,6 +86,33 @@ void BM_BuildCandidateTree(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildCandidateTree)->ArgNames({"depth", "reuse"})->ArgsProduct({{2, 4, 8}, {0, 1}});
 
+// One tick's speculate phase: candidate trees (depth 4, width 2) for a
+// batch of 16 requests, rebuilt into a TreeBatch as the schedulers do.
+// team:0 runs the batch inline; team:1 runs it on the process-wide
+// fork-join team (min(hardware threads, 4) members).
+void BM_SpeculateBatch(benchmark::State& state) {
+  const Experiment& exp = GetExperiment();
+  constexpr int kBatch = 16;
+  std::vector<std::vector<Token>> contexts;
+  for (int i = 0; i < kBatch; ++i) {
+    contexts.push_back(MakeContext(static_cast<uint64_t>(i), 32));
+  }
+  const BeamConfig beam{.depth = 4, .width = 2};
+  ForkJoinTeam inline_team(0);
+  ForkJoinTeam& team = state.range(0) != 0 ? ForkJoinTeam::Shared() : inline_team;
+  TreeBatch batch;
+  for (auto _ : state) {
+    batch.Build(team, kBatch, [&](int i, BuildScratch& scratch, TokenTree& tree) {
+      BuildCandidateTree(exp.draft(), static_cast<uint64_t>(i), contexts[static_cast<size_t>(i)],
+                         beam, scratch, tree);
+    });
+    benchmark::DoNotOptimize(&batch.tree(0));
+    benchmark::ClobberMemory();
+  }
+  state.counters["members"] = team.members();
+}
+BENCHMARK(BM_SpeculateBatch)->ArgName("team")->Arg(0)->Arg(1);
+
 // Expanding one tree node: its target draw (attached to the node, ranked
 // at its head) plus the draft head a builder reads. head:1 is the chain's
 // argmax, head:5 a width-4 beam step's cut, head:all the whole mixture.

@@ -75,10 +75,15 @@ IterationRecord StaticTreeSpecScheduler::DecodePhase(SimTime now, RequestPool& p
   const SimTime latency = spec_time + verify_time;
   const SimTime end = now + latency;
 
-  for (RequestId id : running) {
-    const Request& req = pool.Get(id);
-    BuildStaticTree(*ctx.draft, req.stream_seed, req.output, config_.branching, scratch_, tree_);
-    CommitVerifiedTree(now, end, pool, ctx, id, tree_, /*selected=*/{}, record);
+  // A tree reads only its own request's output, so building every tree
+  // before the first commit builds the same trees.
+  const RequestPool& requests = pool;
+  trees_.Build(ForkJoinTeam::Shared(), n, [&](int i, BuildScratch& scratch, TokenTree& tree) {
+    const Request& req = requests.Get(running[static_cast<size_t>(i)]);
+    BuildStaticTree(*ctx.draft, req.stream_seed, req.output, config_.branching, scratch, tree);
+  });
+  for (size_t i = 0; i < running.size(); ++i) {
+    CommitVerifiedTree(now, end, pool, ctx, running[i], trees_.tree(i), /*selected=*/{}, record);
   }
 
   record.duration = latency;

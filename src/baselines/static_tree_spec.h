@@ -20,6 +20,7 @@
 #include "src/serve/scheduler.h"
 #include "src/spec/beam_search.h"
 #include "src/spec/token_tree.h"
+#include "src/spec/tree_batch.h"
 
 namespace adaserve {
 
@@ -56,9 +57,9 @@ class StaticTreeSpecScheduler : public Scheduler {
   int tokens_per_tree_;
   // Draft tokens per request at each level: 1, b0, b0*b1, ...
   std::vector<int> level_widths_;
-  // Every request's tree is built in turn into this storage.
-  BuildScratch scratch_;
-  TokenTree tree_{kInvalidToken};
+  // Tree i belongs to the iteration's i-th running request; every tree is
+  // built before any commits.
+  TreeBatch trees_;
 };
 
 }  // namespace adaserve

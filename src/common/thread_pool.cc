@@ -1,6 +1,13 @@
 #include "src/common/thread_pool.h"
 
 namespace adaserve {
+namespace {
+
+thread_local bool t_pool_worker = false;
+
+}  // namespace
+
+bool ThreadPool::OnWorkerThread() { return t_pool_worker; }
 
 ThreadPool::ThreadPool(int num_threads) {
   workers_.reserve(static_cast<size_t>(num_threads > 0 ? num_threads : 0));
@@ -29,6 +36,7 @@ void ThreadPool::Enqueue(std::function<void()> fn) {
 }
 
 void ThreadPool::WorkerLoop() {
+  t_pool_worker = true;
   for (;;) {
     std::function<void()> task;
     {

@@ -40,6 +40,11 @@ class ThreadPool {
 
   int size() const { return static_cast<int>(workers_.size()); }
 
+  // True on a worker thread of any ThreadPool. Work running there shares
+  // the machine with the pool's other workers, so it does not fan out
+  // further (ForkJoinTeam runs such calls inline).
+  static bool OnWorkerThread();
+
   // Enqueues `fn` and returns a future for its result. Tasks start in FIFO
   // order. Nested submission (a task submitting to its own pool) is safe;
   // blocking on a nested future from inside a worker can deadlock when

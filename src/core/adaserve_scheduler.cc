@@ -89,14 +89,16 @@ IterationRecord AdaServeScheduler::SpecIteration(SimTime now, RequestPool& pool,
   draft_widths_.resize(static_cast<size_t>(std::max(beam.depth, 1)), beam.width);
   const SimTime spec_time = DraftTreeTime(*ctx.draft_latency, n,
                                           pool.SumContextTokens(running), draft_widths_);
-  while (candidates_.size() < running.size()) {
-    candidates_.emplace_back(kInvalidToken);
-  }
+  const RequestPool& requests = pool;
+  candidates_.Build(ForkJoinTeam::Shared(), n,
+                    [&](int i, BuildScratch& scratch, TokenTree& tree) {
+                      const Request& req = requests.Get(running[static_cast<size_t>(i)]);
+                      BuildCandidateTree(*ctx.draft, req.stream_seed, req.output, beam, scratch,
+                                         tree);
+                    });
   long candidate_tokens = 0;
   for (size_t i = 0; i < running.size(); ++i) {
-    const Request& req = pool.Get(running[i]);
-    BuildCandidateTree(*ctx.draft, req.stream_seed, req.output, beam, scratch_, candidates_[i]);
-    candidate_tokens += candidates_[i].size() - 1;
+    candidate_tokens += candidates_.tree(i).size() - 1;
   }
 
   // --- Step 2: selection ---
@@ -108,7 +110,7 @@ IterationRecord AdaServeScheduler::SpecIteration(SimTime now, RequestPool& pool,
   for (size_t i = 0; i < running.size(); ++i) {
     const Request& req = pool.Get(running[i]);
     const double a = MinAcceptedForSlo(req, now, t_spec_estimate);
-    sel_requests_[i].tree = &candidates_[i];
+    sel_requests_[i].tree = &candidates_.tree(i);
     sel_requests_[i].a_cap = config_.slo_phase_enabled ? CapRequirement(a, beam.depth) : 0.0;
   }
   // Budget: B counts every verified token, roots included (Algorithm 2
@@ -152,14 +154,17 @@ IterationRecord AdaServeScheduler::SpecIteration(SimTime now, RequestPool& pool,
 
   // Commit: verify each draft tree, commit accepted + bonus tokens.
   for (size_t i = 0; i < running.size(); ++i) {
-    CommitVerifiedTree(now, end, pool, ctx, running[i], candidates_[i], sel.selected[i], record);
+    CommitVerifiedTree(now, end, pool, ctx, running[i], candidates_.tree(i), sel.selected[i],
+                       record);
   }
   ApplyPrefillChunks(pool, ctx, prefill.chunks, end, record);
 
   record.duration = latency;
   record.spec_time = spec_time;
   record.select_time = select_time;
-  record.verify_time = verify_time;
+  // The co-batched chunks' share of the target pass, by token count.
+  record.prefill_time = verify_time * static_cast<double>(prefill.tokens) / verify_tokens;
+  record.verify_time = verify_time - record.prefill_time;
   last_duration_ = latency;
   return record;
 }

@@ -19,7 +19,7 @@
 #include "src/core/selection.h"
 #include "src/serve/scheduler.h"
 #include "src/spec/beam_search.h"
-#include "src/spec/token_tree.h"
+#include "src/spec/tree_batch.h"
 
 namespace adaserve {
 
@@ -68,9 +68,8 @@ class AdaServeScheduler : public Scheduler {
   BeamConfig last_beam_;
   // Speculation storage kept across iterations so building and selecting
   // stop allocating: candidate tree i belongs to the iteration's i-th
-  // running request (trees past the batch keep their capacity).
-  std::vector<TokenTree> candidates_;
-  BuildScratch scratch_;
+  // running request.
+  TreeBatch candidates_;
   // Draft tokens per request at each beam step: 1 (the roots), then w.
   std::vector<int> draft_widths_;
   std::vector<SelectionRequest> sel_requests_;

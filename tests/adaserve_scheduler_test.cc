@@ -78,6 +78,34 @@ TEST_F(AdaServeSchedulerTest, BreakdownFieldsPopulated) {
   EXPECT_TRUE(saw_decode_iteration);
 }
 
+TEST_F(AdaServeSchedulerTest, CoBatchedPrefillTakesItsTokenShareOfTheTargetPass) {
+  // Boundary mode: the drain step verifies trees and prefills chunks in
+  // one target pass, whose time splits between verify and prefill by
+  // token count.
+  AdaServeScheduler scheduler;
+  const std::vector<Request> workload = SmallMixedWorkload(exp_, /*duration=*/10.0, /*rps=*/4.0);
+  TickLog log;
+  EngineConfig engine = BoundaryTickConfig();
+  engine.trace_sink = &log;
+  exp_.Run(scheduler, workload, engine);
+  int co_batched = 0;
+  for (const IterationRecord& rec : log.ticks) {
+    if (rec.verified_tokens == 0 || rec.prefill_tokens == 0) {
+      continue;
+    }
+    ++co_batched;
+    EXPECT_GT(rec.prefill_time, 0.0);
+    EXPECT_GT(rec.verify_time, 0.0);
+    EXPECT_NEAR(rec.duration,
+                rec.spec_time + rec.select_time + rec.verify_time + rec.prefill_time, 1e-12);
+    const double target_tokens =
+        rec.decode_requests + rec.verified_tokens + rec.prefill_tokens;
+    EXPECT_NEAR(rec.prefill_time / (rec.verify_time + rec.prefill_time),
+                rec.prefill_tokens / target_tokens, 1e-9);
+  }
+  EXPECT_GT(co_batched, 0) << "no drain step co-batched a prefill chunk";
+}
+
 TEST_F(AdaServeSchedulerTest, SelectionOverheadIsTinyFraction) {
   // Fig. 15: CPU scheduling is a fraction of a percent of iteration time.
   AdaServeScheduler scheduler;

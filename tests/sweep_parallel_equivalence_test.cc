@@ -8,10 +8,13 @@
 // pins the per-cell Experiment reconstruction against the old
 // shared-Experiment serial helper, a vector-fed sweep against the same
 // sweep fed by owned streams, and a stream-fed sweep's parallel path
-// against its serial path.
+// against its serial path, and a serving run whose draft trees are built
+// on the fork-join team against the same run built inline.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "bench/sweep_common.h"
 #include "tests/test_util.h"
@@ -150,6 +153,25 @@ TEST(SweepParallelEquivalence, StreamSweepParallelMatchesSerial) {
     EXPECT_EQ(GoldenMetricsText(serial[i].system, serial[i].result.metrics),
               GoldenMetricsText(parallel[i].system, parallel[i].result.metrics));
     EXPECT_GT(parallel[i].wall_clock_s, 0.0);
+  }
+}
+
+// The speculate phase builds a tick's draft trees on the process-wide
+// fork-join team when served from the main thread, and inline inside a
+// ThreadPool worker. Both serve the same metrics byte for byte: a tree
+// reads only its own request, and sampling stays on the serving thread.
+TEST(SweepParallelEquivalence, TeamBuiltTreesMatchInlineBuiltTrees) {
+  const Experiment exp(GoldenSetup());
+  const std::vector<Request> workload = exp.RealTraceWorkload(kDuration, 3.5, PeakMix());
+  const auto serve = [&](SystemKind kind) {
+    const std::unique_ptr<Scheduler> scheduler = MakeScheduler(kind);
+    return GoldenMetricsText(kind, exp.Run(*scheduler, workload).metrics);
+  };
+  ThreadPool pool(1);
+  for (SystemKind kind : {SystemKind::kAdaServe, SystemKind::kVllmSpec4}) {
+    const std::string on_team = serve(kind);
+    const std::string in_worker = pool.Submit([&] { return serve(kind); }).get();
+    EXPECT_EQ(on_team, in_worker) << SystemName(kind);
   }
 }
 
