@@ -66,10 +66,8 @@ int RunAdmissionAblation(const BenchArgs& args) {
                                  .max_len = 256};
   cats[kCatCoding].output_len = {.log_mean = std::log(12.0), .log_stddev = 0.3, .min_len = 4,
                                  .max_len = 32};
-  // Two worst-case long prompts must fit in the cap at once: if only one
-  // can hold KV, two blocked jumbos recompute-evict each other forever
-  // (the sole active request is always the newest zero-output victim) and
-  // the fifo cell livelocks.
+  // Two worst-case long prompts fit in the cap at once, so no single long
+  // prompt mid-prefill holds the whole cache.
   cats[kCatSummarization].prompt_len = {.log_mean = std::log(1500.0), .log_stddev = 0.25,
                                         .min_len = 512, .max_len = 2048};
   cats[kCatSummarization].output_len = {.log_mean = std::log(16.0), .log_stddev = 0.3,

@@ -5,15 +5,17 @@
 //             [--time_rel_tol 1.0] [--time_abs_tol 5.0]
 //
 // Every baseline row (model, system, metric, x) must exist in the
-// candidate, and its value must not be below
-//   baseline - max(abs_tol, rel_tol * |baseline|).
-// The simulation metrics (goodput_tps, throughput_tps, attainment_pct)
-// are higher-is-better by construction. "wall_clock_s" rows — the harness
-// wall-clock the parallel sweep engine reports — are lower-is-better and
-// gated with their own deliberately loose tolerances (--time_rel_tol /
-// --time_abs_tol), because wall clock varies across machines where the
-// deterministic metrics do not. Improvements beyond tolerance are
-// reported as a hint to refresh the baseline but do not fail the gate.
+// candidate, and its value must not be worse than the baseline by more
+// than max(abs_tol, rel_tol * |baseline|). Simulation metrics are
+// higher-is-better (goodput_tps, throughput_tps, attainment_pct, ...)
+// except latencies: "recovery_s" and every "*_ms" row (e.g. a TTFT) are
+// lower-is-better, under the same strict tolerances. "wall_clock_s" rows
+// — the harness wall clock the parallel sweep engine reports — are
+// lower-is-better and gated with their own deliberately loose tolerances
+// (--time_rel_tol / --time_abs_tol), because wall clock varies across
+// machines where the deterministic metrics do not. Improvements beyond
+// tolerance are reported as a hint to refresh the baseline but do not
+// fail the gate.
 // Exit codes: 0 ok, 1 regression / missing rows, 2 usage or parse error.
 //
 // The parser handles exactly the flat document BenchJson emits — an
@@ -166,10 +168,11 @@ int main(int argc, char** argv) {
     }
     // Wall-clock rows are lower-is-better and noisy, so they flip the
     // sign AND use the loose time tolerances. recovery_s (flash-crowd
-    // recovery time to SLO) is lower-is-better too, but deterministic —
-    // flipped sign, strict tolerances.
+    // recovery time to SLO) and the *_ms latencies are lower-is-better
+    // too, but deterministic — flipped sign, strict tolerances.
     const bool is_time = base.metric == "wall_clock_s";
-    const bool lower_is_better = is_time || base.metric == "recovery_s";
+    const bool lower_is_better = is_time || base.metric == "recovery_s" ||
+                                 std::string_view(base.metric).ends_with("_ms");
     const double slack = is_time
                              ? std::max(time_abs_tol, time_rel_tol * std::fabs(base.value))
                              : std::max(abs_tol, rel_tol * std::fabs(base.value));

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <exception>
 
-#include "src/common/thread_pool.h"
-
 namespace adaserve {
 namespace {
 
@@ -88,8 +86,11 @@ void ForkJoinTeam::Dispatch(int n, Invoke invoke, const void* fn) {
   job.invoke = invoke;
   job.fn = fn;
   job.n = n;
+  // An item of another team with helpers already shares the machine with
+  // that team's other members.
+  const bool in_parallel_item = t_team != nullptr && t_team != this && t_team->helper_count_ > 0;
   bool idle = false;
-  if (n < 2 || helper_count_ == 0 || ThreadPool::OnWorkerThread() ||
+  if (n < 2 || helper_count_ == 0 || in_parallel_item ||
       !busy_.compare_exchange_strong(idle, true, std::memory_order_acquire)) {
     // Inline: the caller is every member. A call nested in one of this
     // team's items (the team is busy with it) keeps that item's member.
@@ -119,13 +120,17 @@ void ForkJoinTeam::Dispatch(int n, Invoke invoke, const void* fn) {
     // still inside it: a helper that takes active_ after this store sees
     // no job (the same seq_cst pairing, on job_ and active_). A helper
     // preempted mid-item holds the caller up until it runs again, so
-    // past a short spin the caller yields its core to it.
+    // past a short spin the caller yields its core to it, and past about
+    // a millisecond (a sweep's helpers finishing whole simulations) it
+    // sleeps.
     job_.store(nullptr);
     for (int polls = 1; active_.load() != 0; ++polls) {
       if (polls < 256) {
         CpuRelax();
-      } else {
+      } else if (polls < 4096) {
         std::this_thread::yield();
+      } else {
+        std::this_thread::sleep_for(kSpinFor);
       }
     }
     busy_.store(false, std::memory_order_release);

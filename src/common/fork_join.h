@@ -1,19 +1,21 @@
-// Fork-join team for loops of independent items inside one serving tick.
+// Fork-join team for loops of independent items.
 //
-// ThreadPool fans whole simulations out across cores; this splits one
-// short loop (a tick's draft trees, tens of microseconds of work) across a
-// few threads. A call hands the loop to the team's helper threads and the
-// calling thread works as one more member: whoever is free claims the next
-// index, so the caller only ever waits for items already in progress.
-// Helpers spin briefly between calls, then park on an atomic wait, so a
-// caller that stops calling leaves no core busy for long.
+// A call hands the loop to the team's helper threads and the calling
+// thread works as one more member: whoever is free claims the next index,
+// so the caller only ever waits for items already in progress. The same
+// primitive serves two grains: a serving tick's draft trees (tens of
+// microseconds of work, on the process-wide Shared() team) and a sweep's
+// whole simulations (SweepRunner builds a team per Map call). Helpers spin
+// briefly between calls, then park on an atomic wait, so a caller that
+// stops calling leaves no core busy for long.
 //
 // A call runs inline on the calling thread, in index order, when the loop
 // has fewer than two items, when the team is already running a call (from
 // another thread, or a nested call from one of its items), or when the
-// caller is a ThreadPool worker: a parallel sweep already fills the cores.
-// The inline path runs the same callable; results differ only in which
-// thread computed which item.
+// caller is running an item of another team that has helpers: that team
+// already spreads its items over the cores, so a cell of a parallel sweep
+// builds its trees inline. The inline path runs the same callable; results
+// differ only in which thread computed which item.
 #ifndef ADASERVE_SRC_COMMON_FORK_JOIN_H_
 #define ADASERVE_SRC_COMMON_FORK_JOIN_H_
 

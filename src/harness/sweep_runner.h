@@ -2,7 +2,7 @@
 //
 // A sweep is a grid of (system × sweep-point) cells, each an independent
 // deterministic simulation. SweepRunner fans the cells out over a
-// ThreadPool and reassembles results in grid order, so the output — and,
+// ForkJoinTeam and reassembles results in grid order, so the output — and,
 // because every cell builds its own Experiment, workload, and scheduler
 // from scratch, every metric byte — is identical at any thread count.
 // tests/sweep_parallel_equivalence_test.cc pins threads=1 ≡ threads=4
@@ -18,13 +18,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <functional>
-#include <future>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "src/common/fork_join.h"
 #include "src/common/stats.h"
-#include "src/common/thread_pool.h"
 #include "src/harness/comparisons.h"
 #include "src/harness/experiment.h"
 #include "src/workload/arrival_stream.h"
@@ -52,34 +53,40 @@ class SweepRunner {
   // harness time, what BenchJson records as the "harness / total" row).
   double total_wall_clock_s() const { return total_wall_clock_s_; }
 
-  // Runs all tasks across the pool and returns their results in input
-  // order regardless of completion order. If a task throws, the first
+  // Runs all tasks on a team of min(threads, tasks) members, the calling
+  // thread among them, and returns their results in input order
+  // regardless of completion order. If a task throws, the first
   // (input-order) exception is rethrown in the caller after every task
-  // finished or was drained.
+  // has run.
   template <typename T>
   std::vector<Timed<T>> Map(const std::vector<std::function<T()>>& tasks) {
     const auto sweep_start = std::chrono::steady_clock::now();
+    const int n = static_cast<int>(tasks.size());
+    std::vector<std::optional<Timed<T>>> done(tasks.size());
+    std::vector<std::exception_ptr> errors(tasks.size());
+    {
+      ForkJoinTeam team(std::min(threads_, n) - 1);
+      team.Run(n, [&](int, int i) {
+        const size_t at = static_cast<size_t>(i);
+        try {
+          const auto start = std::chrono::steady_clock::now();
+          Timed<T> timed{tasks[at](), 0.0};
+          timed.wall_clock_s = SecondsSince(start);
+          done[at].emplace(std::move(timed));
+        } catch (...) {
+          errors[at] = std::current_exception();
+        }
+      });
+    }
+    for (const std::exception_ptr& error : errors) {
+      if (error) {
+        std::rethrow_exception(error);
+      }
+    }
     std::vector<Timed<T>> results;
     results.reserve(tasks.size());
-    {
-      // Never spin up more workers than there are tasks.
-      const int workers =
-          threads_ <= 1 ? 0 : static_cast<int>(std::min<size_t>(
-                                  static_cast<size_t>(threads_), tasks.size()));
-      ThreadPool pool(workers);
-      std::vector<std::future<Timed<T>>> futures;
-      futures.reserve(tasks.size());
-      for (const std::function<T()>& task : tasks) {
-        futures.push_back(pool.Submit([&task] {
-          const auto start = std::chrono::steady_clock::now();
-          Timed<T> timed{task(), 0.0};
-          timed.wall_clock_s = SecondsSince(start);
-          return timed;
-        }));
-      }
-      for (std::future<Timed<T>>& future : futures) {
-        results.push_back(future.get());
-      }
+    for (std::optional<Timed<T>>& result : done) {
+      results.push_back(std::move(*result));
     }
     total_wall_clock_s_ += SecondsSince(sweep_start);
     return results;
@@ -102,8 +109,8 @@ struct SweepCellResult {
   double wall_clock_s = 0.0;
 };
 
-// Builds and runs one cell from scratch. Called concurrently from pool
-// workers: everything the simulation touches must be task-local.
+// Builds and runs one cell from scratch. Called concurrently from team
+// members: everything the simulation touches must be task-local.
 using SweepCellFn = std::function<EngineResult(SystemKind system, double x)>;
 
 // Fans out the full xs × systems grid through `runner` and returns

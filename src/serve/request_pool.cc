@@ -66,18 +66,6 @@ std::deque<RequestId>::iterator RequestPool::RankedHead(PriorityPolicy policy) {
 }
 
 RequestId RequestPool::Victim(const Request& head, PriorityPolicy policy) const {
-  if (policy == PriorityPolicy::kFifo) {
-    // The newest-admitted zero-output request, any category, that FIFO
-    // ranks below the head: one that arrived after it (ids are dense in
-    // arrival order). An earlier arrival, once requeued in front of the
-    // head, would evict it straight back.
-    for (auto it = active_.rbegin(); it != active_.rend(); ++it) {
-      if (*it > head.id && Get(*it).committed_len == 0) {
-        return *it;
-      }
-    }
-    return kInvalidRequestId;
-  }
   // Only a prefilling zero-output request strictly less urgent than the
   // head. Newest-first scan keeping the largest key: the least urgent goes
   // first, and among equals the newest (least prefill progress to redo).
@@ -126,8 +114,10 @@ int RequestPool::Admit(int max_active, PriorityPolicy policy, int max_evictions,
       ++admitted;
       continue;
     }
-    if (max_evictions <= 0) {
-      break;  // Blocked on KV with no eviction budget left.
+    if (max_evictions <= 0 || policy == PriorityPolicy::kFifo) {
+      // Blocked on KV with no eviction budget left, or under FIFO, which
+      // admits in arrival order and never displaces.
+      break;
     }
     // Set the head aside so victims queue behind it, then displace victims
     // until its worst-case footprint fits or the budget runs out.
@@ -140,9 +130,8 @@ int RequestPool::Admit(int max_active, PriorityPolicy policy, int max_evictions,
       if (victim == kInvalidRequestId) {
         break;  // Nothing (more) the policy is willing to displace.
       }
-      // Each push_front reverses displacement order: newest-first FIFO
-      // victims end up queued in arrival order, loosest-first SLO-aware
-      // victims tighter-SLO first.
+      // Each push_front reverses displacement order: loosest-first
+      // victims end up queued tighter-SLO first.
       if (pause) {
         Pause(victim);
       } else {

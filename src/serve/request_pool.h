@@ -25,13 +25,13 @@
 namespace adaserve {
 
 // Admission policy of the pool's one admission call, Admit. kFifo admits
-// in arrival order. kSloUrgentFirst is the paper's SLO-customized
-// admission: requests from tighter-TPOT-SLO categories jump the queue, and
-// under an eviction budget an urgent head may recompute-evict a strictly
-// less urgent *prefilling* request to make room. kSloUrgentPause ranks
-// identically but *pauses* its victims (prefill progress preserved,
-// resume-where-left-off) instead — modeling KV swap-out rather than
-// recomputation.
+// in arrival order and never displaces. kSloUrgentFirst is the paper's
+// SLO-customized admission: requests from tighter-TPOT-SLO categories jump
+// the queue, and under an eviction budget an urgent head may
+// recompute-evict a strictly less urgent *prefilling* request to make
+// room. kSloUrgentPause ranks identically but *pauses* its victims
+// (prefill progress preserved, resume-where-left-off) instead — modeling
+// KV swap-out rather than recomputation.
 enum class PriorityPolicy {
   kFifo,
   kSloUrgentFirst,
@@ -70,19 +70,18 @@ class RequestPool {
   //     the policy's urgency key (tpot_slo, or NextTokenDeadline under
   //     kEdf): ties keep queue order. A head blocked on KV stops admission
   //     rather than letting a worse-ranked request skip ahead.
-  //   - With `max_evictions` > 0, a head blocked on KV displaces victims
-  //     until it fits, at most `max_evictions` of them per call. Every
-  //     victim ranks strictly below the head. Under kFifo it is the
-  //     newest-admitted zero-output request that arrived after the head;
-  //     under the other policies it is the least urgent *prefilling*
+  //   - Under the ranked policies with `max_evictions` > 0, a head blocked
+  //     on KV displaces victims until it fits, at most `max_evictions` of
+  //     them per call. A victim is the least urgent *prefilling*
   //     zero-output request strictly less urgent than the head (newest
   //     first among equals). Victims are paused under kSloUrgentPause and
   //     recompute-evicted otherwise, and counted into *paused or *evicted
-  //     (when non-null).
+  //     (when non-null). kFifo never displaces: a head blocked on KV stops
+  //     admission whatever the budget.
   //   - Victims re-enter the queue right behind the head in reverse
-  //     displacement order — arrival order under kFifo, tighter-SLO first
-  //     under the SLO-aware policies — and the head the room was made for
-  //     is admitted next, not a re-ranked one. Admission then continues.
+  //     displacement order (tighter-SLO first), and the head the room was
+  //     made for is admitted next, not a re-ranked one. Admission then
+  //     continues.
   int Admit(int max_active, PriorityPolicy policy, int max_evictions = 0, int* evicted = nullptr,
             int* paused = nullptr);
 
@@ -150,8 +149,8 @@ class RequestPool {
   // a non-empty queue.
   std::deque<RequestId>::iterator RankedHead(PriorityPolicy policy);
 
-  // The active request `head` would displace under `policy`, or
-  // kInvalidRequestId when the policy offers none.
+  // The active request `head` would displace under a ranked `policy`, or
+  // kInvalidRequestId when none ranks below it.
   RequestId Victim(const Request& head, PriorityPolicy policy) const;
 
   // Admits the queued request at `head` if its worst-case KV footprint

@@ -1,6 +1,7 @@
 // Unit tests for ForkJoinTeam: every index runs once, the inline cases run
-// on the calling thread, concurrent items never share a member, calls made
-// back to back never lose a helper's wake-up, and the destructor joins
+// on the calling thread, a call from another team's item fans out only when
+// that team has no helpers, concurrent items never share a member, calls
+// made back to back never lose a helper's wake-up, and the destructor joins
 // parked helpers. The TSan CI job runs these through the smoke label.
 #include "src/common/fork_join.h"
 
@@ -11,8 +12,6 @@
 #include <stdexcept>
 #include <thread>
 #include <vector>
-
-#include "src/common/thread_pool.h"
 
 namespace adaserve {
 namespace {
@@ -28,13 +27,6 @@ bool AwaitCount(const std::atomic<int>& count, int target) {
     std::this_thread::yield();
   }
   return true;
-}
-
-// Runs `n` items on `team` and returns the thread each item ran on.
-std::vector<std::thread::id> ThreadsOf(ForkJoinTeam& team, int n) {
-  std::vector<std::thread::id> threads(static_cast<size_t>(n));
-  team.Run(n, [&](int, int i) { threads[static_cast<size_t>(i)] = std::this_thread::get_id(); });
-  return threads;
 }
 
 TEST(ForkJoinTeamTest, EveryIndexRunsOnceAndMatchesASerialLoop) {
@@ -131,23 +123,38 @@ TEST(ForkJoinTeamTest, ANestedCallRunsInlineOnTheItemsThread) {
   }
 }
 
-TEST(ForkJoinTeamTest, ACallFromAThreadPoolWorkerRunsInline) {
+TEST(ForkJoinTeamTest, ACallFromAnItemOfAnotherTeamWithHelpersRunsInline) {
+  // The outer team is a two-cell sweep: each cell already has a core.
+  ForkJoinTeam sweep(1);
   ForkJoinTeam team(3);
-  ThreadPool pool(1);
-  EXPECT_FALSE(ThreadPool::OnWorkerThread());
-  const bool inline_run = pool.Submit([&team] {
-                                if (!ThreadPool::OnWorkerThread()) {
-                                  return false;
-                                }
-                                const std::thread::id self = std::this_thread::get_id();
-                                for (std::thread::id t : ThreadsOf(team, 64)) {
-                                  if (t != self) {
-                                    return false;
-                                  }
-                                }
-                                return true;
-                              }).get();
-  EXPECT_TRUE(inline_run);
+  std::atomic<int> strays{0};
+  sweep.Run(2, [&](int, int) {
+    const std::thread::id self = std::this_thread::get_id();
+    // Items long enough that awake helpers would take some.
+    team.Run(32, [&](int member, int) {
+      if (std::this_thread::get_id() != self || member != 0) {
+        strays.fetch_add(1);
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    });
+  });
+  EXPECT_EQ(strays.load(), 0);
+}
+
+TEST(ForkJoinTeamTest, ACallFromAnItemOfATeamWithoutHelpersUsesTheHelpers) {
+  // A one-member sweep leaves the cores free, so its cells fan out: each
+  // inner item waits until every inner member holds one, which finishes
+  // only if the inner team's helpers take items alongside the cell.
+  ForkJoinTeam sweep(0);
+  ForkJoinTeam team(3);
+  const int members = team.members();
+  sweep.Run(2, [&](int, int) {
+    std::atomic<int> started{0};
+    team.Run(members, [&](int, int) {
+      started.fetch_add(1);
+      EXPECT_TRUE(AwaitCount(started, members)) << "helpers never took their items";
+    });
+  });
 }
 
 TEST(ForkJoinTeamTest, TenThousandBackToBackCallsFinish) {

@@ -148,61 +148,12 @@ Request SloRequest(RequestId id, double tpot_slo, int prompt_len = 20, int outpu
 // Ranked admission takes the urgent later arrivals r1 and r2 ahead of the
 // relaxed r0, which waits blocked at the queue front in a 64-token cache:
 // a FIFO head with later arrivals active, which it ranks above.
-void AdmitUrgentLaterArrivals(RequestPool& pool, int r0_prompt_len = 20, int r0_output_len = 4) {
-  pool.AddArrival(SloRequest(0, 0.15, r0_prompt_len, r0_output_len));
+void AdmitUrgentLaterArrivals(RequestPool& pool) {
+  pool.AddArrival(SloRequest(0, 0.15));
   pool.AddArrival(SloRequest(1, 0.02));
   pool.AddArrival(SloRequest(2, 0.02));
   ASSERT_EQ(pool.Admit(10, PriorityPolicy::kSloUrgentFirst), 2);
   ASSERT_EQ(pool.active(), (std::vector<RequestId>{1, 2}));
-}
-
-TEST_F(RequestPoolTest, AdmitEvictsToMakeRoomForBlockedHead) {
-  // Capacity 64 tokens: two 20+4 requests (32 blocks each) fill it.
-  KvCache tiny(64.0, 1.0, 16);
-  RequestPool pool(&tiny);
-  AdmitUrgentLaterArrivals(pool);
-  int evicted = 0;
-  EXPECT_EQ(pool.Admit(10, PriorityPolicy::kFifo, /*max_evictions=*/1, &evicted), 1);
-  EXPECT_EQ(evicted, 1);
-  // The newest-admitted zero-output request (r2) was evicted; the head
-  // (r0) is now active alongside r1.
-  EXPECT_EQ(pool.Get(2).state, RequestState::kQueued);
-  EXPECT_EQ(pool.Get(0).state, RequestState::kPrefilling);
-  ASSERT_EQ(pool.queued().size(), 1u);
-  EXPECT_EQ(pool.queued().front(), 2);
-}
-
-TEST_F(RequestPoolTest, AdmitRequeuesVictimsInArrivalOrder) {
-  // Head r0 needs 48 tokens; evicting both r1 and r2 (32 each) is the
-  // only way to fit it in a 64-token cache.
-  KvCache tiny(64.0, 1.0, 16);
-  RequestPool pool(&tiny);
-  AdmitUrgentLaterArrivals(pool, 40, 8);
-  int evicted = 0;
-  EXPECT_EQ(pool.Admit(10, PriorityPolicy::kFifo, /*max_evictions=*/2, &evicted), 1);
-  EXPECT_EQ(evicted, 2);
-  EXPECT_EQ(pool.Get(0).state, RequestState::kPrefilling);
-  // Victims are picked newest-first (r2 then r1) but re-enter the queue
-  // in their original arrival order, preserving FIFO on re-admission.
-  ASSERT_EQ(pool.queued().size(), 2u);
-  EXPECT_EQ(pool.queued()[0], 1);
-  EXPECT_EQ(pool.queued()[1], 2);
-}
-
-TEST_F(RequestPoolTest, AdmitSparesRequestsWithCommittedOutput) {
-  KvCache tiny(64.0, 1.0, 16);
-  RequestPool pool(&tiny);
-  AdmitUrgentLaterArrivals(pool);
-  // r2 has committed output: evicting it would discard generated tokens,
-  // so the only candidate is r1.
-  pool.AdvancePrefill(2, 20);
-  pool.CommitToken(2, 5, 0.5);
-  int evicted = 0;
-  EXPECT_EQ(pool.Admit(10, PriorityPolicy::kFifo, /*max_evictions=*/1, &evicted), 1);
-  EXPECT_EQ(evicted, 1);
-  EXPECT_EQ(pool.Get(1).state, RequestState::kQueued);
-  EXPECT_EQ(pool.Get(0).state, RequestState::kPrefilling);
-  EXPECT_EQ(pool.Get(2).state, RequestState::kRunning);
 }
 
 TEST_F(RequestPoolTest, RankedAdmissionPicksBestRankedNotFront) {

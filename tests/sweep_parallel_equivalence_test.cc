@@ -3,18 +3,21 @@
 // Runs a smoke-sized Fig. 8-style sweep (systems × RPS grid) serially
 // (threads=1, the exact historical path) and in parallel (threads=4) and
 // asserts byte-identical GoldenMetricsText per cell: fanning cells out
-// over the ThreadPool must not change a single metric byte, because each
-// cell rebuilds its full simulator state from deterministic seeds. Also
-// pins the per-cell Experiment reconstruction against the old
+// over the sweep's fork-join team must not change a single metric byte,
+// because each cell rebuilds its full simulator state from deterministic
+// seeds. Also pins the per-cell Experiment reconstruction against the old
 // shared-Experiment serial helper, a vector-fed sweep against the same
-// sweep fed by owned streams, and a stream-fed sweep's parallel path
-// against its serial path, and a serving run whose draft trees are built
-// on the fork-join team against the same run built inline.
+// sweep fed by owned streams, a stream-fed sweep's parallel path against
+// its serial path, and a serving run whose draft trees are built on the
+// fork-join team against the same run built inline.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "bench/sweep_common.h"
 #include "tests/test_util.h"
@@ -158,8 +161,9 @@ TEST(SweepParallelEquivalence, StreamSweepParallelMatchesSerial) {
 
 // The speculate phase builds a tick's draft trees on the process-wide
 // fork-join team when served from the main thread, and inline inside a
-// ThreadPool worker. Both serve the same metrics byte for byte: a tree
-// reads only its own request, and sampling stays on the serving thread.
+// cell of a multi-member sweep. Both serve the same metrics byte for byte:
+// a tree reads only its own request, and sampling stays on the serving
+// thread.
 TEST(SweepParallelEquivalence, TeamBuiltTreesMatchInlineBuiltTrees) {
   const Experiment exp(GoldenSetup());
   const std::vector<Request> workload = exp.RealTraceWorkload(kDuration, 3.5, PeakMix());
@@ -167,11 +171,15 @@ TEST(SweepParallelEquivalence, TeamBuiltTreesMatchInlineBuiltTrees) {
     const std::unique_ptr<Scheduler> scheduler = MakeScheduler(kind);
     return GoldenMetricsText(kind, exp.Run(*scheduler, workload).metrics);
   };
-  ThreadPool pool(1);
+  SweepRunner sweep(2);
   for (SystemKind kind : {SystemKind::kAdaServe, SystemKind::kVllmSpec4}) {
     const std::string on_team = serve(kind);
-    const std::string in_worker = pool.Submit([&] { return serve(kind); }).get();
-    EXPECT_EQ(on_team, in_worker) << SystemName(kind);
+    // Two cells, so the sweep's team has a helper and each cell is an
+    // item of a team with helpers.
+    const std::function<std::string()> cell = [&] { return serve(kind); };
+    for (const Timed<std::string>& in_cell : sweep.Map<std::string>({cell, cell})) {
+      EXPECT_EQ(on_team, in_cell.value) << SystemName(kind);
+    }
   }
 }
 
@@ -271,19 +279,33 @@ TEST(SeedShardEquivalence, DistinctSeedsProduceVariance) {
   EXPECT_GT(cells[0].wall_clock_s, 0.0);
 }
 
-// A cell that throws fails the sweep in the caller, not a worker thread.
+// A cell that throws fails the sweep in the caller, not a worker thread,
+// after every cell has run. Of two failing cells the earlier in input
+// order wins, even when the later one throws first.
 TEST(SweepParallelEquivalence, CellExceptionReachesTheCaller) {
   SweepRunner runner(4);
+  std::atomic<int> ran{0};
   std::vector<std::function<int()>> tasks;
   for (int i = 0; i < 8; ++i) {
-    tasks.push_back([i]() -> int {
+    tasks.push_back([i, &ran]() -> int {
+      ran.fetch_add(1);
       if (i == 3) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
         throw std::runtime_error("cell 3 failed");
+      }
+      if (i == 6) {
+        throw std::runtime_error("cell 6 failed");
       }
       return i;
     });
   }
-  EXPECT_THROW(runner.Map(tasks), std::runtime_error);
+  try {
+    runner.Map(tasks);
+    ADD_FAILURE() << "no exception reached the caller";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "cell 3 failed");
+  }
+  EXPECT_EQ(ran.load(), 8);
 }
 
 }  // namespace
